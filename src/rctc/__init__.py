@@ -6,8 +6,8 @@ validating them against closed-loop Monte Carlo simulation.
 """
 from .channel import (AvailabilityMatrix, AvailabilityStats, ChannelModel,
                       availability_from_delays, availability_marginals,
-                      availability_stats, exhaustive_stats, loss_probabilities,
-                      sample_availability, sample_availability_bits)
+                      availability_stats, channel_moments, exhaustive_stats,
+                      loss_probabilities, sample_availability, sample_availability_bits)
 from .codec import (CausalTransform, EncodedFrame, decode, decode_batch, encode,
                     encode_batch, equivalent_channel, load_transform, plt_design,
                     quantizer_input_variances, save_transform)

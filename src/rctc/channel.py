@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,7 +129,6 @@ class AvailabilityStats:
     realizations: np.ndarray
     weights: np.ndarray
     marginals: np.ndarray
-    _block_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         real = np.asarray(self.realizations, dtype=float)
@@ -149,14 +148,33 @@ class AvailabilityStats:
     def empirical_marginals(self) -> np.ndarray:
         return np.einsum("s,sij->ij", self.weights, self.realizations)
 
-    def block_realizations(self, block_dim: int) -> np.ndarray:
-        """Realizations expanded so each bit covers an m x m block (cached)."""
-        if block_dim == 1:
-            return self.realizations
-        if block_dim not in self._block_cache:
-            self._block_cache[block_dim] = np.repeat(
-                np.repeat(self.realizations, block_dim, axis=1), block_dim, axis=2)
-        return self._block_cache[block_dim]
+
+def channel_moments(stats: AvailabilityStats, block_dim: int = 1,
+                    M: np.ndarray | None = None):
+    """The channel expectations of H = (Ahat o B) inv(A) that every caller reads.
+
+    Returns moments(Ahat, Ainv) -> (E[H], W) with E[H] = (Ahat o Pbar) inv(A),
+    Pbar the weighted mean availability, and W = E[H' M H] (M = None is the
+    identity; M must be symmetric).  The block-expanded realization stack and
+    Pbar are built once here, so a search can call moments at every step.
+    """
+    real = stats.realizations
+    if block_dim > 1:
+        real = np.repeat(np.repeat(real, block_dim, axis=1), block_dim, axis=2)
+    dim = real.shape[1]
+    mean_bits = np.einsum("s,sij->ij", stats.weights, real)
+    # layout (row i, realization s, column k), each realization scaled by
+    # sqrt(w_s): every sum over (i, s) below is then one matrix product
+    stack = np.ascontiguousarray(
+        (np.sqrt(stats.weights)[:, None, None] * real).transpose(1, 0, 2))
+
+    def moments(Ahat: np.ndarray, Ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        T = stack * Ahat[:, None, :]
+        flat = T.reshape(-1, dim)
+        MT = flat if M is None else (M @ T.reshape(dim, -1)).reshape(-1, dim)
+        return (Ahat * mean_bits) @ Ainv, Ainv.T @ (flat.T @ MT) @ Ainv
+
+    return moments
 
 
 def sample_availability_bits(model: ChannelModel, count: int, seed: int,

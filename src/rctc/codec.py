@@ -305,26 +305,33 @@ def transform_to_text(transform: CausalTransform) -> str:
 
 
 def transform_from_text(text: str) -> CausalTransform:
+    """Parse transform_to_text output; anything it could not have written is rejected."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# causal transform v1"):
         raise ValueError("unrecognized transform header")
-    kind = lines[1].split()[1]
-    n = int(lines[2].split()[1])
-    m = int(lines[3].split()[1])
-    dim = n * m
-    if lines[4] != "encoder" or lines[5 + dim] != "decoder":
-        raise ValueError("malformed transform file")
-    A = np.asarray([[float(v) for v in lines[5 + r].split()] for r in range(dim)])
-    Ahat = np.asarray([[float(v) for v in lines[6 + dim + r].split()] for r in range(dim)])
-    coeffs = []
-    for M in (A, Ahat):
-        c = np.zeros((n, n, m))
-        for j in range(1, n):
-            for i in range(j):
-                block = M[j * m:(j + 1) * m, i * m:(i + 1) * m]
-                c[j, i] = np.diag(block)
-        coeffs.append(c)
-    return CausalTransform(kind, n, m, coeffs[0], coeffs[1])
+    try:
+        kind = lines[1].split()[1]
+        n = int(lines[2].split()[1])
+        m = int(lines[3].split()[1])
+        dim = n * m
+        if lines[4] != "encoder" or lines[5 + dim] != "decoder" or len(lines) != 6 + 2 * dim:
+            raise ValueError
+        mats = [np.array([[float(v) for v in lines[first + r].split()] for r in range(dim)])
+                for first in (5, 6 + dim)]
+        if any(M.shape != (dim, dim) for M in mats):
+            raise ValueError
+    except (IndexError, ValueError):
+        raise ValueError("malformed or truncated transform file") from None
+    # coeffs[j, i, k] = M[j*m + k, i*m + k] below the block diagonal
+    below = np.tri(n, k=-1, dtype=bool)[:, :, None]
+    coeffs = [np.where(below, np.diagonal(M.reshape(n, m, n, m), axis1=1, axis2=3), 0.0)
+              for M in mats]
+    transform = CausalTransform(kind, n, m, *coeffs)
+    for name, M, built in zip(("encoder", "decoder"), mats, transform.assemble()):
+        if not np.array_equal(M, built, equal_nan=True):
+            raise ValueError(f"{name} matrix is not unit lower triangular with "
+                             f"diagonal {m}x{m} blocks")
+    return transform
 
 
 def save_transform(transform: CausalTransform, path) -> None:

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import AvailabilityStats
+from .channel import AvailabilityStats, channel_moments
 from .codec import CausalTransform, plt_design, quantizer_input_variances
 from .factorizations import reverse_cholesky
-from .lqg import am_wmse
+from .lqg import am_wmse, frame_error_terms
 from .quantizers import RateAllocation, allocate_rates, clamp_rates
 
 STRUCTURES = ("full", "toeplitz", "plt", "identity")
@@ -165,76 +165,63 @@ class DesignResult:
     input_variances: np.ndarray = field(repr=False, default=None)
 
 
+def _parameter_map(structure: str, frame_length: int, block_dim: int):
+    """(block row j, block column i, slot k, parameter index) of each free encoder entry.
+
+    Parameters are ordered lag band by lag band for "toeplitz" (every entry of
+    a band shares one parameter) and row by row for "full"; the decoder uses
+    the same map shifted by half the parameter count.
+    """
+    if structure not in ("full", "toeplitz"):
+        raise ValueError(f"structure {structure!r} has no free parameters")
+    m = block_dim
+    rows, cols = np.tril_indices(frame_length, -1)
+    block = np.arange(rows.size) if structure == "full" else rows - cols - 1
+    k = np.tile(np.arange(m), rows.size)
+    return np.repeat(rows, m), np.repeat(cols, m), k, np.repeat(block, m) * m + k
+
+
 def pack_parameters(transform: CausalTransform, structure: str) -> np.ndarray:
     """Free parameters of (A, Ahat) under the structure, encoder first.
 
     For the toeplitz structure a non-toeplitz transform is projected by
     averaging each lag band, which leaves toeplitz transforms unchanged.
     """
-    n = transform.frame_length
-    out = []
-    for coeffs in (transform.encoder_coeffs, transform.decoder_coeffs):
-        if structure == "full":
-            for j in range(1, n):
-                for i in range(j):
-                    out.extend(coeffs[j, i])
-        elif structure == "toeplitz":
-            for lag in range(1, n):
-                band = np.mean([coeffs[i + lag, i] for i in range(n - lag)], axis=0)
-                out.extend(band)
-        else:
-            raise ValueError(f"structure {structure!r} has no free parameters")
-    return np.asarray(out)
+    j, i, k, src = _parameter_map(structure, transform.frame_length, transform.block_dim)
+    sizes = np.bincount(src)
+    return np.concatenate([np.bincount(src, weights=coeffs[j, i, k]) / sizes
+                           for coeffs in (transform.encoder_coeffs,
+                                          transform.decoder_coeffs)])
 
 
 def unpack_parameters(params: np.ndarray, structure: str, frame_length: int,
                       block_dim: int) -> CausalTransform:
     params = np.asarray(params, dtype=float)
     n, m = frame_length, block_dim
-    if structure == "full":
-        half = m * (n * n - n) // 2
-        mats = []
-        for offset in (0, half):
-            coeffs = np.zeros((n, n, m))
-            pos = offset
-            for j in range(1, n):
-                for i in range(j):
-                    coeffs[j, i] = params[pos:pos + m]
-                    pos += m
-            mats.append(coeffs)
-        return CausalTransform.full(mats[0], mats[1])
-    if structure == "toeplitz":
-        half = m * (n - 1)
-        enc = params[:half].reshape(n - 1, m)
-        dec = params[half:2 * half].reshape(n - 1, m)
-        return CausalTransform.toeplitz(enc, dec)
-    raise ValueError(f"structure {structure!r} has no free parameters")
+    j, i, k, src = _parameter_map(structure, n, m)
+    coeffs = np.zeros((2, n, n, m))
+    coeffs[0, j, i, k] = params[src]
+    coeffs[1, j, i, k] = params[params.size // 2 + src]
+    return CausalTransform(structure, n, m, coeffs[0], coeffs[1])
 
 
 def effective_variances(transform: CausalTransform, stats: AvailabilityStats,
                         K_x: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
     """Per-quantizer variances feeding the rate allocation.
 
-    The weighted noise energy tr(E_B[W] K_q) with W = (H inv(A))' M (H inv(A))
-    converts to an unweighted problem through E_B[W] = Z'Z with Z lower
-    triangular; the variance charged to quantizer i is then the determinant
-    (to the 1/m) of Z_ii Cov(d_i) Z_ii', the freshly coded part of the
-    equivalent-domain input.  For block_dim 1 this is Z_ii^2 Var(d_i), and on
-    a lossless channel with M = I it reduces to the plain prediction error
-    variances.
+    The weighted noise energy tr(W K_q) with W = E_B[H' M H] converts to an
+    unweighted problem through W = Z'Z with Z lower triangular; the variance
+    charged to quantizer i is then the determinant (to the 1/m) of
+    Z_ii Cov(d_i) Z_ii', the freshly coded part of the equivalent-domain
+    input.  For block_dim 1 this is Z_ii^2 Var(d_i), and on a lossless
+    channel with M = I it reduces to the plain prediction error variances.
     """
     n, m = transform.frame_length, transform.block_dim
     dim = transform.dim
     K_x = np.asarray(K_x, dtype=float)
     _, Ahat = transform.assemble()
     Ainv = transform.encoder_inverse()
-    B = stats.block_realizations(m)
-    T = (Ahat[None, :, :] * B) @ Ainv
-    if M is None:
-        W_each = np.transpose(T, (0, 2, 1)) @ T
-    else:
-        W_each = np.transpose(T, (0, 2, 1)) @ M @ T
-    W = np.einsum("s,sij->ij", stats.weights, W_each)
+    _, W = channel_moments(stats, m, M)(Ahat, Ainv)
     W = 0.5 * (W + W.T)
     # rows of B can be all zero, leaving W merely semi-definite
     floor = 1e-12 * float(np.trace(W)) / dim
@@ -260,57 +247,30 @@ def noise_covariance_for_rates(rates: np.ndarray, sigma_d: np.ndarray, block_dim
     return np.diag(noise_constant * np.exp2(-2.0 * per_slot) * sigma_d)
 
 
-def _scalar_objective(problem: DesignProblem):
-    """Search objective specialized for block_dim 1: one matrix build per call.
+def design_objective(problem: DesignProblem):
+    """Uniform-rate AM-WMSE of the packed parameters of a search structure.
 
-    Identical in value to evaluating am_wmse on the unpacked transform (unit
-    tested), but skips the per-call dataclass construction and redundant
-    inverse solves inside the pattern search's inner loop.
+    Equal to am_wmse on the unpacked transform, but the channel moments are
+    set up once and each call only places the parameters into (A, Ahat).
     """
-    from .lqg import _error_terms_core
-
-    n = problem.frame_length
-    r = problem.average_rate
-    K_x = problem.K_x
-    M = problem.weight
-    stats = problem.stats
-    blocks = stats.block_realizations(1)
-    count = blocks.shape[0]
-    flat_blocks = blocks.reshape(count * n, n)
-    weights = stats.weights
-    uniform_factor = problem.noise_constant * 4.0 ** (-r)
-    tril = np.tril_indices(n, -1)
-    if problem.structure == "toeplitz":
-        lag_rows = [(np.arange(lag, n), np.arange(0, n - lag)) for lag in range(1, n)]
-    # for scalar blocks the weight matrix is a multiple of the identity
-    m_scale = 1.0 if M is None else float(M[0, 0])
-    if M is not None and not np.allclose(M, m_scale * np.eye(n)):
-        raise ValueError("scalar-block weight matrices must be multiples of the identity")
-    diag_idx = (np.arange(count * n), np.tile(np.arange(n), count))
-
-    def place(values: np.ndarray) -> np.ndarray:
-        out = np.eye(n)
-        if problem.structure == "full":
-            out[tril] = values
-        else:
-            for lag, (rows, cols) in enumerate(lag_rows, start=1):
-                out[rows, cols] = values[lag - 1]
-        return out
-
+    n, m = problem.frame_length, problem.block_dim
+    K_x, M = problem.K_x, problem.weight
+    moments = channel_moments(problem.stats, m, M)
+    j, i, k, src = _parameter_map(problem.structure, n, m)
+    rows, cols = j * m + k, i * m + k
     half = problem.parameter_count // 2
+    noise_scale = problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
 
     def objective(params: np.ndarray) -> float:
-        A = place(params[:half])
-        Ahat = place(params[half:])
+        A = np.eye(n * m)
+        A[rows, cols] = params[src]
+        Ahat = np.eye(n * m)
+        Ahat[rows, cols] = params[half + src]
         Ainv = np.linalg.inv(A)
         sigma_d = np.einsum("ij,jk,ik->i", Ainv, K_x, Ainv)
-        kq_diag = uniform_factor * sigma_d
-        H = (flat_blocks * np.tile(Ahat, (count, 1))) @ Ainv
-        G = -H
-        G[diag_idx] += 1.0
-        signal_each = np.einsum("ij,ij->i", G, G @ K_x).reshape(count, n).sum(axis=1)
-        noise_each = np.einsum("ij,ij->i", H, H * kq_diag[None, :]).reshape(count, n).sum(axis=1)
-        return m_scale * float(weights @ (signal_each + noise_each)) / n
+        K_q = np.diag(noise_scale * sigma_d)  # noise_covariance_for_rates at uniform rates
+        signal, noise = frame_error_terms(*moments(Ahat, Ainv), K_x, K_q, M)
+        return (signal + noise) / (n * m)
 
     return objective
 
@@ -332,23 +292,15 @@ def design_code(problem: DesignProblem, config: SearchConfig | None = None,
     M = problem.weight
     plt_transform, _ = plt_design(problem.K_x, m)
 
-    def objective_for(transform: CausalTransform) -> float:
-        sigma_d = quantizer_input_variances(transform, problem.K_x)
-        K_q = noise_covariance_for_rates(np.full(n, r), sigma_d, m, c)
-        return am_wmse(transform, problem.stats, problem.K_x, K_q, M)
-
     if problem.structure in ("plt", "identity"):
         transform = plt_transform if problem.structure == "plt" else CausalTransform.identity(n, m)
+        sigma_d = quantizer_input_variances(transform, problem.K_x)
+        K_q = noise_covariance_for_rates(np.full(n, r), sigma_d, m, c)
         evaluations = 0
-        history = [objective_for(transform)]
+        history = [am_wmse(transform, problem.stats, problem.K_x, K_q, M)]
         exhausted = False
     else:
-        if m == 1:
-            objective = _scalar_objective(problem)
-        else:
-            def objective(params):
-                return objective_for(unpack_parameters(params, problem.structure, n, m))
-
+        objective = design_objective(problem)
         starts = [pack_parameters(plt_transform, problem.structure)]
         if initial_points:
             starts.extend(np.asarray(p, dtype=float) for p in initial_points)
@@ -407,17 +359,22 @@ def load_design(path) -> tuple[DesignResult, str]:
             continue
         key, _, value = line.partition(" ")
         meta[key] = value.strip()
+
+    def get(key: str) -> str:
+        if key not in meta:
+            raise ValueError(f"design file {path} has no {key!r} field")
+        return meta[key]
+
+    def vec(key: str) -> np.ndarray:
+        return np.asarray([float(v) for v in get(key).split()])
+
     transform = transform_from_text("# causal transform v1" + tail)
-    rates = RateAllocation(
-        np.asarray([float(v) for v in meta["rates"].split()]),
-        np.asarray([float(v) for v in meta["effective_variances"].split()]),
-        float(meta["average_rate"]),
-        clamped=bool(int(meta["clamped"])),
-    )
-    predicted_lqg = None if meta["predicted_lqg_cost"] == "None" else float(meta["predicted_lqg_cost"])
+    rates = RateAllocation(vec("rates"), vec("effective_variances"),
+                           float(get("average_rate")), clamped=bool(int(get("clamped"))))
+    lqg = get("predicted_lqg_cost")
     result = DesignResult(
-        transform, rates, float(meta["predicted_am_wmse"]), predicted_lqg,
-        int(meta["evaluations"]), [], bool(int(meta["budget_exhausted"])),
-        input_variances=np.asarray([float(v) for v in meta["input_variances"].split()]),
+        transform, rates, float(get("predicted_am_wmse")),
+        None if lqg == "None" else float(lqg), int(get("evaluations")), [],
+        bool(int(get("budget_exhausted"))), input_variances=vec("input_variances"),
     )
     return result, meta.get("scheme", "")

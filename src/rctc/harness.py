@@ -17,7 +17,8 @@ from .codec import CausalTransform, decode_batch, encode_batch, plt_design
 from .design import (DesignProblem, DesignResult, SearchConfig, design_code,
                      noise_covariance_for_rates, pack_parameters)
 from .lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost,
-                  controller_solution, pilot_state_variance, simulate_closed_loop)
+                  batch_standard_error, controller_solution, pilot_state_variance,
+                  simulate_closed_loop)
 from .quantizers import QuantizerBank, RateAllocation, allocate_rates, clamp_rates
 from .sources import GaussMarkovModel, ar1_covariance, sample_path
 
@@ -110,9 +111,15 @@ class ExperimentConfig:
                            ("horizon", 1), ("pilot_steps", 1)):
             if v[key] < bound:
                 raise ConfigError(f"{key} must be at least {bound}")
-        for key in ("delta", "ts", "noise_constant"):
+        for key in ("rate", "delta", "ts", "noise_constant"):
             if v[key] <= 0.0:
                 raise ConfigError(f"{key} must be positive")
+        try:
+            self.search_config()
+        except ValueError as exc:
+            keys = ("search_step", "search_shrink", "search_tol", "search_budget")
+            raise ConfigError(", ".join(f"{k} = {v[k]}" for k in keys)
+                              + f" rejected: {exc}") from None
         for p in (*v["p_grid"], v["p"]):
             if not 0.0 < p < 1.0:
                 raise ConfigError(f"p_grid values must lie in (0, 1), got {p}")
@@ -256,18 +263,6 @@ def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:
                                  config.noise_constant)
 
 
-def _stderr_from_values(values: np.ndarray) -> float:
-    count = values.size
-    if count < 2:
-        return float("nan")
-    if count < 8:
-        return float(np.std(values, ddof=1) / np.sqrt(count))
-    batches = max(2, min(256, count // 64))
-    size = count // batches
-    means = values[: batches * size].reshape(batches, size).mean(axis=1)
-    return float(np.std(means, ddof=1) / np.sqrt(batches))
-
-
 def _failed_row(scheme, p, cm, sim_seed, mode, config, exc) -> ResultRow:
     """Design failures become flagged rows so the rest of the sweep continues."""
     return ResultRow(scheme, p, cm.delay_rate, float("nan"), "design_failed",
@@ -289,7 +284,7 @@ def _simulate_source_point(transform, bank, channel_model, config, sim_seed,
     xhat = decode_batch(codevalues, transform, bits)
     err = x - xhat
     per_frame = np.einsum("fi,fi->f", err, err) / n
-    return float(per_frame.mean()), _stderr_from_values(per_frame)
+    return float(per_frame.mean()), batch_standard_error(per_frame)
 
 
 def run_source_experiment(config: ExperimentConfig) -> list[ResultRow]:

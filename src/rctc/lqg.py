@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AvailabilityStats, ChannelModel
+from .channel import AvailabilityStats, ChannelModel, channel_moments
 from .codec import CausalTransform
 from .quantizers import QuantizerBank
 from .sources import validate_covariance
@@ -172,29 +172,16 @@ def controller_solution(plant: PlantModel, weights: LqgWeights, **riccati_kwargs
     return ControllerSolution(P, L, weight_req(P, plant, weights))
 
 
-def _error_terms_core(Ahat: np.ndarray, Ainv: np.ndarray, blocks: np.ndarray,
-                      weights: np.ndarray, K_x: np.ndarray, K_q: np.ndarray,
-                      M: np.ndarray | None) -> tuple[float, float]:
-    """Weighted averages of tr((I-H)'M(I-H) K_x) and tr(H'M H K_q), H = (Ahat o B) Ainv.
+def frame_error_terms(mean_H: np.ndarray, W: np.ndarray, K_x: np.ndarray,
+                      K_q: np.ndarray, M: np.ndarray | None = None) -> tuple[float, float]:
+    """Signal and noise error energies from the channel moments E[H] and W = E[H'MH].
 
-    The realization stack is kept flattened to (count * n, n) so every product
-    is one large matrix multiply instead of many small batched ones.
+    signal = tr(E[(I - H)' M (I - H)] K_x) = tr(M K_x) - 2 tr(M E[H] K_x) + tr(W K_x)
+    and noise = tr(W K_q), for symmetric M, K_x and K_q.
     """
-    count, n, _ = blocks.shape
-    H = (Ahat[None, :, :] * blocks).reshape(count * n, n) @ Ainv
-    G = -H.copy()
-    G[np.arange(count * n), np.tile(np.arange(n), count)] += 1.0
-
-    def quad(T, K):
-        # per realization: tr(T' M T K) = sum_ij T_ij (M T K)_ij
-        TK = T @ K
-        if M is not None:
-            TK = (M @ TK.reshape(count, n, n).transpose(1, 0, 2).reshape(n, count * n))
-            TK = TK.reshape(n, count, n).transpose(1, 0, 2).reshape(count * n, n)
-        each = np.einsum("ij,ij->i", T, TK).reshape(count, n).sum(axis=1)
-        return float(weights @ each)
-
-    return quad(G, K_x), quad(H, K_q)
+    MK_x = K_x if M is None else M @ K_x
+    signal = np.trace(MK_x) - 2.0 * np.vdot(mean_H, MK_x) + np.vdot(W, K_x)
+    return float(signal), float(np.vdot(W, K_q))
 
 
 def expected_error_terms(transform: CausalTransform, stats: AvailabilityStats,
@@ -216,9 +203,9 @@ def expected_error_terms(transform: CausalTransform, stats: AvailabilityStats,
     if stats.model.frame_length != transform.frame_length:
         raise ValueError("availability stats frame length does not match the transform")
     _, Ahat = transform.assemble()
-    Ainv = transform.encoder_inverse()
-    B = stats.block_realizations(transform.block_dim)
-    return _error_terms_core(Ahat, Ainv, B, stats.weights, K_x, K_q, M)
+    moments = channel_moments(stats, transform.block_dim, M)
+    mean_H, W = moments(Ahat, transform.encoder_inverse())
+    return frame_error_terms(mean_H, W, K_x, K_q, M)
 
 
 def am_wmse(transform: CausalTransform, stats: AvailabilityStats, K_x: np.ndarray,
@@ -273,17 +260,16 @@ def _psd_factor(K: np.ndarray) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def _batch_standard_error(frame_costs: np.ndarray, frame_length: int) -> float:
-    """Standard error of the per-step cost via batch means over whole frames."""
-    count = frame_costs.size
+def batch_standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean of a correlated series, by batch means."""
+    count = values.size
     if count < 2:
         return math.nan
-    per_step = frame_costs / frame_length
     if count < 8:
-        return float(np.std(per_step, ddof=1) / math.sqrt(count))
+        return float(np.std(values, ddof=1) / math.sqrt(count))
     batches = max(2, min(256, count // 64))
     size = count // batches
-    means = per_step[: batches * size].reshape(batches, size).mean(axis=1)
+    means = values[: batches * size].reshape(batches, size).mean(axis=1)
     return float(np.std(means, ddof=1) / math.sqrt(batches))
 
 
@@ -379,7 +365,7 @@ def _simulate_general(plant, weights, solution, transform, bank, channel_model,
             diverged = True
             break
     cost_mean = total / steps if steps else math.nan
-    stderr = _batch_standard_error(np.asarray(frame_costs), n)
+    stderr = batch_standard_error(np.asarray(frame_costs) / n)
     return SimulationResult(cost_mean, stderr, steps, diverged, trace)
 
 
@@ -453,7 +439,7 @@ def _simulate_scalar(plant, weights, solution, transform, bank, channel_model,
             diverged = True
             break
     cost_mean = total / steps if steps else math.nan
-    stderr = _batch_standard_error(np.asarray(frame_costs), n)
+    stderr = batch_standard_error(np.asarray(frame_costs) / n)
     return SimulationResult(cost_mean, stderr, steps, diverged, None)
 
 

@@ -175,13 +175,6 @@ class TestAvailabilityStats:
         assert stats.count == 1
         assert np.array_equal(stats.realizations[0], np.tril(np.ones((4, 4))))
 
-    def test_block_realizations_cache(self):
-        stats = availability_stats(model(), 50, 1)
-        b2 = stats.block_realizations(2)
-        assert b2.shape == (stats.count, 8, 8)
-        assert stats.block_realizations(2) is b2
-        assert stats.block_realizations(1) is stats.realizations
-
 
 class TestExhaustiveStats:
     def test_counts_and_weights(self):

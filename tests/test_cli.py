@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from rctc.cli import main
 from rctc.design import load_design
@@ -165,3 +166,14 @@ class TestErrors:
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
         assert main(["sweep", "--config", cfg]) == 1
         assert "out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["search_shrink = 2", "search_budget = 0",
+                                      "rate = -1"])
+    def test_bad_setting_rejected_before_any_row(self, tmp_path, capsys, line):
+        cfg = write(tmp_path, "bad.cfg", SWEEP_CFG + line + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert line.split()[0] in err
+        assert not out.exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rctc.channel import ChannelModel, availability_from_delays, sample_availability
@@ -293,6 +295,71 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             transform_from_text("not a transform\n")
+
+    @staticmethod
+    def edited(row: int, col: int, value: float, n: int = 3, m: int = 1) -> str:
+        """Text of an identity transform with one encoder entry replaced."""
+        lines = transform_to_text(CausalTransform.identity(n, m)).splitlines()
+        cells = lines[5 + row].split()
+        cells[col] = repr(value)
+        lines[5 + row] = " ".join(cells)
+        return "\n".join(lines) + "\n"
+
+    def test_rejects_non_unit_diagonal(self):
+        with pytest.raises(ValueError, match="encoder"):
+            transform_from_text(self.edited(1, 1, 7.0))
+
+    def test_rejects_entry_above_diagonal(self):
+        with pytest.raises(ValueError, match="encoder"):
+            transform_from_text(self.edited(0, 1, 5.0))
+
+    def test_rejects_off_diagonal_entry_inside_block(self):
+        # m = 2: row 2 is slot 0 of block row 1; column 1 is slot 1 of block 0
+        with pytest.raises(ValueError, match="encoder"):
+            transform_from_text(self.edited(2, 1, 0.3, n=2, m=2))
+
+    def test_rejects_truncated_file(self):
+        text = transform_to_text(random_transform(3, 1, np.random.default_rng(1)))
+        lines = text.splitlines()
+        for cut in (len(lines) - 1, 6, 2):
+            with pytest.raises(ValueError, match="truncated"):
+                transform_from_text("\n".join(lines[:cut]) + "\n")
+        with pytest.raises(ValueError, match="truncated"):
+            transform_from_text(text.rsplit(" ", 1)[0] + "\n")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def transforms(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["identity", "full", "toeplitz"]))
+    if kind == "identity" or n == 1:
+        return CausalTransform.identity(n, m)
+    if kind == "toeplitz":
+        lags = st.lists(finite, min_size=(n - 1) * m, max_size=(n - 1) * m)
+        return CausalTransform.toeplitz(np.reshape(draw(lags), (n - 1, m)),
+                                        np.reshape(draw(lags), (n - 1, m)))
+    coeffs = []
+    for _ in range(2):
+        c = np.zeros((n, n, m))
+        c[np.tril_indices(n, -1)] = np.reshape(
+            draw(st.lists(finite, min_size=n * (n - 1) // 2 * m,
+                          max_size=n * (n - 1) // 2 * m)), (-1, m))
+        coeffs.append(c)
+    return CausalTransform.full(*coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(transforms())
+def test_text_round_trip_property(t):
+    back = transform_from_text(transform_to_text(t))
+    assert (back.kind, back.frame_length, back.block_dim) == (t.kind, t.frame_length,
+                                                             t.block_dim)
+    assert np.array_equal(back.encoder_coeffs, t.encoder_coeffs)
+    assert np.array_equal(back.decoder_coeffs, t.decoder_coeffs)
 
 
 class TestQuantizerInputVariances:

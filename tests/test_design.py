@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rctc.channel import (AvailabilityStats, ChannelModel, availability_marginals,
                           availability_stats)
 from rctc.codec import CausalTransform, plt_design, quantizer_input_variances
-from rctc.design import (DesignProblem, SearchConfig, _scalar_objective, design_code,
-                         effective_variances, hooke_jeeves, load_design,
-                         noise_covariance_for_rates, pack_parameters, save_design,
-                         unpack_parameters)
+from rctc.design import (DesignProblem, DesignResult, SearchConfig, design_code,
+                         design_objective, effective_variances, hooke_jeeves,
+                         load_design, noise_covariance_for_rates, pack_parameters,
+                         save_design, unpack_parameters)
 from rctc.factorizations import reverse_cholesky
 from rctc.lqg import am_wmse
+from rctc.quantizers import allocate_rates, clamp_rates
 from rctc.sources import ar1_covariance
 
 
@@ -156,21 +159,36 @@ def make_problem(p, structure, n=6, rate=5.0, weight=None, seed=42, samples=2000
     return DesignProblem(K, stats, weight, rate, n, 1, structure)
 
 
-class TestScalarObjectiveConsistency:
-    def test_matches_general_evaluation(self):
-        rng = np.random.default_rng(3)
-        for structure in ("full", "toeplitz"):
-            for weight in (None, 2.43 * np.eye(6)):
-                prob = make_problem(0.2, structure, weight=weight, samples=500)
-                fast = _scalar_objective(prob)
-                count = prob.parameter_count
-                for _ in range(3):
-                    params = rng.normal(scale=0.4, size=count)
-                    t = unpack_parameters(params, structure, 6, 1)
-                    sigma = quantizer_input_variances(t, prob.K_x)
-                    K_q = noise_covariance_for_rates(np.full(6, 5.0), sigma, 1, 1.0)
-                    ref = am_wmse(t, prob.stats, prob.K_x, K_q, weight)
-                    assert fast(params) == pytest.approx(ref, rel=1e-12)
+def interleaved_covariance(n):
+    """Two independent AR(1) streams, one per block slot (m = 2)."""
+    K = np.zeros((2 * n, 2 * n))
+    K[0::2, 0::2] = ar1_covariance(0.9, 1.0, n)
+    K[1::2, 1::2] = ar1_covariance(0.5, 4.0, n)
+    return K
+
+
+R_EQ = np.array([[1.7, 0.4], [0.4, 0.9]])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("structure", ["full", "toeplitz"])
+@pytest.mark.parametrize("weight", ["none", "scaled", "kron"])
+def test_objective_matches_am_wmse(m, structure, weight):
+    n = 5
+    K = ar1_covariance(0.9, 1.0, n) if m == 1 else interleaved_covariance(n)
+    M = {"none": None, "scaled": 2.43 * np.eye(n * m),
+         "kron": np.kron(np.eye(n), R_EQ[:m, :m])}[weight]
+    cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
+    prob = DesignProblem(K, availability_stats(cm, 500, 42), M, 5.0, n, m, structure)
+    objective = design_objective(prob)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        params = rng.normal(scale=0.4, size=prob.parameter_count)
+        t = unpack_parameters(params, structure, n, m)
+        sigma = quantizer_input_variances(t, K)
+        K_q = noise_covariance_for_rates(np.full(n, 5.0), sigma, m, 1.0)
+        ref = am_wmse(t, prob.stats, K, K_q, M)
+        assert objective(params) == pytest.approx(ref, rel=1e-12)
 
 
 class TestDesignCode:
@@ -267,3 +285,49 @@ class TestDesignCode:
         assert np.array_equal(loaded.transform.encoder_coeffs,
                               result.transform.encoder_coeffs)
         assert loaded.predicted_am_wmse == result.predicted_am_wmse
+
+    def test_load_names_missing_field(self, tmp_path):
+        result = design_code(make_problem(0.2, "plt", n=4))
+        path = tmp_path / "design.txt"
+        save_design(result, path, scheme="plt")
+        text = path.read_text()
+        path.write_text("".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith("rates ")))
+        with pytest.raises(ValueError, match="'rates'"):
+            load_design(path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def design_results(draw):
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 2))
+    structure = draw(st.sampled_from(["full", "toeplitz"]))
+    count = m * (n * n - n) if structure == "full" else 2 * m * (n - 1)
+    params = draw(st.lists(finite, min_size=count, max_size=count))
+    transform = unpack_parameters(np.asarray(params), structure, n, m)
+    variances = np.asarray(draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n)))
+    rates = clamp_rates(allocate_rates(variances, draw(st.floats(0.0, 10.0))), 0.0)
+    lqg = draw(st.none() | finite)
+    inputs = np.asarray(draw(st.lists(finite, min_size=n * m, max_size=n * m)))
+    return DesignResult(transform, rates, draw(finite), lqg, draw(st.integers(0, 10 ** 6)),
+                        [], draw(st.booleans()), input_variances=inputs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(design_results(), st.sampled_from(["", "plt", "rtc_tc", "rc_tc"]))
+def test_design_file_round_trip_property(tmp_path_factory, result, scheme):
+    path = tmp_path_factory.mktemp("design") / "design.txt"
+    save_design(result, path, scheme=scheme)
+    loaded, loaded_scheme = load_design(path)
+    assert loaded_scheme == scheme
+    for name in ("predicted_am_wmse", "predicted_lqg_cost", "evaluations",
+                 "budget_exhausted"):
+        assert getattr(loaded, name) == getattr(result, name)
+    assert np.array_equal(loaded.input_variances, result.input_variances)
+    for name in ("rates", "effective_variances", "average", "clamped"):
+        assert np.array_equal(getattr(loaded.rates, name), getattr(result.rates, name))
+    for name in ("encoder_coeffs", "decoder_coeffs"):
+        assert np.array_equal(getattr(loaded.transform, name), getattr(result.transform, name))
