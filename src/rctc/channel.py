@@ -116,12 +116,13 @@ def availability_marginals(model: ChannelModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AvailabilityStats:
-    """Weighted availability realizations backing expectations over the channel.
+    """Weighted availability realizations: a test oracle for channel expectations.
 
     `realizations` has shape (count, N, N) with 0/1 entries and `weights` sums
     to 1.  Monte Carlo sets carry uniform weights; the exhaustive constructor
     enumerates every pattern with its exact probability under independent
-    bits.  `marginals` is always the closed-form matrix.
+    bits.  `marginals` is always the closed-form matrix.  The library itself
+    computes every expectation exactly from the marginals (`channel_moments`).
     """
 
     model: ChannelModel
@@ -149,30 +150,40 @@ class AvailabilityStats:
         return np.einsum("s,sij->ij", self.weights, self.realizations)
 
 
-def channel_moments(stats: AvailabilityStats, block_dim: int = 1,
+def channel_moments(marginals: np.ndarray, block_dim: int = 1,
                     M: np.ndarray | None = None):
-    """The channel expectations of H = (Ahat o B) inv(A) that every caller reads.
+    """The exact channel expectations of H = (Ahat o B) inv(A) that every caller reads.
 
-    Returns moments(Ahat, Ainv) -> (E[H], W) with E[H] = (Ahat o Pbar) inv(A),
-    Pbar the weighted mean availability, and W = E[H' M H] (M = None is the
-    identity; M must be symmetric).  The block-expanded realization stack and
-    Pbar are built once here, so a search can call moments at every step.
+    `marginals` is the N x N availability matrix P = E[B]; a 0/1 pattern is a
+    valid degenerate P.  Returns moments(Ahat, Ainv) -> (E[H], W) with
+    E[H] = (Ahat o P) inv(A) and W = E[H' M H] (M = None is the identity).
+    M must be block-diagonal over frame elements, so only bits of one row pair
+    up, and those come from different indices with independent delays.  With
+    C = Ahat o P, E[(Ahat o B)' M (Ahat o B)] is then C' M C plus, on the
+    diagonal block of column element a, sum_i (P_ia - P_ia^2) Ahat_ia' M_ii Ahat_ia.
     """
-    real = stats.realizations
-    if block_dim > 1:
-        real = np.repeat(np.repeat(real, block_dim, axis=1), block_dim, axis=2)
-    dim = real.shape[1]
-    mean_bits = np.einsum("s,sij->ij", stats.weights, real)
-    # layout (row i, realization s, column k), each realization scaled by
-    # sqrt(w_s): every sum over (i, s) below is then one matrix product
-    stack = np.ascontiguousarray(
-        (np.sqrt(stats.weights)[:, None, None] * real).transpose(1, 0, 2))
+    P = np.asarray(marginals, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError(f"availability marginals must be a square matrix, got shape {P.shape}")
+    if not np.all((P >= 0.0) & (P <= 1.0)) or np.any(np.triu(P, k=1)):
+        raise ValueError("availability marginals must lie in [0, 1] and be 0 above the diagonal")
+    n, m = P.shape[0], block_dim
+    M = np.eye(n * m) if M is None else np.asarray(M, dtype=float)
+    same_element = np.kron(np.eye(n), np.ones((m, m)))
+    if M.shape != (n * m, n * m):
+        raise ValueError(f"M must be {n * m}x{n * m}")
+    if np.any(M[same_element == 0.0]):
+        raise ValueError(f"M must be block-diagonal over frame elements (blocks {m}x{m})")
+    P_expanded = np.kron(P, np.ones((m, m)))
+    variances = P_expanded - P_expanded * P_expanded
 
     def moments(Ahat: np.ndarray, Ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        T = stack * Ahat[:, None, :]
-        flat = T.reshape(-1, dim)
-        MT = flat if M is None else (M @ T.reshape(dim, -1)).reshape(-1, dim)
-        return (Ahat * mean_bits) @ Ainv, Ainv.T @ (flat.T @ MT) @ Ainv
+        # M block-diagonal: M (Ahat o P) = (M Ahat) o P, and the variance term
+        # keeps only the diagonal blocks of (Ahat o (P - P^2))' M Ahat
+        C = Ahat * P_expanded
+        MA = M @ Ahat
+        E = C.T @ (MA * P_expanded) + same_element * ((Ahat * variances).T @ MA)
+        return C @ Ainv, Ainv.T @ E @ Ainv
 
     return moments
 
@@ -201,18 +212,9 @@ def sample_availability_bits(model: ChannelModel, count: int, seed: int,
 
 def availability_stats(model: ChannelModel, sample_count: int, seed: int,
                        mode: str = "montecarlo") -> AvailabilityStats:
-    """Sample availability realizations for channel expectations.
-
-    The sampled patterns are stored as a weighted multiset (duplicates merged,
-    weights proportional to multiplicity), which leaves every expectation
-    identical while keeping the realization stack small.
-    """
+    """Sampled availability realizations with uniform weights (a test oracle)."""
     bits = sample_availability_bits(model, sample_count, seed, mode)
-    n = model.frame_length
-    unique, counts = np.unique(bits.reshape(sample_count, n * n), axis=0,
-                               return_counts=True)
-    return AvailabilityStats(model, mode, unique.reshape(-1, n, n),
-                             counts / float(sample_count),
+    return AvailabilityStats(model, mode, bits, np.full(sample_count, 1.0 / sample_count),
                              availability_marginals(model))
 
 

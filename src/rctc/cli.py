@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from .channel import ChannelModel, availability_stats
+from .channel import ChannelModel, availability_marginals
 from .design import save_design
 from .harness import (ConfigError, ExperimentConfig, _build_scheme, _bank_for,
                       _lqg_context, derive_seed, run_experiment, write_csv)
@@ -66,9 +66,7 @@ def cmd_design(args) -> int:
     K_x, M = _design_context(config)
     cm = ChannelModel.from_violation_probability(config.p, config.delta, config.ts,
                                                  config.n)
-    stats = availability_stats(cm, config.design_samples,
-                               derive_seed(config.seed, "stats", 0), config.b_mode)
-    result = _build_scheme(config.scheme, K_x, stats, M, config)
+    result = _build_scheme(config.scheme, K_x, availability_marginals(cm), M, config)
     save_design(result, out, scheme=config.scheme)
     print(f"wrote {out}: scheme={config.scheme} p={config.p} "
           f"predicted_am_wmse={result.predicted_am_wmse!r}")
@@ -84,9 +82,7 @@ def cmd_simulate(args) -> int:
     M = solution.weight_block(config.n)
     cm = ChannelModel.from_violation_probability(config.p, config.delta, config.ts,
                                                  config.n)
-    stats = availability_stats(cm, config.design_samples,
-                               derive_seed(config.seed, "stats", 0), config.b_mode)
-    result = _build_scheme(config.scheme, K_x, stats, M, config)
+    result = _build_scheme(config.scheme, K_x, availability_marginals(cm), M, config)
     bank = _bank_for(result, config)
     sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
                                config.horizon, derive_seed(config.seed, "sim", 0,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import AvailabilityStats, channel_moments
+from .channel import channel_moments
 from .codec import CausalTransform, plt_design, quantizer_input_variances
 from .factorizations import reverse_cholesky
 from .lqg import am_wmse, frame_error_terms
@@ -116,12 +116,12 @@ class DesignProblem:
     """Inputs of one transform design run.
 
     weight is the mN x mN error weighting (None means identity, i.e. plain
-    AM-MSE); stats must be a frozen realization set so the search objective
-    is deterministic.
+    AM-MSE); marginals is the N x N availability matrix P = E[B] the channel
+    expectations are computed from.
     """
 
     K_x: np.ndarray
-    stats: AvailabilityStats
+    marginals: np.ndarray
     weight: np.ndarray | None
     average_rate: float
     frame_length: int
@@ -137,8 +137,8 @@ class DesignProblem:
         dim = self.frame_length * self.block_dim
         if K_x.shape != (dim, dim):
             raise ValueError(f"K_x must be {dim}x{dim}")
-        if self.stats.model.frame_length != self.frame_length:
-            raise ValueError("stats frame length does not match the problem")
+        if np.shape(self.marginals) != (self.frame_length, self.frame_length):
+            raise ValueError("availability marginals do not match the frame length")
         if self.weight is not None and np.asarray(self.weight).shape != (dim, dim):
             raise ValueError(f"weight must be {dim}x{dim}")
         object.__setattr__(self, "K_x", K_x)
@@ -205,7 +205,7 @@ def unpack_parameters(params: np.ndarray, structure: str, frame_length: int,
     return CausalTransform(structure, n, m, coeffs[0], coeffs[1])
 
 
-def effective_variances(transform: CausalTransform, stats: AvailabilityStats,
+def effective_variances(transform: CausalTransform, marginals: np.ndarray,
                         K_x: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
     """Per-quantizer variances feeding the rate allocation.
 
@@ -221,7 +221,7 @@ def effective_variances(transform: CausalTransform, stats: AvailabilityStats,
     K_x = np.asarray(K_x, dtype=float)
     _, Ahat = transform.assemble()
     Ainv = transform.encoder_inverse()
-    _, W = channel_moments(stats, m, M)(Ahat, Ainv)
+    _, W = channel_moments(marginals, m, M)(Ahat, Ainv)
     W = 0.5 * (W + W.T)
     # rows of B can be all zero, leaving W merely semi-definite
     floor = 1e-12 * float(np.trace(W)) / dim
@@ -255,7 +255,7 @@ def design_objective(problem: DesignProblem):
     """
     n, m = problem.frame_length, problem.block_dim
     K_x, M = problem.K_x, problem.weight
-    moments = channel_moments(problem.stats, m, M)
+    moments = channel_moments(problem.marginals, m, M)
     j, i, k, src = _parameter_map(problem.structure, n, m)
     rows, cols = j * m + k, i * m + k
     half = problem.parameter_count // 2
@@ -297,7 +297,7 @@ def design_code(problem: DesignProblem, config: SearchConfig | None = None,
         sigma_d = quantizer_input_variances(transform, problem.K_x)
         K_q = noise_covariance_for_rates(np.full(n, r), sigma_d, m, c)
         evaluations = 0
-        history = [am_wmse(transform, problem.stats, problem.K_x, K_q, M)]
+        history = [am_wmse(transform, problem.marginals, problem.K_x, K_q, M)]
         exhausted = False
     else:
         objective = design_objective(problem)
@@ -313,10 +313,10 @@ def design_code(problem: DesignProblem, config: SearchConfig | None = None,
         exhausted = not result.converged
 
     sigma_d = quantizer_input_variances(transform, problem.K_x)
-    sigma_hat = effective_variances(transform, problem.stats, problem.K_x, M)
+    sigma_hat = effective_variances(transform, problem.marginals, problem.K_x, M)
     allocation = clamp_rates(allocate_rates(sigma_hat, r), problem.min_rate)
     K_q = noise_covariance_for_rates(allocation.rates, sigma_d, m, c)
-    predicted = am_wmse(transform, problem.stats, problem.K_x, K_q, M)
+    predicted = am_wmse(transform, problem.marginals, problem.K_x, K_q, M)
     return DesignResult(transform, allocation, predicted, None, evaluations,
                         history, exhausted, input_variances=sigma_d)
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel, availability_stats, sample_availability_bits
+from .channel import ChannelModel, availability_marginals, sample_availability_bits
+from .channel import availability_stats  # noqa: F401  (unused; bench/layertrace.py wraps it)
 from .codec import CausalTransform, decode_batch, encode_batch, plt_design
 from .design import (DesignProblem, DesignResult, SearchConfig, design_code,
                      noise_covariance_for_rates, pack_parameters)
@@ -65,8 +66,6 @@ _CONFIG_KEYS = {
     "b_mode": (str, "montecarlo"),
     "quantizer_mode": (str, "modeled"),
     "seed": (int, 12345),
-    "design_samples": (int, 2000),
-    "analysis_samples": (int, 200_000),
     "sim_frames": (int, 20000),
     "horizon": (int, 200_000),
     "noise_constant": (float, 1.0),
@@ -106,8 +105,7 @@ class ExperimentConfig:
             v["ts"] = v["delta"] / 4.0
         if v.get("p") is None:
             v["p"] = v["p_grid"][0]
-        for key, bound in (("n", 1), ("m", 1), ("design_samples", 1),
-                           ("analysis_samples", 1), ("sim_frames", 1),
+        for key, bound in (("n", 1), ("m", 1), ("sim_frames", 1),
                            ("horizon", 1), ("pilot_steps", 1)):
             if v[key] < bound:
                 raise ConfigError(f"{key} must be at least {bound}")
@@ -222,7 +220,7 @@ def derive_seed(master: int, *tags) -> int:
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
-def _build_scheme(scheme: str, K_x: np.ndarray, stats, M, config: ExperimentConfig,
+def _build_scheme(scheme: str, K_x: np.ndarray, marginals, M, config: ExperimentConfig,
                   warm_full_params=None) -> DesignResult:
     """Transform plus rate allocation for one scheme on one channel point.
 
@@ -236,7 +234,7 @@ def _build_scheme(scheme: str, K_x: np.ndarray, stats, M, config: ExperimentConf
         sigma_d = np.diag(np.asarray(K_x, dtype=float)).copy()
         rates = RateAllocation(np.full(n, r), np.ones(n), r)
         K_q = noise_covariance_for_rates(rates.rates, sigma_d, m, config.noise_constant)
-        predicted = am_wmse(transform, stats, K_x, K_q, M)
+        predicted = am_wmse(transform, marginals, K_x, K_q, M)
         return DesignResult(transform, rates, predicted, None, 0, [predicted],
                             False, input_variances=sigma_d)
     if scheme == "plt":
@@ -245,11 +243,11 @@ def _build_scheme(scheme: str, K_x: np.ndarray, stats, M, config: ExperimentConf
                                 for i in range(n)])
         rates = clamp_rates(allocate_rates(per_quant, r), config.min_rate)
         K_q = noise_covariance_for_rates(rates.rates, d, m, config.noise_constant)
-        predicted = am_wmse(transform, stats, K_x, K_q, M)
+        predicted = am_wmse(transform, marginals, K_x, K_q, M)
         return DesignResult(transform, rates, predicted, None, 0, [predicted],
                             False, input_variances=d)
     structure = SCHEME_STRUCTURES[scheme]
-    problem = DesignProblem(K_x, stats, M, r, n, m, structure,
+    problem = DesignProblem(K_x, marginals, M, r, n, m, structure,
                             config.noise_constant, config.min_rate)
     inits = [warm_full_params] if (scheme == "rc_tc" and warm_full_params is not None) else None
     return design_code(problem, config.search_config(), inits)
@@ -300,16 +298,12 @@ def run_source_experiment(config: ExperimentConfig) -> list[ResultRow]:
     mode = f"{config.b_mode}/{config.quantizer_mode}"
     for pi, p in enumerate(config.p_grid):
         cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, n)
-        stats = availability_stats(cm, config.design_samples,
-                                   derive_seed(config.seed, "stats", pi), config.b_mode)
-        eval_stats = availability_stats(cm, config.analysis_samples,
-                                        derive_seed(config.seed, "eval", pi),
-                                        config.b_mode)
+        marginals = availability_marginals(cm)
         warm = None
         for scheme in config.schemes:
             sim_seed = derive_seed(config.seed, "sim", pi, scheme)
             try:
-                result = _build_scheme(scheme, K_x, stats, None, config, warm)
+                result = _build_scheme(scheme, K_x, marginals, None, config, warm)
             except (ValueError, ArithmeticError) as exc:
                 rows.append(_failed_row(scheme, p, cm, sim_seed, mode, config, exc))
                 continue
@@ -317,7 +311,7 @@ def run_source_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 warm = pack_parameters(result.transform, "full")
             bank = _bank_for(result, config)
             K_q = np.diag(bank.noise_variances)
-            analytic = am_wmse(result.transform, eval_stats, K_x, K_q, None)
+            analytic = am_wmse(result.transform, marginals, K_x, K_q, None)
             simulated, stderr = _simulate_source_point(result.transform, bank, cm,
                                                        config, sim_seed, gm)
             rows.append(ResultRow(scheme, p, cm.delay_rate, analytic, simulated,
@@ -351,16 +345,12 @@ def run_lqg_experiment(config: ExperimentConfig) -> list[ResultRow]:
     mode = f"{config.b_mode}/{config.quantizer_mode}"
     for pi, p in enumerate(config.p_grid):
         cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, n)
-        stats = availability_stats(cm, config.design_samples,
-                                   derive_seed(config.seed, "stats", pi), config.b_mode)
-        eval_stats = availability_stats(cm, config.analysis_samples,
-                                        derive_seed(config.seed, "eval", pi),
-                                        config.b_mode)
+        marginals = availability_marginals(cm)
         warm = None
         for scheme in config.schemes:
             sim_seed = derive_seed(config.seed, "sim", pi, scheme)
             try:
-                result = _build_scheme(scheme, K_x, stats, M, config, warm)
+                result = _build_scheme(scheme, K_x, marginals, M, config, warm)
             except (ValueError, ArithmeticError) as exc:
                 rows.append(_failed_row(scheme, p, cm, sim_seed, mode, config, exc))
                 continue
@@ -368,7 +358,7 @@ def run_lqg_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 warm = pack_parameters(result.transform, "full")
             bank = _bank_for(result, config)
             K_q = np.diag(bank.noise_variances)
-            analytic = analytic_lqg_cost(solution, plant, eval_stats, result.transform,
+            analytic = analytic_lqg_cost(solution, plant, marginals, result.transform,
                                          K_x, K_q)
             result.predicted_lqg_cost = analytic
             sim = simulate_closed_loop(plant, weights, solution, result.transform,

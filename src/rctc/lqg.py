@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AvailabilityStats, ChannelModel, channel_moments
+from .channel import ChannelModel, channel_moments
 from .codec import CausalTransform
 from .quantizers import QuantizerBank
 from .sources import validate_covariance
@@ -184,39 +184,37 @@ def frame_error_terms(mean_H: np.ndarray, W: np.ndarray, K_x: np.ndarray,
     return float(signal), float(np.vdot(W, K_q))
 
 
-def expected_error_terms(transform: CausalTransform, stats: AvailabilityStats,
+def expected_error_terms(transform: CausalTransform, marginals: np.ndarray,
                          K_x: np.ndarray, K_q: np.ndarray,
                          M: np.ndarray | None = None) -> tuple[float, float]:
     """Channel-averaged signal and noise error energies over one frame.
 
     signal = tr(E_B[(I - H_eq)' M (I - H_eq)] K_x) and
     noise  = tr(E_B[H_eq' M H_eq] K_q), with H_eq = (Ahat o B) inv(A) and the
-    expectation taken as the weighted average over the stored realizations.
+    exact expectation taken over B from its N x N availability marginals.
     """
     n = transform.dim
     K_x = np.asarray(K_x, dtype=float)
     K_q = np.asarray(K_q, dtype=float)
     if K_x.shape != (n, n) or K_q.shape != (n, n):
         raise ValueError(f"K_x and K_q must be {n}x{n}")
-    if M is not None and np.asarray(M).shape != (n, n):
-        raise ValueError(f"M must be {n}x{n}")
-    if stats.model.frame_length != transform.frame_length:
-        raise ValueError("availability stats frame length does not match the transform")
+    if np.shape(marginals) != (transform.frame_length, transform.frame_length):
+        raise ValueError("availability marginals do not match the transform frame length")
     _, Ahat = transform.assemble()
-    moments = channel_moments(stats, transform.block_dim, M)
+    moments = channel_moments(marginals, transform.block_dim, M)
     mean_H, W = moments(Ahat, transform.encoder_inverse())
     return frame_error_terms(mean_H, W, K_x, K_q, M)
 
 
-def am_wmse(transform: CausalTransform, stats: AvailabilityStats, K_x: np.ndarray,
+def am_wmse(transform: CausalTransform, marginals: np.ndarray, K_x: np.ndarray,
             K_q: np.ndarray, M: np.ndarray | None = None) -> float:
     """Arithmetic mean (over the mN frame slots) of the weighted MSE x - xhat."""
-    signal, noise = expected_error_terms(transform, stats, K_x, K_q, M)
+    signal, noise = expected_error_terms(transform, marginals, K_x, K_q, M)
     return (signal + noise) / transform.dim
 
 
 def analytic_lqg_cost(solution: ControllerSolution, plant: PlantModel,
-                      stats: AvailabilityStats, transform: CausalTransform,
+                      marginals: np.ndarray, transform: CausalTransform,
                       K_x: np.ndarray, K_q: np.ndarray) -> float:
     """Stationary per-step LQG cost of the coded loop under fine quantization.
 
@@ -228,7 +226,7 @@ def analytic_lqg_cost(solution: ControllerSolution, plant: PlantModel,
         raise ValueError("transform block dimension must equal the state dimension")
     M = solution.weight_block(transform.frame_length)
     base = float(np.trace(solution.P @ plant.K_w))
-    return base + plant.state_dim * am_wmse(transform, stats, K_x, K_q, M)
+    return base + plant.state_dim * am_wmse(transform, marginals, K_x, K_q, M)
 
 
 @dataclass

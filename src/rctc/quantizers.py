@@ -105,12 +105,22 @@ class ScalarCodebook:
     @classmethod
     def from_text(cls, text: str) -> ScalarCodebook:
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0]
-        if not header.startswith("# scalar codebook v1"):
+        if not lines or not lines[0].startswith("# scalar codebook v1"):
             raise ValueError("unrecognized codebook header")
-        mse = float(header.rsplit("mse=", 1)[1])
-        levels = [float(ln.split()[0]) for ln in lines[1:]]
-        return cls(np.asarray(levels), mse)
+        header = dict(f.split("=", 1) for f in lines[0].split() if "=" in f)
+        if "levels" not in header or "mse" not in header:
+            raise ValueError("codebook header needs levels= and mse=")
+        rows = [ln.split() for ln in lines[1:]]
+        if any(len(row) != 2 for row in rows):
+            raise ValueError("codebook lines must be 'level boundary' pairs")
+        if len(rows) != int(header["levels"]):
+            raise ValueError(f"codebook declares levels={header['levels']} "
+                             f"but lists {len(rows)}")
+        table = np.asarray(rows, dtype=float).reshape(-1, 2)
+        book = cls(table[:, 0], float(header["mse"]))
+        if not np.array_equal(table[:, 1], np.append(book.boundaries, math.inf)):
+            raise ValueError("codebook boundaries are not the midpoints of its levels")
+        return book
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ from numpy.testing import assert_allclose
 
 from rctc.channel import (AvailabilityMatrix, AvailabilityStats, ChannelModel,
                           availability_from_delays, availability_marginals,
-                          availability_stats, exhaustive_stats, loss_probabilities,
-                          sample_availability, sample_availability_bits)
+                          availability_stats, channel_moments, exhaustive_stats,
+                          loss_probabilities, sample_availability,
+                          sample_availability_bits)
+
+from channel_reference import stack_moments
 
 
 def model(lam=20.0, delta=0.05, ts=0.0125, n=4):
@@ -134,11 +137,11 @@ class TestAvailabilityStats:
             se = np.sqrt(stats.marginals * (1 - stats.marginals) / count)
             assert np.all(dev <= 4 * np.maximum(se[np.tril_indices(4)], 1e-12))
 
-    def test_dedupe_preserves_sample_mean(self):
+    def test_stats_keep_the_raw_draws(self):
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
         raw = sample_availability_bits(cm, 5000, 7, "montecarlo")
         stats = availability_stats(cm, 5000, 7, "montecarlo")
-        assert stats.count < 5000
+        assert np.array_equal(stats.realizations, raw)
         assert_allclose(stats.empirical_marginals(), raw.mean(axis=0), atol=1e-12)
 
     def test_montecarlo_rows_monotone(self):
@@ -172,8 +175,7 @@ class TestAvailabilityStats:
     def test_near_lossless_all_ones(self):
         cm = ChannelModel(30 / 0.05, 0.05, 0.0125, 4)  # lambda * delta = 30
         stats = availability_stats(cm, 2000, 1, "montecarlo")
-        assert stats.count == 1
-        assert np.array_equal(stats.realizations[0], np.tril(np.ones((4, 4))))
+        assert np.all(stats.realizations == np.tril(np.ones((4, 4))))
 
 
 class TestExhaustiveStats:
@@ -198,3 +200,88 @@ class TestStatsValidation:
         with pytest.raises(ValueError):
             AvailabilityStats(cm, "montecarlo", real, np.array([0.7, 0.7]),
                               availability_marginals(cm))
+
+
+def random_ladder(rng, dim):
+    return np.tril(rng.normal(scale=0.7, size=(dim, dim)), -1) + np.eye(dim)
+
+
+def random_weight(kind, rng, n, m):
+    if kind == "none":
+        return None
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.3, 2.5, n * m))
+    R = rng.normal(size=(m, m))
+    return np.kron(np.eye(n), R @ R.T + 0.5 * np.eye(m))
+
+
+class TestExactMoments:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("weight", ["none", "diagonal", "kron"])
+    def test_matches_exhaustive_stack_sum(self, n, m, weight):
+        rng = np.random.default_rng(100 * n + 10 * m + len(weight))
+        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, n)
+        stats = exhaustive_stats(cm)
+        M = random_weight(weight, rng, n, m)
+        Ahat = random_ladder(rng, n * m)
+        Ainv = np.linalg.inv(random_ladder(rng, n * m))
+        mean_H, W = channel_moments(stats.marginals, m, M)(Ahat, Ainv)
+        ref_H, ref_W = stack_moments(stats, m, M)(Ahat, Ainv)
+        assert np.abs(mean_H - ref_H).max() <= 1e-12 * np.abs(ref_H).max()
+        assert np.abs(W - ref_W).max() <= 1e-12 * np.abs(ref_W).max()
+
+    def test_agrees_with_coupled_montecarlo_samples(self):
+        # montecarlo bits share one delay per column; only same-row pairs enter
+        n, batches, count = 5, 20, 20_000
+        rng = np.random.default_rng(21)
+        cm = ChannelModel.from_violation_probability(0.4, 0.05, 0.0125, n)
+        M = random_weight("diagonal", rng, n, 1)
+        Ahat = random_ladder(rng, n)
+        Ainv = np.linalg.inv(random_ladder(rng, n))
+        exact_H, exact_W = channel_moments(availability_marginals(cm), 1, M)(Ahat, Ainv)
+        draws = [stack_moments(availability_stats(cm, count, 500 + b, "montecarlo"),
+                               1, M)(Ahat, Ainv) for b in range(batches)]
+        for exact, index in ((exact_H, 0), (exact_W, 1)):
+            values = np.asarray([d[index] for d in draws])
+            mean = values.mean(axis=0)
+            stderr = values.std(axis=0, ddof=1) / math.sqrt(batches)
+            assert np.all(np.abs(mean - exact) <= 4 * stderr + 1e-12)
+
+    def test_zero_one_pattern_is_one_certain_realization(self):
+        rng = np.random.default_rng(5)
+        cm = model(n=3)
+        bits = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        stats = AvailabilityStats(cm, "montecarlo", bits[None], np.ones(1),
+                                  availability_marginals(cm))
+        Ahat = random_ladder(rng, 3)
+        Ainv = np.linalg.inv(random_ladder(rng, 3))
+        for got, ref in zip(channel_moments(bits)(Ahat, Ainv),
+                            stack_moments(stats)(Ahat, Ainv)):
+            assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+    def test_weight_must_be_block_diagonal(self):
+        P = availability_marginals(model(n=3))
+        M = np.eye(3)
+        M[0, 1] = M[1, 0] = 0.2
+        with pytest.raises(ValueError, match="block-diagonal"):
+            channel_moments(P, 1, M)
+        M2 = np.eye(6)
+        M2[1, 2] = M2[2, 1] = 0.2  # couples frame elements 0 and 1
+        with pytest.raises(ValueError, match="block-diagonal"):
+            channel_moments(P, 2, M2)
+        M2 = np.eye(6)
+        M2[0, 1] = M2[1, 0] = 0.2  # inside the block of element 0: allowed
+        channel_moments(P, 2, M2)
+
+    @pytest.mark.parametrize("bad", ["vector", "rectangular", "negative", "above_one",
+                                     "nan", "upper"])
+    def test_malformed_marginals_rejected(self, bad):
+        P = availability_marginals(model(n=3))
+        P = {"vector": P[0], "rectangular": P[:, :2],
+             "negative": P - np.tril(np.full((3, 3), 2.0)),
+             "above_one": P + np.tril(np.ones((3, 3))),
+             "nan": np.where(np.eye(3) == 1, np.nan, P),
+             "upper": P + np.triu(np.full((3, 3), 0.5), 1)}[bad]
+        with pytest.raises(ValueError):
+            channel_moments(P)

@@ -21,8 +21,6 @@ n = 3
 rate = 4
 p_grid = 0.1, 0.2
 schemes = no_coding, plt
-design_samples = 200
-analysis_samples = 500
 sim_frames = 200
 seed = 5
 """
@@ -33,7 +31,6 @@ n = 4
 rate = 5
 p = 0.2
 scheme = rtc_tc
-design_samples = 300
 search_budget = 500
 seed = 8
 """
@@ -44,7 +41,6 @@ n = 3
 rate = 5
 p = 0.1
 scheme = no_coding
-design_samples = 100
 horizon = 50
 pilot_steps = 2000
 seed = 3
@@ -113,7 +109,6 @@ n = 4
 rate = 5
 p = 0.1
 scheme = plt
-design_samples = 100
 pilot_steps = 3000
 seed = 6
 """)
@@ -166,6 +161,15 @@ class TestErrors:
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
         assert main(["sweep", "--config", cfg]) == 1
         assert "out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["design_samples", "analysis_samples"])
+    def test_removed_sample_keys_rejected(self, tmp_path, capsys, key):
+        # channel expectations are exact, so there is no sample count to set
+        cfg = write(tmp_path, "old.cfg", SWEEP_CFG + f"{key} = 2000\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["search_shrink = 2", "search_budget = 0",
                                       "rate = -1"])

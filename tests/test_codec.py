@@ -362,6 +362,41 @@ def test_text_round_trip_property(t):
     assert np.array_equal(back.decoder_coeffs, t.decoder_coeffs)
 
 
+@st.composite
+def matched_transforms(draw):
+    """Full or toeplitz transforms with decoder = encoder, bounded coefficients."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.sampled_from([1, 2]))
+    coeff = st.floats(-1.0, 1.0, allow_nan=False)
+    if draw(st.sampled_from(["full", "toeplitz"])) == "toeplitz":
+        lags = np.reshape(draw(st.lists(coeff, min_size=(n - 1) * m,
+                                        max_size=(n - 1) * m)), (n - 1, m))
+        return CausalTransform.toeplitz(lags, lags)
+    c = np.zeros((n, n, m))
+    size = n * (n - 1) // 2 * m
+    c[np.tril_indices(n, -1)] = np.reshape(
+        draw(st.lists(coeff, min_size=size, max_size=size)), (-1, m))
+    return CausalTransform.full(c, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matched_transforms(), st.data())
+def test_full_availability_round_trip_property(t, data):
+    count = data.draw(st.integers(1, 4))
+    x = np.reshape(data.draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
+                                      min_size=count * t.dim, max_size=count * t.dim)),
+                   (count, t.dim))
+    bits = full_bits(t.frame_length)
+    codevalues, _ = encode_batch(x, t)
+    decoded = decode_batch(codevalues, t, np.repeat(bits[None], count, axis=0))
+    for f in range(count):
+        frame = encode(x[f], t)
+        assert_allclose(codevalues[f], frame.codevalues, rtol=0, atol=1e-12)
+        single = decode(frame.codevalues, t, bits)
+        assert_allclose(decoded[f], single, rtol=0, atol=1e-12)
+        assert_allclose(single, x[f], rtol=0, atol=1e-9)
+
+
 class TestQuantizerInputVariances:
     def test_plt_matches_prediction_errors(self):
         K = ar1_covariance(0.9, 1.0, 5)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rctc.channel import (AvailabilityStats, ChannelModel, availability_marginals,
-                          availability_stats)
+from rctc.channel import ChannelModel, availability_marginals
 from rctc.codec import CausalTransform, plt_design, quantizer_input_variances
 from rctc.design import (DesignProblem, DesignResult, SearchConfig, design_code,
                          design_objective, effective_variances, hooke_jeeves,
@@ -93,31 +92,30 @@ class TestParameterPacking:
         assert_allclose(params[:3], [0.9, 0.81, 0.729], atol=1e-12)
 
     def test_parameter_counts(self):
-        stats = availability_stats(ChannelModel(20.0, 0.05, 0.0125, 6), 10, 0)
+        P = availability_marginals(ChannelModel(20.0, 0.05, 0.0125, 6))
         K = ar1_covariance(0.9, 1.0, 6)
-        full = DesignProblem(K, stats, None, 5.0, 6, 1, "full")
-        toe = DesignProblem(K, stats, None, 5.0, 6, 1, "toeplitz")
+        full = DesignProblem(K, P, None, 5.0, 6, 1, "full")
+        toe = DesignProblem(K, P, None, 5.0, 6, 1, "toeplitz")
         assert full.parameter_count == 6 * 6 - 6
         assert toe.parameter_count == 2 * (6 - 1)
 
 
 class TestEffectiveVariances:
-    def lossless_stats(self, n):
-        cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)
-        return availability_stats(cm, 200, 0)
+    def lossless_marginals(self, n):
+        return availability_marginals(ChannelModel(30 / 0.05, 0.05, 0.0125, n))
 
     def test_lossless_plt_recovers_prediction_variances(self):
         n = 5
         K = ar1_covariance(0.9, 1.0, n)
         t, d = plt_design(K)
-        assert_allclose(effective_variances(t, self.lossless_stats(n), K), d,
+        assert_allclose(effective_variances(t, self.lossless_marginals(n), K), d,
                         rtol=1e-10)
 
     def test_lossless_identity_recovers_source_diagonal(self):
         n = 4
         K = ar1_covariance(0.8, 3.0, n)
         t = CausalTransform.identity(n)
-        assert_allclose(effective_variances(t, self.lossless_stats(n), K),
+        assert_allclose(effective_variances(t, self.lossless_marginals(n), K),
                         np.diag(K), rtol=1e-10)
 
     def test_hand_case_single_lossy_pattern(self):
@@ -125,16 +123,13 @@ class TestEffectiveVariances:
         a = 0.9
         K = ar1_covariance(a, 1.0, 2)
         t, d = plt_design(K)
-        cm = ChannelModel(20.0, 0.05, 0.0125, 2)
-        bits = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-        stats = AvailabilityStats(cm, "montecarlo", bits, np.ones(1),
-                                  availability_marginals(cm))
+        bits = np.array([[1.0, 0.0], [0.0, 1.0]])
         # W = (H inv(A))' (H inv(A)) with H = diag(1, 1): W = [[1+a^2, -a], [-a, 1]]
         W = np.array([[1 + a * a, -a], [-a, 1.0]])
         Z = reverse_cholesky(W)
         assert_allclose(Z, [[1.0, 0.0], [-a, 1.0]], atol=1e-12)
         expected = np.array([Z[0, 0] ** 2 * d[0], Z[1, 1] ** 2 * d[1]])
-        assert_allclose(effective_variances(t, stats, K), expected, atol=1e-12)
+        assert_allclose(effective_variances(t, bits, K), expected, atol=1e-12)
 
     def test_block_case_uses_determinant_root(self):
         # two independent scalar streams interleaved as one block pair
@@ -146,17 +141,15 @@ class TestEffectiveVariances:
         K[1::2, 1::2] = K_b
         t, d = plt_design(K, block_dim=m)
         cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)
-        stats = availability_stats(cm, 100, 0)
-        got = effective_variances(t, stats, K)
+        got = effective_variances(t, availability_marginals(cm), K)
         expected = np.sqrt(d[0::2] * d[1::2])  # geometric mean per block
         assert_allclose(got, expected, rtol=1e-10)
 
 
-def make_problem(p, structure, n=6, rate=5.0, weight=None, seed=42, samples=2000):
+def make_problem(p, structure, n=6, rate=5.0, weight=None):
     K = ar1_covariance(0.9, 1.0, n)
     cm = ChannelModel.from_violation_probability(p, 0.05, 0.0125, n)
-    stats = availability_stats(cm, samples, seed)
-    return DesignProblem(K, stats, weight, rate, n, 1, structure)
+    return DesignProblem(K, availability_marginals(cm), weight, rate, n, 1, structure)
 
 
 def interleaved_covariance(n):
@@ -179,7 +172,7 @@ def test_objective_matches_am_wmse(m, structure, weight):
     M = {"none": None, "scaled": 2.43 * np.eye(n * m),
          "kron": np.kron(np.eye(n), R_EQ[:m, :m])}[weight]
     cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
-    prob = DesignProblem(K, availability_stats(cm, 500, 42), M, 5.0, n, m, structure)
+    prob = DesignProblem(K, availability_marginals(cm), M, 5.0, n, m, structure)
     objective = design_objective(prob)
     rng = np.random.default_rng(3)
     for _ in range(3):
@@ -187,13 +180,13 @@ def test_objective_matches_am_wmse(m, structure, weight):
         t = unpack_parameters(params, structure, n, m)
         sigma = quantizer_input_variances(t, K)
         K_q = noise_covariance_for_rates(np.full(n, 5.0), sigma, m, 1.0)
-        ref = am_wmse(t, prob.stats, K, K_q, M)
+        ref = am_wmse(t, prob.marginals, K, K_q, M)
         assert objective(params) == pytest.approx(ref, rel=1e-12)
 
 
 class TestDesignCode:
     def test_lossless_recovers_plt(self):
-        prob = make_problem(np.exp(-30.0), "full", n=4, samples=200)
+        prob = make_problem(np.exp(-30.0), "full", n=4)
         result = design_code(prob, SearchConfig(max_evaluations=20_000))
         plt_t, _ = plt_design(prob.K_x)
         A, Ahat = result.transform.assemble()
@@ -208,7 +201,7 @@ class TestDesignCode:
         K_q = noise_covariance_for_rates(result.rates.rates, result.input_variances,
                                          1, 1.0)
         assert result.predicted_am_wmse == pytest.approx(
-            am_wmse(result.transform, prob.stats, prob.K_x, K_q), rel=1e-12)
+            am_wmse(result.transform, prob.marginals, prob.K_x, K_q), rel=1e-12)
 
     def test_plt_passthrough(self):
         prob = make_problem(0.2, "plt", n=4)
@@ -266,8 +259,7 @@ class TestDesignCode:
         K[0::2, 0::2] = K_a
         K[1::2, 1::2] = K_b
         cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
-        stats = availability_stats(cm, 300, 5)
-        problem = DesignProblem(K, stats, None, 5.0, n, m, "toeplitz")
+        problem = DesignProblem(K, availability_marginals(cm), None, 5.0, n, m, "toeplitz")
         assert problem.parameter_count == 2 * m * (n - 1)
         result = design_code(problem, SearchConfig(max_evaluations=800))
         hist = result.objective_history

@@ -13,8 +13,6 @@ delta = 0.05
 ts = 0.0125
 p_grid = 0.1
 schemes = no_coding, plt, rtc_tc
-design_samples = 300
-analysis_samples = 2000
 sim_frames = 400
 search_budget = 400
 seed = 9
@@ -26,8 +24,6 @@ n = 4
 rate = 5
 p_grid = 0.05
 schemes = no_coding, rtc_tc
-design_samples = 300
-analysis_samples = 2000
 horizon = 4000
 pilot_steps = 5000
 search_budget = 400
@@ -119,8 +115,6 @@ n = 3
 rate = 5
 p_grid = 0.00000000000001
 schemes = plt
-design_samples = 100
-analysis_samples = 200
 sim_frames = 3000
 seed = 4
 """
@@ -154,8 +148,6 @@ n = 3
 rate = 5
 p_grid = 0.999
 schemes = no_coding
-design_samples = 50
-analysis_samples = 100
 horizon = 5000
 pilot_steps = 2000
 divergence_bound = 1000

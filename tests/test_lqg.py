@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rctc.channel import (AvailabilityStats, ChannelModel, availability_marginals,
-                          availability_stats, exhaustive_stats)
+from rctc.channel import ChannelModel, availability_marginals
 from rctc.codec import CausalTransform, plt_design
 from rctc.lqg import (LqgWeights, PlantModel,
                       RiccatiConvergenceError, am_wmse, analytic_lqg_cost, ce_gain,
@@ -128,9 +127,8 @@ class TestGainAndWeighting:
         assert_allclose(M, sol.R_eq[0, 0] * np.eye(3))
 
 
-def lossless_stats(n):
-    cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)
-    return availability_stats(cm, 500, 1, "montecarlo")
+def lossless_marginals(n):
+    return availability_marginals(ChannelModel(30 / 0.05, 0.05, 0.0125, n))
 
 
 class TestErrorTerms:
@@ -140,8 +138,7 @@ class TestErrorTerms:
         t, d = plt_design(K_x)
         K_q = np.diag(0.01 * d)
         M = 2.5 * np.eye(n)
-        stats = lossless_stats(n)
-        assert am_wmse(t, stats, K_x, K_q, M) == pytest.approx(
+        assert am_wmse(t, lossless_marginals(n), K_x, K_q, M) == pytest.approx(
             np.trace(M @ K_q) / n, rel=1e-12)
 
     def test_all_lost_reduces_to_signal_energy(self):
@@ -150,10 +147,7 @@ class TestErrorTerms:
         t, _ = plt_design(K_x)
         K_q = 0.001 * np.eye(n)
         M = np.diag([1.0, 2.0, 3.0])
-        cm = ChannelModel(20.0, 0.05, 0.0125, n)
-        zero = AvailabilityStats(cm, "montecarlo", np.zeros((1, n, n)), np.ones(1),
-                                 availability_marginals(cm))
-        assert am_wmse(t, zero, K_x, K_q, M) == pytest.approx(
+        assert am_wmse(t, np.zeros((n, n)), K_x, K_q, M) == pytest.approx(
             np.trace(M @ K_x) / n, rel=1e-12)
 
     def test_exhaustive_oracle_n2(self):
@@ -164,7 +158,6 @@ class TestErrorTerms:
         K_q = np.diag(0.01 * d)
         M = np.diag([1.3, 0.7])
         cm = ChannelModel.from_violation_probability(0.25, 0.05, 0.0125, n)
-        stats = exhaustive_stats(cm)
         marg = availability_marginals(cm)
         a = t.encoder_coeffs[1, 0, 0]
         signal = noise = 0.0
@@ -180,21 +173,21 @@ class TestErrorTerms:
                     G = np.eye(2) - H
                     signal += w * np.trace(G.T @ M @ G @ K_x)
                     noise += w * np.trace(H.T @ M @ H @ K_q)
-        got_signal, got_noise = expected_error_terms(t, stats, K_x, K_q, M)
+        got_signal, got_noise = expected_error_terms(t, marg, K_x, K_q, M)
         assert got_signal == pytest.approx(signal, abs=1e-12)
         assert got_noise == pytest.approx(noise, abs=1e-12)
-        assert am_wmse(t, stats, K_x, K_q, M) == pytest.approx(
+        assert am_wmse(t, marg, K_x, K_q, M) == pytest.approx(
             (signal + noise) / n, abs=1e-12)
 
     def test_dimension_checks(self):
         t = CausalTransform.identity(3)
-        stats = lossless_stats(3)
+        P = lossless_marginals(3)
         with pytest.raises(ValueError):
-            am_wmse(t, stats, np.eye(4), np.eye(3))
+            am_wmse(t, P, np.eye(4), np.eye(3))
         with pytest.raises(ValueError):
-            am_wmse(t, stats, np.eye(3), np.eye(3), M=np.eye(2))
+            am_wmse(t, P, np.eye(3), np.eye(3), M=np.eye(2))
         with pytest.raises(ValueError):
-            am_wmse(CausalTransform.identity(4), stats, np.eye(4), np.eye(4))
+            am_wmse(CausalTransform.identity(4), P, np.eye(4), np.eye(4))
 
 
 class TestAnalyticCost:
@@ -206,7 +199,7 @@ class TestAnalyticCost:
         n = 4
         K_x = ar1_covariance(0.8677, 0.015, n)
         t, _ = plt_design(K_x)
-        cost = analytic_lqg_cost(self.sol, self.plant, lossless_stats(n), t, K_x,
+        cost = analytic_lqg_cost(self.sol, self.plant, lossless_marginals(n), t, K_x,
                                  np.zeros((n, n)))
         assert cost == pytest.approx(np.trace(self.sol.P @ self.plant.K_w), rel=1e-12)
 
@@ -215,7 +208,7 @@ class TestAnalyticCost:
         K_x = ar1_covariance(0.8677, 0.015, n)
         t, d = plt_design(K_x)
         K_q = np.diag(1e-3 * d)
-        cost = analytic_lqg_cost(self.sol, self.plant, lossless_stats(n), t, K_x, K_q)
+        cost = analytic_lqg_cost(self.sol, self.plant, lossless_marginals(n), t, K_x, K_q)
         expected = (np.trace(self.sol.P @ self.plant.K_w)
                     + np.trace(self.sol.weight_block(n) @ K_q) / n)
         assert cost == pytest.approx(expected, rel=1e-12)
@@ -227,28 +220,22 @@ class TestAnalyticCost:
         t, d = plt_design(K_x)
         K_q = np.diag(rng.uniform(0.001, 0.1, n))
         cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
-        stats = availability_stats(cm, 300, 2)
-        left = analytic_lqg_cost(self.sol, self.plant, stats, t, K_x, K_q)
+        P = availability_marginals(cm)
+        left = analytic_lqg_cost(self.sol, self.plant, P, t, K_x, K_q)
         right = (np.trace(self.sol.P @ self.plant.K_w)
-                 + 1 * am_wmse(t, stats, K_x, K_q, self.sol.weight_block(n)))
+                 + 1 * am_wmse(t, P, K_x, K_q, self.sol.weight_block(n)))
         assert left == right
 
     def test_wmse_monotone_as_deadline_shrinks(self):
-        # common random numbers: same delays thresholded at different deadlines
+        # exact expectations, so no common random numbers are needed
         n = 4
         K_x = ar1_covariance(0.9, 1.0, n)
         t, d = plt_design(K_x)
         K_q = np.diag(1e-3 * d)
-        rng = np.random.default_rng(8)
-        delays = rng.exponential(1.0 / 20.0, size=(2000, n))
         values = []
         for delta in (0.30, 0.20, 0.12, 0.08, 0.05, 0.03):
             cm = ChannelModel(20.0, delta, delta / 4, n)
-            bits = (delays[:, None, :] <= cm.thresholds()[None, :, :]).astype(float)
-            stats = AvailabilityStats(cm, "montecarlo", bits,
-                                      np.full(2000, 1 / 2000),
-                                      availability_marginals(cm))
-            values.append(am_wmse(t, stats, K_x, K_q))
+            values.append(am_wmse(t, availability_marginals(cm), K_x, K_q))
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 

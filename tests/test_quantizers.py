@@ -175,6 +175,30 @@ class TestScalarCodebook:
         assert np.array_equal(loaded.levels, book.levels)
         assert loaded.mse == book.mse
 
+    def edited_text(self, edit):
+        lines = self.build().to_text().splitlines()
+        return "\n".join(edit(lines)) + "\n"
+
+    @pytest.mark.parametrize("case", ["empty", "no_mse", "fewer_levels", "more_levels",
+                                      "moved_boundary", "missing_boundary"])
+    def test_malformed_text_rejected(self, case):
+        def move(lines):
+            level, bound = lines[3].split()
+            return lines[:3] + [f"{level} {float(bound) + 0.01!r}"] + lines[4:]
+
+        text = {
+            "empty": "",
+            "no_mse": self.edited_text(lambda ls: [ls[0].split(" mse=")[0]] + ls[1:]),
+            "fewer_levels": self.edited_text(lambda ls: ls[:3]),
+            "more_levels": self.edited_text(lambda ls: ls + ["9.0 inf"]),
+            "moved_boundary": self.edited_text(move),
+            "missing_boundary": self.edited_text(lambda ls: ls[:2] + [ls[2].split()[0]]
+                                                 + ls[3:]),
+        }[case]
+        with pytest.raises(ValueError) as info:
+            ScalarCodebook.from_text(text)
+        assert "\n" not in str(info.value)
+
     def test_quantize_op_and_errors(self):
         bank = QuantizerBank.lloyd_max([2.0, 3.0], [1.0, 4.0])
         idx, rec = quantize(0.0, 0, bank)
