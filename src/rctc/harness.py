@@ -7,6 +7,7 @@ CSV row per (scheme, p) with enough metadata to re-run the row exactly.
 """
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 from .channel import ChannelModel, availability_marginals, sample_availability_bits
 from .channel import availability_stats  # noqa: F401  (unused; bench/layertrace.py wraps it)
 from .codec import CausalTransform, decode_batch, encode_batch, plt_design
-from .design import (DesignProblem, DesignResult, SearchConfig, design_code,
+from .design import (DesignProblem, DesignResult, design_code,
                      noise_covariance_for_rates, pack_parameters)
 from .lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost,
                   batch_standard_error, controller_solution, pilot_state_variance,
@@ -71,9 +72,6 @@ _CONFIG_KEYS = {
     "noise_constant": (float, 1.0),
     "min_rate": (float, 0.0),
     "out": (str, ""),
-    "search_step": (float, 0.1),
-    "search_shrink": (float, 0.5),
-    "search_tol": (float, 1e-6),
     "search_budget": (int, 100_000),
     "rho": (float, 0.9),
     "source_variance": (float, 1.0),
@@ -105,19 +103,16 @@ class ExperimentConfig:
             v["ts"] = v["delta"] / 4.0
         if v.get("p") is None:
             v["p"] = v["p_grid"][0]
-        for key, bound in (("n", 1), ("m", 1), ("sim_frames", 1),
-                           ("horizon", 1), ("pilot_steps", 1)):
+        for key, bound in (("n", 1), ("m", 1), ("sim_frames", 1), ("horizon", 1),
+                           ("pilot_steps", 1), ("search_budget", 1)):
             if v[key] < bound:
                 raise ConfigError(f"{key} must be at least {bound}")
-        for key in ("rate", "delta", "ts", "noise_constant"):
-            if v[key] <= 0.0:
-                raise ConfigError(f"{key} must be positive")
-        try:
-            self.search_config()
-        except ValueError as exc:
-            keys = ("search_step", "search_shrink", "search_tol", "search_budget")
-            raise ConfigError(", ".join(f"{k} = {v[k]}" for k in keys)
-                              + f" rejected: {exc}") from None
+        for key in ("rate", "delta", "ts", "noise_constant", "divergence_bound"):
+            if not 0.0 < v[key] < math.inf:  # also rejects nan
+                raise ConfigError(f"{key} must be finite and positive, got {v[key]}")
+        if not 0.0 <= v["min_rate"] <= v["rate"]:
+            raise ConfigError(f"min_rate must lie in [0, rate = {v['rate']}], "
+                              f"got {v['min_rate']}")
         for p in (*v["p_grid"], v["p"]):
             if not 0.0 < p < 1.0:
                 raise ConfigError(f"p_grid values must lie in (0, 1), got {p}")
@@ -181,10 +176,6 @@ class ExperimentConfig:
                 val = ",".join(str(x) for x in val)
             parts.append(f"{key}={val}")
         return "; ".join(parts)
-
-    def search_config(self) -> SearchConfig:
-        return SearchConfig(self.search_step, self.search_shrink,
-                            self.search_tol, self.search_budget)
 
 
 @dataclass
@@ -250,7 +241,7 @@ def _build_scheme(scheme: str, K_x: np.ndarray, marginals, M, config: Experiment
     problem = DesignProblem(K_x, marginals, M, r, n, m, structure,
                             config.noise_constant, config.min_rate)
     inits = [warm_full_params] if (scheme == "rc_tc" and warm_full_params is not None) else None
-    return design_code(problem, config.search_config(), inits)
+    return design_code(problem, inits, config.search_budget)
 
 
 def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:

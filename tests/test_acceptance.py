@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.cli import main
 from rctc.codec import CausalTransform, decode, encode, encode_batch, plt_design
-from rctc.design import SearchConfig, design_code, DesignProblem
+from rctc.design import design_code, DesignProblem
 from rctc.harness import (ExperimentConfig, _build_scheme, _bank_for, _lqg_context,
                           run_lqg_experiment)
 from rctc.lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost,
@@ -264,7 +264,7 @@ def test_criterion_8_lossless_design_recovers_plt():
     cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)  # lambda * delta = 30
     P = availability_marginals(cm)
     problem = DesignProblem(K_x, P, None, 5.0, n, 1, "full")
-    result = design_code(problem, SearchConfig())
+    result = design_code(problem)
     plt_t, d = plt_design(K_x)
     plt_objective = am_wmse(plt_t, P, K_x,
                             np.diag(4.0 ** -5.0 * d), None)

@@ -162,9 +162,11 @@ class TestErrors:
         assert main(["sweep", "--config", cfg]) == 1
         assert "out" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["design_samples", "analysis_samples"])
+    @pytest.mark.parametrize("key", ["design_samples", "analysis_samples", "search_step",
+                                     "search_shrink", "search_tol"])
     def test_removed_sample_keys_rejected(self, tmp_path, capsys, key):
-        # channel expectations are exact, so there is no sample count to set
+        # channel expectations are exact, so there is no sample count to set, and
+        # the design search has fixed stopping rules: only its budget is set
         cfg = write(tmp_path, "old.cfg", SWEEP_CFG + f"{key} = 2000\n")
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
@@ -172,7 +174,10 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["search_shrink = 2", "search_budget = 0",
-                                      "rate = -1"])
+                                      "rate = -1", "rate = nan", "rate = inf",
+                                      "noise_constant = inf", "divergence_bound = 0",
+                                      "divergence_bound = nan", "divergence_bound = inf",
+                                      "min_rate = 4.5", "min_rate = -1"])
     def test_bad_setting_rejected_before_any_row(self, tmp_path, capsys, line):
         cfg = write(tmp_path, "bad.cfg", SWEEP_CFG + line + "\n")
         out = tmp_path / "x.csv"
