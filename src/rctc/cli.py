@@ -49,7 +49,7 @@ def cmd_riccati(args) -> int:
     config = _load_config(args)
     from .lqg import LqgWeights, PlantModel, controller_solution
 
-    plant = PlantModel(config.F, config.G, config.C, config.K_w, config.K_v)
+    plant = PlantModel(config.F, config.G, config.K_w)
     solution = controller_solution(plant, LqgWeights(config.R, config.S))
     print("P")
     print(_format_matrix(solution.P))
@@ -90,18 +90,14 @@ def cmd_simulate(args) -> int:
                                collect_trace=True,
                                divergence_bound=config.divergence_bound)
 
-    def fmt(value) -> str:
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-        return ";".join(repr(float(v)) for v in arr)
-
     with open(out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# rctc trace csv v1\n")
         fh.write("step,state,quantizer_input,codevalue,availability,"
                  "reconstruction,control,cost\n")
         for rec in sim.trace:
-            fh.write(",".join([str(rec.step), fmt(rec.state), fmt(rec.quantizer_input),
-                               fmt(rec.codevalue), rec.availability,
-                               fmt(rec.reconstruction), fmt(rec.control),
+            fh.write(",".join([str(rec.step), repr(rec.state), repr(rec.quantizer_input),
+                               repr(rec.codevalue), rec.availability,
+                               repr(rec.reconstruction), repr(rec.control),
                                repr(rec.cost)]) + "\n")
     status = "diverged" if sim.diverged else "ok"
     print(f"wrote {out}: steps={sim.steps} cost={sim.empirical_cost!r} status={status}")

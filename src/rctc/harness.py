@@ -56,7 +56,6 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
 _CONFIG_KEYS = {
     "kind": (str, None),
     "n": (int, 6),
-    "m": (int, 1),
     "rate": (float, 5.0),
     "delta": (float, 0.05),
     "ts": (float, None),
@@ -77,13 +76,10 @@ _CONFIG_KEYS = {
     "source_variance": (float, 1.0),
     "F": (_parse_matrix, np.asarray([[1.49]])),
     "G": (_parse_matrix, np.asarray([[0.05]])),
-    "C": (_parse_matrix, np.asarray([[1.0]])),
     "K_w": (_parse_matrix, np.asarray([[0.01]])),
-    "K_v": (_parse_matrix, np.asarray([[0.001]])),
     "R": (_parse_matrix, np.asarray([[1.0]])),
     "S": (_parse_matrix, np.asarray([[0.01]])),
     "design_coefficient": (float, 0.8677),
-    "pilot_steps": (int, 100_000),
     "divergence_bound": (float, 1e9),
 }
 
@@ -99,14 +95,16 @@ class ExperimentConfig:
         kind = v.get("kind")
         if kind not in ("source", "lqg"):
             raise ConfigError(f"kind must be 'source' or 'lqg', got {kind!r}")
+        for key in ("p_grid", "schemes"):
+            if not v[key]:
+                raise ConfigError(f"{key} must list at least one value")
         if v.get("ts") is None:
             v["ts"] = v["delta"] / 4.0
         if v.get("p") is None:
             v["p"] = v["p_grid"][0]
-        for key, bound in (("n", 1), ("m", 1), ("sim_frames", 1), ("horizon", 1),
-                           ("pilot_steps", 1), ("search_budget", 1)):
-            if v[key] < bound:
-                raise ConfigError(f"{key} must be at least {bound}")
+        for key in ("n", "sim_frames", "horizon", "search_budget"):
+            if v[key] < 1:
+                raise ConfigError(f"{key} must be at least 1")
         for key in ("rate", "delta", "ts", "noise_constant", "divergence_bound"):
             if not 0.0 < v[key] < math.inf:  # also rejects nan
                 raise ConfigError(f"{key} must be finite and positive, got {v[key]}")
@@ -121,6 +119,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scheme {s!r}")
         if v["b_mode"] not in ("montecarlo", "independent"):
             raise ConfigError(f"b_mode must be montecarlo or independent, got {v['b_mode']!r}")
+        if kind == "lqg" and v["b_mode"] != "montecarlo":
+            raise ConfigError("b_mode must be montecarlo for kind = lqg: the closed-loop "
+                              "simulator draws one delay per transmitted index")
         if v["quantizer_mode"] not in ("modeled", "realized"):
             raise ConfigError(
                 f"quantizer_mode must be modeled or realized, got {v['quantizer_mode']!r}")
@@ -144,6 +145,8 @@ class ExperimentConfig:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if key in values:
+                raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
             parser, _ = _CONFIG_KEYS[key]
             try:
                 values[key] = parser(val)
@@ -218,27 +221,25 @@ def _build_scheme(scheme: str, K_x: np.ndarray, marginals, M, config: Experiment
     no_coding keeps uniform rates; plt allocates against its lossless
     prediction variances; rtc_tc / rc_tc run the channel-optimized design.
     """
-    n, m = config.n, config.m
+    n = config.n
     r = config.rate
     if scheme == "no_coding":
-        transform = CausalTransform.identity(n, m)
+        transform = CausalTransform.identity(n)
         sigma_d = np.diag(np.asarray(K_x, dtype=float)).copy()
         rates = RateAllocation(np.full(n, r), np.ones(n), r)
-        K_q = noise_covariance_for_rates(rates.rates, sigma_d, m, config.noise_constant)
+        K_q = noise_covariance_for_rates(rates.rates, sigma_d, 1, config.noise_constant)
         predicted = am_wmse(transform, marginals, K_x, K_q, M)
         return DesignResult(transform, rates, predicted, None, 0, [predicted],
                             False, input_variances=sigma_d)
     if scheme == "plt":
-        transform, d = plt_design(K_x, m)
-        per_quant = np.asarray([np.prod(d[i * m:(i + 1) * m]) ** (1.0 / m)
-                                for i in range(n)])
-        rates = clamp_rates(allocate_rates(per_quant, r), config.min_rate)
-        K_q = noise_covariance_for_rates(rates.rates, d, m, config.noise_constant)
+        transform, d = plt_design(K_x)
+        rates = clamp_rates(allocate_rates(d, r), config.min_rate)
+        K_q = noise_covariance_for_rates(rates.rates, d, 1, config.noise_constant)
         predicted = am_wmse(transform, marginals, K_x, K_q, M)
         return DesignResult(transform, rates, predicted, None, 0, [predicted],
                             False, input_variances=d)
     structure = SCHEME_STRUCTURES[scheme]
-    problem = DesignProblem(K_x, marginals, M, r, n, m, structure,
+    problem = DesignProblem(K_x, marginals, M, r, n, 1, structure,
                             config.noise_constant, config.min_rate)
     inits = [warm_full_params] if (scheme == "rc_tc" and warm_full_params is not None) else None
     return design_code(problem, inits, config.search_budget)
@@ -279,8 +280,6 @@ def _simulate_source_point(transform, bank, channel_model, config, sim_seed,
 def run_source_experiment(config: ExperimentConfig) -> list[ResultRow]:
     if config.kind != "source":
         raise ConfigError("kind must be 'source' for run_source_experiment")
-    if config.m != 1:
-        raise ConfigError("m must be 1: the source experiments are scalar")
     n = config.n
     gm = GaussMarkovModel.ar1(config.rho,
                               config.source_variance * (1.0 - config.rho ** 2))
@@ -313,22 +312,19 @@ def run_source_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _lqg_context(config: ExperimentConfig):
-    plant = PlantModel(config.F, config.G, config.C, config.K_w, config.K_v)
-    if plant.state_dim != 1:
-        raise ConfigError("F must be scalar: only scalar-state plants are wired")
+    plant = PlantModel(config.F, config.G, config.K_w)
+    if plant.state_dim != 1 or plant.input_dim != 1:
+        raise ConfigError("F and G must be scalar: only scalar plants are wired")
     weights = LqgWeights(config.R, config.S)
     solution = controller_solution(plant, weights)
-    pilot_var = pilot_state_variance(plant, solution, config.pilot_steps,
-                                     derive_seed(config.seed, "pilot"))
-    K_x = ar1_covariance(config.design_coefficient, pilot_var, config.n)
+    K_x = ar1_covariance(config.design_coefficient,
+                         pilot_state_variance(plant, solution), config.n)
     return plant, weights, solution, K_x
 
 
 def run_lqg_experiment(config: ExperimentConfig) -> list[ResultRow]:
     if config.kind != "lqg":
         raise ConfigError("kind must be 'lqg' for run_lqg_experiment")
-    if config.m != 1:
-        raise ConfigError("m must equal the (scalar) state dimension")
     n = config.n
     plant, weights, solution, K_x = _lqg_context(config)
     M = solution.weight_block(n)

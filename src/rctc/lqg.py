@@ -31,13 +31,11 @@ class RiccatiConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Linear plant x_{t+1} = F x_t + G u_t + w_t, y_t = C x_t + v_t."""
+    """Linear plant x_{t+1} = F x_t + G u_t + w_t with w_t ~ N(0, K_w); the coder sees x_t."""
 
     F: np.ndarray
     G: np.ndarray
-    C: np.ndarray
     K_w: np.ndarray
-    K_v: np.ndarray
 
     def __post_init__(self):
         F = np.atleast_2d(np.asarray(self.F, dtype=float))
@@ -45,19 +43,13 @@ class PlantModel:
         if F.shape != (d, d):
             raise ValueError("F must be square")
         G = np.asarray(self.G, dtype=float).reshape(d, -1)
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        if C.shape[1] != d:
-            raise ValueError("C must have as many columns as there are states")
         K_w = validate_covariance(np.atleast_2d(np.asarray(self.K_w, dtype=float)), "K_w")
-        K_v = validate_covariance(np.atleast_2d(np.asarray(self.K_v, dtype=float)), "K_v")
         if K_w.shape != (d, d):
             raise ValueError("K_w must match the state dimension")
-        if K_v.shape != (C.shape[0], C.shape[0]):
-            raise ValueError("K_v must match the output dimension")
         ctrb = np.hstack([np.linalg.matrix_power(F, k) @ G for k in range(d)])
         if np.linalg.matrix_rank(ctrb) < d:
             raise ValueError("(F, G) must be controllable")
-        for name, M in (("F", F), ("G", G), ("C", C), ("K_w", K_w), ("K_v", K_v)):
+        for name, M in (("F", F), ("G", G), ("K_w", K_w)):
             object.__setattr__(self, name, M)
 
     @property
@@ -69,9 +61,8 @@ class PlantModel:
         return self.G.shape[1]
 
     @classmethod
-    def scalar(cls, f: float, g: float, k_w: float, c: float = 1.0,
-               k_v: float = 0.0) -> PlantModel:
-        return cls([[f]], [[g]], [[c]], [[k_w]], [[k_v]])
+    def scalar(cls, f: float, g: float, k_w: float) -> PlantModel:
+        return cls([[f]], [[g]], [[k_w]])
 
 
 @dataclass(frozen=True)
@@ -232,12 +223,12 @@ def analytic_lqg_cost(solution: ControllerSolution, plant: PlantModel,
 @dataclass
 class TraceRecord:
     step: int
-    state: np.ndarray | float
-    quantizer_input: np.ndarray | float
-    codevalue: np.ndarray | float
+    state: float
+    quantizer_input: float
+    codevalue: float
     availability: str
-    reconstruction: np.ndarray | float
-    control: np.ndarray | float
+    reconstruction: float
+    control: float
     cost: float
 
 
@@ -248,14 +239,6 @@ class SimulationResult:
     steps: int
     diverged: bool
     trace: list[TraceRecord] | None
-
-
-def _psd_factor(K: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(K)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(K)
-        return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
 def batch_standard_error(values: np.ndarray) -> float:
@@ -275,103 +258,28 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
                          solution: ControllerSolution, transform: CausalTransform,
                          bank: QuantizerBank | None, channel_model: ChannelModel,
                          horizon: int, seed: int, *, collect_trace: bool = False,
-                         divergence_bound: float = 1e9,
-                         _force_general: bool = False) -> SimulationResult:
-    """Simulate the coded LQG loop and return the empirical per-step cost.
+                         divergence_bound: float = 1e9) -> SimulationResult:
+    """Simulate the coded LQG loop of a scalar plant and return the empirical per-step cost.
 
     Each sample period feeds the current state into the running frame ladder,
     draws the transmission delay of that element, reconstructs it from
     whatever same-frame indices met their deadlines, and applies u = L xhat.
     The per-step cost is xhat'R xhat + u'S u + e'R e with e = x - xhat.
-    Deterministic given the seed.  If the state norm exceeds
-    divergence_bound the run stops and reports a partial result instead of
-    raising.
+    Deterministic given the seed; collect_trace adds one TraceRecord per step
+    and changes no number.  If the state norm exceeds divergence_bound the run
+    stops and reports a partial result instead of raising.
     """
-    n, m = transform.frame_length, transform.block_dim
-    if m != plant.state_dim:
-        raise ValueError("transform block dimension must equal the state dimension")
+    n = transform.frame_length
+    if transform.block_dim != 1 or plant.state_dim != 1 or plant.input_dim != 1:
+        raise ValueError("closed-loop simulation needs a scalar plant (one state, "
+                         "one input) and a transform of block dim 1")
     if channel_model.frame_length != n:
         raise ValueError("channel frame length does not match the transform")
-    if bank is not None and (bank.count != n or bank.block_dim != m):
+    if bank is not None and (bank.count != n or bank.block_dim != 1):
         raise ValueError("bank layout does not match the transform")
     if horizon < n:
         raise ValueError("horizon must cover at least one frame")
-    if m == 1 and not _force_general and not collect_trace:
-        return _simulate_scalar(plant, weights, solution, transform, bank,
-                                channel_model, horizon, seed, divergence_bound)
-    return _simulate_general(plant, weights, solution, transform, bank,
-                             channel_model, horizon, seed, collect_trace,
-                             divergence_bound)
-
-
-def _simulate_general(plant, weights, solution, transform, bank, channel_model,
-                      horizon, seed, collect_trace, divergence_bound):
     rng = np.random.default_rng(seed)
-    n, m = transform.frame_length, transform.block_dim
-    F, G, L = plant.F, plant.G, solution.L
-    R, S = weights.R, weights.S
-    w_factor = _psd_factor(plant.K_w)
-    enc, dec = transform.encoder_coeffs, transform.decoder_coeffs
-    thresholds = channel_model.thresholds()
-    mean_delay = channel_model.mean_delay
-    modeled = bank is not None and bank.codebooks is None
-    noise_sigma = np.sqrt(bank.noise_variances) if modeled else None
-    x = np.zeros(m)
-    xc = np.zeros((n, m))
-    delays = np.zeros(n)
-    total = 0.0
-    frame_costs = []
-    frame_cost = 0.0
-    trace = [] if collect_trace else None
-    diverged = False
-    steps = 0
-    for t in range(horizon):
-        i = t % n
-        pred = np.zeros(m)
-        for j in range(i):
-            pred += enc[i, j] * xc[j]
-        d_block = x - pred
-        if bank is None:
-            xc[i] = d_block
-        elif bank.codebooks is not None:
-            for k in range(m):
-                _, xc[i, k] = bank.codebooks[i * m + k].quantize(d_block[k])
-        else:
-            xc[i] = d_block + noise_sigma[i * m:(i + 1) * m] * rng.standard_normal(m)
-        delays[i] = rng.exponential(mean_delay)
-        avail = delays[: i + 1] <= thresholds[i, : i + 1]
-        xhat = np.zeros(m)
-        for j in range(i + 1):
-            if avail[j]:
-                coeff = np.ones(m) if j == i else dec[i, j]
-                xhat += coeff * xc[j]
-        u = L @ xhat
-        e = x - xhat
-        cost = float(xhat @ R @ xhat + u @ S @ u + e @ R @ e)
-        total += cost
-        frame_cost += cost
-        steps = t + 1
-        if collect_trace:
-            trace.append(TraceRecord(t, x.copy(), d_block.copy(), xc[i].copy(),
-                                     "".join("1" if a else "0" for a in avail),
-                                     xhat.copy(), u.copy(), cost))
-        if i == n - 1:
-            frame_costs.append(frame_cost)
-            frame_cost = 0.0
-        x = F @ x + G @ u + w_factor @ rng.standard_normal(m)
-        if not np.all(np.isfinite(x)) or float(np.max(np.abs(x))) > divergence_bound:
-            diverged = True
-            break
-    cost_mean = total / steps if steps else math.nan
-    stderr = batch_standard_error(np.asarray(frame_costs) / n)
-    return SimulationResult(cost_mean, stderr, steps, diverged, trace)
-
-
-def _simulate_scalar(plant, weights, solution, transform, bank, channel_model,
-                     horizon, seed, divergence_bound):
-    """Plain-float fast path for scalar plants; draw order matches the general loop."""
-    rng = np.random.default_rng(seed)
-    n = transform.frame_length
     f = float(plant.F[0, 0])
     g = float(plant.G[0, 0])
     l = float(solution.L[0, 0])
@@ -401,6 +309,7 @@ def _simulate_scalar(plant, weights, solution, transform, bank, channel_model,
     total = 0.0
     frame_costs = []
     frame_cost = 0.0
+    trace = [] if collect_trace else None
     diverged = False
     steps = 0
     for t in range(horizon):
@@ -429,6 +338,9 @@ def _simulate_scalar(plant, weights, solution, transform, bank, channel_model,
         total += cost
         frame_cost += cost
         steps = t + 1
+        if collect_trace:
+            avail = "".join("1" if delays[j] <= thr_row[j] else "0" for j in range(i + 1))
+            trace.append(TraceRecord(t, x, d_val, xc_i, avail, xhat, u, cost))
         if i == n - 1:
             frame_costs.append(frame_cost)
             frame_cost = 0.0
@@ -438,30 +350,16 @@ def _simulate_scalar(plant, weights, solution, transform, bank, channel_model,
             break
     cost_mean = total / steps if steps else math.nan
     stderr = batch_standard_error(np.asarray(frame_costs) / n)
-    return SimulationResult(cost_mean, stderr, steps, diverged, None)
+    return SimulationResult(cost_mean, stderr, steps, diverged, trace)
 
 
-def pilot_state_variance(plant: PlantModel, solution: ControllerSolution,
-                         steps: int = 100_000, seed: int = 0) -> float:
-    """Empirical stationary state variance of the ideal-observation loop.
+def pilot_state_variance(plant: PlantModel, solution: ControllerSolution) -> float:
+    """Stationary state variance K_w / (1 - a^2) of the ideal-observation loop, a = F + GL.
 
-    Runs x_{t+1} = (F + G L) x_t + w_t for a scalar plant and measures the
-    variance after a short burn-in.  Used to size the design-time source
-    model when only the fitted AR coefficient is known.
+    Sizes the design-time source model, whose AR coefficient is set apart
+    (`design_coefficient`).  controller_solution guarantees |a| < 1.
     """
     if plant.state_dim != 1:
-        raise ValueError("pilot variance estimation is wired for scalar plants")
-    rng = np.random.default_rng(seed)
-    a = float(plant.F[0, 0] + plant.G[0, 0] * solution.L[0, 0])
-    sqrt_kw = math.sqrt(max(float(plant.K_w[0, 0]), 0.0))
-    burn_in = min(1000, steps // 10)
-    x = 0.0
-    acc = 0.0
-    count = 0
-    std_normal = rng.standard_normal
-    for t in range(steps):
-        x = a * x + sqrt_kw * std_normal()
-        if t >= burn_in:
-            acc += x * x
-            count += 1
-    return acc / count
+        raise ValueError("the stationary state variance is wired for scalar plants")
+    a = float((plant.F + plant.G @ solution.L)[0, 0])
+    return float(plant.K_w[0, 0]) / (1.0 - a * a)

@@ -47,7 +47,7 @@ def test_criterion_1_riccati_correctness():
         A = rng.normal(size=(d, d))
         R = A @ A.T + 0.1 * np.eye(d)
         S = np.diag(rng.uniform(0.1, 2.0, G.shape[1]))
-        plant = PlantModel(F, G, np.eye(d), np.eye(d), np.eye(d))
+        plant = PlantModel(F, G, np.eye(d))
         w = LqgWeights(R, S)
         P = solve_riccati(plant, w)
         assert riccati_residual(P, plant, w) < 1e-10 * np.linalg.norm(P)
@@ -169,7 +169,7 @@ def _oracle_error_terms(transform, model, K_x, K_q, M):
 
 
 def test_criterion_5_exhaustive_availability_oracle():
-    plant = PlantModel.scalar(1.49, 0.05, 0.01, 1.0, 0.001)
+    plant = PlantModel.scalar(1.49, 0.05, 0.01)
     weights = LqgWeights.scalar(1.0, 0.01)
     sol = controller_solution(plant, weights)
     for n in (2, 3):
@@ -194,7 +194,7 @@ def test_criterion_5_exhaustive_availability_oracle():
 
 
 def test_criterion_6_small_loss_limit_and_decomposition():
-    plant = PlantModel.scalar(1.49, 0.05, 0.01, 1.0, 0.001)
+    plant = PlantModel.scalar(1.49, 0.05, 0.01)
     weights = LqgWeights.scalar(1.0, 0.01)
     sol = controller_solution(plant, weights)
     n = 6

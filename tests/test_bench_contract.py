@@ -54,7 +54,6 @@ rate = 5
 p_grid = 0.1
 schemes = no_coding, plt, rtc_tc, rc_tc
 horizon = 2000
-pilot_steps = 2000
 seed = 5
 """,
 }

@@ -8,9 +8,7 @@ RICCATI_ZERO_F = """
 kind = lqg
 F = 0
 G = 1
-C = 1
 K_w = 1
-K_v = 0.1
 R = 1
 S = 1
 """
@@ -42,9 +40,26 @@ rate = 5
 p = 0.1
 scheme = no_coding
 horizon = 50
-pilot_steps = 2000
 seed = 3
 """
+
+# (config line, the one error line it must get)
+BAD_SETTINGS = [
+    ("search_shrink = 2", "unknown config key 'search_shrink'"),
+    ("search_budget = 0", "search_budget must be at least 1"),
+    ("rate = -1", "rate must be finite and positive, got -1.0"),
+    ("rate = nan", "rate must be finite and positive, got nan"),
+    ("rate = inf", "rate must be finite and positive, got inf"),
+    ("noise_constant = inf", "noise_constant must be finite and positive, got inf"),
+    ("divergence_bound = 0", "divergence_bound must be finite and positive, got 0.0"),
+    ("divergence_bound = nan", "divergence_bound must be finite and positive, got nan"),
+    ("divergence_bound = inf", "divergence_bound must be finite and positive, got inf"),
+    ("min_rate = 4.5", "min_rate must lie in [0, rate = 4.0], got 4.5"),
+    ("min_rate = -1", "min_rate must lie in [0, rate = 4.0], got -1.0"),
+    ("p_grid =", "p_grid must list at least one value"),
+    ("schemes =", "schemes must list at least one value"),
+    ("rate = 5\nrate = 6", "line 5: duplicate config key 'rate'"),
+]
 
 
 def write(tmp_path, name, text):
@@ -109,7 +124,6 @@ n = 4
 rate = 5
 p = 0.1
 scheme = plt
-pilot_steps = 3000
 seed = 6
 """)
         out = tmp_path / "design.txt"
@@ -142,6 +156,31 @@ class TestSimulateCommand:
         main(["simulate", "--config", cfg, "--out", str(out), "--horizon", "12"])
         assert len(out.read_text().splitlines()) == 2 + 12
 
+    @pytest.mark.parametrize("seed, scheme", [(1, "rtc_tc"), (1, "plt"), (2, "rtc_tc")])
+    def test_cost_matches_one_point_sweep(self, tmp_path, capsys, seed, scheme):
+        # the trace run and the sweep run the same loop on the same stream
+        cfg = write(tmp_path, "one.cfg", f"""
+kind = lqg
+n = 6
+rate = 8
+p_grid = 0.005
+schemes = {scheme}
+scheme = {scheme}
+horizon = 20000
+seed = {seed}
+""")
+        trace = tmp_path / "trace.csv"
+        sweep = tmp_path / "sweep.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(trace)]) == 0
+        printed = capsys.readouterr().out.split(" cost=")[1].split()[0]
+        assert main(["sweep", "--config", cfg, "--out", str(sweep)]) == 0
+        row = sweep.read_text().splitlines()[3].split(",")
+        assert row[0] == scheme
+        assert printed == row[4]
+        costs = [float(line.split(",")[-1]) for line in trace.read_text().splitlines()[2:]]
+        assert len(costs) == 20000
+        assert sum(costs) / len(costs) == float(row[4])
+
 
 class TestErrors:
     def test_missing_config_mentions_path(self, tmp_path, capsys):
@@ -163,26 +202,33 @@ class TestErrors:
         assert "out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["design_samples", "analysis_samples", "search_step",
-                                     "search_shrink", "search_tol"])
+                                     "search_shrink", "search_tol", "pilot_steps", "m",
+                                     "C", "K_v"])
     def test_removed_sample_keys_rejected(self, tmp_path, capsys, key):
-        # channel expectations are exact, so there is no sample count to set, and
-        # the design search has fixed stopping rules: only its budget is set
+        # channel expectations are exact, so there is no sample count to set; the
+        # design search has fixed stopping rules: only its budget is set; the loop
+        # variance has a closed form; and only scalar, fully observed plants exist
         cfg = write(tmp_path, "old.cfg", SWEEP_CFG + f"{key} = 2000\n")
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["search_shrink = 2", "search_budget = 0",
-                                      "rate = -1", "rate = nan", "rate = inf",
-                                      "noise_constant = inf", "divergence_bound = 0",
-                                      "divergence_bound = nan", "divergence_bound = inf",
-                                      "min_rate = 4.5", "min_rate = -1"])
-    def test_bad_setting_rejected_before_any_row(self, tmp_path, capsys, line):
-        cfg = write(tmp_path, "bad.cfg", SWEEP_CFG + line + "\n")
+    @pytest.mark.parametrize("line, message", [
+        pytest.param(line, message, id=line.replace("\n", " then "))
+        for line, message in BAD_SETTINGS])
+    def test_bad_setting_rejected_before_any_row(self, tmp_path, capsys, line, message):
+        # the setting replaces the config's own line for its key, so each case
+        # meets its own check and not the duplicate-key one
+        key = line.split()[0]
+        lines = SWEEP_CFG.splitlines()
+        same = [i for i, text in enumerate(lines) if text.split("=")[0].strip() == key]
+        if same:
+            lines[same[0]] = line
+        else:
+            lines.append(line)
+        cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert line.split()[0] in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()

@@ -1,8 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rctc.harness import (ConfigError, ExperimentConfig, derive_seed, rows_to_csv,
-                          run_lqg_experiment, run_source_experiment)
+from rctc.harness import (_CONFIG_KEYS, ConfigError, ExperimentConfig, derive_seed,
+                          rows_to_csv, run_lqg_experiment, run_source_experiment)
 
 SOURCE_CFG = """
 # tiny source sweep
@@ -25,7 +28,6 @@ rate = 5
 p_grid = 0.05
 schemes = no_coding, rtc_tc
 horizon = 4000
-pilot_steps = 5000
 search_budget = 400
 seed = 9
 """
@@ -78,6 +80,22 @@ class TestConfigParsing:
         a = ExperimentConfig.from_text(SOURCE_CFG).echo()
         b = ExperimentConfig.from_text(SOURCE_CFG).echo()
         assert a == b
+
+    def test_lqg_needs_montecarlo_b_mode(self):
+        # the closed loop draws one delay per index: labelling those rows
+        # 'independent' would misname them
+        with pytest.raises(ConfigError, match="b_mode must be montecarlo for kind = lqg"):
+            ExperimentConfig.from_text("kind = lqg\nb_mode = independent")
+        config = ExperimentConfig.from_text("kind = source\nb_mode = independent")
+        assert config.b_mode == "independent"
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = []
+        for prefix in ("Common:", "Source kind:", "LQG kind:"):
+            paragraph = readme.split("\n" + prefix, 1)[1].split("\n\n", 1)[0]
+            listed += re.findall(r"`([^`]+)`", paragraph)
+        assert sorted(listed) == sorted(_CONFIG_KEYS)
 
 
 class TestDeriveSeed:
@@ -149,7 +167,6 @@ rate = 5
 p_grid = 0.999
 schemes = no_coding
 horizon = 5000
-pilot_steps = 2000
 divergence_bound = 1000
 seed = 2
 """
@@ -159,6 +176,15 @@ seed = 2
     def test_kind_guard(self):
         with pytest.raises(ConfigError):
             run_lqg_experiment(ExperimentConfig.from_text("kind = source"))
+
+    @pytest.mark.parametrize("plant", ["F = 0.9, 0.1; 0, 0.8\nG = 1; 1\nK_w = 1, 0; 0, 1\n"
+                                       "R = 1, 0; 0, 1",
+                                       "G = 0.05, 0.05\nS = 0.01, 0; 0, 0.01"],
+                             ids=["two states", "two inputs"])
+    def test_vector_plant_rejected(self, plant):
+        config = ExperimentConfig.from_text(LQG_CFG + plant)
+        with pytest.raises(ConfigError, match="F and G must be scalar"):
+            run_lqg_experiment(config)
 
     def test_stderr_shrinks_with_horizon(self):
         base = ExperimentConfig.from_text(LQG_CFG.replace("horizon = 4000",

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.codec import CausalTransform, plt_design
+from rctc.design import DesignProblem, design_code
 from rctc.lqg import (LqgWeights, PlantModel,
                       RiccatiConvergenceError, am_wmse, analytic_lqg_cost, ce_gain,
                       controller_solution, expected_error_terms, pilot_state_variance,
@@ -26,12 +27,11 @@ def scalar_setup(f=1.0, g=1.0, r=1.0, s=1.0, k_w=1.0):
 class TestPlantModel:
     def test_uncontrollable_rejected(self):
         with pytest.raises(ValueError):
-            PlantModel([[0.5, 0.0], [0.0, 0.5]], [[1.0], [0.0]], [[1.0, 0.0]],
-                       np.eye(2), [[0.1]])
+            PlantModel([[0.5, 0.0], [0.0, 0.5]], [[1.0], [0.0]], np.eye(2))
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
-            PlantModel([[1.0]], [[1.0]], [[1.0]], np.eye(2), [[0.1]])
+            PlantModel([[1.0]], [[1.0]], np.eye(2))
 
     def test_weights_positive_definite(self):
         with pytest.raises(ValueError):
@@ -44,8 +44,7 @@ class TestSolveRiccati:
     def test_zero_dynamics_collapses_to_r(self):
         plant, weights = scalar_setup(f=0.0)
         assert solve_riccati(plant, weights)[0, 0] == pytest.approx(1.0, abs=1e-12)
-        plant2 = PlantModel(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2),
-                            0.1 * np.eye(2))
+        plant2 = PlantModel(np.zeros((2, 2)), np.eye(2), np.eye(2))
         R = np.array([[2.0, 0.3], [0.3, 1.0]])
         P = solve_riccati(plant2, LqgWeights(R, np.eye(2)))
         assert_allclose(P, R, atol=1e-12)
@@ -69,7 +68,7 @@ class TestSolveRiccati:
             A = rng.normal(size=(d, d))
             R = A @ A.T + 0.1 * np.eye(d)
             S = np.diag(rng.uniform(0.1, 2.0, G.shape[1]))
-            plant = PlantModel(F, G, np.eye(d), np.eye(d), np.eye(d))
+            plant = PlantModel(F, G, np.eye(d))
             weights = LqgWeights(R, S)
             P = solve_riccati(plant, weights)
             assert riccati_residual(P, plant, weights) < 1e-10 * np.linalg.norm(P)
@@ -265,20 +264,30 @@ class TestSimulateClosedLoop:
                                  self.lossless(n), 5000, 11)
         assert a.empirical_cost == b.empirical_cost
 
-    def test_scalar_and_general_paths_agree(self):
+    def test_trace_changes_no_number(self):
         n = 4
-        t = CausalTransform.identity(n)
+        K_x = ar1_covariance(0.8677, 0.015, n)
+        cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
+        designed = design_code(DesignProblem(K_x, availability_marginals(cm),
+                                             self.sol.weight_block(n), 5.0, n, 1,
+                                             "toeplitz")).transform
+        assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
         banks = [None,
                  QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.015)),
                  QuantizerBank.lloyd_max(np.full(n, 5.0), np.full(n, 0.015))]
-        cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
-        for bank in banks:
-            fast = simulate_closed_loop(self.plant, self.weights, self.sol, t, bank,
-                                        cm, 8000, 21)
-            slow = simulate_closed_loop(self.plant, self.weights, self.sol, t, bank,
-                                        cm, 8000, 21, _force_general=True)
-            assert fast.empirical_cost == slow.empirical_cost
-            assert fast.steps == slow.steps
+        for t in (CausalTransform.identity(n), designed):
+            for bank in banks:
+                plain = simulate_closed_loop(self.plant, self.weights, self.sol, t, bank,
+                                             cm, 8000, 21)
+                traced = simulate_closed_loop(self.plant, self.weights, self.sol, t, bank,
+                                              cm, 8000, 21, collect_trace=True)
+                assert plain.trace is None
+                assert traced.empirical_cost == plain.empirical_cost
+                assert traced.standard_error == plain.standard_error
+                assert traced.steps == plain.steps == len(traced.trace)
+                # the records carry the very costs the mean is taken over
+                assert sum(rec.cost for rec in traced.trace) / traced.steps \
+                    == plain.empirical_cost
 
     def test_unstable_plant_all_lost_diverges(self):
         n = 4
@@ -307,17 +316,17 @@ class TestSimulateClosedLoop:
                                  CausalTransform.identity(4), None, self.lossless(4),
                                  3, 0)
 
-    def test_two_dimensional_plant(self):
-        F = np.array([[0.9, 0.2], [0.0, 0.7]])
-        plant = PlantModel(F, np.eye(2), np.eye(2), 0.01 * np.eye(2),
-                           0.001 * np.eye(2))
-        weights = LqgWeights(np.eye(2), 0.1 * np.eye(2))
-        sol = controller_solution(plant, weights)
-        t = CausalTransform.identity(3, block_dim=2)
+    def test_vector_plant_rejected(self):
         cm = ChannelModel(50 / 0.05, 0.05, 0.0125, 3)
-        sim = simulate_closed_loop(plant, weights, sol, t, None, cm, 60_000, 9)
-        target = np.trace(sol.P @ plant.K_w)
-        assert abs(sim.empirical_cost - target) < 4 * sim.standard_error
+        two_states = PlantModel([[0.9, 0.2], [0.0, 0.7]], np.eye(2), 0.01 * np.eye(2))
+        two_inputs = PlantModel([[1.49]], [[0.05, 0.05]], [[0.01]])
+        for plant, block_dim in ((two_states, 2), (two_inputs, 1)):
+            weights = LqgWeights(np.eye(plant.state_dim), 0.1 * np.eye(plant.input_dim))
+            sol = controller_solution(plant, weights)
+            t = CausalTransform.identity(3, block_dim=block_dim)
+            with pytest.raises(ValueError, match="scalar plant") as err:
+                simulate_closed_loop(plant, weights, sol, t, None, cm, 600, 9)
+            assert "\n" not in str(err.value)
 
     def test_block_dim_must_match_state(self):
         with pytest.raises(ValueError):
@@ -328,9 +337,11 @@ class TestSimulateClosedLoop:
 
 class TestPilotVariance:
     def test_matches_lyapunov_solution(self):
-        plant, weights = scalar_setup(f=1.49, g=0.05, s=0.01, k_w=0.01)
-        sol = controller_solution(plant, weights)
-        a = plant.F[0, 0] + plant.G[0, 0] * sol.L[0, 0]
-        expected = plant.K_w[0, 0] / (1 - a * a)
-        measured = pilot_state_variance(plant, sol, steps=300_000, seed=4)
-        assert measured == pytest.approx(expected, rel=0.05)
+        for f, g, s, k_w in ((1.49, 0.05, 0.01, 0.01), (0.5, 1.0, 1.0, 2.0),
+                             (-1.2, 0.3, 0.5, 1.0)):
+            plant, weights = scalar_setup(f=f, g=g, s=s, k_w=k_w)
+            sol = controller_solution(plant, weights)
+            a = plant.F[0, 0] + plant.G[0, 0] * sol.L[0, 0]
+            V = pilot_state_variance(plant, sol)
+            assert V == plant.K_w[0, 0] / (1 - a * a)
+            assert abs(V - (a * a * V + plant.K_w[0, 0])) <= 1e-14 * V
