@@ -8,20 +8,17 @@ import numpy as np
 
 from .channel import ChannelModel, availability_marginals
 from .design import save_design
-from .harness import (ConfigError, ExperimentConfig, _build_scheme, _bank_for,
-                      _lqg_context, derive_seed, run_experiment, write_csv)
+from .harness import (ConfigError, ExperimentConfig, _bank_for, _build_scheme,
+                      _experiment_context, _lqg_context, derive_seed, run_experiment,
+                      write_csv)
 from .lqg import simulate_closed_loop
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config)
-    if getattr(args, "seed", None) is not None:
-        config.values["seed"] = args.seed
-    if getattr(args, "out", None):
-        config.values["out"] = args.out
-    if getattr(args, "horizon", None) is not None:
-        config.values["horizon"] = args.horizon
-    return config
+    """The config file with the command line's overrides, checked as one."""
+    overrides = {key: getattr(args, key, None) for key in ("seed", "out", "horizon")}
+    return ExperimentConfig.from_file(
+        args.config, {key: v for key, v in overrides.items() if v is not None})
 
 
 def _require_out(config: ExperimentConfig) -> str:
@@ -32,17 +29,6 @@ def _require_out(config: ExperimentConfig) -> str:
 
 def _format_matrix(M: np.ndarray) -> str:
     return "\n".join(" ".join(repr(float(v) + 0.0) for v in row) for row in np.atleast_2d(M))
-
-
-def _design_context(config: ExperimentConfig):
-    """Design source covariance and error weighting for the configured kind."""
-    from .sources import ar1_covariance
-
-    if config.kind == "source":
-        K_x = ar1_covariance(config.rho, config.source_variance, config.n)
-        return K_x, None
-    _, _, solution, K_x = _lqg_context(config)
-    return K_x, solution.weight_block(config.n)
 
 
 def cmd_riccati(args) -> int:
@@ -63,7 +49,7 @@ def cmd_riccati(args) -> int:
 def cmd_design(args) -> int:
     config = _load_config(args)
     out = _require_out(config)
-    K_x, M = _design_context(config)
+    K_x, M, _ = _experiment_context(config)
     cm = ChannelModel.from_violation_probability(config.p, config.delta, config.ts,
                                                  config.n)
     result = _build_scheme(config.scheme, K_x, availability_marginals(cm), M, config)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .channel import channel_moments
 from .codec import CausalTransform, plt_design, quantizer_input_variances
@@ -362,8 +363,6 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
         history = [am_wmse(transform, problem.marginals, problem.K_x, K_q, M)]
         exhausted = False
     else:
-        from scipy.optimize import minimize
-
         objective = design_objective(problem)
         starts = [pack_parameters(plt_transform, problem.structure)]
         if initial_points:

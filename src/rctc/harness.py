@@ -1,7 +1,7 @@
 """Experiment harness: scheme sweeps over delay-violation probability.
 
-Reproduces the two experiment shapes end to end: open-loop coding of a
-Gauss-Markov source (analytic and simulated AM-MSE per scheme) and the
+Reproduces the two experiment shapes end to end: open-loop coding of
+frames of an AR(1) source (analytic and simulated AM-MSE per scheme) and the
 closed-loop LQG plant (analytic and simulated cost per scheme), emitting one
 CSV row per (scheme, p) with enough metadata to re-run the row exactly.
 """
@@ -22,7 +22,8 @@ from .lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost,
                   batch_standard_error, controller_solution, pilot_state_variance,
                   simulate_closed_loop)
 from .quantizers import QuantizerBank, RateAllocation, allocate_rates, clamp_rates
-from .sources import GaussMarkovModel, ar1_covariance, sample_path
+from .sources import ar1_covariance
+from .sources import sample_path  # noqa: F401  (unused; bench/layertrace.py wraps it)
 
 SCHEMES = ("no_coding", "plt", "rtc_tc", "rc_tc")
 SCHEME_STRUCTURES = {"no_coding": "identity", "plt": "plt",
@@ -102,12 +103,23 @@ class ExperimentConfig:
             v["ts"] = v["delta"] / 4.0
         if v.get("p") is None:
             v["p"] = v["p_grid"][0]
-        for key in ("n", "sim_frames", "horizon", "search_budget"):
+        for key in ("n", "search_budget"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be at least 1")
-        for key in ("rate", "delta", "ts", "noise_constant", "divergence_bound"):
+        # a standard error needs two frames
+        if v["sim_frames"] < 2:
+            raise ConfigError(f"sim_frames must be at least 2, got {v['sim_frames']}")
+        if v["horizon"] < 2 * v["n"]:
+            raise ConfigError(f"horizon must be at least 2n = {2 * v['n']}, "
+                              f"got {v['horizon']}")
+        for key in ("rate", "delta", "ts", "noise_constant", "divergence_bound",
+                    "source_variance"):
             if not 0.0 < v[key] < math.inf:  # also rejects nan
                 raise ConfigError(f"{key} must be finite and positive, got {v[key]}")
+        for key in ("rho", "design_coefficient"):
+            if not -1.0 < v[key] < 1.0:
+                raise ConfigError(f"{key} must lie in (-1, 1) for a stationary AR(1), "
+                                  f"got {v[key]}")
         if not 0.0 <= v["min_rate"] <= v["rate"]:
             raise ConfigError(f"min_rate must lie in [0, rate = {v['rate']}], "
                               f"got {v['min_rate']}")
@@ -133,7 +145,8 @@ class ExperimentConfig:
             raise AttributeError(name) from None
 
     @classmethod
-    def from_text(cls, text: str) -> ExperimentConfig:
+    def from_text(cls, text: str, overrides: dict | None = None) -> ExperimentConfig:
+        """Parse and check a config; `overrides` replace parsed values before the checks."""
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -154,14 +167,15 @@ class ExperimentConfig:
                 raise
             except (TypeError, ValueError):
                 raise ConfigError(f"invalid value for {key}: {val!r}") from None
+        values.update(overrides or {})
         for key, (_, default) in _CONFIG_KEYS.items():
             values.setdefault(key, default)
         return cls(values)
 
     @classmethod
-    def from_file(cls, path) -> ExperimentConfig:
+    def from_file(cls, path, overrides: dict | None = None) -> ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            return cls.from_text(fh.read(), overrides)
 
     def echo(self) -> str:
         """Canonical one-line rendering, stable across runs, for CSV headers.
@@ -223,17 +237,13 @@ def _build_scheme(scheme: str, K_x: np.ndarray, marginals, M, config: Experiment
     """
     n = config.n
     r = config.rate
-    if scheme == "no_coding":
-        transform = CausalTransform.identity(n)
-        sigma_d = np.diag(np.asarray(K_x, dtype=float)).copy()
-        rates = RateAllocation(np.full(n, r), np.ones(n), r)
-        K_q = noise_covariance_for_rates(rates.rates, sigma_d, 1, config.noise_constant)
-        predicted = am_wmse(transform, marginals, K_x, K_q, M)
-        return DesignResult(transform, rates, predicted, None, 0, [predicted],
-                            False, input_variances=sigma_d)
-    if scheme == "plt":
-        transform, d = plt_design(K_x)
-        rates = clamp_rates(allocate_rates(d, r), config.min_rate)
+    if scheme in ("no_coding", "plt"):
+        if scheme == "no_coding":
+            transform, d = CausalTransform.identity(n), np.diag(K_x).copy()
+            rates = RateAllocation(np.full(n, r), np.ones(n), r)
+        else:
+            transform, d = plt_design(K_x)
+            rates = clamp_rates(allocate_rates(d, r), config.min_rate)
         K_q = noise_covariance_for_rates(rates.rates, d, 1, config.noise_constant)
         predicted = am_wmse(transform, marginals, K_x, K_q, M)
         return DesignResult(transform, rates, predicted, None, 0, [predicted],
@@ -253,64 +263,6 @@ def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:
                                  config.noise_constant)
 
 
-def _failed_row(scheme, p, cm, sim_seed, mode, config, exc) -> ResultRow:
-    """Design failures become flagged rows so the rest of the sweep continues."""
-    return ResultRow(scheme, p, cm.delay_rate, float("nan"), "design_failed",
-                     float("nan"), sim_seed, f"{mode}:{type(exc).__name__}",
-                     config.noise_constant, config.n, config.rate)
-
-
-def _simulate_source_point(transform, bank, channel_model, config, sim_seed,
-                           gm_model) -> tuple[float, float]:
-    """Empirical AM-MSE of coding the source through the sampled channel."""
-    frames = config.sim_frames
-    n = config.n
-    path = sample_path(gm_model, frames * n, derive_seed(sim_seed, "path"))
-    x = path.reshape(frames, n)
-    bits = sample_availability_bits(channel_model, frames,
-                                    derive_seed(sim_seed, "channel"), config.b_mode)
-    rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
-    codevalues, _ = encode_batch(x, transform, bank, rng)
-    xhat = decode_batch(codevalues, transform, bits)
-    err = x - xhat
-    per_frame = np.einsum("fi,fi->f", err, err) / n
-    return float(per_frame.mean()), batch_standard_error(per_frame)
-
-
-def run_source_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    if config.kind != "source":
-        raise ConfigError("kind must be 'source' for run_source_experiment")
-    n = config.n
-    gm = GaussMarkovModel.ar1(config.rho,
-                              config.source_variance * (1.0 - config.rho ** 2))
-    K_x = ar1_covariance(config.rho, config.source_variance, n)
-    rows = []
-    mode = f"{config.b_mode}/{config.quantizer_mode}"
-    for pi, p in enumerate(config.p_grid):
-        cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, n)
-        marginals = availability_marginals(cm)
-        warm = None
-        for scheme in config.schemes:
-            sim_seed = derive_seed(config.seed, "sim", pi, scheme)
-            try:
-                result = _build_scheme(scheme, K_x, marginals, None, config, warm)
-            except (ValueError, ArithmeticError) as exc:
-                rows.append(_failed_row(scheme, p, cm, sim_seed, mode, config, exc))
-                continue
-            if scheme == "rtc_tc":
-                warm = pack_parameters(result.transform, "full")
-            bank = _bank_for(result, config)
-            K_q = np.diag(bank.noise_variances)
-            analytic = am_wmse(result.transform, marginals, K_x, K_q, None)
-            simulated, stderr = _simulate_source_point(result.transform, bank, cm,
-                                                       config, sim_seed, gm)
-            rows.append(ResultRow(scheme, p, cm.delay_rate, analytic, simulated,
-                                  stderr, sim_seed, mode, config.noise_constant,
-                                  n, config.rate))
-    rows.sort(key=lambda row: (row.p, row.scheme))
-    return rows
-
-
 def _lqg_context(config: ExperimentConfig):
     plant = PlantModel(config.F, config.G, config.K_w)
     if plant.state_dim != 1 or plant.input_dim != 1:
@@ -322,16 +274,59 @@ def _lqg_context(config: ExperimentConfig):
     return plant, weights, solution, K_x
 
 
-def run_lqg_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    if config.kind != "lqg":
-        raise ConfigError("kind must be 'lqg' for run_lqg_experiment")
+def _experiment_context(config: ExperimentConfig):
+    """(K_x, M, evaluate) of the configured kind.
+
+    K_x is the frame covariance every design, rate allocation and analytic
+    column reads, and M the error weight (None for the plain MSE).
+    evaluate(result, bank, marginals, cm, sim_seed) returns one row's
+    (analytic, simulated, stderr).
+    """
     n = config.n
+    if config.kind == "source":
+        K_x = ar1_covariance(config.rho, config.source_variance, n)
+        chol = np.linalg.cholesky(K_x)
+
+        def evaluate(result, bank, marginals, cm, sim_seed):
+            """AM-MSE of i.i.d. N(0, K_x) frames coded through the sampled channel."""
+            analytic = am_wmse(result.transform, marginals, K_x,
+                               np.diag(bank.noise_variances), None)
+            z = np.random.default_rng(derive_seed(sim_seed, "frames")).standard_normal(
+                (config.sim_frames, n))
+            # einsum, not a BLAS GEMM: the GEMM wakes a second BLAS thread that then spins
+            x = np.einsum("ij,fj->fi", chol, z)
+            bits = sample_availability_bits(cm, config.sim_frames,
+                                            derive_seed(sim_seed, "channel"), config.b_mode)
+            rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
+            codevalues, _ = encode_batch(x, result.transform, bank, rng)
+            err = x - decode_batch(codevalues, result.transform, bits)
+            per_frame = np.einsum("fi,fi->f", err, err) / n
+            return analytic, float(per_frame.mean()), batch_standard_error(per_frame)
+
+        return K_x, None, evaluate
+
     plant, weights, solution, K_x = _lqg_context(config)
-    M = solution.weight_block(n)
+
+    def evaluate(result, bank, marginals, cm, sim_seed):
+        analytic = analytic_lqg_cost(solution, plant, marginals, result.transform, K_x,
+                                     np.diag(bank.noise_variances))
+        result.predicted_lqg_cost = analytic
+        sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
+                                   config.horizon, sim_seed,
+                                   divergence_bound=config.divergence_bound)
+        return (analytic, "diverged" if sim.diverged else sim.empirical_cost,
+                sim.standard_error)
+
+    return K_x, solution.weight_block(n), evaluate
+
+
+def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
+    """One row per (p, scheme): design, realize the bank, evaluate."""
+    K_x, M, evaluate = _experiment_context(config)
     rows = []
     mode = f"{config.b_mode}/{config.quantizer_mode}"
     for pi, p in enumerate(config.p_grid):
-        cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, n)
+        cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
         marginals = availability_marginals(cm)
         warm = None
         for scheme in config.schemes:
@@ -339,30 +334,30 @@ def run_lqg_experiment(config: ExperimentConfig) -> list[ResultRow]:
             try:
                 result = _build_scheme(scheme, K_x, marginals, M, config, warm)
             except (ValueError, ArithmeticError) as exc:
-                rows.append(_failed_row(scheme, p, cm, sim_seed, mode, config, exc))
-                continue
-            if scheme == "rtc_tc":
-                warm = pack_parameters(result.transform, "full")
-            bank = _bank_for(result, config)
-            K_q = np.diag(bank.noise_variances)
-            analytic = analytic_lqg_cost(solution, plant, marginals, result.transform,
-                                         K_x, K_q)
-            result.predicted_lqg_cost = analytic
-            sim = simulate_closed_loop(plant, weights, solution, result.transform,
-                                       bank, cm, config.horizon, sim_seed,
-                                       divergence_bound=config.divergence_bound)
-            simulated = "diverged" if sim.diverged else sim.empirical_cost
-            rows.append(ResultRow(scheme, p, cm.delay_rate, analytic, simulated,
-                                  sim.standard_error, sim_seed, mode,
-                                  config.noise_constant, n, config.rate))
+                # a flagged row, so that the rest of the sweep continues
+                columns = (math.nan, "design_failed", math.nan)
+                tag = f"{mode}:{type(exc).__name__}"
+            else:
+                if scheme == "rtc_tc":
+                    warm = pack_parameters(result.transform, "full")
+                bank = _bank_for(result, config)
+                columns, tag = evaluate(result, bank, marginals, cm, sim_seed), mode
+            rows.append(ResultRow(scheme, p, cm.delay_rate, *columns, sim_seed, tag,
+                                  config.noise_constant, config.n, config.rate))
     rows.sort(key=lambda row: (row.p, row.scheme))
     return rows
 
 
-def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    if config.kind == "source":
-        return run_source_experiment(config)
-    return run_lqg_experiment(config)
+def run_source_experiment(config: ExperimentConfig) -> list[ResultRow]:
+    if config.kind != "source":
+        raise ConfigError("kind must be 'source' for run_source_experiment")
+    return run_experiment(config)
+
+
+def run_lqg_experiment(config: ExperimentConfig) -> list[ResultRow]:
+    if config.kind != "lqg":
+        raise ConfigError("kind must be 'lqg' for run_lqg_experiment")
+    return run_experiment(config)
 
 
 def rows_to_csv(rows: list[ResultRow], config: ExperimentConfig) -> str:

@@ -1,6 +1,7 @@
 """Scalar quantizer bank: noise model, KKT rate allocation, Lloyd-Max codebooks."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -200,17 +201,24 @@ class QuantizerBank:
         rates = np.asarray(rates, dtype=float)
         var = np.asarray(input_variances, dtype=float)
         bank = cls(rates, var, noise_constant)
-        cache: dict[int, ScalarCodebook] = {}
         books = []
         for i in range(bank.count):
-            n_levels = 2 ** max(0, int(round(rates[i])))
-            if n_levels not in cache:
-                levels, mse = lloyd_max_gaussian(n_levels)
-                cache[n_levels] = ScalarCodebook(levels, mse)
+            unit = _unit_codebook(2 ** max(0, int(round(rates[i]))))
             for k in range(bank.block_dim):
-                sigma = math.sqrt(var[i * bank.block_dim + k])
-                books.append(cache[n_levels].scaled(sigma))
+                books.append(unit.scaled(math.sqrt(var[i * bank.block_dim + k])))
         return cls(rates, var, noise_constant, tuple(books))
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_codebook(n_levels: int) -> ScalarCodebook:
+    """Lloyd-Max codebook of the unit-variance Gaussian, trained once per process.
+
+    Its arrays are read-only, since every caller shares them.
+    """
+    book = ScalarCodebook(*lloyd_max_gaussian(n_levels))
+    for array in (book.levels, book.boundaries):
+        array.setflags(write=False)
+    return book
 
 
 def measured_noise_constant(n_levels: int) -> float:

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.signal import lfilter, lfiltic
 
 
 class StationarityError(ValueError):
@@ -123,7 +122,11 @@ def sample_path(model: GaussMarkovModel, length: int, seed: int) -> np.ndarray:
     The initial block comes from the stationary distribution (no burn-in), so
     windows of any length have exactly the model's window covariance.
     Deterministic given the seed; a fresh generator is used per call.
+    Sweeps draw i.i.d. frames from the window covariance instead, so
+    scipy.signal is imported here, not on every command's import path.
     """
+    from scipy.signal import lfilter, lfiltic
+
     rng = np.random.default_rng(seed)
     if length == 0:
         return np.zeros(0)

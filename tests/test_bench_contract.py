@@ -58,8 +58,9 @@ seed = 5
 """,
 }
 # spans whose count hooks the harness never reaches: it imports
-# availability_stats only so that the wrapper still resolves
-NOT_CALLED = {"channel.stats"}
+# availability_stats and sample_path only so that the wrappers still resolve
+# (channel expectations are exact, and source sweeps draw i.i.d. frames from K_x)
+NOT_CALLED = {"channel.stats", "sources.path"}
 
 
 def traced_sweep(tmp_path, name):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,6 +64,18 @@ BAD_SETTINGS = [
     ("p_grid =", "p_grid must list at least one value"),
     ("schemes =", "schemes must list at least one value"),
     ("rate = 5\nrate = 6", "line 5: duplicate config key 'rate'"),
+    ("rho = 1.5", "rho must lie in (-1, 1) for a stationary AR(1), got 1.5"),
+    ("rho = -1", "rho must lie in (-1, 1) for a stationary AR(1), got -1.0"),
+    ("rho = nan", "rho must lie in (-1, 1) for a stationary AR(1), got nan"),
+    ("design_coefficient = 1.5",
+     "design_coefficient must lie in (-1, 1) for a stationary AR(1), got 1.5"),
+    ("design_coefficient = nan",
+     "design_coefficient must lie in (-1, 1) for a stationary AR(1), got nan"),
+    ("source_variance = nan", "source_variance must be finite and positive, got nan"),
+    ("source_variance = 0", "source_variance must be finite and positive, got 0.0"),
+    ("source_variance = inf", "source_variance must be finite and positive, got inf"),
+    ("sim_frames = 1", "sim_frames must be at least 2, got 1"),
+    ("horizon = 5", "horizon must be at least 2n = 6, got 5"),
 ]
 
 
@@ -156,6 +173,17 @@ class TestSimulateCommand:
         main(["simulate", "--config", cfg, "--out", str(out), "--horizon", "12"])
         assert len(out.read_text().splitlines()) == 2 + 12
 
+    @pytest.mark.parametrize("horizon", ["-5", "5"])
+    def test_horizon_flag_is_checked(self, tmp_path, capsys, horizon):
+        # the override meets the same check as a config line
+        cfg = write(tmp_path, "sim.cfg", LQG_SIM_CFG)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--horizon", horizon]) == 1
+        assert capsys.readouterr().err == \
+            f"error: horizon must be at least 2n = 6, got {horizon}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed, scheme", [(1, "rtc_tc"), (1, "plt"), (2, "rtc_tc")])
     def test_cost_matches_one_point_sweep(self, tmp_path, capsys, seed, scheme):
         # the trace run and the sweep run the same loop on the same stream
@@ -232,3 +260,15 @@ class TestErrors:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_import_leaves_out_scipy_signal():
+    # only sources.sample_path uses scipy.signal, and it imports it when called
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rctc.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -233,3 +233,30 @@ class TestQuantizerBank:
             QuantizerBank.modeled([1.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             QuantizerBank.modeled([], [])
+
+    def test_each_level_count_trained_once(self, monkeypatch):
+        import rctc.quantizers as quantizers
+
+        trained = []
+
+        def counting(n_levels, *args, **kwargs):
+            trained.append(n_levels)
+            return lloyd_max_gaussian(n_levels, *args, **kwargs)
+
+        monkeypatch.setattr(quantizers, "lloyd_max_gaussian", counting)
+        quantizers._unit_codebook.cache_clear()
+        try:
+            first = QuantizerBank.lloyd_max([2.2, 3.0, 1.6, 2.9], [1.0, 2.0, 0.5, 4.0])
+            second = QuantizerBank.lloyd_max([3.0, 2.0], [9.0, 1.0])
+            unit = quantizers._unit_codebook(8)
+        finally:
+            quantizers._unit_codebook.cache_clear()
+        assert sorted(trained) == [4, 8]
+        levels, mse = lloyd_max_gaussian(8)
+        assert np.array_equal(first.codebooks[1].levels, levels * math.sqrt(2.0))
+        assert np.array_equal(second.codebooks[0].levels, levels * 3.0)
+        assert second.codebooks[0].mse == mse * 9.0
+        # every bank shares the cached unit codebook, so it cannot be written
+        assert not unit.levels.flags.writeable and not unit.boundaries.flags.writeable
+        with pytest.raises(ValueError):
+            unit.levels[0] = 0.0
