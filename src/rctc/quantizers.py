@@ -6,12 +6,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, ndtri
+from scipy.linalg import solve_banded
+from scipy.special import ndtr, ndtri
 
 
 class InfeasibleRateError(ValueError):
     """Requested rate floor cannot be met at the configured average rate."""
 
+
+# Lloyd-Max training stops once every cell's centroid condition holds to
+# RESIDUAL_TOL in mass-weighted form, |y_k mass_k - (phi(e_{k-1}) - phi(e_k))|;
+# rounding leaves about 4e-16 at 2^16 levels.  From the ndtri start Newton's
+# method needs at most 20 steps up to MAX_LEVELS.
+RESIDUAL_TOL = 1e-15
+NEWTON_STEPS = 50
+# the largest codebook QuantizerBank.lloyd_max trains
+MAX_LEVELS = 2 ** 16
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -20,38 +30,51 @@ def _norm_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-def _norm_cdf(x):
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-
-
-def lloyd_max_gaussian(n_levels: int, tol: float = 1e-12, max_iter: int = 200_000):
+def lloyd_max_gaussian(n_levels: int):
     """Train a Lloyd-Max codebook for the unit-variance Gaussian.
 
-    Fully deterministic: boundaries are level midpoints and levels are the
-    closed-form conditional means of their cells, iterated to fixed point.
-    Returns (levels, mse) where mse is the exact design distortion.
+    Fully deterministic: boundaries are level midpoints and every level is the
+    conditional mean of its cell.  Newton's method solves these centroid
+    conditions F_k = y_k mass_k - (phi(e_{k-1}) - phi(e_k)) = 0, whose
+    Jacobian is tridiagonal, from the ndtri quantile start.  Raises
+    ArithmeticError if max_k |F_k| stays above RESIDUAL_TOL after
+    NEWTON_STEPS steps.  Returns (levels, mse) where mse is the exact design
+    distortion.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
     if n_levels == 1:
         return np.zeros(1), 1.0
     levels = ndtri((np.arange(n_levels) + 0.5) / n_levels)
-    for _ in range(max_iter):
+    for step in range(NEWTON_STEPS + 1):
         edges = 0.5 * (levels[1:] + levels[:-1])
-        cdf = np.concatenate(([0.0], _norm_cdf(edges), [1.0]))
-        pdf = np.concatenate(([0.0], _norm_pdf(edges), [0.0]))
-        mass = np.diff(cdf)
-        new_levels = (pdf[:-1] - pdf[1:]) / mass
-        shift = float(np.max(np.abs(new_levels - levels)))
-        levels = new_levels
-        if shift < tol:
+        pdf = _norm_pdf(edges)
+        # a cell above zero takes its mass from upper-tail probabilities, so
+        # that no tail mass is the difference of two numbers near one
+        below = np.concatenate(([0.0], ndtr(edges), [1.0]))
+        above = np.concatenate(([1.0], ndtr(-edges), [0.0]))
+        mass = np.where(levels > 0.0, above[:-1] - above[1:], below[1:] - below[:-1])
+        density = np.concatenate(([0.0], pdf, [0.0]))
+        first = density[:-1] - density[1:]  # integral of x over each cell
+        residual = levels * mass - first
+        worst = float(np.max(np.abs(residual)))
+        if worst <= RESIDUAL_TOL:
             break
-    edges = 0.5 * (levels[1:] + levels[:-1])
-    cdf = np.concatenate(([0.0], _norm_cdf(edges), [1.0]))
-    pdf = np.concatenate(([0.0], _norm_pdf(edges), [0.0]))
-    edge_term = np.concatenate(([0.0], edges * _norm_pdf(edges), [0.0]))
-    mass = np.diff(cdf)
-    first = pdf[:-1] - pdf[1:]                      # integral of x over each cell
+        if step == NEWTON_STEPS:
+            raise ArithmeticError(
+                f"Lloyd-Max training of {n_levels} levels left a centroid residual "
+                f"of {worst:.3g} after {NEWTON_STEPS} Newton steps "
+                f"(bound {RESIDUAL_TOL:g})")
+        upper = 0.5 * pdf * (levels[:-1] - edges)  # dF_k/dy_{k+1}
+        lower = 0.5 * pdf * (edges - levels[1:])   # dF_{k+1}/dy_k
+        bands = np.zeros((3, n_levels))
+        bands[0, 1:] = upper
+        bands[1] = mass
+        bands[1, :-1] += upper
+        bands[1, 1:] += lower
+        bands[2, :-1] = lower
+        levels = levels - solve_banded((1, 1), bands, residual, check_finite=False)
+    edge_term = np.concatenate(([0.0], edges * pdf, [0.0]))
     second = mass + edge_term[:-1] - edge_term[1:]  # integral of x^2 over each cell
     mse = float(np.sum(second - 2.0 * levels * first + np.square(levels) * mass))
     return levels, mse
@@ -201,9 +224,15 @@ class QuantizerBank:
         rates = np.asarray(rates, dtype=float)
         var = np.asarray(input_variances, dtype=float)
         bank = cls(rates, var, noise_constant)
+        # checked for every slot before any codebook is trained
+        level_bits = [max(0, int(round(rate))) for rate in bank.rates]
+        for i, bits in enumerate(level_bits):
+            if bits > math.log2(MAX_LEVELS):
+                raise ValueError(f"quantizer {i} has rate {bank.rates[i]:g}: 2^{bits} "
+                                 f"levels exceed the cap of {MAX_LEVELS}")
         books = []
-        for i in range(bank.count):
-            unit = _unit_codebook(2 ** max(0, int(round(rates[i]))))
+        for i, bits in enumerate(level_bits):
+            unit = _unit_codebook(2 ** bits)
             for k in range(bank.block_dim):
                 books.append(unit.scaled(math.sqrt(var[i * bank.block_dim + k])))
         return cls(rates, var, noise_constant, tuple(books))
@@ -223,8 +252,7 @@ def _unit_codebook(n_levels: int) -> ScalarCodebook:
 
 def measured_noise_constant(n_levels: int) -> float:
     """Lloyd-Max distortion constant c with 2^(-2r) factored out, for unit variance."""
-    _, mse = lloyd_max_gaussian(n_levels)
-    return mse * n_levels * n_levels
+    return _unit_codebook(n_levels).mse * n_levels * n_levels
 
 
 @dataclass(frozen=True)

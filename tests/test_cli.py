@@ -261,6 +261,16 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_realized_rate_above_level_cap(self, tmp_path, capsys):
+        # 2^40 codebook levels would need terabytes; the bank refuses first
+        cfg = write(tmp_path, "big.cfg", SWEEP_CFG.replace("rate = 4", "rate = 40")
+                    + "quantizer_mode = realized\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: quantizer 0 has rate 40: 2^40 levels exceed the cap of 65536\n")
+        assert not out.exists()
+
 
 def test_import_leaves_out_scipy_signal():
     # only sources.sample_path uses scipy.signal, and it imports it when called

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rctc.quantizers import (InfeasibleRateError, QuantizerBank, RateAllocation,
-                             ScalarCodebook, allocate_rates, clamp_rates,
-                             lloyd_max_gaussian, measured_noise_constant,
-                             modeled_noise_covariance, quantize)
+import rctc.quantizers as quantizers
+from rctc.quantizers import (MAX_LEVELS, RESIDUAL_TOL, InfeasibleRateError,
+                             QuantizerBank, RateAllocation, ScalarCodebook,
+                             allocate_rates, clamp_rates, lloyd_max_gaussian,
+                             measured_noise_constant, modeled_noise_covariance,
+                             quantize)
+
+from lloyd_reference import centroid_residual, fixed_point_levels
 
 
 class TestAllocateRates:
@@ -141,6 +145,40 @@ class TestLloydMax:
         c = measured_noise_constant(256)
         assert c == pytest.approx(math.pi * math.sqrt(3) / 2, rel=0.03)
 
+    # Max (1960), Table I: the positive output levels and the mean squared
+    # error, each within one unit of the table's last digit (the table
+    # truncates: the 8-level error is 0.034548)
+    @pytest.mark.parametrize("n_levels, table, units, mse, mse_unit", [
+        (4, [0.4528, 1.510], [1e-4, 1e-3], 0.1175, 1e-4),
+        (8, [0.2451, 0.7560, 1.344, 2.152], [1e-4, 1e-4, 1e-3, 1e-3], 0.03454, 1e-5),
+    ])
+    def test_matches_max_table(self, n_levels, table, units, mse, mse_unit):
+        levels, got = lloyd_max_gaussian(n_levels)
+        expected = np.concatenate((-np.asarray(table[::-1]), table))
+        assert np.all(np.abs(levels - expected) <= np.concatenate((units[::-1], units)))
+        assert got == pytest.approx(mse, abs=mse_unit)
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 4, 5, 7, 8, 16, 32, 64])
+    def test_matches_fixed_point_reference(self, n_levels):
+        levels, _ = lloyd_max_gaussian(n_levels)
+        assert_allclose(levels, fixed_point_levels(n_levels), rtol=0, atol=1e-9)
+
+    def test_residual_bound_within_30_steps_up_to_the_cap(self, monkeypatch):
+        # Newton converges quadratically; a wrong Jacobian entry makes it linear
+        # and runs out of these steps
+        monkeypatch.setattr(quantizers, "NEWTON_STEPS", 30)
+        for n_levels in 2 ** np.arange(1, int(math.log2(MAX_LEVELS)) + 1):
+            levels, _ = lloyd_max_gaussian(int(n_levels))
+            assert np.all(np.diff(levels) > 0.0)
+            assert centroid_residual(levels) <= RESIDUAL_TOL, n_levels
+
+    def test_unmet_residual_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(quantizers, "NEWTON_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="64 levels") as info:
+            lloyd_max_gaussian(64)
+        message = str(info.value)
+        assert "residual" in message and "\n" not in message
+
     def test_monte_carlo_distortion_matches_design(self):
         levels, mse = lloyd_max_gaussian(2 ** 5)
         book = ScalarCodebook(levels, mse)
@@ -234,14 +272,27 @@ class TestQuantizerBank:
         with pytest.raises(ValueError):
             QuantizerBank.modeled([], [])
 
-    def test_each_level_count_trained_once(self, monkeypatch):
-        import rctc.quantizers as quantizers
+    @pytest.mark.parametrize("rate", [40.0, 16.6])
+    def test_level_cap_refuses_before_training(self, monkeypatch, rate):
+        # slot 0 alone would train; the cap is checked for every slot first
+        trained = []
+        monkeypatch.setattr(quantizers, "lloyd_max_gaussian", trained.append)
+        quantizers._unit_codebook.cache_clear()
+        try:
+            with pytest.raises(ValueError) as info:
+                QuantizerBank.lloyd_max([2.0, rate], [1.0, 1.0])
+        finally:
+            quantizers._unit_codebook.cache_clear()
+        assert str(info.value) == (f"quantizer 1 has rate {rate:g}: 2^{round(rate)} "
+                                   f"levels exceed the cap of {MAX_LEVELS}")
+        assert trained == []
 
+    def test_each_level_count_trained_once(self, monkeypatch):
         trained = []
 
-        def counting(n_levels, *args, **kwargs):
+        def counting(n_levels):
             trained.append(n_levels)
-            return lloyd_max_gaussian(n_levels, *args, **kwargs)
+            return lloyd_max_gaussian(n_levels)
 
         monkeypatch.setattr(quantizers, "lloyd_max_gaussian", counting)
         quantizers._unit_codebook.cache_clear()
