@@ -16,11 +16,12 @@ from .design import (DesignProblem, DesignResult, SearchConfig, design_code,
 from .factorizations import FactorizationError, ldl_unit_lower, reverse_cholesky
 from .harness import (ConfigError, ExperimentConfig, ResultRow, run_experiment,
                       run_lqg_experiment, run_source_experiment, write_csv)
-from .lqg import (ControllerSolution, LqgWeights, PlantModel,
+from .lqg import (REPLICAS, ControllerSolution, LqgWeights, PlantModel,
                   RiccatiConvergenceError, SimulationResult, am_wmse,
                   analytic_lqg_cost, ce_gain, controller_solution,
-                  expected_error_terms, pilot_state_variance, riccati_residual,
-                  simulate_closed_loop, solve_riccati, weight_req)
+                  expected_error_terms, loop_pole, pilot_state_variance,
+                  replica_lengths, riccati_residual, simulate_closed_loop,
+                  solve_riccati, weight_req)
 from .quantizers import (InfeasibleRateError, QuantizerBank, RateAllocation,
                          ScalarCodebook, allocate_rates, clamp_rates,
                          lloyd_max_gaussian, measured_noise_constant,

@@ -19,8 +19,8 @@ from .codec import CausalTransform, decode_batch, encode_batch, plt_design
 from .design import (DesignProblem, DesignResult, design_code,
                      noise_covariance_for_rates, pack_parameters)
 from .lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost,
-                  batch_standard_error, controller_solution, pilot_state_variance,
-                  simulate_closed_loop)
+                  batch_standard_error, controller_solution, loop_pole,
+                  pilot_state_variance, simulate_closed_loop)
 from .quantizers import QuantizerBank, RateAllocation, allocate_rates, clamp_rates
 from .sources import ar1_covariance
 from .sources import sample_path  # noqa: F401  (unused; bench/layertrace.py wraps it)
@@ -80,7 +80,6 @@ _CONFIG_KEYS = {
     "K_w": (_parse_matrix, np.asarray([[0.01]])),
     "R": (_parse_matrix, np.asarray([[1.0]])),
     "S": (_parse_matrix, np.asarray([[0.01]])),
-    "design_coefficient": (float, 0.8677),
     "divergence_bound": (float, 1e9),
 }
 
@@ -116,10 +115,9 @@ class ExperimentConfig:
                     "source_variance"):
             if not 0.0 < v[key] < math.inf:  # also rejects nan
                 raise ConfigError(f"{key} must be finite and positive, got {v[key]}")
-        for key in ("rho", "design_coefficient"):
-            if not -1.0 < v[key] < 1.0:
-                raise ConfigError(f"{key} must lie in (-1, 1) for a stationary AR(1), "
-                                  f"got {v[key]}")
+        if not -1.0 < v["rho"] < 1.0:
+            raise ConfigError(f"rho must lie in (-1, 1) for a stationary AR(1), "
+                              f"got {v['rho']}")
         if not 0.0 <= v["min_rate"] <= v["rate"]:
             raise ConfigError(f"min_rate must lie in [0, rate = {v['rate']}], "
                               f"got {v['min_rate']}")
@@ -269,7 +267,9 @@ def _lqg_context(config: ExperimentConfig):
         raise ConfigError("F and G must be scalar: only scalar plants are wired")
     weights = LqgWeights(config.R, config.S)
     solution = controller_solution(plant, weights)
-    K_x = ar1_covariance(config.design_coefficient,
+    # the AR(1) of the ideal-observation loop: coefficient a = F + GL and
+    # variance K_w / (1 - a^2)
+    K_x = ar1_covariance(loop_pole(plant, solution),
                          pilot_state_variance(plant, solution), config.n)
     return plant, weights, solution, K_x
 

@@ -10,7 +10,6 @@ error between the plant state and the decoder output.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +222,7 @@ def analytic_lqg_cost(solution: ControllerSolution, plant: PlantModel,
 @dataclass
 class TraceRecord:
     step: int
+    replica: int
     state: float
     quantizer_input: float
     codevalue: float
@@ -234,11 +234,18 @@ class TraceRecord:
 
 @dataclass
 class SimulationResult:
+    """Outcome of one closed-loop run.
+
+    `replica_means` holds the mean per-step cost of every replica that ran at
+    least one step, in replica order; the standard error is taken from them.
+    """
+
     empirical_cost: float
     standard_error: float
     steps: int
     diverged: bool
     trace: list[TraceRecord] | None
+    replica_means: np.ndarray
 
 
 def batch_standard_error(values: np.ndarray) -> float:
@@ -254,6 +261,31 @@ def batch_standard_error(values: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(batches))
 
 
+# Independent replicas the closed-loop simulator runs side by side.  Not a
+# tuning knob: the horizon is cut into this many segments, so more replicas
+# mean shorter ones, and a short segment of an unstable loop can end before
+# its state crosses the divergence bound.  (Over 5,000 steps of an all-lost
+# loop of F = 1.49 at frame length 3, the largest |x| is 1.2e13 with 64
+# replicas, 1.0e3 with 256 and 3.5 with 1,024.)
+REPLICAS = 64
+
+
+def replica_lengths(horizon: int, frame_length: int) -> np.ndarray:
+    """Steps of each of the REPLICAS segments that together make up the horizon.
+
+    Whole frames are shared out evenly, the first replicas taking one frame
+    more; the partial last frame (horizon mod frame_length steps) goes to the
+    first replica with one frame fewer.  So the lengths sum to the horizon
+    and differ by at most one frame.
+    """
+    full, tail = divmod(horizon, frame_length)
+    frames, extra = divmod(full, REPLICAS)
+    lengths = np.full(REPLICAS, frames * frame_length)
+    lengths[:extra] += frame_length
+    lengths[extra] += tail
+    return lengths
+
+
 def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
                          solution: ControllerSolution, transform: CausalTransform,
                          bank: QuantizerBank | None, channel_model: ChannelModel,
@@ -261,13 +293,24 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
                          divergence_bound: float = 1e9) -> SimulationResult:
     """Simulate the coded LQG loop of a scalar plant and return the empirical per-step cost.
 
-    Each sample period feeds the current state into the running frame ladder,
-    draws the transmission delay of that element, reconstructs it from
-    whatever same-frame indices met their deadlines, and applies u = L xhat.
-    The per-step cost is xhat'R xhat + u'S u + e'R e with e = x - xhat.
-    Deterministic given the seed; collect_trace adds one TraceRecord per step
-    and changes no number.  If the state norm exceeds divergence_bound the run
-    stops and reports a partial result instead of raising.
+    The horizon is split over REPLICAS independent copies of the loop
+    (`replica_lengths`), run side by side as arrays of shape (REPLICAS,).
+    Each starts from the stationary law N(0, K_w/(1 - a^2)) of the
+    ideal-observation loop, a = F + GL.  Each sample period feeds the current
+    state into the running frame ladder, reconstructs it from whatever
+    same-frame indices met their deadlines, and applies u = L xhat; the
+    per-step cost is xhat'R xhat + u'S u + e'R e with e = x - xhat.
+
+    Random draws, from one generator seeded with `seed`: the REPLICAS start
+    states, then at each frame start an (N, REPLICAS) block of delays, one of
+    quantizer noise (modeled banks only) and one of process noise.
+
+    The cost is the sum of the per-replica cost sums over the steps run, and
+    the standard error is that of the mean of the per-replica means.
+    collect_trace adds one TraceRecord per step, replica by replica, and
+    changes no number.  The state is checked against divergence_bound at
+    every frame end; once any replica's state exceeds it (or is not finite)
+    the run stops and reports a partial result instead of raising.
     """
     n = transform.frame_length
     if transform.block_dim != 1 or plant.state_dim != 1 or plant.input_dim != 1:
@@ -279,87 +322,118 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
         raise ValueError("bank layout does not match the transform")
     if horizon < n:
         raise ValueError("horizon must cover at least one frame")
+    lengths = replica_lengths(horizon, n)
     rng = np.random.default_rng(seed)
     f = float(plant.F[0, 0])
     g = float(plant.G[0, 0])
     l = float(solution.L[0, 0])
     r_w = float(weights.R[0, 0])
     s_w = float(weights.S[0, 0])
-    sqrt_kw = math.sqrt(max(float(plant.K_w[0, 0]), 0.0))
-    enc_rows = [[float(transform.encoder_coeffs[i, j, 0]) for j in range(i)] for i in range(n)]
-    dec_rows = [[float(transform.decoder_coeffs[i, j, 0]) for j in range(i)] + [1.0]
-                for i in range(n)]
-    thr_rows = [[channel_model.deadline + (i - j) * channel_model.sample_period
-                 for j in range(i + 1)] for i in range(n)]
-    mean_delay = channel_model.mean_delay
-    mode = "ideal"
-    sigma_q = levels = bounds = None
+    sqrt_kw = math.sqrt(float(plant.K_w[0, 0]))
+    neg_enc = -transform.encoder_coeffs  # (n, n, 1): broadcasts over replicas
+    dec = transform.decoder_coeffs + np.eye(n)[:, :, None]
+    thresholds = channel_model.thresholds()[:, :, None]
+    sigma_q = codebooks = None
     if bank is not None and bank.codebooks is not None:
-        mode = "realized"
-        levels = [list(map(float, bank.codebooks[i].levels)) for i in range(n)]
-        bounds = [list(map(float, bank.codebooks[i].boundaries)) for i in range(n)]
+        codebooks = [(book.boundaries, book.levels) for book in bank.codebooks]
     elif bank is not None:
-        mode = "modeled"
-        sigma_q = [math.sqrt(float(v)) for v in bank.noise_variances]
-    std_normal = rng.standard_normal
-    exponential = rng.exponential
-    x = 0.0
-    xc = [0.0] * n
-    delays = [0.0] * n
-    total = 0.0
-    frame_costs = []
-    frame_cost = 0.0
-    trace = [] if collect_trace else None
+        sigma_q = np.sqrt(bank.noise_variances)[:, None]
+    R = REPLICAS
+    x = np.empty((n + 1, R))  # x[i]: state at frame element i; x[n]: next frame's start
+    d, xc, xhat, u = (np.empty((n, R)) for _ in range(4))
+    scratch = np.empty((n, R))
+    x[n] = math.sqrt(pilot_state_variance(plant, solution)) * rng.standard_normal(R)
+    sums = np.zeros(R)
+    done = np.zeros(R, dtype=int)
+    records = [] if collect_trace else None
     diverged = False
-    steps = 0
-    for t in range(horizon):
-        i = t % n
-        d_val = x
-        row = enc_rows[i]
-        for j in range(i):
-            d_val -= row[j] * xc[j]
-        if mode == "modeled":
-            xc_i = d_val + sigma_q[i] * std_normal()
-        elif mode == "realized":
-            xc_i = levels[i][bisect_left(bounds[i], d_val)]
+    whole_frames = int(lengths.min()) // n
+    for frame in range(-(-int(lengths.max()) // n)):
+        x[0] = x[n]
+        delays = rng.exponential(channel_model.mean_delay, (n, R))
+        if sigma_q is not None:
+            q_noise = sigma_q * rng.standard_normal((n, R))
+        w = sqrt_kw * rng.standard_normal((n, R))
+        arrived = delays <= thresholds  # [i, j, r]: index j is in by element i
+        dec_arrived = dec * arrived
+        live = None
+        if frame >= whole_frames:  # the last frame, cut short for some replicas
+            live = lengths > frame * n + np.arange(n)[:, None]
+        for i in range(n):
+            if i:
+                # x - sum_j enc[i, j] xc[j], subtracted term by term
+                scratch[0] = x[i]
+                np.multiply(neg_enc[i, :i], xc[:i], out=scratch[1:i + 1])
+                scratch[:i + 1].sum(axis=0, out=d[i])
+            else:
+                d[0] = x[0]
+            if sigma_q is not None:
+                np.add(d[i], q_noise[i], out=xc[i])
+            elif codebooks is not None:
+                bounds, levels = codebooks[i]
+                xc[i] = levels[np.searchsorted(bounds, d[i], side="left")]
+            else:
+                xc[i] = d[i]
+            np.multiply(dec_arrived[i, :i + 1], xc[:i + 1], out=scratch[:i + 1])
+            scratch[:i + 1].sum(axis=0, out=xhat[i])
+            np.multiply(xhat[i], l, out=u[i])
+            np.multiply(x[i], f, out=x[i + 1])
+            x[i + 1] += g * u[i]
+            x[i + 1] += w[i]
+            if live is not None:
+                np.copyto(x[i + 1], x[i], where=~live[i])
+        err = x[:n] - xhat
+        cost = r_w * xhat * xhat + s_w * u * u + r_w * err * err
+        if live is None:
+            done += n
         else:
-            xc_i = d_val
-        xc[i] = xc_i
-        delays[i] = exponential(mean_delay)
-        xhat = 0.0
-        dec_row = dec_rows[i]
-        thr_row = thr_rows[i]
-        for j in range(i + 1):
-            if delays[j] <= thr_row[j]:
-                xhat += dec_row[j] * xc[j]
-        u = l * xhat
-        e = x - xhat
-        cost = r_w * xhat * xhat + s_w * u * u + r_w * e * e
-        total += cost
-        frame_cost += cost
-        steps = t + 1
+            cost[~live] = 0.0
+            done += live.sum(axis=0)
+        for i in range(n):
+            sums += cost[i]
         if collect_trace:
-            avail = "".join("1" if delays[j] <= thr_row[j] else "0" for j in range(i + 1))
-            trace.append(TraceRecord(t, x, d_val, xc_i, avail, xhat, u, cost))
-        if i == n - 1:
-            frame_costs.append(frame_cost)
-            frame_cost = 0.0
-        x = f * x + g * u + sqrt_kw * std_normal()
-        if not math.isfinite(x) or abs(x) > divergence_bound:
+            records.append([a.tolist() for a in (x[:n], d, xc, xhat, u, cost)]
+                           + [arrived.tolist()])
+        if not np.all(np.abs(x[n]) <= divergence_bound):
             diverged = True
             break
-    cost_mean = total / steps if steps else math.nan
-    stderr = batch_standard_error(np.asarray(frame_costs) / n)
-    return SimulationResult(cost_mean, stderr, steps, diverged, trace)
+    steps = int(done.sum())
+    ran = done > 0
+    means = sums[ran] / done[ran]
+    cost_mean = math.fsum(sums) / steps if steps else math.nan
+    stderr = (float(np.std(means, ddof=1) / math.sqrt(means.size))
+              if means.size >= 2 else math.nan)
+    trace = None
+    if collect_trace:
+        trace = []
+        for r in range(R):
+            for t in range(done[r]):
+                frame, i = divmod(t, n)
+                state, d_val, code, rec_x, control, cost_t, arr = records[frame]
+                avail = "".join("1" if arr[i][j][r] else "0" for j in range(i + 1))
+                trace.append(TraceRecord(len(trace), r, state[i][r], d_val[i][r],
+                                         code[i][r], avail, rec_x[i][r],
+                                         control[i][r], cost_t[i][r]))
+    return SimulationResult(cost_mean, stderr, steps, diverged, trace, means)
+
+
+def loop_pole(plant: PlantModel, solution: ControllerSolution) -> float:
+    """Pole a = F + GL of the ideal-observation loop of a scalar plant.
+
+    Without coding errors the closed-loop state is the AR(1)
+    x_{t+1} = a x_t + w_t; controller_solution guarantees |a| < 1.
+    """
+    if plant.state_dim != 1:
+        raise ValueError("the closed-loop pole is wired for scalar plants")
+    return float((plant.F + plant.G @ solution.L)[0, 0])
 
 
 def pilot_state_variance(plant: PlantModel, solution: ControllerSolution) -> float:
     """Stationary state variance K_w / (1 - a^2) of the ideal-observation loop, a = F + GL.
 
-    Sizes the design-time source model, whose AR coefficient is set apart
-    (`design_coefficient`).  controller_solution guarantees |a| < 1.
+    With `loop_pole` it makes the design-time source model of the LQG
+    sweep, the AR(1) of coefficient a and this variance, and it is the law
+    the simulator's replicas start from.
     """
-    if plant.state_dim != 1:
-        raise ValueError("the stationary state variance is wired for scalar plants")
-    a = float((plant.F + plant.G @ solution.L)[0, 0])
+    a = loop_pole(plant, solution)
     return float(plant.K_w[0, 0]) / (1.0 - a * a)

@@ -22,6 +22,10 @@ RESIDUAL_TOL = 1e-15
 NEWTON_STEPS = 50
 # the largest codebook QuantizerBank.lloyd_max trains
 MAX_LEVELS = 2 ** 16
+# Gauss-Legendre rule for the distortion of each finite Lloyd-Max cell; the
+# integrand (x - y)^2 phi(x) is entire, and 16 nodes resolve it to rounding
+# on the widest finite cell (about 1.2 wide, at 3 levels)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -38,8 +42,9 @@ def lloyd_max_gaussian(n_levels: int):
     conditions F_k = y_k mass_k - (phi(e_{k-1}) - phi(e_k)) = 0, whose
     Jacobian is tridiagonal, from the ndtri quantile start.  Raises
     ArithmeticError if max_k |F_k| stays above RESIDUAL_TOL after
-    NEWTON_STEPS steps.  Returns (levels, mse) where mse is the exact design
-    distortion.
+    NEWTON_STEPS steps.  Returns (levels, mse) where mse is the design
+    distortion, summed over cells as E[(X - y_k)^2; X in cell k] about each
+    cell's own level y_k.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
@@ -74,10 +79,17 @@ def lloyd_max_gaussian(n_levels: int):
         bands[1, 1:] += lower
         bands[2, :-1] = lower
         levels = levels - solve_banded((1, 1), bands, residual, check_finite=False)
-    edge_term = np.concatenate(([0.0], edges * pdf, [0.0]))
-    second = mass + edge_term[:-1] - edge_term[1:]  # integral of x^2 over each cell
-    mse = float(np.sum(second - 2.0 * levels * first + np.square(levels) * mass))
-    return levels, mse
+    # Any closed form for a finite cell, expanded or about its level, takes
+    # the small distortion of a narrow cell as a difference of much larger
+    # terms; quadrature sums positive terms only.  A tail cell [e, inf) with
+    # level y keeps the closed form mass (1 + y^2) + (e - 2y) phi(e).
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _GL_NODES
+    inner = half * ((np.square(nodes - levels[1:-1, None]) * _norm_pdf(nodes)) @ _GL_WEIGHTS)
+    tails = 0.0
+    for e, y in ((edges[-1], levels[-1]), (-edges[0], -levels[0])):
+        tails += ndtr(-e) * (1.0 + y * y) + (e - 2.0 * y) * _norm_pdf(e)
+    return levels, float(np.sum(inner) + tails)
 
 
 @dataclass(frozen=True)
@@ -169,6 +181,9 @@ class QuantizerBank:
         var = np.asarray(self.input_variances, dtype=float)
         if rates.ndim != 1 or rates.size < 1:
             raise ValueError("rates must be a non-empty vector")
+        for i, rate in enumerate(rates):
+            if not math.isfinite(rate):
+                raise ValueError(f"quantizer {i} has rate {rate:g}: a rate must be finite")
         if var.ndim != 1 or var.size % rates.size != 0:
             raise ValueError("input_variances length must be a multiple of the quantizer count")
         if np.any(var <= 0.0):

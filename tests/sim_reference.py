@@ -1,0 +1,115 @@
+"""Reference closed-loop simulator: the plain-float loop, one replica at a time.
+
+It draws the same random numbers as `rctc.lqg.simulate_closed_loop`, in the
+same per-frame block layout (start states, then per frame the delay, modeled
+quantizer noise and process noise blocks of shape (N, replicas)), and then
+steps every replica on its own with Python floats and `bisect_left`.  It
+shares no loop code with the product, so it is the oracle the vectorised
+simulator's per-replica costs are checked against.  With replicas = 1 it is
+one long run, the loop's original form.
+"""
+import math
+from bisect import bisect_left
+
+import numpy as np
+
+
+def segment_lengths(horizon, frame_length, replicas):
+    """Whole frames shared out evenly, the first replicas taking one more;
+    the partial last frame goes to the first replica with one frame fewer."""
+    full, tail = divmod(horizon, frame_length)
+    frames, extra = divmod(full, replicas)
+    lengths = [frames * frame_length + (frame_length if r < extra else 0)
+               for r in range(replicas)]
+    lengths[extra] += tail
+    return lengths
+
+
+def reference_loop(plant, weights, solution, transform, bank, channel_model, horizon,
+                   seed, divergence_bound=1e9, replicas=64):
+    """(per-replica cost sums, per-replica steps, diverged) of the coded loop.
+
+    A replica's state is checked against divergence_bound at each of its frame
+    ends and after its last step; the run stops at the end of the first frame
+    in which any replica crossed it, for every replica.
+    """
+    n = transform.frame_length
+    lengths = segment_lengths(horizon, n, replicas)
+    f = float(plant.F[0, 0])
+    g = float(plant.G[0, 0])
+    l = float(solution.L[0, 0])
+    r_w = float(weights.R[0, 0])
+    s_w = float(weights.S[0, 0])
+    k_w = float(plant.K_w[0, 0])
+    sqrt_kw = math.sqrt(k_w)
+    a = f + g * l
+    enc_rows = [[float(transform.encoder_coeffs[i, j, 0]) for j in range(i)]
+                for i in range(n)]
+    dec_rows = [[float(transform.decoder_coeffs[i, j, 0]) for j in range(i)] + [1.0]
+                for i in range(n)]
+    thr_rows = [[channel_model.deadline + (i - j) * channel_model.sample_period
+                 for j in range(i + 1)] for i in range(n)]
+    mode = "ideal"
+    if bank is not None and bank.codebooks is not None:
+        mode = "realized"
+        levels = [list(map(float, book.levels)) for book in bank.codebooks]
+        bounds = [list(map(float, book.boundaries)) for book in bank.codebooks]
+    elif bank is not None:
+        mode = "modeled"
+        sigma_q = [math.sqrt(float(v)) for v in bank.noise_variances]
+
+    rng = np.random.default_rng(seed)
+    starts = (math.sqrt(k_w / (1.0 - a * a)) * rng.standard_normal(replicas)).tolist()
+    blocks = []
+    for _ in range(-(-max(lengths) // n)):
+        delays = rng.exponential(channel_model.mean_delay, (n, replicas)).tolist()
+        q_noise = rng.standard_normal((n, replicas)).tolist() if mode == "modeled" else None
+        w_noise = rng.standard_normal((n, replicas)).tolist()
+        blocks.append((delays, q_noise, w_noise))
+
+    # per replica: cost sum at the end of each of its frames, and the first
+    # frame after which its state was out of bounds
+    frame_sums, first_out = [], []
+    for r in range(replicas):
+        x = starts[r]
+        xc = [0.0] * n
+        total = 0.0
+        sums = []
+        out = None
+        for t in range(lengths[r]):
+            frame, i = divmod(t, n)
+            delays, q_noise, w_noise = blocks[frame]
+            d_val = x
+            for j in range(i):
+                d_val -= enc_rows[i][j] * xc[j]
+            if mode == "modeled":
+                xc_i = d_val + sigma_q[i] * q_noise[i][r]
+            elif mode == "realized":
+                xc_i = levels[i][bisect_left(bounds[i], d_val)]
+            else:
+                xc_i = d_val
+            xc[i] = xc_i
+            xhat = 0.0
+            for j in range(i + 1):
+                if delays[j][r] <= thr_rows[i][j]:
+                    xhat += dec_rows[i][j] * xc[j]
+            u = l * xhat
+            e = x - xhat
+            total += r_w * xhat * xhat + s_w * u * u + r_w * e * e
+            x = f * x + g * u + sqrt_kw * w_noise[i][r]
+            if i == n - 1 or t == lengths[r] - 1:
+                sums.append(total)
+                if not (abs(x) <= divergence_bound):
+                    out = frame
+                    break
+        frame_sums.append(sums)
+        first_out.append(out)
+
+    crossed = [frame for frame in first_out if frame is not None]
+    stop = min(crossed) if crossed else None
+    totals, steps = [], []
+    for r in range(replicas):
+        kept = frame_sums[r] if stop is None else frame_sums[r][:stop + 1]
+        totals.append(kept[-1] if kept else 0.0)
+        steps.append(min(lengths[r], len(kept) * n))
+    return totals, steps, stop is not None

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from rctc.cli import main
 from rctc.design import load_design
+from rctc.lqg import replica_lengths
 
 RICCATI_ZERO_F = """
 kind = lqg
@@ -67,10 +69,6 @@ BAD_SETTINGS = [
     ("rho = 1.5", "rho must lie in (-1, 1) for a stationary AR(1), got 1.5"),
     ("rho = -1", "rho must lie in (-1, 1) for a stationary AR(1), got -1.0"),
     ("rho = nan", "rho must lie in (-1, 1) for a stationary AR(1), got nan"),
-    ("design_coefficient = 1.5",
-     "design_coefficient must lie in (-1, 1) for a stationary AR(1), got 1.5"),
-    ("design_coefficient = nan",
-     "design_coefficient must lie in (-1, 1) for a stationary AR(1), got nan"),
     ("source_variance = nan", "source_variance must be finite and positive, got nan"),
     ("source_variance = 0", "source_variance must be finite and positive, got 0.0"),
     ("source_variance = inf", "source_variance must be finite and positive, got inf"),
@@ -207,7 +205,16 @@ seed = {seed}
         assert printed == row[4]
         costs = [float(line.split(",")[-1]) for line in trace.read_text().splitlines()[2:]]
         assert len(costs) == 20000
-        assert sum(costs) / len(costs) == float(row[4])
+        # summed as the simulator sums them: step by step within each replica's
+        # stretch of the trace, then exactly over the replicas
+        sums, start = [], 0
+        for length in replica_lengths(20000, 6):
+            total = 0.0
+            for cost in costs[start:start + length]:
+                total += cost
+            sums.append(total)
+            start += length
+        assert math.fsum(sums) / len(costs) == float(row[4])
 
 
 class TestErrors:
@@ -231,11 +238,12 @@ class TestErrors:
 
     @pytest.mark.parametrize("key", ["design_samples", "analysis_samples", "search_step",
                                      "search_shrink", "search_tol", "pilot_steps", "m",
-                                     "C", "K_v"])
+                                     "C", "K_v", "design_coefficient"])
     def test_removed_sample_keys_rejected(self, tmp_path, capsys, key):
         # channel expectations are exact, so there is no sample count to set; the
         # design search has fixed stopping rules: only its budget is set; the loop
-        # variance has a closed form; and only scalar, fully observed plants exist
+        # variance has a closed form; only scalar, fully observed plants exist;
+        # and the LQG design model is the loop's own AR(1), a = F + GL
         cfg = write(tmp_path, "old.cfg", SWEEP_CFG + f"{key} = 2000\n")
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1

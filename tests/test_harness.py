@@ -1,11 +1,16 @@
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rctc.harness import (_CONFIG_KEYS, ConfigError, ExperimentConfig, derive_seed,
-                          rows_to_csv, run_lqg_experiment, run_source_experiment)
+from rctc.channel import ChannelModel, availability_marginals
+from rctc.harness import (_CONFIG_KEYS, ConfigError, ExperimentConfig, _bank_for,
+                          _build_scheme, _lqg_context, derive_seed, rows_to_csv,
+                          run_lqg_experiment, run_source_experiment)
+from rctc.lqg import simulate_closed_loop
+from sim_reference import reference_loop
 
 SOURCE_CFG = """
 # tiny source sweep
@@ -213,6 +218,66 @@ seed = 2
         assert "ValueError" in failed[0].mode
         ok = [r for r in rows if r.scheme == "no_coding"]
         assert isinstance(ok[0].simulated, float)
+
+
+class TestClosedLoopCalibration:
+    """The replica simulator pooled over seeds, so that no single seed can pass by luck."""
+
+    SEEDS = range(1, 9)
+
+    def test_pooled_match_at_criterion_9_point(self):
+        # criterion 9 part 1 at p = 0.005: with the design model of the loop's
+        # own pole the analytic column is the loop cost within a fraction of
+        # one pooled stderr (at the old coefficient 0.8677 about 8 apart)
+        rows = {}
+        for seed in self.SEEDS:
+            config = ExperimentConfig.from_text(f"""
+kind = lqg
+n = 8
+rate = 8
+delta = 0.05
+p_grid = 0.005
+schemes = plt, rtc_tc
+horizon = 1000000
+seed = {seed}
+""")
+            for row in run_lqg_experiment(config):
+                rows.setdefault(row.scheme, []).append(row)
+        for scheme, runs in rows.items():
+            assert len({row.analytic for row in runs}) == 1, scheme
+            pooled = np.mean([row.simulated for row in runs])
+            pooled_se = math.sqrt(sum(row.stderr ** 2 for row in runs)) / len(runs)
+            assert abs(pooled - runs[0].analytic) <= 3 * pooled_se, \
+                (scheme, pooled, runs[0].analytic, pooled_se)
+
+    def test_replicas_agree_with_one_long_run(self):
+        # at p = 0.2 the analytic column understates the loop cost, so the
+        # check is against the plain-float loop run as one long replica, on
+        # seeds of its own: REPLICAS short runs from the stationary start of
+        # the ideal loop must estimate the same cost
+        config = ExperimentConfig.from_text(LQG_CFG.replace("p_grid = 0.05", "p_grid = 0.2")
+                                            .replace("horizon = 4000", "horizon = 50000"))
+        plant, weights, solution, K_x = _lqg_context(config)
+        cm = ChannelModel.from_violation_probability(0.2, config.delta, config.ts, config.n)
+        result = _build_scheme("rtc_tc", K_x, availability_marginals(cm),
+                               solution.weight_block(config.n), config)
+        bank = _bank_for(result, config)
+        sims, stderrs, long_runs = [], [], []
+        for seed in self.SEEDS:
+            sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
+                                       config.horizon, seed)
+            sims.append(sim.empirical_cost)
+            stderrs.append(sim.standard_error)
+            totals, steps, diverged = reference_loop(
+                plant, weights, solution, result.transform, bank, cm, config.horizon,
+                1000 + seed, replicas=1)
+            assert not sim.diverged and not diverged
+            long_runs.append(totals[0] / steps[0])
+        k = len(self.SEEDS)
+        se_sims = math.sqrt(sum(se ** 2 for se in stderrs)) / k
+        se_long = np.std(long_runs, ddof=1) / math.sqrt(k)
+        gap = np.mean(sims) - np.mean(long_runs)
+        assert abs(gap) <= 3 * math.hypot(se_sims, se_long), (gap, se_sims, se_long)
 
 
 class TestCsv:

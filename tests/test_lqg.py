@@ -7,13 +7,14 @@ from numpy.testing import assert_allclose
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.codec import CausalTransform, plt_design
 from rctc.design import DesignProblem, design_code
-from rctc.lqg import (LqgWeights, PlantModel,
+from rctc.lqg import (REPLICAS, LqgWeights, PlantModel,
                       RiccatiConvergenceError, am_wmse, analytic_lqg_cost, ce_gain,
-                      controller_solution, expected_error_terms, pilot_state_variance,
-                      riccati_residual, simulate_closed_loop, solve_riccati,
-                      weight_req)
+                      controller_solution, expected_error_terms, loop_pole,
+                      pilot_state_variance, replica_lengths, riccati_residual,
+                      simulate_closed_loop, solve_riccati, weight_req)
 from rctc.quantizers import QuantizerBank
 from rctc.sources import ar1_covariance
+from sim_reference import reference_loop, segment_lengths
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -285,9 +286,18 @@ class TestSimulateClosedLoop:
                 assert traced.empirical_cost == plain.empirical_cost
                 assert traced.standard_error == plain.standard_error
                 assert traced.steps == plain.steps == len(traced.trace)
-                # the records carry the very costs the mean is taken over
-                assert sum(rec.cost for rec in traced.trace) / traced.steps \
-                    == plain.empirical_cost
+                # the records carry the very costs the mean is taken over,
+                # summed as the simulator sums them: step by step within a
+                # replica, then exactly over the replicas
+                replicas = [rec.replica for rec in traced.trace]
+                assert replicas == sorted(replicas)
+                sums, counts = {}, {}
+                for rec in traced.trace:
+                    sums[rec.replica] = sums.get(rec.replica, 0.0) + rec.cost
+                    counts[rec.replica] = counts.get(rec.replica, 0) + 1
+                assert math.fsum(sums.values()) / traced.steps == plain.empirical_cost
+                assert [sums[r] / counts[r] for r in sorted(sums)] \
+                    == plain.replica_means.tolist()
 
     def test_unstable_plant_all_lost_diverges(self):
         n = 4
@@ -335,6 +345,67 @@ class TestSimulateClosedLoop:
                                  self.lossless(4), 100, 0)
 
 
+class TestAgainstReference:
+    """The vectorised simulator against the plain-float loop of sim_reference.py."""
+
+    def setup_method(self):
+        self.plant, self.weights = scalar_setup(f=1.49, g=0.05, s=0.01, k_w=0.01)
+        self.sol = controller_solution(self.plant, self.weights)
+
+    def check(self, transform, bank, cm, horizon, seed, bound=1e9):
+        sim = simulate_closed_loop(self.plant, self.weights, self.sol, transform, bank, cm,
+                                   horizon, seed, divergence_bound=bound)
+        totals, steps, diverged = reference_loop(self.plant, self.weights, self.sol,
+                                                 transform, bank, cm, horizon, seed,
+                                                 bound, REPLICAS)
+        totals, steps = np.asarray(totals), np.asarray(steps)
+        ran = steps > 0
+        assert sim.diverged == diverged
+        assert sim.steps == steps.sum()
+        assert_allclose(sim.replica_means, totals[ran] / steps[ran], rtol=1e-12, atol=0)
+        assert sim.empirical_cost == pytest.approx(totals.sum() / steps.sum(), rel=1e-12)
+        assert sim.standard_error == np.std(sim.replica_means, ddof=1) / math.sqrt(ran.sum())
+        return sim
+
+    @pytest.mark.parametrize("horizon", [6001, 30])
+    @pytest.mark.parametrize("mode", ["ideal", "modeled", "realized"])
+    def test_replica_means_match(self, mode, horizon):
+        n = 4
+        K_x = ar1_covariance(loop_pole(self.plant, self.sol),
+                             pilot_state_variance(self.plant, self.sol), n)
+        cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
+        designed = design_code(DesignProblem(K_x, availability_marginals(cm),
+                                             self.sol.weight_block(n), 5.0, n, 1,
+                                             "toeplitz")).transform
+        assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
+        bank = {"ideal": None,
+                "modeled": QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.2)),
+                "realized": QuantizerBank.lloyd_max(np.full(n, 5.0), np.full(n, 0.2))}[mode]
+        for t in (CausalTransform.identity(n), designed):
+            sim = self.check(t, bank, cm, horizon, 21)
+            assert not sim.diverged
+            assert sim.steps == horizon
+
+    def test_diverging_run_matches(self):
+        n = 4
+        dead = ChannelModel(1e-4, 0.05, 0.0125, n)
+        bank = QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.05))
+        sim = self.check(CausalTransform.identity(n), bank, dead, 100_000, 5, bound=1e6)
+        assert sim.diverged
+        assert sim.steps < 100_000
+
+    @pytest.mark.parametrize("horizon, n", [(7, 3), (50, 3), (400_000, 6), (1_000_000, 8),
+                                            (64 * 8 + 5, 8), (64 * 24, 8)])
+    def test_replica_lengths(self, horizon, n):
+        lengths = replica_lengths(horizon, n)
+        assert lengths.tolist() == segment_lengths(horizon, n, REPLICAS)
+        assert lengths.size == REPLICAS
+        assert lengths.sum() == horizon
+        assert lengths.max() - lengths.min() <= n
+        # at most one replica ends inside a frame
+        assert np.count_nonzero(lengths % n) <= 1
+
+
 class TestPilotVariance:
     def test_matches_lyapunov_solution(self):
         for f, g, s, k_w in ((1.49, 0.05, 0.01, 0.01), (0.5, 1.0, 1.0, 2.0),
@@ -342,6 +413,7 @@ class TestPilotVariance:
             plant, weights = scalar_setup(f=f, g=g, s=s, k_w=k_w)
             sol = controller_solution(plant, weights)
             a = plant.F[0, 0] + plant.G[0, 0] * sol.L[0, 0]
+            assert loop_pole(plant, sol) == a
             V = pilot_state_variance(plant, sol)
             assert V == plant.K_w[0, 0] / (1 - a * a)
             assert abs(V - (a * a * V + plant.K_w[0, 0])) <= 1e-14 * V

@@ -11,7 +11,7 @@ from rctc.quantizers import (MAX_LEVELS, RESIDUAL_TOL, InfeasibleRateError,
                              measured_noise_constant, modeled_noise_covariance,
                              quantize)
 
-from lloyd_reference import centroid_residual, fixed_point_levels
+from lloyd_reference import centroid_residual, distortion_mp, fixed_point_levels
 
 
 class TestAllocateRates:
@@ -163,6 +163,13 @@ class TestLloydMax:
         levels, _ = lloyd_max_gaussian(n_levels)
         assert_allclose(levels, fixed_point_levels(n_levels), rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("n_levels", [3, 128, 2048])
+    def test_distortion_matches_40_digit_cells(self, n_levels):
+        # expanding (x - y)^2 over a narrow cell cancels digits: 1.1e-12 at
+        # 128 levels and 4.3e-11 at 2,048 before the per-cell quadrature
+        levels, mse = lloyd_max_gaussian(n_levels)
+        assert mse == pytest.approx(distortion_mp(levels), rel=3e-14, abs=0)
+
     def test_residual_bound_within_30_steps_up_to_the_cap(self, monkeypatch):
         # Newton converges quadratically; a wrong Jacobian entry makes it linear
         # and runs out of these steps
@@ -271,6 +278,14 @@ class TestQuantizerBank:
             QuantizerBank.modeled([1.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             QuantizerBank.modeled([], [])
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [QuantizerBank.modeled, QuantizerBank.lloyd_max],
+                             ids=["modeled", "lloyd_max"])
+    def test_non_finite_rate_rejected(self, make, rate):
+        with pytest.raises(ValueError) as info:
+            make([2.0, rate], [1.0, 1.0])
+        assert str(info.value) == f"quantizer 1 has rate {rate:g}: a rate must be finite"
 
     @pytest.mark.parametrize("rate", [40.0, 16.6])
     def test_level_cap_refuses_before_training(self, monkeypatch, rate):
