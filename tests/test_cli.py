@@ -69,6 +69,8 @@ BAD_SETTINGS = [
     ("rho = 1.5", "rho must lie in (-1, 1) for a stationary AR(1), got 1.5"),
     ("rho = -1", "rho must lie in (-1, 1) for a stationary AR(1), got -1.0"),
     ("rho = nan", "rho must lie in (-1, 1) for a stationary AR(1), got nan"),
+    ("design_coefficient = 1.5", "unknown config key 'design_coefficient'"),
+    ("design_coefficient = nan", "unknown config key 'design_coefficient'"),
     ("source_variance = nan", "source_variance must be finite and positive, got nan"),
     ("source_variance = 0", "source_variance must be finite and positive, got 0.0"),
     ("source_variance = inf", "source_variance must be finite and positive, got inf"),
@@ -238,12 +240,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("key", ["design_samples", "analysis_samples", "search_step",
                                      "search_shrink", "search_tol", "pilot_steps", "m",
-                                     "C", "K_v", "design_coefficient"])
+                                     "C", "K_v"])
     def test_removed_sample_keys_rejected(self, tmp_path, capsys, key):
         # channel expectations are exact, so there is no sample count to set; the
         # design search has fixed stopping rules: only its budget is set; the loop
-        # variance has a closed form; only scalar, fully observed plants exist;
-        # and the LQG design model is the loop's own AR(1), a = F + GL
+        # variance has a closed form; and only scalar, fully observed plants exist
         cfg = write(tmp_path, "old.cfg", SWEEP_CFG + f"{key} = 2000\n")
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
