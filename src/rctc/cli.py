@@ -8,9 +8,8 @@ import numpy as np
 
 from .channel import ChannelModel, availability_marginals
 from .design import save_design
-from .harness import (ConfigError, ExperimentConfig, _bank_for, _build_scheme,
-                      _experiment_context, _lqg_context, derive_seed, run_experiment,
-                      write_csv)
+from .harness import (ConfigError, ExperimentConfig, _bank_for, _lqg_context, derive_seed,
+                      design_schemes, run_experiment, write_csv)
 from .lqg import simulate_closed_loop
 
 
@@ -46,13 +45,19 @@ def cmd_riccati(args) -> int:
     return 0
 
 
+def _design(config: ExperimentConfig):
+    """(channel, design) of the configured scheme at the configured p, as a sweep makes it."""
+    cm = ChannelModel.from_violation_probability(config.p, config.delta, config.ts, config.n)
+    result = design_schemes(config, availability_marginals(cm), [config.scheme])[config.scheme]
+    if isinstance(result, Exception):
+        raise result
+    return cm, result
+
+
 def cmd_design(args) -> int:
     config = _load_config(args)
     out = _require_out(config)
-    K_x, M, _ = _experiment_context(config)
-    cm = ChannelModel.from_violation_probability(config.p, config.delta, config.ts,
-                                                 config.n)
-    result = _build_scheme(config.scheme, K_x, availability_marginals(cm), M, config)
+    _, result = _design(config)
     save_design(result, out, scheme=config.scheme)
     print(f"wrote {out}: scheme={config.scheme} p={config.p} "
           f"predicted_am_wmse={result.predicted_am_wmse!r}")
@@ -64,17 +69,12 @@ def cmd_simulate(args) -> int:
     out = _require_out(config)
     if config.kind != "lqg":
         raise ConfigError("simulate needs kind = lqg")
-    plant, weights, solution, K_x = _lqg_context(config)
-    M = solution.weight_block(config.n)
-    cm = ChannelModel.from_violation_probability(config.p, config.delta, config.ts,
-                                                 config.n)
-    result = _build_scheme(config.scheme, K_x, availability_marginals(cm), M, config)
+    plant, weights, solution, _ = _lqg_context(config)
+    cm, result = _design(config)
     bank = _bank_for(result, config)
     sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
-                               config.horizon, derive_seed(config.seed, "sim", 0,
-                                                           config.scheme),
-                               collect_trace=True,
-                               divergence_bound=config.divergence_bound)
+                               config.horizon, derive_seed(config.seed, "sim", 0, config.scheme),
+                               collect_trace=True, divergence_bound=config.divergence_bound)
 
     with open(out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# rctc trace csv v1\n")

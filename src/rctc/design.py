@@ -18,10 +18,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channel import channel_moments
-from .codec import CausalTransform, plt_design, quantizer_input_variances
+from .codec import (CausalTransform, plt_design, quantizer_input_variances,
+                    transform_from_text, transform_to_text)
 from .factorizations import reverse_cholesky
 from .lqg import am_wmse, frame_error_terms
-from .quantizers import RateAllocation, allocate_rates, clamp_rates
+from .quantizers import QuantizerBank, RateAllocation, allocate_rates, clamp_rates
 
 STRUCTURES = ("full", "toeplitz", "plt", "identity")
 
@@ -244,13 +245,6 @@ def effective_variances(transform: CausalTransform, marginals: np.ndarray,
     return out
 
 
-def noise_covariance_for_rates(rates: np.ndarray, sigma_d: np.ndarray, block_dim: int,
-                               noise_constant: float) -> np.ndarray:
-    """Diagonal modeled noise covariance for per-quantizer rates, mN x mN."""
-    per_slot = np.repeat(np.asarray(rates, dtype=float), block_dim)
-    return np.diag(noise_constant * np.exp2(-2.0 * per_slot) * sigma_d)
-
-
 # L-BFGS stopping rules on the objective divided by its value at the start:
 # stop when every projected gradient entry is below GTOL or an iteration
 # lowers the objective by less than FTOL relative
@@ -297,7 +291,7 @@ def _reduced_objective(problem: DesignProblem):
         Ainv = np.linalg.inv(A)
         Y = Ainv @ K_x
         K_d = Y @ Ainv.T
-        K_q = np.diag(noise_scale * np.diag(K_d))  # noise_covariance_for_rates at uniform rates
+        K_q = np.diag(noise_scale * np.diag(K_d))  # the modeled noise at uniform rates
         S = K_d + Ainv @ K_q @ Ainv.T
         G = coupling * S[np.ix_(cols, cols)]
         h = p * ((Y @ M)[cols, rows] - p_own * (S @ M)[cols, rows])
@@ -342,29 +336,33 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
     over the encoder alone by L-BFGS on design_objective, whose decoder is
     the closed-form optimum, starting at the prediction-based transform's
     encoder (or the best of the supplied warm starts).  The result is the
-    best encoder evaluated, so never worse than its start.  "plt" and
-    "identity" skip the search and only allocate rates.  Spending
-    max_evaluations objective evaluations (or L-BFGS's iteration cap) is
-    reported on the result, never raised.
+    best encoder evaluated, so never worse than its start.  "identity" keeps
+    uniform rates and "plt" allocates over its prediction error variances:
+    neither searches or looks through the channel.  Spending max_evaluations
+    objective evaluations (or L-BFGS's iteration cap) is reported on the
+    result, never raised.
     """
     if max_evaluations < 1:
         raise ValueError("max_evaluations must be positive")
     n, m = problem.frame_length, problem.block_dim
     r = problem.average_rate
-    c = problem.noise_constant
     M = problem.weight
-    plt_transform, _ = plt_design(problem.K_x, m)
+
+    def am_wmse_at(rates):
+        K_q = QuantizerBank.modeled(rates, sigma_d, problem.noise_constant).noise_variances
+        return am_wmse(transform, problem.marginals, problem.K_x, np.diag(K_q), M)
 
     if problem.structure in ("plt", "identity"):
-        transform = plt_transform if problem.structure == "plt" else CausalTransform.identity(n, m)
-        sigma_d = quantizer_input_variances(transform, problem.K_x)
-        K_q = noise_covariance_for_rates(np.full(n, r), sigma_d, m, c)
-        evaluations = 0
-        history = [am_wmse(transform, problem.marginals, problem.K_x, K_q, M)]
-        exhausted = False
+        if problem.structure == "plt":
+            transform, sigma_d = plt_design(problem.K_x, m)
+            sigma_hat = np.prod(sigma_d.reshape(n, m), axis=1) ** (1.0 / m)
+        else:
+            transform, sigma_d = CausalTransform.identity(n, m), np.diag(problem.K_x).copy()
+            sigma_hat = np.ones(n)
+        evaluations, history, exhausted = 0, [am_wmse_at(np.full(n, r))], False
     else:
         objective = design_objective(problem)
-        starts = [pack_parameters(plt_transform, problem.structure)]
+        starts = [pack_parameters(plt_design(problem.K_x, m)[0], problem.structure)]
         if initial_points:
             starts.extend(np.asarray(p, dtype=float) for p in initial_points)
         values = [objective(p)[0] for p in starts]
@@ -393,20 +391,16 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
         decoder = optimal_decoder(problem, best_x)
         transform = unpack_parameters(best_x, decoder, problem.structure, n, m)
         evaluations = spent + len(starts)
+        sigma_d = quantizer_input_variances(transform, problem.K_x)
+        sigma_hat = effective_variances(transform, problem.marginals, problem.K_x, M)
 
-    sigma_d = quantizer_input_variances(transform, problem.K_x)
-    sigma_hat = effective_variances(transform, problem.marginals, problem.K_x, M)
     allocation = clamp_rates(allocate_rates(sigma_hat, r), problem.min_rate)
-    K_q = noise_covariance_for_rates(allocation.rates, sigma_d, m, c)
-    predicted = am_wmse(transform, problem.marginals, problem.K_x, K_q, M)
-    return DesignResult(transform, allocation, predicted, None, evaluations,
+    return DesignResult(transform, allocation, am_wmse_at(allocation.rates), None, evaluations,
                         history, exhausted, input_variances=sigma_d)
 
 
 def save_design(result: DesignResult, path, scheme: str = "") -> None:
     """Write a design result as flat text: metadata, rates, then the transform."""
-    from .codec import transform_to_text
-
     def vec(v) -> str:
         return " ".join(repr(float(x)) for x in np.asarray(v))
 
@@ -430,8 +424,6 @@ def save_design(result: DesignResult, path, scheme: str = "") -> None:
 
 def load_design(path) -> tuple[DesignResult, str]:
     """Reload a saved design result; returns (result, scheme)."""
-    from .codec import transform_from_text
-
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     head, _, tail = text.partition("# causal transform v1")

@@ -15,13 +15,13 @@ import numpy as np
 
 from .channel import ChannelModel, availability_marginals, sample_availability_bits
 from .channel import availability_stats  # noqa: F401  (unused; bench/layertrace.py wraps it)
-from .codec import CausalTransform, decode_batch, encode_batch, plt_design
-from .design import (DesignProblem, DesignResult, design_code,
-                     noise_covariance_for_rates, pack_parameters)
+from .codec import decode_batch, encode_batch
+from .codec import plt_design  # noqa: F401  (unused; bench/layertrace.py wraps it)
+from .design import DesignProblem, DesignResult, design_code, pack_parameters
 from .lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost,
                   batch_standard_error, controller_solution, loop_pole,
                   pilot_state_variance, simulate_closed_loop)
-from .quantizers import QuantizerBank, RateAllocation, allocate_rates, clamp_rates
+from .quantizers import QuantizerBank
 from .sources import ar1_covariance
 from .sources import sample_path  # noqa: F401  (unused; bench/layertrace.py wraps it)
 
@@ -108,6 +108,9 @@ class ExperimentConfig:
         # a standard error needs two frames
         if v["sim_frames"] < 2:
             raise ConfigError(f"sim_frames must be at least 2, got {v['sim_frames']}")
+        # derive_seed reads the master seed as one 32-bit word
+        if not 0 <= v["seed"] < 2 ** 32:
+            raise ConfigError(f"seed must lie in [0, 2^32), got {v['seed']}")
         if v["horizon"] < 2 * v["n"]:
             raise ConfigError(f"horizon must be at least 2n = {2 * v['n']}, "
                               f"got {v['horizon']}")
@@ -127,6 +130,9 @@ class ExperimentConfig:
         for s in (*v["schemes"], v["scheme"]):
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
+        for i, s in enumerate(v["schemes"]):
+            if s in v["schemes"][:i]:
+                raise ConfigError(f"schemes lists {s!r} more than once")
         if v["b_mode"] not in ("montecarlo", "independent"):
             raise ConfigError(f"b_mode must be montecarlo or independent, got {v['b_mode']!r}")
         if kind == "lqg" and v["b_mode"] != "montecarlo":
@@ -226,33 +232,6 @@ def derive_seed(master: int, *tags) -> int:
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
-def _build_scheme(scheme: str, K_x: np.ndarray, marginals, M, config: ExperimentConfig,
-                  warm_full_params=None) -> DesignResult:
-    """Transform plus rate allocation for one scheme on one channel point.
-
-    no_coding keeps uniform rates; plt allocates against its lossless
-    prediction variances; rtc_tc / rc_tc run the channel-optimized design.
-    """
-    n = config.n
-    r = config.rate
-    if scheme in ("no_coding", "plt"):
-        if scheme == "no_coding":
-            transform, d = CausalTransform.identity(n), np.diag(K_x).copy()
-            rates = RateAllocation(np.full(n, r), np.ones(n), r)
-        else:
-            transform, d = plt_design(K_x)
-            rates = clamp_rates(allocate_rates(d, r), config.min_rate)
-        K_q = noise_covariance_for_rates(rates.rates, d, 1, config.noise_constant)
-        predicted = am_wmse(transform, marginals, K_x, K_q, M)
-        return DesignResult(transform, rates, predicted, None, 0, [predicted],
-                            False, input_variances=d)
-    structure = SCHEME_STRUCTURES[scheme]
-    problem = DesignProblem(K_x, marginals, M, r, n, 1, structure,
-                            config.noise_constant, config.min_rate)
-    inits = [warm_full_params] if (scheme == "rc_tc" and warm_full_params is not None) else None
-    return design_code(problem, inits, config.search_budget)
-
-
 def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:
     if config.quantizer_mode == "realized":
         return QuantizerBank.lloyd_max(result.rates.rates, result.input_variances,
@@ -275,12 +254,13 @@ def _lqg_context(config: ExperimentConfig):
 
 
 def _experiment_context(config: ExperimentConfig):
-    """(K_x, M, evaluate) of the configured kind.
+    """(K_x, M, evaluate, lqg_cost) of the configured kind.
 
     K_x is the frame covariance every design, rate allocation and analytic
     column reads, and M the error weight (None for the plain MSE).
     evaluate(result, bank, marginals, cm, sim_seed) returns one row's
-    (analytic, simulated, stderr).
+    (analytic, simulated, stderr); lqg_cost(result, bank, marginals), None
+    for kind = source, its analytic column.
     """
     n = config.n
     if config.kind == "source":
@@ -303,43 +283,69 @@ def _experiment_context(config: ExperimentConfig):
             per_frame = np.einsum("fi,fi->f", err, err) / n
             return analytic, float(per_frame.mean()), batch_standard_error(per_frame)
 
-        return K_x, None, evaluate
+        return K_x, None, evaluate, None
 
     plant, weights, solution, K_x = _lqg_context(config)
 
+    def lqg_cost(result, bank, marginals):
+        return analytic_lqg_cost(solution, plant, marginals, result.transform, K_x,
+                                 np.diag(bank.noise_variances))
+
     def evaluate(result, bank, marginals, cm, sim_seed):
-        analytic = analytic_lqg_cost(solution, plant, marginals, result.transform, K_x,
-                                     np.diag(bank.noise_variances))
-        result.predicted_lqg_cost = analytic
         sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
                                    config.horizon, sim_seed,
                                    divergence_bound=config.divergence_bound)
-        return (analytic, "diverged" if sim.diverged else sim.empirical_cost,
-                sim.standard_error)
+        return (lqg_cost(result, bank, marginals),
+                "diverged" if sim.diverged else sim.empirical_cost, sim.standard_error)
 
-    return K_x, solution.weight_block(n), evaluate
+    return K_x, solution.weight_block(n), evaluate, lqg_cost
+
+
+def design_schemes(config: ExperimentConfig, marginals: np.ndarray, schemes,
+                   context=None) -> dict:
+    """Each listed scheme's design at the channel point of `marginals`, or the error it raised.
+
+    Designs are made in SCHEMES order; rc_tc always starts from the rtc_tc
+    encoder, designed for it when not listed.  For kind = lqg a design carries
+    predicted_lqg_cost, the analytic column under modeled quantizer noise.
+    context is the config's `_experiment_context`, made here when not given.
+    """
+    K_x, M, _, lqg_cost = context or _experiment_context(config)
+    designs = {}
+    for scheme in (s for s in SCHEMES if s in schemes or (s == "rtc_tc" and "rc_tc" in schemes)):
+        warm = designs.get("rtc_tc") if scheme == "rc_tc" else None
+        starts = [pack_parameters(warm.transform, "full")] if isinstance(warm, DesignResult) else None
+        problem = DesignProblem(K_x, marginals, M, config.rate, config.n, 1,
+                                SCHEME_STRUCTURES[scheme], config.noise_constant,
+                                config.min_rate)
+        try:
+            designs[scheme] = result = design_code(problem, starts, config.search_budget)
+            if lqg_cost:
+                bank = QuantizerBank.modeled(result.rates.rates, result.input_variances,
+                                             config.noise_constant)
+                result.predicted_lqg_cost = lqg_cost(result, bank, marginals)
+        except (ValueError, ArithmeticError) as exc:
+            designs[scheme] = exc
+    return {scheme: designs[scheme] for scheme in schemes}
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """One row per (p, scheme): design, realize the bank, evaluate."""
-    K_x, M, evaluate = _experiment_context(config)
+    context = _experiment_context(config)
+    _, _, evaluate, _ = context
     rows = []
     mode = f"{config.b_mode}/{config.quantizer_mode}"
     for pi, p in enumerate(config.p_grid):
         cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
         marginals = availability_marginals(cm)
-        warm = None
-        for scheme in config.schemes:
+        designs = design_schemes(config, marginals, config.schemes, context)
+        for scheme, result in designs.items():
             sim_seed = derive_seed(config.seed, "sim", pi, scheme)
-            try:
-                result = _build_scheme(scheme, K_x, marginals, M, config, warm)
-            except (ValueError, ArithmeticError) as exc:
+            if isinstance(result, Exception):
                 # a flagged row, so that the rest of the sweep continues
                 columns = (math.nan, "design_failed", math.nan)
-                tag = f"{mode}:{type(exc).__name__}"
+                tag = f"{mode}:{type(result).__name__}"
             else:
-                if scheme == "rtc_tc":
-                    warm = pack_parameters(result.transform, "full")
                 bank = _bank_for(result, config)
                 columns, tag = evaluate(result, bank, marginals, cm, sim_seed), mode
             rows.append(ResultRow(scheme, p, cm.delay_rate, *columns, sim_seed, tag,

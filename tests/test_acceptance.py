@@ -14,8 +14,7 @@ from rctc.channel import ChannelModel, availability_marginals
 from rctc.cli import main
 from rctc.codec import CausalTransform, decode, encode, encode_batch, plt_design
 from rctc.design import design_code, DesignProblem
-from rctc.harness import (ExperimentConfig, _build_scheme, _bank_for, _lqg_context,
-                          run_lqg_experiment)
+from rctc.harness import SCHEMES, ExperimentConfig, design_schemes, run_lqg_experiment
 from rctc.lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost,
                       controller_solution, riccati_residual, solve_riccati)
 from rctc.quantizers import allocate_rates
@@ -233,19 +232,11 @@ ts = 0.0125
 p_grid = 0.05, 0.1, 0.2, 0.3
 seed = 1234
 """)
-    K_x = ar1_covariance(config.rho, config.source_variance, config.n)
     for p in config.p_grid:
         cm = ChannelModel.from_violation_probability(p, config.delta, config.ts,
                                                      config.n)
-        P = availability_marginals(cm)
-        values = {}
-        warm = None
-        for scheme in ("no_coding", "plt", "rtc_tc", "rc_tc"):
-            result = _build_scheme(scheme, K_x, P, None, config, warm)
-            if scheme == "rtc_tc":
-                from rctc.design import pack_parameters
-                warm = pack_parameters(result.transform, "full")
-            values[scheme] = result.predicted_am_wmse
+        designs = design_schemes(config, availability_marginals(cm), SCHEMES)
+        values = {scheme: result.predicted_am_wmse for scheme, result in designs.items()}
         assert values["no_coding"] >= values["plt"] >= values["rtc_tc"] >= values["rc_tc"], \
             (p, values)
         if p >= 0.1:

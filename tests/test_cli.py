@@ -76,6 +76,11 @@ BAD_SETTINGS = [
     ("source_variance = inf", "source_variance must be finite and positive, got inf"),
     ("sim_frames = 1", "sim_frames must be at least 2, got 1"),
     ("horizon = 5", "horizon must be at least 2n = 6, got 5"),
+    ("seed = -1", "seed must lie in [0, 2^32), got -1"),
+    ("seed = 4294967296", "seed must lie in [0, 2^32), got 4294967296"),
+    ("seed = 4294967297", "seed must lie in [0, 2^32), got 4294967297"),
+    ("seed = -4294967295", "seed must lie in [0, 2^32), got -4294967295"),
+    ("schemes = plt, no_coding, plt", "schemes lists 'plt' more than once"),
 ]
 
 
@@ -107,6 +112,16 @@ class TestSweepCommand:
         lines = data1.decode().splitlines()
         assert len(lines) == 3 + 2 * 2  # header block + schemes x grid
 
+    def test_seed_flag_is_checked(self, tmp_path, capsys):
+        # the override meets the same check as a config line
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--seed", "4294967297"]) == 1
+        assert capsys.readouterr().err == \
+            "error: seed must lie in [0, 2^32), got 4294967297\n"
+        assert not out.exists()
+
     def test_seed_flag_changes_rows(self, tmp_path):
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
         out1 = tmp_path / "a.csv"
@@ -125,6 +140,7 @@ class TestDesignCommand:
         assert scheme == "rtc_tc"
         assert result.transform.frame_length == 4
         assert np.mean(result.rates.rates) == 5.0
+        assert result.predicted_lqg_cost is None
 
     def test_determinism(self, tmp_path):
         cfg = write(tmp_path, "design.cfg", DESIGN_CFG)
@@ -148,6 +164,32 @@ seed = 6
         result, scheme = load_design(out)
         assert scheme == "plt"
         assert result.transform.kind == "plt"
+
+    @pytest.mark.parametrize("kind, field", [("source", "predicted_am_wmse"),
+                                             ("lqg", "predicted_lqg_cost")])
+    @pytest.mark.parametrize("scheme", ["no_coding", "plt", "rc_tc"])
+    def test_prediction_is_the_sweep_analytic(self, tmp_path, kind, field, scheme):
+        # the design file holds the design the sweep makes, so its prediction
+        # is the analytic column of a modeled-mode sweep at the same (p, scheme)
+        cfg = write(tmp_path, "one.cfg", f"""
+kind = {kind}
+n = 4
+rate = 5
+p_grid = 0.1
+schemes = no_coding, plt, rtc_tc, rc_tc
+scheme = {scheme}
+sim_frames = 200
+horizon = 200
+seed = 6
+""")
+        design = tmp_path / "design.txt"
+        sweep = tmp_path / "sweep.csv"
+        assert main(["design", "--config", cfg, "--out", str(design)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(sweep)]) == 0
+        row = next(line.split(",") for line in sweep.read_text().splitlines()[3:]
+                   if line.startswith(scheme + ","))
+        result, _ = load_design(design)
+        assert repr(getattr(result, field)) == row[3]
 
 
 class TestSimulateCommand:
@@ -184,15 +226,18 @@ class TestSimulateCommand:
             f"error: horizon must be at least 2n = 6, got {horizon}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed, scheme", [(1, "rtc_tc"), (1, "plt"), (2, "rtc_tc")])
+    @pytest.mark.parametrize("seed, scheme", [(1, "rtc_tc"), (1, "plt"), (2, "rtc_tc"),
+                                              (1, "rc_tc")])
     def test_cost_matches_one_point_sweep(self, tmp_path, capsys, seed, scheme):
-        # the trace run and the sweep run the same loop on the same stream
+        # the trace run and the sweep run the same loop on the same stream;
+        # the sweep designs rc_tc from the rtc_tc it lists, the trace run alone
+        schemes = "rtc_tc, rc_tc" if scheme == "rc_tc" else scheme
         cfg = write(tmp_path, "one.cfg", f"""
 kind = lqg
 n = 6
 rate = 8
 p_grid = 0.005
-schemes = {scheme}
+schemes = {schemes}
 scheme = {scheme}
 horizon = 20000
 seed = {seed}

@@ -8,11 +8,11 @@ from rctc.channel import ChannelModel, availability_marginals
 from rctc.codec import CausalTransform, plt_design, quantizer_input_variances
 from rctc.design import (DesignProblem, DesignResult, SearchConfig, design_code,
                          design_objective, effective_variances, hooke_jeeves,
-                         load_design, noise_covariance_for_rates, optimal_decoder,
-                         pack_parameters, save_design, unpack_parameters)
+                         load_design, optimal_decoder, pack_parameters, save_design,
+                         unpack_parameters)
 from rctc.factorizations import reverse_cholesky
 from rctc.lqg import am_wmse
-from rctc.quantizers import allocate_rates, clamp_rates
+from rctc.quantizers import QuantizerBank, allocate_rates, clamp_rates
 from rctc.sources import ar1_covariance
 
 
@@ -176,8 +176,8 @@ def weighted_problem(m, structure, weight, n=5, p=0.2):
 
 def uniform_rate_objective(prob, transform):
     sigma = quantizer_input_variances(transform, prob.K_x)
-    K_q = noise_covariance_for_rates(np.full(prob.frame_length, prob.average_rate), sigma,
-                                     prob.block_dim, prob.noise_constant)
+    K_q = np.diag(QuantizerBank.modeled(np.full(prob.frame_length, prob.average_rate), sigma,
+                                        prob.noise_constant).noise_variances)
     return am_wmse(transform, prob.marginals, prob.K_x, K_q, prob.weight)
 
 
@@ -267,8 +267,8 @@ class TestDesignCode:
         prob = make_problem(0.2, "identity", n=4)
         result = design_code(prob)
         assert result.transform.kind == "identity"
-        K_q = noise_covariance_for_rates(result.rates.rates, result.input_variances,
-                                         1, 1.0)
+        K_q = np.diag(QuantizerBank.modeled(result.rates.rates, result.input_variances,
+                                            1.0).noise_variances)
         assert result.predicted_am_wmse == pytest.approx(
             am_wmse(result.transform, prob.marginals, prob.K_x, K_q), rel=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.harness import (_CONFIG_KEYS, ConfigError, ExperimentConfig, _bank_for,
-                          _build_scheme, _lqg_context, derive_seed, rows_to_csv,
+                          _lqg_context, derive_seed, design_schemes, rows_to_csv,
                           run_lqg_experiment, run_source_experiment)
 from rctc.lqg import simulate_closed_loop
 from sim_reference import reference_loop
@@ -204,20 +204,40 @@ seed = 2
     def test_design_failure_becomes_flagged_row(self, monkeypatch):
         import rctc.harness as harness
 
-        def explode(scheme, *args, **kwargs):
-            if scheme == "rtc_tc":
-                raise ValueError("synthetic design failure")
-            return real_build(scheme, *args, **kwargs)
+        starts = {}
 
-        real_build = harness._build_scheme
-        monkeypatch.setattr(harness, "_build_scheme", explode)
-        rows = run_lqg_experiment(ExperimentConfig.from_text(LQG_CFG))
+        def explode(problem, initial_points=None, *args, **kwargs):
+            starts[problem.structure] = initial_points
+            if problem.structure == "toeplitz":
+                raise ValueError("synthetic design failure")
+            return real_design(problem, initial_points, *args, **kwargs)
+
+        real_design = harness.design_code
+        monkeypatch.setattr(harness, "design_code", explode)
+        config = ExperimentConfig.from_text(LQG_CFG.replace("schemes = no_coding, rtc_tc",
+                                                            "schemes = no_coding, rtc_tc, rc_tc"))
+        rows = run_lqg_experiment(config)
         failed = [r for r in rows if r.scheme == "rtc_tc"]
         assert failed[0].simulated == "design_failed"
         assert np.isnan(failed[0].analytic)
         assert "ValueError" in failed[0].mode
         ok = [r for r in rows if r.scheme == "no_coding"]
         assert isinstance(ok[0].simulated, float)
+        # rc_tc has no rtc_tc encoder to start from, so it starts cold
+        assert starts["full"] is None
+        cold = [r for r in rows if r.scheme == "rc_tc"]
+        assert isinstance(cold[0].simulated, float)
+
+    def test_rc_tc_row_does_not_depend_on_scheme_order(self):
+        # rc_tc always starts from the rtc_tc encoder, designed for it when not listed
+        rows = set()
+        for schemes in ("rtc_tc, rc_tc", "rc_tc, rtc_tc", "rc_tc"):
+            config = ExperimentConfig.from_text(
+                SOURCE_CFG.replace("n = 3", "n = 6").replace("seed = 9", "seed = 1234")
+                .replace("schemes = no_coding, plt, rtc_tc", f"schemes = {schemes}"))
+            rows |= {row.to_csv() for row in run_source_experiment(config)
+                     if row.scheme == "rc_tc"}
+        assert len(rows) == 1, rows
 
 
 class TestClosedLoopCalibration:
@@ -257,10 +277,9 @@ seed = {seed}
         # the ideal loop must estimate the same cost
         config = ExperimentConfig.from_text(LQG_CFG.replace("p_grid = 0.05", "p_grid = 0.2")
                                             .replace("horizon = 4000", "horizon = 50000"))
-        plant, weights, solution, K_x = _lqg_context(config)
+        plant, weights, solution, _ = _lqg_context(config)
         cm = ChannelModel.from_violation_probability(0.2, config.delta, config.ts, config.n)
-        result = _build_scheme("rtc_tc", K_x, availability_marginals(cm),
-                               solution.weight_block(config.n), config)
+        result = design_schemes(config, availability_marginals(cm), ["rtc_tc"])["rtc_tc"]
         bank = _bank_for(result, config)
         sims, stderrs, long_runs = [], [], []
         for seed in self.SEEDS:
