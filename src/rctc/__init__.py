@@ -4,18 +4,15 @@ A library plus CLI for designing channel-optimized causal transform codes,
 allocating quantizer rates, evaluating analytic AM-WMSE / LQG costs, and
 validating them against closed-loop Monte Carlo simulation.
 """
-from .channel import (AvailabilityMatrix, AvailabilityStats, ChannelModel,
-                      availability_from_delays, availability_marginals,
+from .channel import (AvailabilityStats, ChannelModel, availability_marginals,
                       availability_stats, channel_moments, exhaustive_stats,
-                      loss_probabilities, sample_availability, sample_availability_bits)
+                      loss_probabilities, sample_availability_bits)
 from .codec import (CausalTransform, EncodedFrame, decode, decode_batch, encode,
-                    encode_batch, equivalent_channel, load_transform, plt_design,
-                    quantizer_input_variances, save_transform)
+                    encode_batch, plt_design, quantizer_input_variances)
 from .design import (DesignProblem, DesignResult, SearchConfig, design_code,
                      effective_variances, hooke_jeeves, load_design, save_design)
 from .factorizations import FactorizationError, ldl_unit_lower, reverse_cholesky
-from .harness import (ConfigError, ExperimentConfig, ResultRow, run_experiment,
-                      run_lqg_experiment, run_source_experiment, write_csv)
+from .harness import ConfigError, ExperimentConfig, ResultRow, run_experiment, write_csv
 from .lqg import (REPLICAS, ControllerSolution, LqgWeights, PlantModel,
                   RiccatiConvergenceError, SimulationResult, am_wmse,
                   analytic_lqg_cost, ce_gain, controller_solution,
@@ -23,9 +20,7 @@ from .lqg import (REPLICAS, ControllerSolution, LqgWeights, PlantModel,
                   replica_lengths, riccati_residual, simulate_closed_loop,
                   solve_riccati, weight_req)
 from .quantizers import (InfeasibleRateError, QuantizerBank, RateAllocation,
-                         ScalarCodebook, allocate_rates, clamp_rates,
-                         lloyd_max_gaussian, measured_noise_constant,
-                         modeled_noise_covariance, quantize)
+                         ScalarCodebook, allocate_rates, clamp_rates, lloyd_max_gaussian)
 from .sources import (GaussMarkovModel, StationarityError, ar1_covariance,
                       sample_path, validate_covariance)
 

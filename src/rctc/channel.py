@@ -56,48 +56,6 @@ class ChannelModel:
         return np.where(j <= i, thr, -np.inf)
 
 
-@dataclass(frozen=True)
-class AvailabilityMatrix:
-    """One realized binary availability pattern (lower triangular, monotone rows)."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits)
-        n = bits.shape[0]
-        if bits.ndim != 2 or bits.shape != (n, n):
-            raise ValueError("bits must be a square matrix")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("bits must be 0/1")
-        if np.any(np.triu(bits, k=1)):
-            raise ValueError("bits above the diagonal must be 0")
-        # an index that has arrived by one deadline is still there at later ones
-        for j in range(n):
-            col = bits[j:, j]
-            if np.any(np.diff(col) < 0):
-                raise ValueError(f"column {j} is not monotone non-decreasing")
-        object.__setattr__(self, "bits", bits.astype(np.int8))
-
-    @property
-    def dim(self) -> int:
-        return self.bits.shape[0]
-
-
-def availability_from_delays(model: ChannelModel, delays) -> AvailabilityMatrix:
-    """Deterministic availability pattern for given per-index delays (test hook)."""
-    delays = np.asarray(delays, dtype=float)
-    if delays.shape != (model.frame_length,):
-        raise ValueError(f"need one delay per index, got shape {delays.shape}")
-    bits = (delays[None, :] <= model.thresholds()).astype(np.int8)
-    return AvailabilityMatrix(bits)
-
-
-def sample_availability(model: ChannelModel, seed: int) -> AvailabilityMatrix:
-    """Draw one delay per index and apply the per-element deadlines."""
-    rng = np.random.default_rng(seed)
-    return availability_from_delays(model, rng.exponential(model.mean_delay, model.frame_length))
-
-
 def loss_probabilities(model: ChannelModel) -> np.ndarray:
     """Entry (i, j): probability index j misses element i's reconstruction deadline.
 

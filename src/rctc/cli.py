@@ -72,8 +72,10 @@ def cmd_simulate(args) -> int:
     plant, weights, solution, _ = _lqg_context(config)
     cm, result = _design(config)
     bank = _bank_for(result, config)
+    # the sweep's row seed: p's position in p_grid, or 0 when p_grid leaves p out
+    pi = config.p_grid.index(config.p) if config.p in config.p_grid else 0
     sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
-                               config.horizon, derive_seed(config.seed, "sim", 0, config.scheme),
+                               config.horizon, derive_seed(config.seed, "sim", pi, config.scheme),
                                collect_trace=True, divergence_bound=config.divergence_bound)
 
     with open(out, "w", encoding="ascii", newline="\n") as fh:

@@ -20,20 +20,6 @@ from .sources import validate_covariance
 KINDS = ("identity", "full", "toeplitz", "plt")
 
 
-def _availability_bits(availability, n: int) -> np.ndarray:
-    bits = np.asarray(getattr(availability, "bits", availability), dtype=float)
-    if bits.shape != (n, n):
-        raise ValueError(f"availability must be {n}x{n}, got {bits.shape}")
-    return bits
-
-
-def expand_bits(bits: np.ndarray, m: int) -> np.ndarray:
-    """Replicate each availability bit over its m x m block."""
-    if m == 1:
-        return np.asarray(bits, dtype=float)
-    return np.repeat(np.repeat(np.asarray(bits, dtype=float), m, axis=0), m, axis=1)
-
-
 @dataclass(frozen=True)
 class CausalTransform:
     """Coefficients of the encoder/decoder pair.
@@ -87,23 +73,6 @@ class CausalTransform:
         enc = np.asarray(encoder_coeffs, dtype=float)
         return cls(kind, enc.shape[0], enc.shape[2], enc,
                    np.asarray(decoder_coeffs, dtype=float))
-
-    @classmethod
-    def toeplitz(cls, encoder_lags, decoder_lags) -> CausalTransform:
-        """Build from per-lag coefficients, shape (N-1, m); lag index starts at 1."""
-        enc_lags = np.atleast_2d(np.asarray(encoder_lags, dtype=float))
-        dec_lags = np.atleast_2d(np.asarray(decoder_lags, dtype=float))
-        if enc_lags.shape != dec_lags.shape:
-            raise ValueError("encoder and decoder lag arrays must match in shape")
-        n = enc_lags.shape[0] + 1
-        m = enc_lags.shape[1]
-        enc = np.zeros((n, n, m))
-        dec = np.zeros((n, n, m))
-        for lag in range(1, n):
-            for i in range(n - lag):
-                enc[i + lag, i] = enc_lags[lag - 1]
-                dec[i + lag, i] = dec_lags[lag - 1]
-        return cls("toeplitz", n, m, enc, dec)
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
         """Assembled (A, Ahat), both unit diagonal lower triangular."""
@@ -255,10 +224,12 @@ def decode(codevalues: np.ndarray, transform: CausalTransform, availability) -> 
     xc = np.asarray(codevalues, dtype=float)
     if xc.shape != (transform.dim,):
         raise ValueError(f"codevalues must have length {transform.dim}, got {xc.shape}")
-    bits = _availability_bits(availability, transform.frame_length)
+    n, m = transform.frame_length, transform.block_dim
+    bits = np.asarray(availability, dtype=float)
+    if bits.shape != (n, n):
+        raise ValueError(f"availability must be {n}x{n}, got {bits.shape}")
     _, Ahat = transform.assemble()
-    H = Ahat * expand_bits(bits, transform.block_dim)
-    return H @ xc
+    return (Ahat * np.kron(bits, np.ones((m, m)))) @ xc
 
 
 def decode_batch(codevalues: np.ndarray, transform: CausalTransform,
@@ -272,20 +243,6 @@ def decode_batch(codevalues: np.ndarray, transform: CausalTransform,
         stack = np.repeat(np.repeat(stack, m, axis=1), m, axis=2)
     H = Ahat[None, :, :] * stack
     return np.einsum("fij,fj->fi", H, xc)
-
-
-def equivalent_channel(transform: CausalTransform, availability) -> tuple[np.ndarray, np.ndarray]:
-    """Fading-channel view of encoder + channel + decoder for one availability draw.
-
-    Returns (H_eq, noise_map) with H_eq = (Ahat o B) inv(A): the decode of an
-    encode equals H_eq x + noise_map q, and both operators coincide because
-    signal and quantization noise pass through the same reconstruction path.
-    """
-    bits = _availability_bits(availability, transform.frame_length)
-    _, Ahat = transform.assemble()
-    H = Ahat * expand_bits(bits, transform.block_dim)
-    H_eq = H @ transform.encoder_inverse()
-    return H_eq, H_eq
 
 
 def transform_to_text(transform: CausalTransform) -> str:
@@ -332,13 +289,3 @@ def transform_from_text(text: str) -> CausalTransform:
             raise ValueError(f"{name} matrix is not unit lower triangular with "
                              f"diagonal {m}x{m} blocks")
     return transform
-
-
-def save_transform(transform: CausalTransform, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(transform_to_text(transform))
-
-
-def load_transform(path) -> CausalTransform:
-    with open(path, "r", encoding="ascii") as fh:
-        return transform_from_text(fh.read())

@@ -118,6 +118,10 @@ class ExperimentConfig:
                     "source_variance"):
             if not 0.0 < v[key] < math.inf:  # also rejects nan
                 raise ConfigError(f"{key} must be finite and positive, got {v[key]}")
+        for key in ("F", "G", "K_w", "R", "S"):
+            bad = v[key][~np.isfinite(v[key])]
+            if bad.size:
+                raise ConfigError(f"{key} entries must be finite, got {bad[0]}")
         if not -1.0 < v["rho"] < 1.0:
             raise ConfigError(f"rho must lie in (-1, 1) for a stationary AR(1), "
                               f"got {v['rho']}")
@@ -130,9 +134,10 @@ class ExperimentConfig:
         for s in (*v["schemes"], v["scheme"]):
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
-        for i, s in enumerate(v["schemes"]):
-            if s in v["schemes"][:i]:
-                raise ConfigError(f"schemes lists {s!r} more than once")
+        for key in ("p_grid", "schemes"):
+            for i, x in enumerate(v[key]):
+                if x in v[key][:i]:
+                    raise ConfigError(f"{key} lists {x!r} more than once")
         if v["b_mode"] not in ("montecarlo", "independent"):
             raise ConfigError(f"b_mode must be montecarlo or independent, got {v['b_mode']!r}")
         if kind == "lqg" and v["b_mode"] != "montecarlo":
@@ -352,18 +357,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                                   config.noise_constant, config.n, config.rate))
     rows.sort(key=lambda row: (row.p, row.scheme))
     return rows
-
-
-def run_source_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    if config.kind != "source":
-        raise ConfigError("kind must be 'source' for run_source_experiment")
-    return run_experiment(config)
-
-
-def run_lqg_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    if config.kind != "lqg":
-        raise ConfigError("kind must be 'lqg' for run_lqg_experiment")
-    return run_experiment(config)
 
 
 def rows_to_csv(rows: list[ResultRow], config: ExperimentConfig) -> str:

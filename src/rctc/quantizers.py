@@ -130,34 +130,6 @@ class ScalarCodebook:
         idx = np.searchsorted(self.boundaries, np.asarray(values, dtype=float))
         return idx, self.levels[idx]
 
-    def to_text(self) -> str:
-        """Flat text: one `level boundary` pair per line, last boundary is inf."""
-        lines = [f"# scalar codebook v1 levels={self.size} mse={float(self.mse)!r}"]
-        bounds = np.concatenate((self.boundaries, [math.inf]))
-        for lev, b in zip(self.levels, bounds):
-            lines.append(f"{float(lev)!r} {float(b)!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> ScalarCodebook:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# scalar codebook v1"):
-            raise ValueError("unrecognized codebook header")
-        header = dict(f.split("=", 1) for f in lines[0].split() if "=" in f)
-        if "levels" not in header or "mse" not in header:
-            raise ValueError("codebook header needs levels= and mse=")
-        rows = [ln.split() for ln in lines[1:]]
-        if any(len(row) != 2 for row in rows):
-            raise ValueError("codebook lines must be 'level boundary' pairs")
-        if len(rows) != int(header["levels"]):
-            raise ValueError(f"codebook declares levels={header['levels']} "
-                             f"but lists {len(rows)}")
-        table = np.asarray(rows, dtype=float).reshape(-1, 2)
-        book = cls(table[:, 0], float(header["mse"]))
-        if not np.array_equal(table[:, 1], np.append(book.boundaries, math.inf)):
-            raise ValueError("codebook boundaries are not the midpoints of its levels")
-        return book
-
 
 @dataclass(frozen=True)
 class QuantizerBank:
@@ -265,11 +237,6 @@ def _unit_codebook(n_levels: int) -> ScalarCodebook:
     return book
 
 
-def measured_noise_constant(n_levels: int) -> float:
-    """Lloyd-Max distortion constant c with 2^(-2r) factored out, for unit variance."""
-    return _unit_codebook(n_levels).mse * n_levels * n_levels
-
-
 @dataclass(frozen=True)
 class RateAllocation:
     """Rates from the closed-form water-filling over effective variances.
@@ -341,20 +308,3 @@ def clamp_rates(allocation: RateAllocation, min_rate: float = 0.0) -> RateAlloca
     new_rates = np.where(below, min_rate, rates - deficit * excess / total_excess)
     return RateAllocation(new_rates, allocation.effective_variances,
                           allocation.average, clamped=True)
-
-
-def modeled_noise_covariance(bank: QuantizerBank) -> np.ndarray:
-    """Diagonal quantization noise covariance implied by the bank's model."""
-    return np.diag(bank.noise_variances)
-
-
-def quantize(value: float, quantizer_index: int, bank: QuantizerBank,
-             component: int = 0) -> tuple[int, float]:
-    """Nearest-codeword index and reconstruction for one quantizer of the bank."""
-    if bank.codebooks is None:
-        raise ValueError("quantize requires a bank with realized codebooks")
-    if not 0 <= quantizer_index < bank.count:
-        raise ValueError(f"quantizer index {quantizer_index} out of range")
-    if not 0 <= component < bank.block_dim:
-        raise ValueError(f"component {component} out of range")
-    return bank.codebooks[quantizer_index * bank.block_dim + component].quantize(value)

@@ -14,7 +14,7 @@ from rctc.channel import ChannelModel, availability_marginals
 from rctc.cli import main
 from rctc.codec import CausalTransform, decode, encode, encode_batch, plt_design
 from rctc.design import design_code, DesignProblem
-from rctc.harness import SCHEMES, ExperimentConfig, design_schemes, run_lqg_experiment
+from rctc.harness import SCHEMES, ExperimentConfig, design_schemes, run_experiment
 from rctc.lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost,
                       controller_solution, riccati_residual, solve_riccati)
 from rctc.quantizers import allocate_rates
@@ -284,7 +284,7 @@ schemes = no_coding, plt, rtc_tc, rc_tc
 horizon = 1000000
 seed = 20240601
 """)
-    rows = run_lqg_experiment(match_config)
+    rows = run_experiment(match_config)
     for row in rows:
         assert isinstance(row.simulated, float)
         assert abs(row.simulated - row.analytic) <= 3 * row.stderr, \
@@ -306,7 +306,7 @@ schemes = no_coding, plt, rtc_tc, rc_tc
 horizon = 300000
 seed = 20240602
 """)
-    rows = run_lqg_experiment(sweep_config)
+    rows = run_experiment(sweep_config)
     by_p = {}
     for row in rows:
         by_p.setdefault(row.p, {})[row.scheme] = row

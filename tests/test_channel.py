@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rctc.channel import (AvailabilityMatrix, AvailabilityStats, ChannelModel,
-                          availability_from_delays, availability_marginals,
+from rctc.channel import (AvailabilityStats, ChannelModel, availability_marginals,
                           availability_stats, channel_moments, exhaustive_stats,
-                          loss_probabilities, sample_availability,
-                          sample_availability_bits)
+                          loss_probabilities, sample_availability_bits)
 
 from channel_reference import stack_moments
 
@@ -43,43 +41,33 @@ class TestChannelModel:
 class TestSampleAvailability:
     def test_deterministic(self):
         cm = model()
-        assert np.array_equal(sample_availability(cm, 9).bits,
-                              sample_availability(cm, 9).bits)
+        assert np.array_equal(sample_availability_bits(cm, 1, 9),
+                              sample_availability_bits(cm, 1, 9))
 
     def test_degenerate_zero_delays(self):
-        cm = model()
-        B = availability_from_delays(cm, np.zeros(4))
-        assert np.array_equal(B.bits, np.tril(np.ones((4, 4), dtype=np.int8)))
+        bits = np.zeros(4)[None, :] <= model().thresholds()
+        assert np.array_equal(bits, np.tril(np.ones((4, 4), dtype=bool)))
 
     def test_near_certain_arrival(self):
         cm = ChannelModel(50 / 0.05, 0.05, 0.0125, 4)  # lambda * delta = 50
         for seed in range(20):
-            B = sample_availability(cm, seed)
-            assert np.array_equal(B.bits, np.tril(np.ones((4, 4), dtype=np.int8)))
+            bits = sample_availability_bits(cm, 1, seed)[0]
+            assert np.array_equal(bits, np.tril(np.ones((4, 4))))
 
     def test_injected_delay_straddles_deadlines(self):
         cm = model()
         delays = np.zeros(4)
         delays[0] = cm.deadline + 0.5 * cm.sample_period
-        B = availability_from_delays(cm, delays)
-        assert B.bits[0, 0] == 0  # misses its own deadline
-        assert B.bits[1, 0] == 1  # one extra sample period suffices
+        bits = delays[None, :] <= cm.thresholds()
+        assert not bits[0, 0]  # misses its own deadline
+        assert bits[1, 0]  # one extra sample period suffices
 
     def test_monotone_columns_always(self):
         cm = ChannelModel.from_violation_probability(0.4, 0.05, 0.0125, 5)
         for seed in range(50):
-            bits = sample_availability(cm, seed).bits
+            bits = sample_availability_bits(cm, 1, seed)[0]
             for j in range(5):
                 assert np.all(np.diff(bits[j:, j]) >= 0)
-
-    def test_matrix_validation(self):
-        with pytest.raises(ValueError):
-            AvailabilityMatrix(np.triu(np.ones((3, 3))))
-        nonmono = np.tril(np.ones((3, 3)))
-        nonmono[1, 0] = 1
-        nonmono[2, 0] = 0
-        with pytest.raises(ValueError):
-            AvailabilityMatrix(nonmono)
 
 
 class TestLossProbabilities:

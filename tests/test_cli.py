@@ -81,6 +81,13 @@ BAD_SETTINGS = [
     ("seed = 4294967297", "seed must lie in [0, 2^32), got 4294967297"),
     ("seed = -4294967295", "seed must lie in [0, 2^32), got -4294967295"),
     ("schemes = plt, no_coding, plt", "schemes lists 'plt' more than once"),
+    ("p_grid = 0.1, 0.2, 0.1", "p_grid lists 0.1 more than once"),
+    ("F = nan", "F entries must be finite, got nan"),
+    ("F = inf", "F entries must be finite, got inf"),
+    ("G = nan", "G entries must be finite, got nan"),
+    ("K_w = nan", "K_w entries must be finite, got nan"),
+    ("R = -inf", "R entries must be finite, got -inf"),
+    ("S = 1e400", "S entries must be finite, got inf"),
 ]
 
 
@@ -98,6 +105,13 @@ class TestRiccatiCommand:
         assert out[out.index("P") + 1] == "1.0"
         assert out[out.index("L") + 1] == "0.0"
         assert out[out.index("R_eq") + 1] == "0.0"
+
+    def test_non_finite_plant_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "plant.cfg", RICCATI_ZERO_F.replace("K_w = 1", "K_w = nan"))
+        assert main(["riccati", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: K_w entries must be finite, got nan\n"
 
 
 class TestSweepCommand:
@@ -226,17 +240,25 @@ class TestSimulateCommand:
             f"error: horizon must be at least 2n = 6, got {horizon}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed, scheme", [(1, "rtc_tc"), (1, "plt"), (2, "rtc_tc"),
-                                              (1, "rc_tc")])
-    def test_cost_matches_one_point_sweep(self, tmp_path, capsys, seed, scheme):
+    @pytest.mark.parametrize("seed, scheme, p_grid", [
+        pytest.param(1, "rtc_tc", "0.005", id="1-rtc_tc"),
+        pytest.param(1, "plt", "0.005", id="1-plt"),
+        pytest.param(2, "rtc_tc", "0.005", id="2-rtc_tc"),
+        pytest.param(1, "rc_tc", "0.005", id="1-rc_tc"),
+        # p is the second grid point, so its row seed is derived from index 1
+        pytest.param(1, "plt", "0.005, 0.01", id="1-plt-second_of_two_points"),
+    ])
+    def test_cost_matches_one_point_sweep(self, tmp_path, capsys, seed, scheme, p_grid):
         # the trace run and the sweep run the same loop on the same stream;
         # the sweep designs rc_tc from the rtc_tc it lists, the trace run alone
         schemes = "rtc_tc, rc_tc" if scheme == "rc_tc" else scheme
+        p = p_grid.split(",")[-1].strip()
         cfg = write(tmp_path, "one.cfg", f"""
 kind = lqg
 n = 6
 rate = 8
-p_grid = 0.005
+p_grid = {p_grid}
+p = {p}
 schemes = {schemes}
 scheme = {scheme}
 horizon = 20000
@@ -247,8 +269,9 @@ seed = {seed}
         assert main(["simulate", "--config", cfg, "--out", str(trace)]) == 0
         printed = capsys.readouterr().out.split(" cost=")[1].split()[0]
         assert main(["sweep", "--config", cfg, "--out", str(sweep)]) == 0
-        row = sweep.read_text().splitlines()[3].split(",")
-        assert row[0] == scheme
+        [row] = [fields for fields in (line.split(",")
+                                       for line in sweep.read_text().splitlines()[3:])
+                 if fields[0] == scheme and float(fields[1]) == float(p)]
         assert printed == row[4]
         costs = [float(line.split(",")[-1]) for line in trace.read_text().splitlines()[2:]]
         assert len(costs) == 20000

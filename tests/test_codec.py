@@ -4,19 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rctc.channel import ChannelModel, availability_from_delays, sample_availability
+from rctc.channel import ChannelModel, channel_moments, sample_availability_bits
 from rctc.codec import (CausalTransform, decode, decode_batch, encode, encode_batch,
-                        equivalent_channel, plt_design, quantizer_input_variances,
-                        transform_from_text, transform_to_text)
+                        plt_design, quantizer_input_variances, transform_from_text,
+                        transform_to_text)
+from rctc.design import unpack_parameters
 from rctc.quantizers import QuantizerBank
 from rctc.sources import ar1_covariance
 
 
 def random_transform(n, m, rng, kind="full", scale=0.5):
     if kind == "toeplitz":
-        enc = rng.normal(scale=scale, size=(n - 1, m))
-        dec = rng.normal(scale=scale, size=(n - 1, m))
-        return CausalTransform.toeplitz(enc, dec)
+        enc = rng.normal(scale=scale, size=(n - 1) * m)
+        dec = rng.normal(scale=scale, size=(n - 1) * m)
+        return unpack_parameters(enc, dec, "toeplitz", n, m)
     enc = np.zeros((n, n, m))
     dec = np.zeros((n, n, m))
     for j in range(1, n):
@@ -30,6 +31,12 @@ def full_bits(n):
     return np.tril(np.ones((n, n)))
 
 
+def equivalent_channel(t, bits):
+    """H = (Ahat o B) inv(A) of one 0/1 pattern B, as channel_moments gives it."""
+    _, Ahat = t.assemble()
+    return channel_moments(bits, t.block_dim)(Ahat, t.encoder_inverse())[0]
+
+
 class TestAssemble:
     def test_identity(self):
         t = CausalTransform.identity(4, 2)
@@ -38,7 +45,7 @@ class TestAssemble:
         assert np.array_equal(Ahat, np.eye(8))
 
     def test_toeplitz_row_placement(self):
-        t = CausalTransform.toeplitz([[0.9], [0.2]], [[0.9], [0.2]])
+        t = unpack_parameters([0.9, 0.2], [0.9, 0.2], "toeplitz", 3, 1)
         A, _ = t.assemble()
         assert_allclose(A[2], [0.2, 0.9, 1.0])
 
@@ -219,10 +226,10 @@ class TestDecode:
 
     def test_accepts_availability_matrix(self):
         cm = ChannelModel(100.0, 0.05, 0.0125, 3)
-        B = sample_availability(cm, 0)
+        bits = sample_availability_bits(cm, 1, 0)[0]
         t = CausalTransform.identity(3)
-        out = decode(np.ones(3), t, B)
-        assert np.array_equal(out, B.bits.diagonal().astype(float))
+        out = decode(np.ones(3), t, bits)
+        assert np.array_equal(out, bits.diagonal())
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -243,13 +250,13 @@ class TestEquivalentChannel:
         rng = np.random.default_rng(8)
         t = random_transform(4, 1, rng)
         t = CausalTransform.full(t.encoder_coeffs, t.encoder_coeffs)
-        H, _ = equivalent_channel(t, full_bits(4))
+        H = equivalent_channel(t, full_bits(4))
         assert_allclose(H, np.eye(4), atol=1e-12)
 
     def test_all_lost(self):
         rng = np.random.default_rng(9)
         t = random_transform(4, 1, rng)
-        H, _ = equivalent_channel(t, np.zeros((4, 4)))
+        H = equivalent_channel(t, np.zeros((4, 4)))
         assert_allclose(H, np.zeros((4, 4)))
 
     def test_elementwise_expansion_oracle(self):
@@ -257,15 +264,14 @@ class TestEquivalentChannel:
         rng = np.random.default_rng(10)
         t = random_transform(3, 1, rng)
         cm = ChannelModel(20.0, 0.05, 0.0125, 3)
-        B = availability_from_delays(cm, [0.01, 0.2, 0.04])
-        H, noise_map = equivalent_channel(t, B)
+        B = (np.array([0.01, 0.2, 0.04])[None, :] <= cm.thresholds()).astype(float)
+        H = equivalent_channel(t, B)
         oracle = np.zeros((3, 3))
         for k in range(3):
             basis = np.zeros(3)
             basis[k] = 1.0
             oracle[:, k] = decode(encode(basis, t).codevalues, t, B)
         assert_allclose(H, oracle, atol=1e-12)
-        assert np.array_equal(H, noise_map)
 
     def test_decode_encode_consistency_with_noise(self):
         rng = np.random.default_rng(11)
@@ -273,13 +279,13 @@ class TestEquivalentChannel:
         bank = QuantizerBank.modeled(np.full(4, 2.0), np.ones(4))
         cm = ChannelModel(20.0, 0.05, 0.0125, 4)
         for seed in range(5):
-            B = sample_availability(cm, seed)
+            B = sample_availability_bits(cm, 1, seed)[0]
             x = rng.normal(size=4)
             frame = encode(x, t, bank, rng=np.random.default_rng(seed))
             q = frame.codevalues - frame.quantizer_inputs
-            H, noise_map = equivalent_channel(t, B)
-            assert_allclose(decode(frame.codevalues, t, B), H @ x + noise_map @ q,
-                            atol=1e-10)
+            H = equivalent_channel(t, B)
+            # signal and quantization noise share one reconstruction path
+            assert_allclose(decode(frame.codevalues, t, B), H @ x + H @ q, atol=1e-10)
 
 
 class TestSerialization:
@@ -340,8 +346,7 @@ def transforms(draw):
         return CausalTransform.identity(n, m)
     if kind == "toeplitz":
         lags = st.lists(finite, min_size=(n - 1) * m, max_size=(n - 1) * m)
-        return CausalTransform.toeplitz(np.reshape(draw(lags), (n - 1, m)),
-                                        np.reshape(draw(lags), (n - 1, m)))
+        return unpack_parameters(draw(lags), draw(lags), "toeplitz", n, m)
     coeffs = []
     for _ in range(2):
         c = np.zeros((n, n, m))
@@ -369,9 +374,8 @@ def matched_transforms(draw):
     m = draw(st.sampled_from([1, 2]))
     coeff = st.floats(-1.0, 1.0, allow_nan=False)
     if draw(st.sampled_from(["full", "toeplitz"])) == "toeplitz":
-        lags = np.reshape(draw(st.lists(coeff, min_size=(n - 1) * m,
-                                        max_size=(n - 1) * m)), (n - 1, m))
-        return CausalTransform.toeplitz(lags, lags)
+        lags = draw(st.lists(coeff, min_size=(n - 1) * m, max_size=(n - 1) * m))
+        return unpack_parameters(lags, lags, "toeplitz", n, m)
     c = np.zeros((n, n, m))
     size = n * (n - 1) // 2 * m
     c[np.tril_indices(n, -1)] = np.reshape(

@@ -80,7 +80,7 @@ class TestParameterPacking:
         assert np.array_equal(back.decoder_coeffs, t.decoder_coeffs)
 
     def test_round_trip_toeplitz(self):
-        t = CausalTransform.toeplitz([[0.5], [0.2], [0.1]], [[0.4], [0.3], [0.0]])
+        t = unpack_parameters([0.5, 0.2, 0.1], [0.4, 0.3, 0.0], "toeplitz", 4, 1)
         params = pack_parameters(t, "toeplitz")
         assert params.size == 4 - 1
         back = unpack_parameters(params, [0.4, 0.3, 0.0], "toeplitz", 4, 1)

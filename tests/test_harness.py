@@ -8,7 +8,7 @@ import pytest
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.harness import (_CONFIG_KEYS, ConfigError, ExperimentConfig, _bank_for,
                           _lqg_context, derive_seed, design_schemes, rows_to_csv,
-                          run_lqg_experiment, run_source_experiment)
+                          run_experiment)
 from rctc.lqg import simulate_closed_loop
 from sim_reference import reference_loop
 
@@ -116,7 +116,7 @@ class TestDeriveSeed:
 class TestSourceExperiment:
     def test_rows_and_determinism(self):
         config = ExperimentConfig.from_text(SOURCE_CFG)
-        rows = run_source_experiment(config)
+        rows = run_experiment(config)
         assert len(rows) == 3
         assert [r.scheme for r in rows] == sorted(r.scheme for r in rows)
         for row in rows:
@@ -124,12 +124,8 @@ class TestSourceExperiment:
             assert row.stderr >= 0
             assert row.mode == "montecarlo/modeled"
             assert row.N == 3 and row.r == 4.0
-        again = run_source_experiment(ExperimentConfig.from_text(SOURCE_CFG))
+        again = run_experiment(ExperimentConfig.from_text(SOURCE_CFG))
         assert rows_to_csv(rows, config) == rows_to_csv(again, config)
-
-    def test_kind_guard(self):
-        with pytest.raises(ConfigError):
-            run_source_experiment(ExperimentConfig.from_text("kind = lqg"))
 
     def test_lossless_point_matches_noise_floor(self):
         cfg = """
@@ -143,12 +139,12 @@ seed = 4
 """
         # essentially lossless: simulated AM-MSE sits at the quantization floor
         config = ExperimentConfig.from_text(cfg)
-        row = run_source_experiment(config)[0]
+        row = run_experiment(config)[0]
         assert row.simulated == pytest.approx(row.analytic, abs=4 * row.stderr)
 
     def test_realized_quantizer_mode(self):
         cfg = SOURCE_CFG + "quantizer_mode = realized\n"
-        rows = run_source_experiment(ExperimentConfig.from_text(cfg))
+        rows = run_experiment(ExperimentConfig.from_text(cfg))
         for row in rows:
             assert row.mode.endswith("/realized")
             assert abs(row.simulated - row.analytic) < 6 * row.stderr
@@ -157,7 +153,7 @@ seed = 4
 class TestLqgExperiment:
     def test_rows(self):
         config = ExperimentConfig.from_text(LQG_CFG)
-        rows = run_lqg_experiment(config)
+        rows = run_experiment(config)
         assert len(rows) == 2
         base = np.trace(np.atleast_2d(config.K_w))
         for row in rows:
@@ -175,12 +171,8 @@ horizon = 5000
 divergence_bound = 1000
 seed = 2
 """
-        rows = run_lqg_experiment(ExperimentConfig.from_text(cfg))
+        rows = run_experiment(ExperimentConfig.from_text(cfg))
         assert rows[0].simulated == "diverged"
-
-    def test_kind_guard(self):
-        with pytest.raises(ConfigError):
-            run_lqg_experiment(ExperimentConfig.from_text("kind = source"))
 
     @pytest.mark.parametrize("plant", ["F = 0.9, 0.1; 0, 0.8\nG = 1; 1\nK_w = 1, 0; 0, 1\n"
                                        "R = 1, 0; 0, 1",
@@ -189,15 +181,15 @@ seed = 2
     def test_vector_plant_rejected(self, plant):
         config = ExperimentConfig.from_text(LQG_CFG + plant)
         with pytest.raises(ConfigError, match="F and G must be scalar"):
-            run_lqg_experiment(config)
+            run_experiment(config)
 
     def test_stderr_shrinks_with_horizon(self):
         base = ExperimentConfig.from_text(LQG_CFG.replace("horizon = 4000",
                                                           "horizon = 80000"))
         double = ExperimentConfig.from_text(LQG_CFG.replace("horizon = 4000",
                                                             "horizon = 160000"))
-        row1 = run_lqg_experiment(base)[0]
-        row2 = run_lqg_experiment(double)[0]
+        row1 = run_experiment(base)[0]
+        row2 = run_experiment(double)[0]
         ratio = row2.stderr / row1.stderr
         assert ratio == pytest.approx(1 / np.sqrt(2), rel=0.25)
 
@@ -216,7 +208,7 @@ seed = 2
         monkeypatch.setattr(harness, "design_code", explode)
         config = ExperimentConfig.from_text(LQG_CFG.replace("schemes = no_coding, rtc_tc",
                                                             "schemes = no_coding, rtc_tc, rc_tc"))
-        rows = run_lqg_experiment(config)
+        rows = run_experiment(config)
         failed = [r for r in rows if r.scheme == "rtc_tc"]
         assert failed[0].simulated == "design_failed"
         assert np.isnan(failed[0].analytic)
@@ -235,7 +227,7 @@ seed = 2
             config = ExperimentConfig.from_text(
                 SOURCE_CFG.replace("n = 3", "n = 6").replace("seed = 9", "seed = 1234")
                 .replace("schemes = no_coding, plt, rtc_tc", f"schemes = {schemes}"))
-            rows |= {row.to_csv() for row in run_source_experiment(config)
+            rows |= {row.to_csv() for row in run_experiment(config)
                      if row.scheme == "rc_tc"}
         assert len(rows) == 1, rows
 
@@ -261,7 +253,7 @@ schemes = plt, rtc_tc
 horizon = 1000000
 seed = {seed}
 """)
-            for row in run_lqg_experiment(config):
+            for row in run_experiment(config):
                 rows.setdefault(row.scheme, []).append(row)
         for scheme, runs in rows.items():
             assert len({row.analytic for row in runs}) == 1, scheme
@@ -302,7 +294,7 @@ seed = {seed}
 class TestCsv:
     def test_schema(self):
         config = ExperimentConfig.from_text(SOURCE_CFG)
-        rows = run_source_experiment(config)
+        rows = run_experiment(config)
         text = rows_to_csv(rows, config)
         lines = text.splitlines()
         assert lines[0] == "# rctc sweep csv v1"
