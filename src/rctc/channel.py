@@ -108,39 +108,37 @@ class AvailabilityStats:
         return np.einsum("s,sij->ij", self.weights, self.realizations)
 
 
-def channel_moments(marginals: np.ndarray, block_dim: int = 1,
-                    M: np.ndarray | None = None):
+def channel_moments(marginals: np.ndarray, M: np.ndarray | None = None):
     """The exact channel expectations of H = (Ahat o B) inv(A) that every caller reads.
 
     `marginals` is the N x N availability matrix P = E[B]; a 0/1 pattern is a
     valid degenerate P.  Returns moments(Ahat, Ainv) -> (E[H], W) with
     E[H] = (Ahat o P) inv(A) and W = E[H' M H] (M = None is the identity).
-    M must be block-diagonal over frame elements, so only bits of one row pair
-    up, and those come from different indices with independent delays.  With
-    C = Ahat o P, E[(Ahat o B)' M (Ahat o B)] is then C' M C plus, on the
-    diagonal block of column element a, sum_i (P_ia - P_ia^2) Ahat_ia' M_ii Ahat_ia.
+    M must be diagonal, so only bits of one row pair up, and those come from
+    different indices with independent delays.  With C = Ahat o P,
+    E[(Ahat o B)' M (Ahat o B)] is then C' M C plus, on the diagonal entry of
+    column a, sum_i (P_ia - P_ia^2) Ahat_ia^2 M_ii.
     """
     P = np.asarray(marginals, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"availability marginals must be a square matrix, got shape {P.shape}")
     if not np.all((P >= 0.0) & (P <= 1.0)) or np.any(np.triu(P, k=1)):
         raise ValueError("availability marginals must lie in [0, 1] and be 0 above the diagonal")
-    n, m = P.shape[0], block_dim
-    M = np.eye(n * m) if M is None else np.asarray(M, dtype=float)
-    same_element = np.kron(np.eye(n), np.ones((m, m)))
-    if M.shape != (n * m, n * m):
-        raise ValueError(f"M must be {n * m}x{n * m}")
-    if np.any(M[same_element == 0.0]):
-        raise ValueError(f"M must be block-diagonal over frame elements (blocks {m}x{m})")
-    P_expanded = np.kron(P, np.ones((m, m)))
-    variances = P_expanded - P_expanded * P_expanded
+    n = P.shape[0]
+    eye = np.eye(n)
+    M = eye if M is None else np.asarray(M, dtype=float)
+    if M.shape != (n, n):
+        raise ValueError(f"M must be {n}x{n}")
+    if np.any(M[eye == 0.0]):
+        raise ValueError("M must be diagonal")
+    variances = P - P * P
 
     def moments(Ahat: np.ndarray, Ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # M block-diagonal: M (Ahat o P) = (M Ahat) o P, and the variance term
-        # keeps only the diagonal blocks of (Ahat o (P - P^2))' M Ahat
-        C = Ahat * P_expanded
+        # M diagonal: M (Ahat o P) = (M Ahat) o P, and the variance term keeps
+        # only the diagonal of (Ahat o (P - P^2))' M Ahat
+        C = Ahat * P
         MA = M @ Ahat
-        E = C.T @ (MA * P_expanded) + same_element * ((Ahat * variances).T @ MA)
+        E = C.T @ (MA * P) + eye * ((Ahat * variances).T @ MA)
         return C @ Ainv, Ainv.T @ E @ Ainv
 
     return moments

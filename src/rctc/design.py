@@ -121,8 +121,8 @@ def hooke_jeeves(objective, x0, config: SearchConfig | None = None) -> HookeJeev
 class DesignProblem:
     """Inputs of one transform design run.
 
-    weight is the mN x mN error weighting (None means identity, i.e. plain
-    AM-MSE); marginals is the N x N availability matrix P = E[B] the channel
+    weight is the N x N diagonal error weighting (None means identity, i.e.
+    plain AM-MSE); marginals is the N x N availability matrix P = E[B] the channel
     expectations are computed from.
     """
 
@@ -131,7 +131,6 @@ class DesignProblem:
     weight: np.ndarray | None
     average_rate: float
     frame_length: int
-    block_dim: int
     structure: str
     noise_constant: float = 1.0
     min_rate: float = 0.0
@@ -140,23 +139,23 @@ class DesignProblem:
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
         K_x = np.asarray(self.K_x, dtype=float)
-        dim = self.frame_length * self.block_dim
-        if K_x.shape != (dim, dim):
-            raise ValueError(f"K_x must be {dim}x{dim}")
-        if np.shape(self.marginals) != (self.frame_length, self.frame_length):
+        n = self.frame_length
+        if K_x.shape != (n, n):
+            raise ValueError(f"K_x must be {n}x{n}")
+        if np.shape(self.marginals) != (n, n):
             raise ValueError("availability marginals do not match the frame length")
-        if self.weight is not None and np.asarray(self.weight).shape != (dim, dim):
-            raise ValueError(f"weight must be {dim}x{dim}")
+        if self.weight is not None and np.asarray(self.weight).shape != (n, n):
+            raise ValueError(f"weight must be {n}x{n}")
         object.__setattr__(self, "K_x", K_x)
 
     @property
     def parameter_count(self) -> int:
         """Number of free encoder parameters the design search runs over."""
-        n, m = self.frame_length, self.block_dim
+        n = self.frame_length
         if self.structure == "full":
-            return m * (n * n - n) // 2
+            return (n * n - n) // 2
         if self.structure == "toeplitz":
-            return m * (n - 1)
+            return n - 1
         return 0
 
 
@@ -172,8 +171,8 @@ class DesignResult:
     input_variances: np.ndarray = field(repr=False, default=None)
 
 
-def _parameter_map(structure: str, frame_length: int, block_dim: int):
-    """(block row j, block column i, slot k, parameter index) of each free entry.
+def _parameter_map(structure: str, frame_length: int):
+    """(row, column, parameter index) of each free entry.
 
     Parameters are ordered lag band by lag band for "toeplitz" (every entry of
     a band shares one parameter) and row by row for "full".  Encoder and
@@ -181,11 +180,8 @@ def _parameter_map(structure: str, frame_length: int, block_dim: int):
     """
     if structure not in ("full", "toeplitz"):
         raise ValueError(f"structure {structure!r} has no free parameters")
-    m = block_dim
     rows, cols = np.tril_indices(frame_length, -1)
-    block = np.arange(rows.size) if structure == "full" else rows - cols - 1
-    k = np.tile(np.arange(m), rows.size)
-    return np.repeat(rows, m), np.repeat(cols, m), k, np.repeat(block, m) * m + k
+    return rows, cols, np.arange(rows.size) if structure == "full" else rows - cols - 1
 
 
 def pack_parameters(transform: CausalTransform, structure: str) -> np.ndarray:
@@ -194,20 +190,20 @@ def pack_parameters(transform: CausalTransform, structure: str) -> np.ndarray:
     For the toeplitz structure a non-toeplitz transform is projected by
     averaging each lag band, which leaves toeplitz transforms unchanged.
     """
-    j, i, k, src = _parameter_map(structure, transform.frame_length, transform.block_dim)
-    return (np.bincount(src, weights=transform.encoder_coeffs[j, i, k])
+    rows, cols, src = _parameter_map(structure, transform.frame_length)
+    return (np.bincount(src, weights=transform.encoder_coeffs[rows, cols])
             / np.bincount(src))
 
 
 def unpack_parameters(encoder_params: np.ndarray, decoder_params: np.ndarray,
-                      structure: str, frame_length: int, block_dim: int) -> CausalTransform:
+                      structure: str, frame_length: int) -> CausalTransform:
     """The transform whose encoder and decoder have the given free parameters."""
-    n, m = frame_length, block_dim
-    j, i, k, src = _parameter_map(structure, n, m)
-    coeffs = np.zeros((2, n, n, m))
-    coeffs[0, j, i, k] = np.asarray(encoder_params, dtype=float)[src]
-    coeffs[1, j, i, k] = np.asarray(decoder_params, dtype=float)[src]
-    return CausalTransform(structure, n, m, coeffs[0], coeffs[1])
+    n = frame_length
+    rows, cols, src = _parameter_map(structure, n)
+    coeffs = np.zeros((2, n, n))
+    coeffs[0, rows, cols] = np.asarray(encoder_params, dtype=float)[src]
+    coeffs[1, rows, cols] = np.asarray(decoder_params, dtype=float)[src]
+    return CausalTransform(structure, n, coeffs[0], coeffs[1])
 
 
 def effective_variances(transform: CausalTransform, marginals: np.ndarray,
@@ -216,32 +212,24 @@ def effective_variances(transform: CausalTransform, marginals: np.ndarray,
 
     The weighted noise energy tr(W K_q) with W = E_B[H' M H] converts to an
     unweighted problem through W = Z'Z with Z lower triangular; the variance
-    charged to quantizer i is then the determinant (to the 1/m) of
-    Z_ii Cov(d_i) Z_ii', the freshly coded part of the equivalent-domain
-    input.  For block_dim 1 this is Z_ii^2 Var(d_i), and on a lossless
-    channel with M = I it reduces to the plain prediction error variances.
+    charged to quantizer i is then Z_ii^2 Var(d_i), the freshly coded part of
+    the equivalent-domain input.  On a lossless channel with M = I it reduces
+    to the plain prediction error variances.
     """
-    n, m = transform.frame_length, transform.block_dim
-    dim = transform.dim
+    n = transform.frame_length
     K_x = np.asarray(K_x, dtype=float)
     _, Ahat = transform.assemble()
     Ainv = transform.encoder_inverse()
-    _, W = channel_moments(marginals, m, M)(Ahat, Ainv)
+    _, W = channel_moments(marginals, M)(Ahat, Ainv)
     W = 0.5 * (W + W.T)
     # rows of B can be all zero, leaving W merely semi-definite
-    floor = 1e-12 * float(np.trace(W)) / dim
+    floor = 1e-12 * float(np.trace(W)) / n
     if float(np.linalg.eigvalsh(W)[0]) < floor:
-        W = W + floor * np.eye(dim)
-    Z = reverse_cholesky(W)
-    K_d = Ainv @ K_x @ Ainv.T
-    out = np.empty(n)
-    for i in range(n):
-        sl = slice(i * m, (i + 1) * m)
-        C = Z[sl, sl] @ K_d[sl, sl] @ Z[sl, sl].T
-        det = float(np.linalg.det(C)) if m > 1 else float(C[0, 0])
-        if det <= 0.0:
-            raise ValueError(f"effective variance for quantizer {i} is not positive")
-        out[i] = det ** (1.0 / m)
+        W = W + floor * np.eye(n)
+    z = np.diag(reverse_cholesky(W))
+    out = z * np.diag(Ainv @ K_x @ Ainv.T) * z
+    if np.any(out <= 0.0):
+        raise ValueError(f"effective variance for quantizer {np.argmax(out <= 0)} is not positive")
     return out
 
 
@@ -257,36 +245,33 @@ def _reduced_objective(problem: DesignProblem):
 
     params are the free encoder parameters; K_q is the uniform-rate noise of
     that encoder A.  For a fixed A the objective is quadratic in the decoder
-    Ahat and couples only decoder entries of one block row (M is
-    block-diagonal over frame elements).  With S = inv(A)(K_x + K_q)inv(A)',
-    Y = inv(A) K_x and p_u = P[j_u, i_u] for the entry u at block row j_u,
-    block column i_u and slot k_u, the optimal decoder solves G a = h over
-    the free entries:
-    G_uv = (p_u p_v + [i_u = i_v](p_u - p_u^2)) M[r_u, r_v] S[c_u, c_v] and
-    h_u = p_u ((Y M)[c_u, r_u] - P[j_u, j_u] (S M)[c_u, r_u]), with matrix
-    row r_u = j_u m + k_u and column c_u = i_u m + k_u.  A toeplitz decoder
-    sums the equations of each lag band.  By the envelope theorem the
+    Ahat and couples only decoder entries of one row (M is diagonal).  With
+    S = inv(A)(K_x + K_q)inv(A)', Y = inv(A) K_x and p_u = P[r_u, c_u] for
+    the entry u at row r_u and column c_u, the optimal decoder solves G a = h
+    over the free entries:
+    G_uv = (p_u p_v + [c_u = c_v](p_u - p_u^2)) M[r_u, r_v] S[c_u, c_v] and
+    h_u = p_u ((Y M)[c_u, r_u] - P[r_u, r_u] (S M)[c_u, r_u]).  A toeplitz
+    decoder sums the equations of each lag band.  By the envelope theorem the
     gradient of J is the partial gradient in A at the optimal decoder,
-    -(2/nm) ((W K - E[H]' M K_x) inv(A)' + s inv(A)' diag(W) inv(A) K_x inv(A)')
+    -(2/N) ((W K - E[H]' M K_x) inv(A)' + s inv(A)' diag(W) inv(A) K_x inv(A)')
     with K = K_x + K_q and s = c 2^(-2r), read at the free entries and summed
     per parameter.
     """
-    n, m = problem.frame_length, problem.block_dim
+    n = problem.frame_length
     K_x = problem.K_x
-    M = np.eye(n * m) if problem.weight is None else np.asarray(problem.weight, dtype=float)
+    M = np.eye(n) if problem.weight is None else np.asarray(problem.weight, dtype=float)
     MK_x = M @ K_x
-    moments = channel_moments(problem.marginals, m, problem.weight)
+    moments = channel_moments(problem.marginals, problem.weight)
     P = np.asarray(problem.marginals, dtype=float)
-    j, i, k, src = _parameter_map(problem.structure, n, m)
-    rows, cols = j * m + k, i * m + k
+    rows, cols, src = _parameter_map(problem.structure, n)
     bands = np.eye(problem.parameter_count)[src]
-    p, p_own = P[j, i], P[j, j]
-    coupling = ((np.outer(p, p) + (i[:, None] == i[None, :]) * (p - p * p)[:, None])
+    p, p_own = P[rows, cols], P[rows, rows]
+    coupling = ((np.outer(p, p) + (cols[:, None] == cols[None, :]) * (p - p * p)[:, None])
                 * M[np.ix_(rows, rows)])
     noise_scale = problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
 
     def evaluate(params: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        A = np.eye(n * m)
+        A = np.eye(n)
         A[rows, cols] = params[src]
         Ainv = np.linalg.inv(A)
         Y = Ainv @ K_x
@@ -296,7 +281,7 @@ def _reduced_objective(problem: DesignProblem):
         G = coupling * S[np.ix_(cols, cols)]
         h = p * ((Y @ M)[cols, rows] - p_own * (S @ M)[cols, rows])
         decoder = np.linalg.solve(bands.T @ G @ bands, bands.T @ h)
-        Ahat = np.eye(n * m)
+        Ahat = np.eye(n)
         Ahat[rows, cols] = decoder[src]
         mean_H, W = moments(Ahat, Ainv)
         signal, noise = frame_error_terms(mean_H, W, K_x, K_q, problem.weight)
@@ -304,7 +289,7 @@ def _reduced_objective(problem: DesignProblem):
                 + noise_scale * Ainv.T @ (np.diag(W)[:, None] * K_d))
         gradient = np.bincount(src, weights=grad[rows, cols],
                                minlength=problem.parameter_count)
-        return (signal + noise) / (n * m), (-2.0 / (n * m)) * gradient, decoder
+        return (signal + noise) / n, (-2.0 / n) * gradient, decoder
 
     return evaluate
 
@@ -344,7 +329,7 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
     """
     if max_evaluations < 1:
         raise ValueError("max_evaluations must be positive")
-    n, m = problem.frame_length, problem.block_dim
+    n = problem.frame_length
     r = problem.average_rate
     M = problem.weight
 
@@ -354,15 +339,15 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
 
     if problem.structure in ("plt", "identity"):
         if problem.structure == "plt":
-            transform, sigma_d = plt_design(problem.K_x, m)
-            sigma_hat = np.prod(sigma_d.reshape(n, m), axis=1) ** (1.0 / m)
+            transform, sigma_d = plt_design(problem.K_x)
+            sigma_hat = sigma_d
         else:
-            transform, sigma_d = CausalTransform.identity(n, m), np.diag(problem.K_x).copy()
+            transform, sigma_d = CausalTransform.identity(n), np.diag(problem.K_x).copy()
             sigma_hat = np.ones(n)
         evaluations, history, exhausted = 0, [am_wmse_at(np.full(n, r))], False
     else:
         objective = design_objective(problem)
-        starts = [pack_parameters(plt_design(problem.K_x, m)[0], problem.structure)]
+        starts = [pack_parameters(plt_design(problem.K_x)[0], problem.structure)]
         if initial_points:
             starts.extend(np.asarray(p, dtype=float) for p in initial_points)
         values = [objective(p)[0] for p in starts]
@@ -389,7 +374,7 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
         except _BudgetSpent:
             exhausted = True
         decoder = optimal_decoder(problem, best_x)
-        transform = unpack_parameters(best_x, decoder, problem.structure, n, m)
+        transform = unpack_parameters(best_x, decoder, problem.structure, n)
         evaluations = spent + len(starts)
         sigma_d = quantizer_input_variances(transform, problem.K_x)
         sigma_hat = effective_variances(transform, problem.marginals, problem.K_x, M)
@@ -432,23 +417,33 @@ def load_design(path) -> tuple[DesignResult, str]:
         if line.startswith("#") or not line.strip():
             continue
         key, _, value = line.partition(" ")
+        if key in meta:
+            raise ValueError(f"design file {path} repeats the {key!r} field")
         meta[key] = value.strip()
 
-    def get(key: str) -> str:
+    def parse(key: str, convert=float):
         if key not in meta:
             raise ValueError(f"design file {path} has no {key!r} field")
-        return meta[key]
+        try:
+            return convert(meta[key])
+        except ValueError:
+            raise ValueError(f"design file {path}: field {key!r} has the malformed "
+                             f"value {meta[key]!r}") from None
 
     def vec(key: str) -> np.ndarray:
-        return np.asarray([float(v) for v in get(key).split()])
+        values = parse(key, lambda text: np.asarray([float(v) for v in text.split()]))
+        if values.size != transform.frame_length:
+            raise ValueError(f"design file {path}: field {key!r} has {values.size} values "
+                             f"for a transform of frame_length {transform.frame_length}")
+        return values
 
     transform = transform_from_text("# causal transform v1" + tail)
-    rates = RateAllocation(vec("rates"), vec("effective_variances"),
-                           float(get("average_rate")), clamped=bool(int(get("clamped"))))
-    lqg = get("predicted_lqg_cost")
+    rates = RateAllocation(vec("rates"), vec("effective_variances"), parse("average_rate"),
+                           clamped=bool(parse("clamped", int)))
     result = DesignResult(
-        transform, rates, float(get("predicted_am_wmse")),
-        None if lqg == "None" else float(lqg), int(get("evaluations")), [],
-        bool(int(get("budget_exhausted"))), input_variances=vec("input_variances"),
+        transform, rates, parse("predicted_am_wmse"),
+        parse("predicted_lqg_cost", lambda text: None if text == "None" else float(text)),
+        parse("evaluations", int), [], bool(parse("budget_exhausted", int)),
+        input_variances=vec("input_variances"),
     )
     return result, meta.get("scheme", "")

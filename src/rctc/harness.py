@@ -320,7 +320,7 @@ def design_schemes(config: ExperimentConfig, marginals: np.ndarray, schemes,
     for scheme in (s for s in SCHEMES if s in schemes or (s == "rtc_tc" and "rc_tc" in schemes)):
         warm = designs.get("rtc_tc") if scheme == "rc_tc" else None
         starts = [pack_parameters(warm.transform, "full")] if isinstance(warm, DesignResult) else None
-        problem = DesignProblem(K_x, marginals, M, config.rate, config.n, 1,
+        problem = DesignProblem(K_x, marginals, M, config.rate, config.n,
                                 SCHEME_STRUCTURES[scheme], config.noise_constant,
                                 config.min_rate)
         try:

@@ -183,40 +183,39 @@ def expected_error_terms(transform: CausalTransform, marginals: np.ndarray,
     noise  = tr(E_B[H_eq' M H_eq] K_q), with H_eq = (Ahat o B) inv(A) and the
     exact expectation taken over B from its N x N availability marginals.
     """
-    n = transform.dim
+    n = transform.frame_length
     K_x = np.asarray(K_x, dtype=float)
     K_q = np.asarray(K_q, dtype=float)
     if K_x.shape != (n, n) or K_q.shape != (n, n):
         raise ValueError(f"K_x and K_q must be {n}x{n}")
-    if np.shape(marginals) != (transform.frame_length, transform.frame_length):
+    if np.shape(marginals) != (n, n):
         raise ValueError("availability marginals do not match the transform frame length")
     _, Ahat = transform.assemble()
-    moments = channel_moments(marginals, transform.block_dim, M)
-    mean_H, W = moments(Ahat, transform.encoder_inverse())
+    mean_H, W = channel_moments(marginals, M)(Ahat, transform.encoder_inverse())
     return frame_error_terms(mean_H, W, K_x, K_q, M)
 
 
 def am_wmse(transform: CausalTransform, marginals: np.ndarray, K_x: np.ndarray,
             K_q: np.ndarray, M: np.ndarray | None = None) -> float:
-    """Arithmetic mean (over the mN frame slots) of the weighted MSE x - xhat."""
+    """Arithmetic mean (over the N frame slots) of the weighted MSE x - xhat."""
     signal, noise = expected_error_terms(transform, marginals, K_x, K_q, M)
-    return (signal + noise) / transform.dim
+    return (signal + noise) / transform.frame_length
 
 
 def analytic_lqg_cost(solution: ControllerSolution, plant: PlantModel,
                       marginals: np.ndarray, transform: CausalTransform,
                       K_x: np.ndarray, K_q: np.ndarray) -> float:
-    """Stationary per-step LQG cost of the coded loop under fine quantization.
+    """Stationary per-step LQG cost of the coded loop of a scalar plant under fine quantization.
 
     tr(P K_w) plus the frame error terms weighted by R_eq, averaged over the
     frame's N sample periods; written via am_wmse so the cost/WMSE
     decomposition is exact by construction.
     """
-    if transform.block_dim != plant.state_dim:
-        raise ValueError("transform block dimension must equal the state dimension")
+    if plant.state_dim != 1:
+        raise ValueError("the analytic LQG cost is wired for scalar plants")
     M = solution.weight_block(transform.frame_length)
     base = float(np.trace(solution.P @ plant.K_w))
-    return base + plant.state_dim * am_wmse(transform, marginals, K_x, K_q, M)
+    return base + am_wmse(transform, marginals, K_x, K_q, M)
 
 
 @dataclass
@@ -313,12 +312,11 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     the run stops and reports a partial result instead of raising.
     """
     n = transform.frame_length
-    if transform.block_dim != 1 or plant.state_dim != 1 or plant.input_dim != 1:
-        raise ValueError("closed-loop simulation needs a scalar plant (one state, "
-                         "one input) and a transform of block dim 1")
+    if plant.state_dim != 1 or plant.input_dim != 1:
+        raise ValueError("closed-loop simulation needs a scalar plant (one state, one input)")
     if channel_model.frame_length != n:
         raise ValueError("channel frame length does not match the transform")
-    if bank is not None and (bank.count != n or bank.block_dim != 1):
+    if bank is not None and bank.count != n:
         raise ValueError("bank layout does not match the transform")
     if horizon < n:
         raise ValueError("horizon must cover at least one frame")
@@ -330,8 +328,8 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     r_w = float(weights.R[0, 0])
     s_w = float(weights.S[0, 0])
     sqrt_kw = math.sqrt(float(plant.K_w[0, 0]))
-    neg_enc = -transform.encoder_coeffs  # (n, n, 1): broadcasts over replicas
-    dec = transform.decoder_coeffs + np.eye(n)[:, :, None]
+    neg_enc = -transform.encoder_coeffs[:, :, None]  # (n, n, 1): broadcasts over replicas
+    dec = transform.assemble()[1][:, :, None]
     thresholds = channel_model.thresholds()[:, :, None]
     sigma_q = codebooks = None
     if bank is not None and bank.codebooks is not None:

@@ -135,10 +135,9 @@ class ScalarCodebook:
 class QuantizerBank:
     """N quantizers, one per transform frame element.
 
-    `rates` holds the (possibly fractional) allocated rate of each quantizer.
-    `input_variances` holds the design variance of every scalar quantizer
-    input, flattened element-major, so its length is N * block_dim.  In
-    modeled mode the noise variance of a scalar slot is
+    `rates` holds the (possibly fractional) allocated rate of each quantizer
+    and `input_variances` the design variance of its input.  In modeled mode
+    the noise variance of a quantizer is
     noise_constant * 2^(-2 rate) * input_variance; with codebooks present the
     exact Lloyd-Max design distortion is used instead.
     """
@@ -156,24 +155,20 @@ class QuantizerBank:
         for i, rate in enumerate(rates):
             if not math.isfinite(rate):
                 raise ValueError(f"quantizer {i} has rate {rate:g}: a rate must be finite")
-        if var.ndim != 1 or var.size % rates.size != 0:
-            raise ValueError("input_variances length must be a multiple of the quantizer count")
+        if var.shape != rates.shape:
+            raise ValueError(f"input_variances has {var.size} entries for {rates.size} quantizers")
         if np.any(var <= 0.0):
             raise ValueError("input variances must be positive")
         if self.noise_constant <= 0.0:
             raise ValueError("noise_constant must be positive")
-        if self.codebooks is not None and len(self.codebooks) != var.size:
-            raise ValueError("one codebook per scalar slot is required")
+        if self.codebooks is not None and len(self.codebooks) != rates.size:
+            raise ValueError("one codebook per quantizer is required")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "input_variances", var)
 
     @property
     def count(self) -> int:
         return self.rates.size
-
-    @property
-    def block_dim(self) -> int:
-        return self.input_variances.size // self.rates.size
 
     @property
     def average_rate(self) -> float:
@@ -184,8 +179,7 @@ class QuantizerBank:
         """Integer rates actually realized by the codebooks (modeled mode: copy)."""
         if self.codebooks is None:
             return self.rates.copy()
-        m = self.block_dim
-        return np.asarray([self.codebooks[i * m].rate for i in range(self.count)])
+        return np.asarray([book.rate for book in self.codebooks])
 
     @property
     def rate_discrepancy(self) -> float:
@@ -194,11 +188,10 @@ class QuantizerBank:
 
     @property
     def noise_variances(self) -> np.ndarray:
-        """Per scalar slot noise variance, length N * block_dim."""
+        """Noise variance of each quantizer."""
         if self.codebooks is not None:
             return np.asarray([cb.mse for cb in self.codebooks])
-        per_slot_rates = np.repeat(self.rates, self.block_dim)
-        return self.noise_constant * np.exp2(-2.0 * per_slot_rates) * self.input_variances
+        return self.noise_constant * np.exp2(-2.0 * self.rates) * self.input_variances
 
     @classmethod
     def modeled(cls, rates, input_variances, noise_constant: float = 1.0) -> QuantizerBank:
@@ -211,18 +204,15 @@ class QuantizerBank:
         rates = np.asarray(rates, dtype=float)
         var = np.asarray(input_variances, dtype=float)
         bank = cls(rates, var, noise_constant)
-        # checked for every slot before any codebook is trained
+        # checked for every quantizer before any codebook is trained
         level_bits = [max(0, int(round(rate))) for rate in bank.rates]
         for i, bits in enumerate(level_bits):
             if bits > math.log2(MAX_LEVELS):
                 raise ValueError(f"quantizer {i} has rate {bank.rates[i]:g}: 2^{bits} "
                                  f"levels exceed the cap of {MAX_LEVELS}")
-        books = []
-        for i, bits in enumerate(level_bits):
-            unit = _unit_codebook(2 ** bits)
-            for k in range(bank.block_dim):
-                books.append(unit.scaled(math.sqrt(var[i * bank.block_dim + k])))
-        return cls(rates, var, noise_constant, tuple(books))
+        books = tuple(_unit_codebook(2 ** bits).scaled(math.sqrt(v))
+                      for bits, v in zip(level_bits, bank.input_variances))
+        return cls(rates, var, noise_constant, books)
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,6 +245,12 @@ class RateAllocation:
         var = np.asarray(self.effective_variances, dtype=float)
         if rates.shape != var.shape or rates.ndim != 1:
             raise ValueError("rates and effective_variances must be equal-length vectors")
+        if not math.isfinite(self.average):
+            raise ValueError(f"average rate {self.average:g} is not finite")
+        for i, (rate, v) in enumerate(zip(rates, var)):
+            if not (math.isfinite(rate) and math.isfinite(v) and v > 0.0):
+                raise ValueError(f"quantizer {i} has rate {rate:g} and effective variance "
+                                 f"{v:g}: both must be finite and the variance positive")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "effective_variances", var)
         if abs(float(np.mean(rates)) - self.average) > 1e-12 * max(1.0, abs(self.average)):

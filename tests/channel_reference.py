@@ -8,11 +8,9 @@ closed form of `rctc.channel.channel_moments` is checked against.
 import numpy as np
 
 
-def stack_moments(stats, block_dim: int = 1, M: np.ndarray | None = None):
+def stack_moments(stats, M: np.ndarray | None = None):
     """moments(Ahat, Ainv) -> (E[H], E[H' M H]) as weighted sums over stats.realizations."""
     real = stats.realizations
-    if block_dim > 1:
-        real = np.repeat(np.repeat(real, block_dim, axis=1), block_dim, axis=2)
     dim = real.shape[1]
     mean_bits = np.einsum("s,sij->ij", stats.weights, real)
     # layout (row i, realization s, column k), each realization scaled by

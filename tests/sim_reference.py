@@ -43,9 +43,8 @@ def reference_loop(plant, weights, solution, transform, bank, channel_model, hor
     k_w = float(plant.K_w[0, 0])
     sqrt_kw = math.sqrt(k_w)
     a = f + g * l
-    enc_rows = [[float(transform.encoder_coeffs[i, j, 0]) for j in range(i)]
-                for i in range(n)]
-    dec_rows = [[float(transform.decoder_coeffs[i, j, 0]) for j in range(i)] + [1.0]
+    enc_rows = [[float(transform.encoder_coeffs[i, j]) for j in range(i)] for i in range(n)]
+    dec_rows = [[float(transform.decoder_coeffs[i, j]) for j in range(i)] + [1.0]
                 for i in range(n)]
     thr_rows = [[channel_model.deadline + (i - j) * channel_model.sample_period
                  for j in range(i + 1)] for i in range(n)]

@@ -86,14 +86,10 @@ def test_criterion_3_codec_round_trip():
     worst = 0.0
     while total < 10_000:
         n = int(rng.integers(2, 9))
-        m = int(rng.integers(1, 3))
-        coeffs = np.zeros((n, n, m))
-        for j in range(1, n):
-            for i in range(j):
-                coeffs[j, i] = rng.normal(scale=0.6, size=m)
-        t = CausalTransform.full(coeffs, coeffs.copy())  # decoder = encoder
+        coeffs = np.tril(rng.normal(scale=0.6, size=(n, n)), -1)
+        t = CausalTransform("full", n, coeffs, coeffs.copy())  # decoder = encoder
         bits = np.tril(np.ones((n, n)))
-        frames = rng.normal(size=(200, n * m))
+        frames = rng.normal(size=(200, n))
         codes, _ = encode_batch(frames, t)
         for f in range(frames.shape[0]):
             xhat = decode(codes[f], t, bits)
@@ -185,7 +181,7 @@ def test_criterion_5_exhaustive_availability_oracle():
         expected_cost = float(np.trace(sol.P @ plant.K_w)) + (signal + noise) / n
         assert abs(got_cost - expected_cost) < 1e-10
         # also check a transform with a decoder different from the encoder
-        t2 = CausalTransform.full(t.encoder_coeffs, 0.8 * t.encoder_coeffs)
+        t2 = CausalTransform("full", n, t.encoder_coeffs, 0.8 * t.encoder_coeffs)
         s2, n2_ = _oracle_error_terms(t2, cm, K_x, K_q, M)
         assert abs(am_wmse(t2, P, K_x, K_q, M) - (s2 + n2_) / n) < 1e-10
     report(5, "AM-WMSE and LQG cost match the exhaustive availability "
@@ -254,7 +250,7 @@ def test_criterion_8_lossless_design_recovers_plt():
     K_x = ar1_covariance(0.9, 1.0, n)
     cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)  # lambda * delta = 30
     P = availability_marginals(cm)
-    problem = DesignProblem(K_x, P, None, 5.0, n, 1, "full")
+    problem = DesignProblem(K_x, P, None, 5.0, n, "full")
     result = design_code(problem)
     plt_t, d = plt_design(K_x)
     plt_objective = am_wmse(plt_t, P, K_x,

@@ -13,18 +13,23 @@ from rctc.quantizers import QuantizerBank
 from rctc.sources import ar1_covariance
 
 
-def random_transform(n, m, rng, kind="full", scale=0.5):
+def random_transform(n, rng, kind="full", scale=0.5):
     if kind == "toeplitz":
-        enc = rng.normal(scale=scale, size=(n - 1) * m)
-        dec = rng.normal(scale=scale, size=(n - 1) * m)
-        return unpack_parameters(enc, dec, "toeplitz", n, m)
-    enc = np.zeros((n, n, m))
-    dec = np.zeros((n, n, m))
+        enc = rng.normal(scale=scale, size=n - 1)
+        dec = rng.normal(scale=scale, size=n - 1)
+        return unpack_parameters(enc, dec, "toeplitz", n)
+    enc = np.zeros((n, n))
+    dec = np.zeros((n, n))
     for j in range(1, n):
         for i in range(j):
-            enc[j, i] = rng.normal(scale=scale, size=m)
-            dec[j, i] = rng.normal(scale=scale, size=m)
-    return CausalTransform.full(enc, dec)
+            enc[j, i] = rng.normal(scale=scale)
+            dec[j, i] = rng.normal(scale=scale)
+    return CausalTransform("full", n, enc, dec)
+
+
+def matched(t):
+    """The full transform whose decoder is t's encoder."""
+    return CausalTransform("full", t.frame_length, t.encoder_coeffs, t.encoder_coeffs)
 
 
 def full_bits(n):
@@ -34,51 +39,41 @@ def full_bits(n):
 def equivalent_channel(t, bits):
     """H = (Ahat o B) inv(A) of one 0/1 pattern B, as channel_moments gives it."""
     _, Ahat = t.assemble()
-    return channel_moments(bits, t.block_dim)(Ahat, t.encoder_inverse())[0]
+    return channel_moments(bits)(Ahat, t.encoder_inverse())[0]
 
 
 class TestAssemble:
     def test_identity(self):
-        t = CausalTransform.identity(4, 2)
+        t = CausalTransform.identity(4)
         A, Ahat = t.assemble()
-        assert np.array_equal(A, np.eye(8))
-        assert np.array_equal(Ahat, np.eye(8))
+        assert np.array_equal(A, np.eye(4))
+        assert np.array_equal(Ahat, np.eye(4))
 
     def test_toeplitz_row_placement(self):
-        t = unpack_parameters([0.9, 0.2], [0.9, 0.2], "toeplitz", 3, 1)
+        t = unpack_parameters([0.9, 0.2], [0.9, 0.2], "toeplitz", 3)
         A, _ = t.assemble()
         assert_allclose(A[2], [0.2, 0.9, 1.0])
 
     def test_unit_determinant(self):
         rng = np.random.default_rng(0)
         for kind in ("full", "toeplitz"):
-            for m in (1, 2):
-                t = random_transform(5, m, rng, kind)
-                A, Ahat = t.assemble()
-                assert np.linalg.det(A) == pytest.approx(1.0, rel=1e-10)
-                assert np.linalg.det(Ahat) == pytest.approx(1.0, rel=1e-10)
-
-    def test_block_structure(self):
-        rng = np.random.default_rng(1)
-        t = random_transform(3, 2, rng)
-        A, _ = t.assemble()
-        # off-diagonal blocks are diagonal: no cross-component coupling
-        assert A[2, 1] == 0.0 and A[3, 0] == 0.0
-        assert A[2, 0] == t.encoder_coeffs[1, 0, 0]
-        assert A[3, 1] == t.encoder_coeffs[1, 0, 1]
+            t = random_transform(5, rng, kind)
+            A, Ahat = t.assemble()
+            assert np.linalg.det(A) == pytest.approx(1.0, rel=1e-10)
+            assert np.linalg.det(Ahat) == pytest.approx(1.0, rel=1e-10)
 
     def test_validation(self):
-        bad = np.zeros((3, 3, 1))
-        bad[0, 1, 0] = 0.5  # above the diagonal
+        bad = np.zeros((3, 3))
+        bad[0, 1] = 0.5  # above the diagonal
         with pytest.raises(ValueError):
-            CausalTransform("full", 3, 1, bad, np.zeros((3, 3, 1)))
+            CausalTransform("full", 3, bad, np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            CausalTransform("nope", 3, 1, np.zeros((3, 3, 1)), np.zeros((3, 3, 1)))
-        nontoe = np.zeros((3, 3, 1))
-        nontoe[1, 0, 0] = 0.5
-        nontoe[2, 1, 0] = 0.6
+            CausalTransform("nope", 3, np.zeros((3, 3)), np.zeros((3, 3)))
+        nontoe = np.zeros((3, 3))
+        nontoe[1, 0] = 0.5
+        nontoe[2, 1] = 0.6
         with pytest.raises(ValueError):
-            CausalTransform("toeplitz", 3, 1, nontoe, nontoe)
+            CausalTransform("toeplitz", 3, nontoe, nontoe)
 
 
 class TestPltDesign:
@@ -113,18 +108,6 @@ class TestPltDesign:
         K_d = t.encoder_inverse() @ K @ t.encoder_inverse().T
         assert_allclose(K_d, np.diag(d), atol=1e-12)
 
-    def test_rejects_coupled_blocks(self):
-        K = np.array([[1.0, 0.0, 0.0, 0.5],
-                      [0.0, 1.0, 0.5, 0.0],
-                      [0.0, 0.5, 1.0, 0.0],
-                      [0.5, 0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError):
-            plt_design(K, block_dim=2)
-
-    def test_rejects_wrong_block_dim(self):
-        with pytest.raises(ValueError):
-            plt_design(np.eye(5), block_dim=2)
-
 
 class TestEncode:
     def test_identity_zero_noise(self):
@@ -135,25 +118,24 @@ class TestEncode:
         assert frame.indices is None
 
     def test_hand_ladder(self):
-        coeffs = np.zeros((2, 2, 1))
-        coeffs[1, 0, 0] = 0.9
-        t = CausalTransform.full(coeffs, coeffs.copy())
+        coeffs = np.zeros((2, 2))
+        coeffs[1, 0] = 0.9
+        t = CausalTransform("full", 2, coeffs, coeffs.copy())
         frame = encode(np.array([1.0, 0.9]), t)
         assert_allclose(frame.codevalues, [1.0, 0.0], atol=1e-15)
 
     def test_ladder_identity_zero_noise(self):
         rng = np.random.default_rng(2)
         for kind in ("full", "toeplitz"):
-            for m in (1, 2):
-                t = random_transform(5, m, rng, kind)
-                A, _ = t.assemble()
-                x = rng.normal(size=t.dim)
-                frame = encode(x, t)
-                assert_allclose(A @ frame.codevalues, x, atol=1e-12)
+            t = random_transform(5, rng, kind)
+            A, _ = t.assemble()
+            x = rng.normal(size=5)
+            frame = encode(x, t)
+            assert_allclose(A @ frame.codevalues, x, atol=1e-12)
 
     def test_ladder_identity_with_noise(self):
         rng = np.random.default_rng(3)
-        t = random_transform(4, 1, rng)
+        t = random_transform(4, rng)
         A, _ = t.assemble()
         bank = QuantizerBank.modeled(np.full(4, 3.0), np.ones(4))
         x = rng.normal(size=4)
@@ -163,7 +145,7 @@ class TestEncode:
 
     def test_causality(self):
         rng = np.random.default_rng(4)
-        t = random_transform(6, 1, rng)
+        t = random_transform(6, rng)
         x = rng.normal(size=6)
         base = encode(x, t)
         for k in range(6):
@@ -177,8 +159,8 @@ class TestEncode:
         t = CausalTransform.identity(3)
         bank = QuantizerBank.lloyd_max(np.full(3, 3.0), np.ones(3))
         frame = encode(np.array([0.0, 10.0, -10.0]), t, bank)
-        assert frame.indices.shape == (3, 1)
-        assert frame.indices[1, 0] == 7 and frame.indices[2, 0] == 0
+        assert frame.indices.shape == (3,)
+        assert frame.indices[1] == 7 and frame.indices[2] == 0
 
     def test_modeled_requires_rng(self):
         t = CausalTransform.identity(2)
@@ -192,9 +174,9 @@ class TestEncode:
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
-        t = random_transform(5, 2, rng)
-        frames = rng.normal(size=(20, 10))
-        bank = QuantizerBank.lloyd_max(np.full(5, 3.0), np.ones(10))
+        t = random_transform(5, rng)
+        frames = rng.normal(size=(20, 5))
+        bank = QuantizerBank.lloyd_max(np.full(5, 3.0), np.ones(5))
         codes, inputs = encode_batch(frames, t, bank)
         for f in range(20):
             single = encode(frames[f], t, bank)
@@ -205,20 +187,17 @@ class TestEncode:
 class TestDecode:
     def test_full_availability_round_trip(self):
         rng = np.random.default_rng(6)
-        for m in (1, 2):
-            t = random_transform(5, m, rng)
-            t = CausalTransform.full(t.encoder_coeffs, t.encoder_coeffs)  # Ahat = A
-            x = rng.normal(size=t.dim)
-            xhat = decode(encode(x, t).codevalues, t, full_bits(5))
-            assert_allclose(xhat, x, atol=1e-12)
+        t = matched(random_transform(5, rng))
+        x = rng.normal(size=5)
+        xhat = decode(encode(x, t).codevalues, t, full_bits(5))
+        assert_allclose(xhat, x, atol=1e-12)
 
     def test_zero_availability(self):
         t = CausalTransform.identity(3)
         assert np.array_equal(decode(np.ones(3), t, np.zeros((3, 3))), np.zeros(3))
 
     def test_dropped_cross_term(self):
-        t = CausalTransform.full(np.array([[0, 0], [0.9, 0]]).reshape(2, 2, 1),
-                                 np.array([[0, 0], [0.7, 0]]).reshape(2, 2, 1))
+        t = CausalTransform("full", 2, [[0, 0], [0.9, 0]], [[0, 0], [0.7, 0]])
         bits = np.array([[1.0, 0.0], [0.0, 1.0]])
         xc = np.array([2.0, 3.0])
         xhat = decode(xc, t, bits)
@@ -237,7 +216,7 @@ class TestDecode:
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
-        t = random_transform(4, 1, rng)
+        t = random_transform(4, rng)
         codes = rng.normal(size=(10, 4))
         bits = (rng.random((10, 4, 4)) < 0.7) * np.tril(np.ones((4, 4)))
         out = decode_batch(codes, t, bits)
@@ -248,21 +227,20 @@ class TestDecode:
 class TestEquivalentChannel:
     def test_lossless_identity(self):
         rng = np.random.default_rng(8)
-        t = random_transform(4, 1, rng)
-        t = CausalTransform.full(t.encoder_coeffs, t.encoder_coeffs)
+        t = matched(random_transform(4, rng))
         H = equivalent_channel(t, full_bits(4))
         assert_allclose(H, np.eye(4), atol=1e-12)
 
     def test_all_lost(self):
         rng = np.random.default_rng(9)
-        t = random_transform(4, 1, rng)
+        t = random_transform(4, rng)
         H = equivalent_channel(t, np.zeros((4, 4)))
         assert_allclose(H, np.zeros((4, 4)))
 
     def test_elementwise_expansion_oracle(self):
         # reconstruct H_eq column by column by coding basis vectors, zero noise
         rng = np.random.default_rng(10)
-        t = random_transform(3, 1, rng)
+        t = random_transform(3, rng)
         cm = ChannelModel(20.0, 0.05, 0.0125, 3)
         B = (np.array([0.01, 0.2, 0.04])[None, :] <= cm.thresholds()).astype(float)
         H = equivalent_channel(t, B)
@@ -275,7 +253,7 @@ class TestEquivalentChannel:
 
     def test_decode_encode_consistency_with_noise(self):
         rng = np.random.default_rng(11)
-        t = random_transform(4, 1, rng)
+        t = random_transform(4, rng)
         bank = QuantizerBank.modeled(np.full(4, 2.0), np.ones(4))
         cm = ChannelModel(20.0, 0.05, 0.0125, 4)
         for seed in range(5):
@@ -291,8 +269,8 @@ class TestEquivalentChannel:
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
-        for kind, m in (("full", 1), ("toeplitz", 2), ("full", 3)):
-            t = random_transform(4, m, rng, kind)
+        for kind in ("full", "toeplitz"):
+            t = random_transform(4, rng, kind)
             loaded = transform_from_text(transform_to_text(t))
             assert loaded.kind == t.kind
             assert np.array_equal(loaded.encoder_coeffs, t.encoder_coeffs)
@@ -303,9 +281,9 @@ class TestSerialization:
             transform_from_text("not a transform\n")
 
     @staticmethod
-    def edited(row: int, col: int, value: float, n: int = 3, m: int = 1) -> str:
+    def edited(row: int, col: int, value: float, n: int = 3) -> str:
         """Text of an identity transform with one encoder entry replaced."""
-        lines = transform_to_text(CausalTransform.identity(n, m)).splitlines()
+        lines = transform_to_text(CausalTransform.identity(n)).splitlines()
         cells = lines[5 + row].split()
         cells[col] = repr(value)
         lines[5 + row] = " ".join(cells)
@@ -319,13 +297,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="encoder"):
             transform_from_text(self.edited(0, 1, 5.0))
 
-    def test_rejects_off_diagonal_entry_inside_block(self):
-        # m = 2: row 2 is slot 0 of block row 1; column 1 is slot 1 of block 0
-        with pytest.raises(ValueError, match="encoder"):
-            transform_from_text(self.edited(2, 1, 0.3, n=2, m=2))
+    def test_rejects_block_dim_other_than_one(self):
+        eye = "\n".join(" ".join(repr(v) for v in row) for row in np.eye(4).tolist())
+        text = ("# causal transform v1\nkind identity\nframe_length 2\nblock_dim 2\n"
+                f"encoder\n{eye}\ndecoder\n{eye}\n")
+        with pytest.raises(ValueError, match="block_dim") as info:
+            transform_from_text(text)
+        assert "\n" not in str(info.value)
 
     def test_rejects_truncated_file(self):
-        text = transform_to_text(random_transform(3, 1, np.random.default_rng(1)))
+        text = transform_to_text(random_transform(3, np.random.default_rng(1)))
         lines = text.splitlines()
         for cut in (len(lines) - 1, 6, 2):
             with pytest.raises(ValueError, match="truncated"):
@@ -340,29 +321,26 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 @st.composite
 def transforms(draw):
     n = draw(st.integers(1, 5))
-    m = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["identity", "full", "toeplitz"]))
     if kind == "identity" or n == 1:
-        return CausalTransform.identity(n, m)
+        return CausalTransform.identity(n)
     if kind == "toeplitz":
-        lags = st.lists(finite, min_size=(n - 1) * m, max_size=(n - 1) * m)
-        return unpack_parameters(draw(lags), draw(lags), "toeplitz", n, m)
+        lags = st.lists(finite, min_size=n - 1, max_size=n - 1)
+        return unpack_parameters(draw(lags), draw(lags), "toeplitz", n)
+    size = n * (n - 1) // 2
     coeffs = []
     for _ in range(2):
-        c = np.zeros((n, n, m))
-        c[np.tril_indices(n, -1)] = np.reshape(
-            draw(st.lists(finite, min_size=n * (n - 1) // 2 * m,
-                          max_size=n * (n - 1) // 2 * m)), (-1, m))
+        c = np.zeros((n, n))
+        c[np.tril_indices(n, -1)] = draw(st.lists(finite, min_size=size, max_size=size))
         coeffs.append(c)
-    return CausalTransform.full(*coeffs)
+    return CausalTransform("full", n, *coeffs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(transforms())
 def test_text_round_trip_property(t):
     back = transform_from_text(transform_to_text(t))
-    assert (back.kind, back.frame_length, back.block_dim) == (t.kind, t.frame_length,
-                                                             t.block_dim)
+    assert (back.kind, back.frame_length) == (t.kind, t.frame_length)
     assert np.array_equal(back.encoder_coeffs, t.encoder_coeffs)
     assert np.array_equal(back.decoder_coeffs, t.decoder_coeffs)
 
@@ -371,25 +349,23 @@ def test_text_round_trip_property(t):
 def matched_transforms(draw):
     """Full or toeplitz transforms with decoder = encoder, bounded coefficients."""
     n = draw(st.integers(2, 5))
-    m = draw(st.sampled_from([1, 2]))
     coeff = st.floats(-1.0, 1.0, allow_nan=False)
     if draw(st.sampled_from(["full", "toeplitz"])) == "toeplitz":
-        lags = draw(st.lists(coeff, min_size=(n - 1) * m, max_size=(n - 1) * m))
-        return unpack_parameters(lags, lags, "toeplitz", n, m)
-    c = np.zeros((n, n, m))
-    size = n * (n - 1) // 2 * m
-    c[np.tril_indices(n, -1)] = np.reshape(
-        draw(st.lists(coeff, min_size=size, max_size=size)), (-1, m))
-    return CausalTransform.full(c, c)
+        lags = draw(st.lists(coeff, min_size=n - 1, max_size=n - 1))
+        return unpack_parameters(lags, lags, "toeplitz", n)
+    c = np.zeros((n, n))
+    size = n * (n - 1) // 2
+    c[np.tril_indices(n, -1)] = draw(st.lists(coeff, min_size=size, max_size=size))
+    return CausalTransform("full", n, c, c)
 
 
 @settings(max_examples=80, deadline=None)
 @given(matched_transforms(), st.data())
 def test_full_availability_round_trip_property(t, data):
     count = data.draw(st.integers(1, 4))
+    n = t.frame_length
     x = np.reshape(data.draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
-                                      min_size=count * t.dim, max_size=count * t.dim)),
-                   (count, t.dim))
+                                      min_size=count * n, max_size=count * n)), (count, n))
     bits = full_bits(t.frame_length)
     codevalues, _ = encode_batch(x, t)
     decoded = decode_batch(codevalues, t, np.repeat(bits[None], count, axis=0))

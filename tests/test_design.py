@@ -65,25 +65,25 @@ class TestHookeJeeves:
 class TestParameterPacking:
     def test_round_trip_full(self):
         rng = np.random.default_rng(0)
-        coeffs = np.zeros((4, 4, 2))
-        dec = np.zeros((4, 4, 2))
+        coeffs = np.zeros((4, 4))
+        dec = np.zeros((4, 4))
         for j in range(1, 4):
             for i in range(j):
-                coeffs[j, i] = rng.normal(size=2)
-                dec[j, i] = rng.normal(size=2)
-        t = CausalTransform.full(coeffs, dec)
+                coeffs[j, i] = rng.normal()
+                dec[j, i] = rng.normal()
+        t = CausalTransform("full", 4, coeffs, dec)
         params = pack_parameters(t, "full")
-        assert params.size == 2 * (4 * 4 - 4) // 2
-        dec_params = pack_parameters(CausalTransform.full(dec, dec), "full")
-        back = unpack_parameters(params, dec_params, "full", 4, 2)
+        assert params.size == (4 * 4 - 4) // 2
+        dec_params = pack_parameters(CausalTransform("full", 4, dec, dec), "full")
+        back = unpack_parameters(params, dec_params, "full", 4)
         assert np.array_equal(back.encoder_coeffs, t.encoder_coeffs)
         assert np.array_equal(back.decoder_coeffs, t.decoder_coeffs)
 
     def test_round_trip_toeplitz(self):
-        t = unpack_parameters([0.5, 0.2, 0.1], [0.4, 0.3, 0.0], "toeplitz", 4, 1)
+        t = unpack_parameters([0.5, 0.2, 0.1], [0.4, 0.3, 0.0], "toeplitz", 4)
         params = pack_parameters(t, "toeplitz")
         assert params.size == 4 - 1
-        back = unpack_parameters(params, [0.4, 0.3, 0.0], "toeplitz", 4, 1)
+        back = unpack_parameters(params, [0.4, 0.3, 0.0], "toeplitz", 4)
         assert np.array_equal(back.encoder_coeffs, t.encoder_coeffs)
         assert np.array_equal(back.decoder_coeffs, t.decoder_coeffs)
 
@@ -96,8 +96,8 @@ class TestParameterPacking:
     def test_parameter_counts(self):
         P = availability_marginals(ChannelModel(20.0, 0.05, 0.0125, 6))
         K = ar1_covariance(0.9, 1.0, 6)
-        full = DesignProblem(K, P, None, 5.0, 6, 1, "full")
-        toe = DesignProblem(K, P, None, 5.0, 6, 1, "toeplitz")
+        full = DesignProblem(K, P, None, 5.0, 6, "full")
+        toe = DesignProblem(K, P, None, 5.0, 6, "toeplitz")
         assert full.parameter_count == (6 * 6 - 6) // 2
         assert toe.parameter_count == 6 - 1
 
@@ -133,45 +133,24 @@ class TestEffectiveVariances:
         expected = np.array([Z[0, 0] ** 2 * d[0], Z[1, 1] ** 2 * d[1]])
         assert_allclose(effective_variances(t, bits, K), expected, atol=1e-12)
 
-    def test_block_case_uses_determinant_root(self):
-        # two independent scalar streams interleaved as one block pair
-        n, m = 3, 2
-        K_a = ar1_covariance(0.9, 1.0, n)
-        K_b = ar1_covariance(0.5, 4.0, n)
-        K = np.zeros((n * m, n * m))
-        K[0::2, 0::2] = K_a
-        K[1::2, 1::2] = K_b
-        t, d = plt_design(K, block_dim=m)
-        cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)
-        got = effective_variances(t, availability_marginals(cm), K)
-        expected = np.sqrt(d[0::2] * d[1::2])  # geometric mean per block
-        assert_allclose(got, expected, rtol=1e-10)
-
 
 def make_problem(p, structure, n=6, rate=5.0, weight=None):
     K = ar1_covariance(0.9, 1.0, n)
     cm = ChannelModel.from_violation_probability(p, 0.05, 0.0125, n)
-    return DesignProblem(K, availability_marginals(cm), weight, rate, n, 1, structure)
+    return DesignProblem(K, availability_marginals(cm), weight, rate, n, structure)
 
 
-def interleaved_covariance(n):
-    """Two independent AR(1) streams, one per block slot (m = 2)."""
-    K = np.zeros((2 * n, 2 * n))
-    K[0::2, 0::2] = ar1_covariance(0.9, 1.0, n)
-    K[1::2, 1::2] = ar1_covariance(0.5, 4.0, n)
-    return K
-
-
-R_EQ = np.array([[1.7, 0.4], [0.4, 0.9]])
-
-
-def weighted_problem(m, structure, weight, n=5, p=0.2):
-    K = ar1_covariance(0.9, 1.0, n) if m == 1 else interleaved_covariance(n)
-    M = {"none": None, "scaled": 2.43 * np.eye(n * m),
-         "diag": np.diag(np.linspace(0.5, 2.0, n * m)),
-         "kron": np.kron(np.eye(n), R_EQ[:m, :m])}[weight]
+def weighted_problem(structure, weight, n=5, p=0.2):
+    M = {"none": None, "scaled": 2.43 * np.eye(n),
+         "diag": np.diag(np.linspace(0.5, 2.0, n)),
+         "kron": np.kron(np.eye(n), [[1.7]])}[weight]  # the LQG weight of R_eq = 1.7
     cm = ChannelModel.from_violation_probability(p, 0.05, 0.0125, n)
-    return DesignProblem(K, availability_marginals(cm), M, 5.0, n, m, structure)
+    return DesignProblem(ar1_covariance(0.9, 1.0, n), availability_marginals(cm), M, 5.0, n,
+                         structure)
+
+
+# each id ends in "-1" (block size 1), so the ids match those of earlier runs
+STRUCTURES = [pytest.param(structure, id=f"{structure}-1") for structure in ("full", "toeplitz")]
 
 
 def uniform_rate_objective(prob, transform):
@@ -181,31 +160,29 @@ def uniform_rate_objective(prob, transform):
     return am_wmse(transform, prob.marginals, prob.K_x, K_q, prob.weight)
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("structure", ["full", "toeplitz"])
+@pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("weight", ["none", "scaled", "kron"])
-def test_objective_matches_am_wmse(m, structure, weight):
+def test_objective_matches_am_wmse(structure, weight):
     # J at (A, Ahat*(A)) is am_wmse of the assembled pair, and Ahat* is optimal
-    prob = weighted_problem(m, structure, weight)
+    prob = weighted_problem(structure, weight)
     objective = design_objective(prob)
     rng = np.random.default_rng(3)
     for _ in range(3):
         params = rng.normal(scale=0.4, size=prob.parameter_count)
         decoder = optimal_decoder(prob, params)
         ref = uniform_rate_objective(
-            prob, unpack_parameters(params, decoder, structure, prob.frame_length, m))
+            prob, unpack_parameters(params, decoder, structure, prob.frame_length))
         assert objective(params)[0] == pytest.approx(ref, rel=1e-12)
         for scale in (1e-4, 1e-2, 1.0):
             moved = decoder + rng.normal(scale=scale, size=decoder.size)
-            other = unpack_parameters(params, moved, structure, prob.frame_length, m)
+            other = unpack_parameters(params, moved, structure, prob.frame_length)
             assert uniform_rate_objective(prob, other) >= ref * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("structure", ["full", "toeplitz"])
+@pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("weight", ["none", "diag", "kron"])
-def test_gradient_matches_central_differences(m, structure, weight):
-    prob = weighted_problem(m, structure, weight)
+def test_gradient_matches_central_differences(structure, weight):
+    prob = weighted_problem(structure, weight)
     objective = design_objective(prob)
     rng = np.random.default_rng(5)
     params = rng.normal(scale=0.3, size=prob.parameter_count)
@@ -228,7 +205,7 @@ def test_design_no_worse_than_joint_pattern_search(n, p, structure):
 
     def joint(x):
         return uniform_rate_objective(prob, unpack_parameters(x[:half], x[half:],
-                                                              structure, n, 1))
+                                                              structure, n))
 
     reference = hooke_jeeves(joint, np.concatenate([start, start]))
     result = design_code(prob)
@@ -244,10 +221,10 @@ def test_design_objectives_nest(rho, p):
     n = 5
     K = ar1_covariance(rho, 1.0, n)
     P = availability_marginals(ChannelModel.from_violation_probability(p, 0.05, 0.0125, n))
-    toeplitz = design_code(DesignProblem(K, P, None, 5.0, n, 1, "toeplitz"))
-    full = design_code(DesignProblem(K, P, None, 5.0, n, 1, "full"),
+    toeplitz = design_code(DesignProblem(K, P, None, 5.0, n, "toeplitz"))
+    full = design_code(DesignProblem(K, P, None, 5.0, n, "full"),
                        [pack_parameters(toeplitz.transform, "full")])
-    plt = design_code(DesignProblem(K, P, None, 5.0, n, 1, "plt"))
+    plt = design_code(DesignProblem(K, P, None, 5.0, n, "plt"))
     # equal in exact arithmetic only at a tie; the slack absorbs rounding
     assert full.objective_history[-1] <= toeplitz.objective_history[-1] * (1 + 1e-12)
     assert toeplitz.objective_history[-1] <= plt.objective_history[-1] * (1 + 1e-12)
@@ -319,22 +296,6 @@ class TestDesignCode:
         assert np.mean(result.rates.rates) == pytest.approx(5.0, abs=1e-12)
         assert np.all(result.rates.rates >= 0.0)
 
-    def test_block_design_descends(self):
-        # the generic (non-scalar) objective path: two interleaved streams
-        n, m = 3, 2
-        K_a = ar1_covariance(0.9, 1.0, n)
-        K_b = ar1_covariance(0.5, 4.0, n)
-        K = np.zeros((n * m, n * m))
-        K[0::2, 0::2] = K_a
-        K[1::2, 1::2] = K_b
-        cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
-        problem = DesignProblem(K, availability_marginals(cm), None, 5.0, n, m, "toeplitz")
-        assert problem.parameter_count == m * (n - 1)
-        result = design_code(problem)
-        hist = result.objective_history
-        assert all(b <= a for a, b in zip(hist, hist[1:]))
-        assert result.transform.block_dim == m
-
     def test_save_load_round_trip(self, tmp_path):
         result = design_code(make_problem(0.2, "toeplitz", n=4))
         path = tmp_path / "design.txt"
@@ -356,6 +317,23 @@ class TestDesignCode:
         with pytest.raises(ValueError, match="'rates'"):
             load_design(path)
 
+    @pytest.mark.parametrize("field, edit", [
+        ("rates", lambda line: line.replace("rates ", "rates abc ")),
+        ("evaluations", lambda line: "evaluations 3.5\n"),
+        ("scheme", lambda line: line + "scheme rc_tc\n"),
+        ("input_variances", lambda line: line.rsplit(" ", 1)[0] + "\n"),
+        ("rates", lambda line: line.rstrip("\n") + " 5.0\n"),
+    ], ids=["not_a_number", "not_an_integer", "repeated", "short_vector", "long_vector"])
+    def test_load_names_bad_field(self, tmp_path, field, edit):
+        result = design_code(make_problem(0.2, "plt", n=4))
+        path = tmp_path / "design.txt"
+        save_design(result, path, scheme="plt")
+        path.write_text("".join(edit(line) if line.startswith(field + " ") else line
+                                for line in path.read_text().splitlines(keepends=True)))
+        with pytest.raises(ValueError, match=f"'{field}'") as info:
+            load_design(path)
+        assert "\n" not in str(info.value)
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -363,16 +341,15 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 @st.composite
 def design_results(draw):
     n = draw(st.integers(2, 5))
-    m = draw(st.integers(1, 2))
     structure = draw(st.sampled_from(["full", "toeplitz"]))
-    count = m * (n * n - n) // 2 if structure == "full" else m * (n - 1)
+    count = (n * n - n) // 2 if structure == "full" else n - 1
     encoder, decoder = (draw(st.lists(finite, min_size=count, max_size=count))
                         for _ in range(2))
-    transform = unpack_parameters(encoder, decoder, structure, n, m)
+    transform = unpack_parameters(encoder, decoder, structure, n)
     variances = np.asarray(draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n)))
     rates = clamp_rates(allocate_rates(variances, draw(st.floats(0.0, 10.0))), 0.0)
     lqg = draw(st.none() | finite)
-    inputs = np.asarray(draw(st.lists(finite, min_size=n * m, max_size=n * m)))
+    inputs = np.asarray(draw(st.lists(finite, min_size=n, max_size=n)))
     return DesignResult(transform, rates, draw(finite), lqg, draw(st.integers(0, 10 ** 6)),
                         [], draw(st.booleans()), input_variances=inputs)
 

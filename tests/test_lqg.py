@@ -159,7 +159,7 @@ class TestErrorTerms:
         M = np.diag([1.3, 0.7])
         cm = ChannelModel.from_violation_probability(0.25, 0.05, 0.0125, n)
         marg = availability_marginals(cm)
-        a = t.encoder_coeffs[1, 0, 0]
+        a = t.encoder_coeffs[1, 0]
         signal = noise = 0.0
         for b11 in (0, 1):
             for b21 in (0, 1):
@@ -226,6 +226,13 @@ class TestAnalyticCost:
                  + 1 * am_wmse(t, P, K_x, K_q, self.sol.weight_block(n)))
         assert left == right
 
+    def test_vector_plant_rejected(self):
+        plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], np.eye(2), 0.01 * np.eye(2))
+        sol = controller_solution(plant, LqgWeights(np.eye(2), 0.1 * np.eye(2)))
+        with pytest.raises(ValueError, match="scalar plants"):
+            analytic_lqg_cost(sol, plant, lossless_marginals(3), CausalTransform.identity(3),
+                              np.eye(3), np.eye(3))
+
     def test_wmse_monotone_as_deadline_shrinks(self):
         # exact expectations, so no common random numbers are needed
         n = 4
@@ -270,7 +277,7 @@ class TestSimulateClosedLoop:
         K_x = ar1_covariance(0.8677, 0.015, n)
         cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
         designed = design_code(DesignProblem(K_x, availability_marginals(cm),
-                                             self.sol.weight_block(n), 5.0, n, 1,
+                                             self.sol.weight_block(n), 5.0, n,
                                              "toeplitz")).transform
         assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
         banks = [None,
@@ -330,19 +337,13 @@ class TestSimulateClosedLoop:
         cm = ChannelModel(50 / 0.05, 0.05, 0.0125, 3)
         two_states = PlantModel([[0.9, 0.2], [0.0, 0.7]], np.eye(2), 0.01 * np.eye(2))
         two_inputs = PlantModel([[1.49]], [[0.05, 0.05]], [[0.01]])
-        for plant, block_dim in ((two_states, 2), (two_inputs, 1)):
+        for plant in (two_states, two_inputs):
             weights = LqgWeights(np.eye(plant.state_dim), 0.1 * np.eye(plant.input_dim))
             sol = controller_solution(plant, weights)
-            t = CausalTransform.identity(3, block_dim=block_dim)
+            t = CausalTransform.identity(3)
             with pytest.raises(ValueError, match="scalar plant") as err:
                 simulate_closed_loop(plant, weights, sol, t, None, cm, 600, 9)
             assert "\n" not in str(err.value)
-
-    def test_block_dim_must_match_state(self):
-        with pytest.raises(ValueError):
-            simulate_closed_loop(self.plant, self.weights, self.sol,
-                                 CausalTransform.identity(4, block_dim=2), None,
-                                 self.lossless(4), 100, 0)
 
 
 class TestAgainstReference:
@@ -375,7 +376,7 @@ class TestAgainstReference:
                              pilot_state_variance(self.plant, self.sol), n)
         cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
         designed = design_code(DesignProblem(K_x, availability_marginals(cm),
-                                             self.sol.weight_block(n), 5.0, n, 1,
+                                             self.sol.weight_block(n), 5.0, n,
                                              "toeplitz")).transform
         assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
         bank = {"ideal": None,

@@ -52,6 +52,23 @@ class TestAllocateRates:
             allocate_rates([], 2.0)
 
 
+class TestRateAllocation:
+    @pytest.mark.parametrize("rates, variances, average", [
+        ([math.nan, 5.0], [1.0, 1.0], 5.0),
+        ([math.inf, 5.0], [1.0, 1.0], 5.0),
+        ([5.0, 5.0], [1.0, math.nan], 5.0),
+        ([5.0, 5.0], [math.inf, 1.0], 5.0),
+        ([5.0, 5.0], [-1.0, -1.0], 5.0),
+        ([5.0, 5.0], [1.0, 1.0], math.nan),
+    ], ids=["nan_rate", "inf_rate", "nan_variance", "inf_variance", "negative_variance",
+            "nan_average"])
+    @pytest.mark.parametrize("clamped", [False, True], ids=["unclamped", "clamped"])
+    def test_rejects_invalid_entries(self, rates, variances, average, clamped):
+        with pytest.raises(ValueError) as info:
+            RateAllocation(np.array(rates), np.array(variances), average, clamped)
+        assert "finite" in str(info.value) and "\n" not in str(info.value)
+
+
 class TestClampRates:
     def test_unchanged_when_feasible(self):
         alloc = allocate_rates([1.0, 2.0], 5.0)
@@ -225,14 +242,15 @@ class TestQuantizerBank:
         bank = QuantizerBank.lloyd_max([3.0, 3.0], [1.0, 4.0])
         assert bank.noise_variances[1] == pytest.approx(4.0 * bank.codebooks[0].mse)
 
-    def test_block_dim(self):
-        bank = QuantizerBank.modeled([1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
-        assert bank.block_dim == 2
-        assert bank.count == 2
+    def test_variance_count_must_match_rates(self):
+        for variances in ([1.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]):
+            with pytest.raises(ValueError, match="input_variances"):
+                QuantizerBank.modeled([1.0, 2.0], variances)
+        assert QuantizerBank.modeled([1.0, 2.0], [1.0, 2.0]).count == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            QuantizerBank.modeled([1.0], [1.0, -1.0])
+            QuantizerBank.modeled([1.0, 1.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             QuantizerBank.modeled([], [])
 
