@@ -108,37 +108,30 @@ class AvailabilityStats:
         return np.einsum("s,sij->ij", self.weights, self.realizations)
 
 
-def channel_moments(marginals: np.ndarray, M: np.ndarray | None = None):
+def channel_moments(marginals: np.ndarray):
     """The exact channel expectations of H = (Ahat o B) inv(A) that every caller reads.
 
     `marginals` is the N x N availability matrix P = E[B]; a 0/1 pattern is a
     valid degenerate P.  Returns moments(Ahat, Ainv) -> (E[H], W) with
-    E[H] = (Ahat o P) inv(A) and W = E[H' M H] (M = None is the identity).
-    M must be diagonal, so only bits of one row pair up, and those come from
-    different indices with independent delays.  With C = Ahat o P,
-    E[(Ahat o B)' M (Ahat o B)] is then C' M C plus, on the diagonal entry of
-    column a, sum_i (P_ia - P_ia^2) Ahat_ia^2 M_ii.
+    E[H] = (Ahat o P) inv(A) and W = E[H'H].  In (Ahat o B)'(Ahat o B) only
+    bits of one row pair up, and those come from different indices with
+    independent delays.  With C = Ahat o P, E[(Ahat o B)'(Ahat o B)] is then
+    C'C plus, on the diagonal entry of column a, sum_i (P_ia - P_ia^2) Ahat_ia^2.
     """
     P = np.asarray(marginals, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"availability marginals must be a square matrix, got shape {P.shape}")
     if not np.all((P >= 0.0) & (P <= 1.0)) or np.any(np.triu(P, k=1)):
         raise ValueError("availability marginals must lie in [0, 1] and be 0 above the diagonal")
-    n = P.shape[0]
-    eye = np.eye(n)
-    M = eye if M is None else np.asarray(M, dtype=float)
-    if M.shape != (n, n):
-        raise ValueError(f"M must be {n}x{n}")
-    if np.any(M[eye == 0.0]):
-        raise ValueError("M must be diagonal")
+    eye = np.eye(P.shape[0])
     variances = P - P * P
 
     def moments(Ahat: np.ndarray, Ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # M diagonal: M (Ahat o P) = (M Ahat) o P, and the variance term keeps
-        # only the diagonal of (Ahat o (P - P^2))' M Ahat
+        # the variance term keeps only the diagonal of (Ahat o (P - P^2))' Ahat.
+        # C'C takes a second copy of C: numpy hands X.T @ X to BLAS syrk,
+        # which rounds differently from the general product
         C = Ahat * P
-        MA = M @ Ahat
-        E = C.T @ (MA * P) + eye * ((Ahat * variances).T @ MA)
+        E = C.T @ (Ahat * P) + eye * ((Ahat * variances).T @ Ahat)
         return C @ Ainv, Ainv.T @ E @ Ainv
 
     return moments

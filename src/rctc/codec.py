@@ -44,6 +44,8 @@ class CausalTransform:
             coeffs = np.asarray(getattr(self, name), dtype=float)
             if coeffs.shape != (n, n):
                 raise ValueError(f"{name} must have shape {(n, n)}, got {coeffs.shape}")
+            if not np.all(np.isfinite(coeffs)):
+                raise ValueError(f"{name} must be finite")
             if np.any(coeffs[np.triu_indices(n)]):
                 raise ValueError(f"{name} must vanish on and above the diagonal")
             object.__setattr__(self, name, coeffs)
@@ -223,6 +225,6 @@ def transform_from_text(text: str) -> CausalTransform:
         raise ValueError("malformed or truncated transform file") from None
     transform = CausalTransform(kind, n, *(np.tril(M, -1) for M in mats))
     for name, M, built in zip(("encoder", "decoder"), mats, transform.assemble()):
-        if not np.array_equal(M, built, equal_nan=True):
+        if not np.array_equal(M, built):
             raise ValueError(f"{name} matrix is not unit lower triangular")
     return transform

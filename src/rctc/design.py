@@ -1,7 +1,7 @@
 """Channel-optimized causal transform design.
 
 Two steps.  First the encoder/decoder pair minimizing the channel-averaged
-weighted MSE under fine quantization with uniform rates: for a given encoder
+MSE under fine quantization with uniform rates: for a given encoder
 the optimal decoder solves one small linear system, so L-BFGS searches over
 the free encoder entries alone, with the gradient in closed form.  Then the
 closed-form rate allocation over the effective variances seen through the
@@ -121,16 +121,15 @@ def hooke_jeeves(objective, x0, config: SearchConfig | None = None) -> HookeJeev
 class DesignProblem:
     """Inputs of one transform design run.
 
-    weight is the N x N diagonal error weighting (None means identity, i.e.
-    plain AM-MSE); marginals is the N x N availability matrix P = E[B] the channel
-    expectations are computed from.
+    K_x is the N x N frame covariance, which sets the frame length N;
+    marginals is the N x N availability matrix P = E[B] the channel
+    expectations are computed from.  The design minimizes the plain AM-MSE:
+    a constant error weight, such as the LQG sweep's R_eq, moves no argmin.
     """
 
     K_x: np.ndarray
     marginals: np.ndarray
-    weight: np.ndarray | None
     average_rate: float
-    frame_length: int
     structure: str
     noise_constant: float = 1.0
     min_rate: float = 0.0
@@ -139,14 +138,15 @@ class DesignProblem:
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
         K_x = np.asarray(self.K_x, dtype=float)
-        n = self.frame_length
-        if K_x.shape != (n, n):
-            raise ValueError(f"K_x must be {n}x{n}")
-        if np.shape(self.marginals) != (n, n):
+        if K_x.ndim != 2 or K_x.shape[0] != K_x.shape[1]:
+            raise ValueError(f"K_x must be a square matrix, got shape {K_x.shape}")
+        if np.shape(self.marginals) != K_x.shape:
             raise ValueError("availability marginals do not match the frame length")
-        if self.weight is not None and np.asarray(self.weight).shape != (n, n):
-            raise ValueError(f"weight must be {n}x{n}")
         object.__setattr__(self, "K_x", K_x)
+
+    @property
+    def frame_length(self) -> int:
+        return self.K_x.shape[0]
 
     @property
     def parameter_count(self) -> int:
@@ -207,20 +207,20 @@ def unpack_parameters(encoder_params: np.ndarray, decoder_params: np.ndarray,
 
 
 def effective_variances(transform: CausalTransform, marginals: np.ndarray,
-                        K_x: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
+                        K_x: np.ndarray) -> np.ndarray:
     """Per-quantizer variances feeding the rate allocation.
 
-    The weighted noise energy tr(W K_q) with W = E_B[H' M H] converts to an
-    unweighted problem through W = Z'Z with Z lower triangular; the variance
+    The noise energy tr(W K_q) with W = E_B[H'H] converts to a problem with
+    independent slots through W = Z'Z with Z lower triangular; the variance
     charged to quantizer i is then Z_ii^2 Var(d_i), the freshly coded part of
-    the equivalent-domain input.  On a lossless channel with M = I it reduces
-    to the plain prediction error variances.
+    the equivalent-domain input.  On a lossless channel it reduces to the
+    plain prediction error variances.
     """
     n = transform.frame_length
     K_x = np.asarray(K_x, dtype=float)
     _, Ahat = transform.assemble()
     Ainv = transform.encoder_inverse()
-    _, W = channel_moments(marginals, M)(Ahat, Ainv)
+    _, W = channel_moments(marginals)(Ahat, Ainv)
     W = 0.5 * (W + W.T)
     # rows of B can be all zero, leaving W merely semi-definite
     floor = 1e-12 * float(np.trace(W)) / n
@@ -245,29 +245,27 @@ def _reduced_objective(problem: DesignProblem):
 
     params are the free encoder parameters; K_q is the uniform-rate noise of
     that encoder A.  For a fixed A the objective is quadratic in the decoder
-    Ahat and couples only decoder entries of one row (M is diagonal).  With
+    Ahat and couples only decoder entries of one row.  With
     S = inv(A)(K_x + K_q)inv(A)', Y = inv(A) K_x and p_u = P[r_u, c_u] for
     the entry u at row r_u and column c_u, the optimal decoder solves G a = h
     over the free entries:
-    G_uv = (p_u p_v + [c_u = c_v](p_u - p_u^2)) M[r_u, r_v] S[c_u, c_v] and
-    h_u = p_u ((Y M)[c_u, r_u] - P[r_u, r_u] (S M)[c_u, r_u]).  A toeplitz
-    decoder sums the equations of each lag band.  By the envelope theorem the
+    G_uv = (p_u p_v + [c_u = c_v](p_u - p_u^2)) [r_u = r_v] S[c_u, c_v] and
+    h_u = p_u (Y[c_u, r_u] - P[r_u, r_u] S[c_u, r_u]).  A toeplitz decoder
+    sums the equations of each lag band.  By the envelope theorem the
     gradient of J is the partial gradient in A at the optimal decoder,
-    -(2/N) ((W K - E[H]' M K_x) inv(A)' + s inv(A)' diag(W) inv(A) K_x inv(A)')
+    -(2/N) ((W K - E[H]' K_x) inv(A)' + s inv(A)' diag(W) inv(A) K_x inv(A)')
     with K = K_x + K_q and s = c 2^(-2r), read at the free entries and summed
     per parameter.
     """
     n = problem.frame_length
     K_x = problem.K_x
-    M = np.eye(n) if problem.weight is None else np.asarray(problem.weight, dtype=float)
-    MK_x = M @ K_x
-    moments = channel_moments(problem.marginals, problem.weight)
+    moments = channel_moments(problem.marginals)
     P = np.asarray(problem.marginals, dtype=float)
     rows, cols, src = _parameter_map(problem.structure, n)
     bands = np.eye(problem.parameter_count)[src]
     p, p_own = P[rows, cols], P[rows, rows]
     coupling = ((np.outer(p, p) + (cols[:, None] == cols[None, :]) * (p - p * p)[:, None])
-                * M[np.ix_(rows, rows)])
+                * (rows[:, None] == rows[None, :]))
     noise_scale = problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
 
     def evaluate(params: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -279,13 +277,13 @@ def _reduced_objective(problem: DesignProblem):
         K_q = np.diag(noise_scale * np.diag(K_d))  # the modeled noise at uniform rates
         S = K_d + Ainv @ K_q @ Ainv.T
         G = coupling * S[np.ix_(cols, cols)]
-        h = p * ((Y @ M)[cols, rows] - p_own * (S @ M)[cols, rows])
+        h = p * (Y[cols, rows] - p_own * S[cols, rows])
         decoder = np.linalg.solve(bands.T @ G @ bands, bands.T @ h)
         Ahat = np.eye(n)
         Ahat[rows, cols] = decoder[src]
         mean_H, W = moments(Ahat, Ainv)
-        signal, noise = frame_error_terms(mean_H, W, K_x, K_q, problem.weight)
-        grad = ((W @ (K_x + K_q) - mean_H.T @ MK_x) @ Ainv.T
+        signal, noise = frame_error_terms(mean_H, W, K_x, K_q)
+        grad = ((W @ (K_x + K_q) - mean_H.T @ K_x) @ Ainv.T
                 + noise_scale * Ainv.T @ (np.diag(W)[:, None] * K_d))
         gradient = np.bincount(src, weights=grad[rows, cols],
                                minlength=problem.parameter_count)
@@ -297,7 +295,7 @@ def _reduced_objective(problem: DesignProblem):
 def design_objective(problem: DesignProblem):
     """objective(params) -> (J, gradient of J) for the free encoder parameters.
 
-    J is the uniform-rate AM-WMSE minimized over the decoder: it equals
+    J is the uniform-rate AM-MSE minimized over the decoder: it equals
     am_wmse of the transform pairing the encoder with `optimal_decoder`.
     """
     evaluate = _reduced_objective(problem)
@@ -317,7 +315,7 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
                 max_evaluations: int = 100_000) -> DesignResult:
     """Design a transform and its rate allocation for the given channel.
 
-    Search structures ("full", "toeplitz") minimize the uniform-rate AM-WMSE
+    Search structures ("full", "toeplitz") minimize the uniform-rate AM-MSE
     over the encoder alone by L-BFGS on design_objective, whose decoder is
     the closed-form optimum, starting at the prediction-based transform's
     encoder (or the best of the supplied warm starts).  The result is the
@@ -331,11 +329,10 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
         raise ValueError("max_evaluations must be positive")
     n = problem.frame_length
     r = problem.average_rate
-    M = problem.weight
 
     def am_wmse_at(rates):
         K_q = QuantizerBank.modeled(rates, sigma_d, problem.noise_constant).noise_variances
-        return am_wmse(transform, problem.marginals, problem.K_x, np.diag(K_q), M)
+        return am_wmse(transform, problem.marginals, problem.K_x, np.diag(K_q))
 
     if problem.structure in ("plt", "identity"):
         if problem.structure == "plt":
@@ -377,7 +374,7 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
         transform = unpack_parameters(best_x, decoder, problem.structure, n)
         evaluations = spent + len(starts)
         sigma_d = quantizer_input_variances(transform, problem.K_x)
-        sigma_hat = effective_variances(transform, problem.marginals, problem.K_x, M)
+        sigma_hat = effective_variances(transform, problem.marginals, problem.K_x)
 
     allocation = clamp_rates(allocate_rates(sigma_hat, r), problem.min_rate)
     return DesignResult(transform, allocation, am_wmse_at(allocation.rates), None, evaluations,
@@ -440,10 +437,14 @@ def load_design(path) -> tuple[DesignResult, str]:
     transform = transform_from_text("# causal transform v1" + tail)
     rates = RateAllocation(vec("rates"), vec("effective_variances"), parse("average_rate"),
                            clamped=bool(parse("clamped", int)))
+    input_variances = vec("input_variances")
+    if not np.all((input_variances > 0.0) & (input_variances < math.inf)):
+        raise ValueError(f"design file {path}: field 'input_variances' must hold finite, "
+                         f"positive values, got {meta['input_variances']!r}")
     result = DesignResult(
         transform, rates, parse("predicted_am_wmse"),
         parse("predicted_lqg_cost", lambda text: None if text == "None" else float(text)),
         parse("evaluations", int), [], bool(parse("budget_exhausted", int)),
-        input_variances=vec("input_variances"),
+        input_variances=input_variances,
     )
     return result, meta.get("scheme", "")

@@ -259,13 +259,12 @@ def _lqg_context(config: ExperimentConfig):
 
 
 def _experiment_context(config: ExperimentConfig):
-    """(K_x, M, evaluate, lqg_cost) of the configured kind.
+    """(K_x, evaluate, lqg_cost) of the configured kind.
 
     K_x is the frame covariance every design, rate allocation and analytic
-    column reads, and M the error weight (None for the plain MSE).
-    evaluate(result, bank, marginals, cm, sim_seed) returns one row's
-    (analytic, simulated, stderr); lqg_cost(result, bank, marginals), None
-    for kind = source, its analytic column.
+    column reads.  evaluate(result, bank, marginals, cm, sim_seed) returns
+    one row's (analytic, simulated, stderr); lqg_cost(result, bank,
+    marginals), None for kind = source, its analytic column.
     """
     n = config.n
     if config.kind == "source":
@@ -274,8 +273,7 @@ def _experiment_context(config: ExperimentConfig):
 
         def evaluate(result, bank, marginals, cm, sim_seed):
             """AM-MSE of i.i.d. N(0, K_x) frames coded through the sampled channel."""
-            analytic = am_wmse(result.transform, marginals, K_x,
-                               np.diag(bank.noise_variances), None)
+            analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
             z = np.random.default_rng(derive_seed(sim_seed, "frames")).standard_normal(
                 (config.sim_frames, n))
             # einsum, not a BLAS GEMM: the GEMM wakes a second BLAS thread that then spins
@@ -288,7 +286,7 @@ def _experiment_context(config: ExperimentConfig):
             per_frame = np.einsum("fi,fi->f", err, err) / n
             return analytic, float(per_frame.mean()), batch_standard_error(per_frame)
 
-        return K_x, None, evaluate, None
+        return K_x, evaluate, None
 
     plant, weights, solution, K_x = _lqg_context(config)
 
@@ -303,7 +301,7 @@ def _experiment_context(config: ExperimentConfig):
         return (lqg_cost(result, bank, marginals),
                 "diverged" if sim.diverged else sim.empirical_cost, sim.standard_error)
 
-    return K_x, solution.weight_block(n), evaluate, lqg_cost
+    return K_x, evaluate, lqg_cost
 
 
 def design_schemes(config: ExperimentConfig, marginals: np.ndarray, schemes,
@@ -315,14 +313,13 @@ def design_schemes(config: ExperimentConfig, marginals: np.ndarray, schemes,
     predicted_lqg_cost, the analytic column under modeled quantizer noise.
     context is the config's `_experiment_context`, made here when not given.
     """
-    K_x, M, _, lqg_cost = context or _experiment_context(config)
+    K_x, _, lqg_cost = context or _experiment_context(config)
     designs = {}
     for scheme in (s for s in SCHEMES if s in schemes or (s == "rtc_tc" and "rc_tc" in schemes)):
         warm = designs.get("rtc_tc") if scheme == "rc_tc" else None
         starts = [pack_parameters(warm.transform, "full")] if isinstance(warm, DesignResult) else None
-        problem = DesignProblem(K_x, marginals, M, config.rate, config.n,
-                                SCHEME_STRUCTURES[scheme], config.noise_constant,
-                                config.min_rate)
+        problem = DesignProblem(K_x, marginals, config.rate, SCHEME_STRUCTURES[scheme],
+                                config.noise_constant, config.min_rate)
         try:
             designs[scheme] = result = design_code(problem, starts, config.search_budget)
             if lqg_cost:
@@ -337,7 +334,7 @@ def design_schemes(config: ExperimentConfig, marginals: np.ndarray, schemes,
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """One row per (p, scheme): design, realize the bank, evaluate."""
     context = _experiment_context(config)
-    _, _, evaluate, _ = context
+    _, evaluate, _ = context
     rows = []
     mode = f"{config.b_mode}/{config.quantizer_mode}"
     for pi, p in enumerate(config.p_grid):

@@ -4,8 +4,10 @@ The controller is certainty equivalent: u_t = L xhat_t, with L derived from
 the stabilizing solution P of the discrete Riccati equation
 P = F'(P - P G (G'P G + S)^{-1} G'P) F + R.  The induced weighting on state
 estimation error is R_eq = F'P F - P + R, and the stationary per-step cost of
-running the coded loop splits into tr(P K_w) plus a weighted mean squared
-error between the plant state and the decoder output.
+running the coded loop splits into tr(P K_w) plus R_eq times the mean squared
+error between the plant state and the decoder output.  Only scalar plants are
+wired to the coder, so R_eq is a number: it enters once, in
+analytic_lqg_cost, and every error term below is the plain, unweighted MSE.
 """
 from __future__ import annotations
 
@@ -144,10 +146,6 @@ class ControllerSolution:
     L: np.ndarray
     R_eq: np.ndarray
 
-    def weight_block(self, frame_length: int) -> np.ndarray:
-        """Block-diagonal replication of R_eq over a coding frame."""
-        return np.kron(np.eye(frame_length), self.R_eq)
-
 
 def controller_solution(plant: PlantModel, weights: LqgWeights, **riccati_kwargs) -> ControllerSolution:
     P = solve_riccati(plant, weights, **riccati_kwargs)
@@ -163,24 +161,22 @@ def controller_solution(plant: PlantModel, weights: LqgWeights, **riccati_kwargs
 
 
 def frame_error_terms(mean_H: np.ndarray, W: np.ndarray, K_x: np.ndarray,
-                      K_q: np.ndarray, M: np.ndarray | None = None) -> tuple[float, float]:
-    """Signal and noise error energies from the channel moments E[H] and W = E[H'MH].
+                      K_q: np.ndarray) -> tuple[float, float]:
+    """Signal and noise error energies from the channel moments E[H] and W = E[H'H].
 
-    signal = tr(E[(I - H)' M (I - H)] K_x) = tr(M K_x) - 2 tr(M E[H] K_x) + tr(W K_x)
-    and noise = tr(W K_q), for symmetric M, K_x and K_q.
+    signal = tr(E[(I - H)'(I - H)] K_x) = tr(K_x) - 2 tr(E[H] K_x) + tr(W K_x)
+    and noise = tr(W K_q), for symmetric K_x and K_q.
     """
-    MK_x = K_x if M is None else M @ K_x
-    signal = np.trace(MK_x) - 2.0 * np.vdot(mean_H, MK_x) + np.vdot(W, K_x)
+    signal = np.trace(K_x) - 2.0 * np.vdot(mean_H, K_x) + np.vdot(W, K_x)
     return float(signal), float(np.vdot(W, K_q))
 
 
 def expected_error_terms(transform: CausalTransform, marginals: np.ndarray,
-                         K_x: np.ndarray, K_q: np.ndarray,
-                         M: np.ndarray | None = None) -> tuple[float, float]:
+                         K_x: np.ndarray, K_q: np.ndarray) -> tuple[float, float]:
     """Channel-averaged signal and noise error energies over one frame.
 
-    signal = tr(E_B[(I - H_eq)' M (I - H_eq)] K_x) and
-    noise  = tr(E_B[H_eq' M H_eq] K_q), with H_eq = (Ahat o B) inv(A) and the
+    signal = tr(E_B[(I - H_eq)'(I - H_eq)] K_x) and
+    noise  = tr(E_B[H_eq' H_eq] K_q), with H_eq = (Ahat o B) inv(A) and the
     exact expectation taken over B from its N x N availability marginals.
     """
     n = transform.frame_length
@@ -191,14 +187,18 @@ def expected_error_terms(transform: CausalTransform, marginals: np.ndarray,
     if np.shape(marginals) != (n, n):
         raise ValueError("availability marginals do not match the transform frame length")
     _, Ahat = transform.assemble()
-    mean_H, W = channel_moments(marginals, M)(Ahat, transform.encoder_inverse())
-    return frame_error_terms(mean_H, W, K_x, K_q, M)
+    mean_H, W = channel_moments(marginals)(Ahat, transform.encoder_inverse())
+    return frame_error_terms(mean_H, W, K_x, K_q)
 
 
 def am_wmse(transform: CausalTransform, marginals: np.ndarray, K_x: np.ndarray,
-            K_q: np.ndarray, M: np.ndarray | None = None) -> float:
-    """Arithmetic mean (over the N frame slots) of the weighted MSE x - xhat."""
-    signal, noise = expected_error_terms(transform, marginals, K_x, K_q, M)
+            K_q: np.ndarray) -> float:
+    """Arithmetic mean (over the N frame slots) of the MSE of x - xhat.
+
+    The name keeps the W of the weighted MSE the paper poses; for the LQG
+    loop that weight is the scalar R_eq, which analytic_lqg_cost applies.
+    """
+    signal, noise = expected_error_terms(transform, marginals, K_x, K_q)
     return (signal + noise) / transform.frame_length
 
 
@@ -207,15 +207,13 @@ def analytic_lqg_cost(solution: ControllerSolution, plant: PlantModel,
                       K_x: np.ndarray, K_q: np.ndarray) -> float:
     """Stationary per-step LQG cost of the coded loop of a scalar plant under fine quantization.
 
-    tr(P K_w) plus the frame error terms weighted by R_eq, averaged over the
-    frame's N sample periods; written via am_wmse so the cost/WMSE
-    decomposition is exact by construction.
+    tr(P K_w) + R_eq am_wmse: the error weight R_eq is applied here and
+    nowhere else, so the cost/WMSE decomposition is exact by construction.
     """
     if plant.state_dim != 1:
         raise ValueError("the analytic LQG cost is wired for scalar plants")
-    M = solution.weight_block(transform.frame_length)
     base = float(np.trace(solution.P @ plant.K_w))
-    return base + am_wmse(transform, marginals, K_x, K_q, M)
+    return base + float(solution.R_eq[0, 0]) * am_wmse(transform, marginals, K_x, K_q)
 
 
 @dataclass

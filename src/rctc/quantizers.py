@@ -157,10 +157,13 @@ class QuantizerBank:
                 raise ValueError(f"quantizer {i} has rate {rate:g}: a rate must be finite")
         if var.shape != rates.shape:
             raise ValueError(f"input_variances has {var.size} entries for {rates.size} quantizers")
-        if np.any(var <= 0.0):
-            raise ValueError("input variances must be positive")
-        if self.noise_constant <= 0.0:
-            raise ValueError("noise_constant must be positive")
+        for i, v in enumerate(var):
+            if not 0.0 < v < math.inf:  # also rejects nan
+                raise ValueError(f"quantizer {i} has input variance {v:g}: an input "
+                                 f"variance must be finite and positive")
+        if not 0.0 < self.noise_constant < math.inf:
+            raise ValueError(f"noise_constant must be finite and positive, "
+                             f"got {self.noise_constant:g}")
         if self.codebooks is not None and len(self.codebooks) != rates.size:
             raise ValueError("one codebook per quantizer is required")
         object.__setattr__(self, "rates", rates)

@@ -2,8 +2,9 @@
 
 `stack_moments` averages H = (Ahat o B) inv(A) and H' M H over the weighted
 realizations of an `AvailabilityStats` (sampled or exhaustive), one pattern at
-a time in effect.  It takes any weight M, so it is the oracle that the exact
-closed form of `rctc.channel.channel_moments` is checked against.
+a time in effect.  It is the oracle that the exact closed form of
+`rctc.channel.channel_moments` is checked against.  It takes any weight M;
+the library's moments are unweighted, and an LQG weight c I is the factor c.
 """
 import numpy as np
 

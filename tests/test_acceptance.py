@@ -173,9 +173,12 @@ def test_criterion_5_exhaustive_availability_oracle():
         K_q = np.diag(0.02 * d)
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, n)
         P = availability_marginals(cm)
-        M = sol.weight_block(n)
+        # the oracle weights the error by R_eq as the LQG cost does; the
+        # library applies that scalar once, outside the plain AM-MSE
+        r_eq = float(sol.R_eq[0, 0])
+        M = r_eq * np.eye(n)
         signal, noise = _oracle_error_terms(t, cm, K_x, K_q, M)
-        got = am_wmse(t, P, K_x, K_q, M)
+        got = r_eq * am_wmse(t, P, K_x, K_q)
         assert abs(got - (signal + noise) / n) < 1e-10
         got_cost = analytic_lqg_cost(sol, plant, P, t, K_x, K_q)
         expected_cost = float(np.trace(sol.P @ plant.K_w)) + (signal + noise) / n
@@ -183,7 +186,7 @@ def test_criterion_5_exhaustive_availability_oracle():
         # also check a transform with a decoder different from the encoder
         t2 = CausalTransform("full", n, t.encoder_coeffs, 0.8 * t.encoder_coeffs)
         s2, n2_ = _oracle_error_terms(t2, cm, K_x, K_q, M)
-        assert abs(am_wmse(t2, P, K_x, K_q, M) - (s2 + n2_) / n) < 1e-10
+        assert abs(r_eq * am_wmse(t2, P, K_x, K_q) - (s2 + n2_) / n) < 1e-10
     report(5, "AM-WMSE and LQG cost match the exhaustive availability "
               "enumeration oracle to 1e-10 for N=2 and N=3")
 
@@ -199,8 +202,10 @@ def test_criterion_6_small_loss_limit_and_decomposition():
     cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)  # lambda * delta = 30
     P = availability_marginals(cm)
     cost = analytic_lqg_cost(sol, plant, P, t, K_x, K_q)
+    r_eq = float(sol.R_eq[0, 0])
+    M = r_eq * np.eye(n)  # the error weight of the LQG cost
     limit = (float(np.trace(sol.P @ plant.K_w))
-             + float(np.trace(sol.weight_block(n) @ K_q)) / n)
+             + float(np.trace(M @ K_q)) / n)
     assert abs(cost - limit) < 1e-6 * abs(limit)
 
     rng = np.random.default_rng(4)
@@ -211,7 +216,7 @@ def test_criterion_6_small_loss_limit_and_decomposition():
         K_q2 = np.diag(rng.uniform(1e-4, 1e-1, n))
         left = analytic_lqg_cost(sol, plant, P2, t, K_x, K_q2)
         right = (float(np.trace(sol.P @ plant.K_w))
-                 + 1 * am_wmse(t, P2, K_x, K_q2, sol.weight_block(n)))
+                 + r_eq * am_wmse(t, P2, K_x, K_q2))
         assert left == right
     report(6, "lossless-limit cost within 1e-6 relative of tr(PK_w) + "
               "tr(R_eq K_q)/N; cost/WMSE decomposition identity exact")
@@ -250,11 +255,10 @@ def test_criterion_8_lossless_design_recovers_plt():
     K_x = ar1_covariance(0.9, 1.0, n)
     cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)  # lambda * delta = 30
     P = availability_marginals(cm)
-    problem = DesignProblem(K_x, P, None, 5.0, n, "full")
+    problem = DesignProblem(K_x, P, 5.0, "full")
     result = design_code(problem)
     plt_t, d = plt_design(K_x)
-    plt_objective = am_wmse(plt_t, P, K_x,
-                            np.diag(4.0 ** -5.0 * d), None)
+    plt_objective = am_wmse(plt_t, P, K_x, np.diag(4.0 ** -5.0 * d))
     assert result.objective_history[-1] <= plt_objective * (1 + 1e-3)
     assert abs(result.objective_history[-1] - plt_objective) < 1e-3 * plt_objective
     A, Ahat = result.transform.assemble()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,16 @@ class TestAssemble:
         nontoe[2, 1] = 0.6
         with pytest.raises(ValueError):
             CausalTransform("toeplitz", 3, nontoe, nontoe)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["identity", "full", "toeplitz", "plt"])
+    def test_rejects_non_finite_coefficient(self, kind, value):
+        bad = np.zeros((3, 3))
+        bad[2, 0] = value
+        for coeffs in ((bad, np.zeros((3, 3))), (np.zeros((3, 3)), bad)):
+            with pytest.raises(ValueError, match="must be finite") as info:
+                CausalTransform(kind, 3, *coeffs)
+            assert "\n" not in str(info.value)
 
 
 class TestPltDesign:
@@ -281,12 +293,15 @@ class TestSerialization:
             transform_from_text("not a transform\n")
 
     @staticmethod
-    def edited(row: int, col: int, value: float, n: int = 3) -> str:
-        """Text of an identity transform with one encoder entry replaced."""
+    def edited(row: int, col: int, value: float, n: int = 3, first: int = 5) -> str:
+        """Text of an identity transform with one entry replaced.
+
+        The entry is the encoder's; first = 6 + n picks the decoder's.
+        """
         lines = transform_to_text(CausalTransform.identity(n)).splitlines()
-        cells = lines[5 + row].split()
+        cells = lines[first + row].split()
         cells[col] = repr(value)
-        lines[5 + row] = " ".join(cells)
+        lines[first + row] = " ".join(cells)
         return "\n".join(lines) + "\n"
 
     def test_rejects_non_unit_diagonal(self):
@@ -296,6 +311,16 @@ class TestSerialization:
     def test_rejects_entry_above_diagonal(self):
         with pytest.raises(ValueError, match="encoder"):
             transform_from_text(self.edited(0, 1, 5.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["identity", "full", "toeplitz", "plt"])
+    def test_rejects_non_finite_entry(self, kind, value):
+        for first in (5, 9):  # the encoder's and the decoder's entry
+            text = self.edited(2, 0, value, first=first).replace("kind identity",
+                                                                 f"kind {kind}")
+            with pytest.raises(ValueError, match="must be finite") as info:
+                transform_from_text(text)
+            assert "\n" not in str(info.value)
 
     def test_rejects_block_dim_other_than_one(self):
         eye = "\n".join(" ".join(repr(v) for v in row) for row in np.eye(4).tolist())

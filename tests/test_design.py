@@ -96,8 +96,8 @@ class TestParameterPacking:
     def test_parameter_counts(self):
         P = availability_marginals(ChannelModel(20.0, 0.05, 0.0125, 6))
         K = ar1_covariance(0.9, 1.0, 6)
-        full = DesignProblem(K, P, None, 5.0, 6, "full")
-        toe = DesignProblem(K, P, None, 5.0, 6, "toeplitz")
+        full = DesignProblem(K, P, 5.0, "full")
+        toe = DesignProblem(K, P, 5.0, "toeplitz")
         assert full.parameter_count == (6 * 6 - 6) // 2
         assert toe.parameter_count == 6 - 1
 
@@ -134,18 +134,18 @@ class TestEffectiveVariances:
         assert_allclose(effective_variances(t, bits, K), expected, atol=1e-12)
 
 
-def make_problem(p, structure, n=6, rate=5.0, weight=None):
+def make_problem(p, structure, n=6, rate=5.0):
     K = ar1_covariance(0.9, 1.0, n)
     cm = ChannelModel.from_violation_probability(p, 0.05, 0.0125, n)
-    return DesignProblem(K, availability_marginals(cm), weight, rate, n, structure)
+    return DesignProblem(K, availability_marginals(cm), rate, structure)
 
 
-def weighted_problem(structure, weight, n=5, p=0.2):
-    M = {"none": None, "scaled": 2.43 * np.eye(n),
-         "diag": np.diag(np.linspace(0.5, 2.0, n)),
-         "kron": np.kron(np.eye(n), [[1.7]])}[weight]  # the LQG weight of R_eq = 1.7
+def scaled_problem(structure, weight, n=5, p=0.2):
+    # each id names the error weight c I its case stands for: weighting the
+    # error by c is the same design problem as the source covariance c K_x
+    scale = {"none": 1.0, "scaled": 2.43, "kron": 1.7}[weight]  # "kron": R_eq = 1.7
     cm = ChannelModel.from_violation_probability(p, 0.05, 0.0125, n)
-    return DesignProblem(ar1_covariance(0.9, 1.0, n), availability_marginals(cm), M, 5.0, n,
+    return DesignProblem(scale * ar1_covariance(0.9, 1.0, n), availability_marginals(cm), 5.0,
                          structure)
 
 
@@ -157,14 +157,14 @@ def uniform_rate_objective(prob, transform):
     sigma = quantizer_input_variances(transform, prob.K_x)
     K_q = np.diag(QuantizerBank.modeled(np.full(prob.frame_length, prob.average_rate), sigma,
                                         prob.noise_constant).noise_variances)
-    return am_wmse(transform, prob.marginals, prob.K_x, K_q, prob.weight)
+    return am_wmse(transform, prob.marginals, prob.K_x, K_q)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("weight", ["none", "scaled", "kron"])
 def test_objective_matches_am_wmse(structure, weight):
     # J at (A, Ahat*(A)) is am_wmse of the assembled pair, and Ahat* is optimal
-    prob = weighted_problem(structure, weight)
+    prob = scaled_problem(structure, weight)
     objective = design_objective(prob)
     rng = np.random.default_rng(3)
     for _ in range(3):
@@ -180,9 +180,9 @@ def test_objective_matches_am_wmse(structure, weight):
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
-@pytest.mark.parametrize("weight", ["none", "diag", "kron"])
+@pytest.mark.parametrize("weight", ["none", "kron"])
 def test_gradient_matches_central_differences(structure, weight):
-    prob = weighted_problem(structure, weight)
+    prob = scaled_problem(structure, weight)
     objective = design_objective(prob)
     rng = np.random.default_rng(5)
     params = rng.normal(scale=0.3, size=prob.parameter_count)
@@ -221,13 +221,21 @@ def test_design_objectives_nest(rho, p):
     n = 5
     K = ar1_covariance(rho, 1.0, n)
     P = availability_marginals(ChannelModel.from_violation_probability(p, 0.05, 0.0125, n))
-    toeplitz = design_code(DesignProblem(K, P, None, 5.0, n, "toeplitz"))
-    full = design_code(DesignProblem(K, P, None, 5.0, n, "full"),
+    toeplitz = design_code(DesignProblem(K, P, 5.0, "toeplitz"))
+    full = design_code(DesignProblem(K, P, 5.0, "full"),
                        [pack_parameters(toeplitz.transform, "full")])
-    plt = design_code(DesignProblem(K, P, None, 5.0, n, "plt"))
+    plt = design_code(DesignProblem(K, P, 5.0, "plt"))
     # equal in exact arithmetic only at a tie; the slack absorbs rounding
     assert full.objective_history[-1] <= toeplitz.objective_history[-1] * (1 + 1e-12)
     assert toeplitz.objective_history[-1] <= plt.objective_history[-1] * (1 + 1e-12)
+
+
+def first_value_becomes(value: str):
+    """An edit of a design-file line that replaces its first value."""
+    def edit(line: str) -> str:
+        key, _, rest = line.split(" ", 2)
+        return f"{key} {value} {rest}"
+    return edit
 
 
 class TestDesignCode:
@@ -323,7 +331,12 @@ class TestDesignCode:
         ("scheme", lambda line: line + "scheme rc_tc\n"),
         ("input_variances", lambda line: line.rsplit(" ", 1)[0] + "\n"),
         ("rates", lambda line: line.rstrip("\n") + " 5.0\n"),
-    ], ids=["not_a_number", "not_an_integer", "repeated", "short_vector", "long_vector"])
+        ("input_variances", first_value_becomes("nan")),
+        ("input_variances", first_value_becomes("inf")),
+        ("input_variances", first_value_becomes("0.0")),
+        ("input_variances", first_value_becomes("-1.5")),
+    ], ids=["not_a_number", "not_an_integer", "repeated", "short_vector", "long_vector",
+            "nan_variance", "infinite_variance", "zero_variance", "negative_variance"])
     def test_load_names_bad_field(self, tmp_path, field, edit):
         result = design_code(make_problem(0.2, "plt", n=4))
         path = tmp_path / "design.txt"
@@ -349,7 +362,8 @@ def design_results(draw):
     variances = np.asarray(draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n)))
     rates = clamp_rates(allocate_rates(variances, draw(st.floats(0.0, 10.0))), 0.0)
     lqg = draw(st.none() | finite)
-    inputs = np.asarray(draw(st.lists(finite, min_size=n, max_size=n)))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    inputs = np.asarray(draw(st.lists(positive, min_size=n, max_size=n)))
     return DesignResult(transform, rates, draw(finite), lqg, draw(st.integers(0, 10 ** 6)),
                         [], draw(st.booleans()), input_variances=inputs)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rctc.channel import ChannelModel, availability_marginals
-from rctc.harness import (_CONFIG_KEYS, ConfigError, ExperimentConfig, _bank_for,
+from rctc.harness import (_CONFIG_KEYS, SCHEMES, ConfigError, ExperimentConfig, _bank_for,
                           _lqg_context, derive_seed, design_schemes, rows_to_csv,
                           run_experiment)
 from rctc.lqg import simulate_closed_loop
@@ -159,6 +159,31 @@ class TestLqgExperiment:
         for row in rows:
             assert row.analytic > base  # cost exceeds tr(P K_w) > tr(K_w) here
             assert isinstance(row.simulated, float)
+
+    def test_zero_dynamics_plant_designs_every_scheme(self):
+        # F = 0 gives P = R and R_eq = 0: the cost is tr(P K_w) = K_w whatever
+        # the code, and every scheme still designs
+        config = ExperimentConfig.from_text(
+            LQG_CFG.replace("schemes = no_coding, rtc_tc", f"schemes = {', '.join(SCHEMES)}")
+            .replace("p_grid = 0.05", "p_grid = 0.1") + "F = 0\n")
+        rows = run_experiment(config)
+        assert [row.scheme for row in rows] == sorted(SCHEMES)
+        for row in rows:
+            assert row.mode == "montecarlo/modeled", row
+            assert row.analytic == config.K_w[0, 0]
+
+    def test_lqg_cost_is_base_plus_r_eq_times_am_wmse(self):
+        # predicted_am_wmse is the plain AM-MSE; R_eq weights it only in the cost
+        config = ExperimentConfig.from_text(LQG_CFG)
+        plant, _, solution, _ = _lqg_context(config)
+        base = float(np.trace(solution.P @ plant.K_w))
+        r_eq = float(solution.R_eq[0, 0])
+        for p in (0.05, 0.2):
+            cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
+            for scheme, result in design_schemes(config, availability_marginals(cm),
+                                                 SCHEMES).items():
+                assert result.predicted_lqg_cost == base + r_eq * result.predicted_am_wmse, \
+                    (p, scheme)
 
     def test_divergence_marked(self):
         cfg = """

@@ -122,9 +122,6 @@ class TestGainAndWeighting:
         sol = controller_solution(plant, weights)
         assert riccati_residual(sol.P, plant, weights) < 1e-10 * np.linalg.norm(sol.P)
         assert abs(plant.F[0, 0] + plant.G[0, 0] * sol.L[0, 0]) < 1.0
-        M = sol.weight_block(3)
-        assert M.shape == (3, 3)
-        assert_allclose(M, sol.R_eq[0, 0] * np.eye(3))
 
 
 def lossless_marginals(n):
@@ -137,18 +134,16 @@ class TestErrorTerms:
         K_x = ar1_covariance(0.9, 1.0, n)
         t, d = plt_design(K_x)
         K_q = np.diag(0.01 * d)
-        M = 2.5 * np.eye(n)
-        assert am_wmse(t, lossless_marginals(n), K_x, K_q, M) == pytest.approx(
-            np.trace(M @ K_q) / n, rel=1e-12)
+        assert am_wmse(t, lossless_marginals(n), K_x, K_q) == pytest.approx(
+            np.trace(K_q) / n, rel=1e-12)
 
     def test_all_lost_reduces_to_signal_energy(self):
         n = 3
         K_x = ar1_covariance(0.8, 2.0, n)
         t, _ = plt_design(K_x)
         K_q = 0.001 * np.eye(n)
-        M = np.diag([1.0, 2.0, 3.0])
-        assert am_wmse(t, np.zeros((n, n)), K_x, K_q, M) == pytest.approx(
-            np.trace(M @ K_x) / n, rel=1e-12)
+        assert am_wmse(t, np.zeros((n, n)), K_x, K_q) == pytest.approx(
+            np.trace(K_x) / n, rel=1e-12)
 
     def test_exhaustive_oracle_n2(self):
         # independent enumeration of every availability pattern, first principles
@@ -156,7 +151,6 @@ class TestErrorTerms:
         K_x = ar1_covariance(0.9, 1.0, n)
         t, d = plt_design(K_x)
         K_q = np.diag(0.01 * d)
-        M = np.diag([1.3, 0.7])
         cm = ChannelModel.from_violation_probability(0.25, 0.05, 0.0125, n)
         marg = availability_marginals(cm)
         a = t.encoder_coeffs[1, 0]
@@ -171,12 +165,12 @@ class TestErrorTerms:
                     Ainv = np.array([[1.0, 0.0], [-a, 1.0]])
                     H = np.array([[b11 * 1.0, 0.0], [b21 * a, b22 * 1.0]]) @ Ainv
                     G = np.eye(2) - H
-                    signal += w * np.trace(G.T @ M @ G @ K_x)
-                    noise += w * np.trace(H.T @ M @ H @ K_q)
-        got_signal, got_noise = expected_error_terms(t, marg, K_x, K_q, M)
+                    signal += w * np.trace(G.T @ G @ K_x)
+                    noise += w * np.trace(H.T @ H @ K_q)
+        got_signal, got_noise = expected_error_terms(t, marg, K_x, K_q)
         assert got_signal == pytest.approx(signal, abs=1e-12)
         assert got_noise == pytest.approx(noise, abs=1e-12)
-        assert am_wmse(t, marg, K_x, K_q, M) == pytest.approx(
+        assert am_wmse(t, marg, K_x, K_q) == pytest.approx(
             (signal + noise) / n, abs=1e-12)
 
     def test_dimension_checks(self):
@@ -184,8 +178,6 @@ class TestErrorTerms:
         P = lossless_marginals(3)
         with pytest.raises(ValueError):
             am_wmse(t, P, np.eye(4), np.eye(3))
-        with pytest.raises(ValueError):
-            am_wmse(t, P, np.eye(3), np.eye(3), M=np.eye(2))
         with pytest.raises(ValueError):
             am_wmse(CausalTransform.identity(4), P, np.eye(4), np.eye(4))
 
@@ -210,7 +202,7 @@ class TestAnalyticCost:
         K_q = np.diag(1e-3 * d)
         cost = analytic_lqg_cost(self.sol, self.plant, lossless_marginals(n), t, K_x, K_q)
         expected = (np.trace(self.sol.P @ self.plant.K_w)
-                    + np.trace(self.sol.weight_block(n) @ K_q) / n)
+                    + self.sol.R_eq[0, 0] * np.trace(K_q) / n)
         assert cost == pytest.approx(expected, rel=1e-12)
 
     def test_decomposition_identity_is_exact(self):
@@ -223,7 +215,7 @@ class TestAnalyticCost:
         P = availability_marginals(cm)
         left = analytic_lqg_cost(self.sol, self.plant, P, t, K_x, K_q)
         right = (np.trace(self.sol.P @ self.plant.K_w)
-                 + 1 * am_wmse(t, P, K_x, K_q, self.sol.weight_block(n)))
+                 + float(self.sol.R_eq[0, 0]) * am_wmse(t, P, K_x, K_q))
         assert left == right
 
     def test_vector_plant_rejected(self):
@@ -276,8 +268,7 @@ class TestSimulateClosedLoop:
         n = 4
         K_x = ar1_covariance(0.8677, 0.015, n)
         cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
-        designed = design_code(DesignProblem(K_x, availability_marginals(cm),
-                                             self.sol.weight_block(n), 5.0, n,
+        designed = design_code(DesignProblem(K_x, availability_marginals(cm), 5.0,
                                              "toeplitz")).transform
         assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
         banks = [None,
@@ -375,8 +366,7 @@ class TestAgainstReference:
         K_x = ar1_covariance(loop_pole(self.plant, self.sol),
                              pilot_state_variance(self.plant, self.sol), n)
         cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
-        designed = design_code(DesignProblem(K_x, availability_marginals(cm),
-                                             self.sol.weight_block(n), 5.0, n,
+        designed = design_code(DesignProblem(K_x, availability_marginals(cm), 5.0,
                                              "toeplitz")).transform
         assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
         bank = {"ideal": None,

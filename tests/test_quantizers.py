@@ -262,6 +262,24 @@ class TestQuantizerBank:
             make([2.0, rate], [1.0, 1.0])
         assert str(info.value) == f"quantizer 1 has rate {rate:g}: a rate must be finite"
 
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [QuantizerBank.modeled, QuantizerBank.lloyd_max],
+                             ids=["modeled", "lloyd_max"])
+    def test_non_finite_input_variance_rejected(self, make, variance):
+        with pytest.raises(ValueError) as info:
+            make([5.0, 5.0], [1.0, variance])
+        assert str(info.value) == (f"quantizer 1 has input variance {variance:g}: an input "
+                                   f"variance must be finite and positive")
+
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("make", [QuantizerBank.modeled, QuantizerBank.lloyd_max],
+                             ids=["modeled", "lloyd_max"])
+    def test_bad_noise_constant_rejected(self, make, constant):
+        with pytest.raises(ValueError) as info:
+            make([5.0, 5.0], [1.0, 1.0], constant)
+        assert str(info.value) == (f"noise_constant must be finite and positive, "
+                                   f"got {constant:g}")
+
     @pytest.mark.parametrize("rate", [40.0, 16.6])
     def test_level_cap_refuses_before_training(self, monkeypatch, rate):
         # slot 0 alone would train; the cap is checked for every slot first

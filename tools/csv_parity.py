@@ -7,13 +7,16 @@ OLD_SRC and NEW_SRC are directories holding an `rctc` package (a checkout's
 held-out seed, `rctc sweep` runs once against each tree, in a fresh process
 with one BLAS thread. Each pair of CSVs is compared as a whole file, the
 `# config:` line included, and one line is printed per pair: `identical`, or
-the first line that differs on each side. The exit status is 0 only when
+the first line that differs on each side followed by the largest relative
+difference, |new - old| / |old|, of the `analytic`, `simulated` and `stderr`
+columns over the rows matched by (scheme, p). The exit status is 0 only when
 every pair is identical. The configs and CSVs are written to SCRATCH_DIR
 (default: a temporary directory, removed afterwards).
 """
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS_FILE = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+COLUMNS = ("analytic", "simulated", "stderr")
 
 
 def load_workloads() -> dict:
@@ -50,6 +54,38 @@ def first_difference(old: bytes, new: bytes) -> str:
     return f"line count: old {len(old_lines)} new {len(new_lines)}"
 
 
+def rows_by_key(text: str) -> dict:
+    """(scheme, p) -> the row as {column: text}, reading the columns by the header."""
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    header = lines[0].split(",")
+    rows = (dict(zip(header, line.split(","))) for line in lines[1:])
+    return {(row["scheme"], row["p"]): row for row in rows}
+
+
+def relative_difference(old: str, new: str) -> float | None:
+    """|new - old| / |old|; None when a side is a flag such as `diverged`."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return None
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def largest_differences(old: bytes, new: bytes) -> str:
+    old_rows, new_rows = rows_by_key(old.decode()), rows_by_key(new.decode())
+    keys = old_rows.keys() & new_rows.keys()
+    parts = []
+    for column in COLUMNS:
+        diffs = [relative_difference(old_rows[k][column], new_rows[k][column]) for k in keys]
+        diffs = [d for d in diffs if d is not None]
+        parts.append(f"{column} {max(diffs):.3g}" if diffs else f"{column} -")
+    return f"largest relative difference over {len(keys)} rows: " + ", ".join(parts)
+
+
 def compare(old_src: Path, new_src: Path, scratch: Path) -> bool:
     same = True
     for workload in load_workloads().values():
@@ -59,7 +95,8 @@ def compare(old_src: Path, new_src: Path, scratch: Path) -> bool:
             config.write_text(workload.render(seed))
             old = sweep(old_src, config, scratch / f"{stem}-old.csv")
             new = sweep(new_src, config, scratch / f"{stem}-new.csv")
-            verdict = "identical" if old == new else first_difference(old, new)
+            verdict = ("identical" if old == new else
+                       f"{first_difference(old, new)}; {largest_differences(old, new)}")
             same &= old == new
             print(f"{workload.name} seed {seed}: {verdict}", flush=True)
     return same
