@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rctc import lqg
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.codec import CausalTransform, plt_design
 from rctc.design import DesignProblem, design_code
-from rctc.lqg import (REPLICAS, LqgWeights, PlantModel,
+from rctc.lqg import (CHUNK_FRAMES, REPLICAS, LqgWeights, PlantModel,
                       RiccatiConvergenceError, am_wmse, analytic_lqg_cost, ce_gain,
                       controller_solution, expected_error_terms, loop_pole,
                       pilot_state_variance, replica_lengths, riccati_residual,
@@ -297,6 +298,35 @@ class TestSimulateClosedLoop:
                 assert [sums[r] / counts[r] for r in sorted(sums)] \
                     == plain.replica_means.tolist()
 
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_changes_no_number(self, chunk, monkeypatch):
+        # 8003 steps at N = 4 make 32 frames, the last one cut short; 7 does
+        # not divide 32, and the dead channel crosses 1e16 in frame 24
+        n = 4
+        t = CausalTransform.identity(n)
+        cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
+        dead = ChannelModel(1e-4, 0.05, 0.0125, n)
+        modeled = QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.015))
+        cases = [(None, cm, False, 1e9), (modeled, cm, False, 1e9), (None, cm, True, 1e9),
+                 (modeled, cm, True, 1e9), (modeled, dead, True, 1e16)]
+
+        def run_all():
+            return [simulate_closed_loop(self.plant, self.weights, self.sol, t, bank, channel,
+                                         8003, 21, collect_trace=trace,
+                                         divergence_bound=bound)
+                    for bank, channel, trace, bound in cases]
+
+        default = run_all()
+        monkeypatch.setattr(lqg, "CHUNK_FRAMES", chunk)
+        for a, b in zip(default, run_all()):
+            assert a.empirical_cost == b.empirical_cost
+            assert a.standard_error == b.standard_error
+            assert np.array_equal(a.replica_means, b.replica_means)
+            assert (a.steps, a.diverged) == (b.steps, b.diverged)
+            assert a.trace == b.trace
+        assert default[-1].diverged and default[-1].steps == 24 * n * REPLICAS
+        assert default[2].steps == len(default[2].trace) == 8003
+
     def test_unstable_plant_all_lost_diverges(self):
         n = 4
         t = CausalTransform.identity(n)
@@ -359,7 +389,12 @@ class TestAgainstReference:
         assert sim.standard_error == np.std(sim.replica_means, ddof=1) / math.sqrt(ran.sum())
         return sim
 
-    @pytest.mark.parametrize("horizon", [6001, 30])
+    @pytest.mark.parametrize("horizon", [
+        6001, 30,
+        # 2 C + 6 frames, the last one a single replica's 3 steps
+        REPLICAS * 4 * (2 * CHUNK_FRAMES + 5) + 3,
+        # below REPLICAS * N: 25 replicas run a frame, one runs 1 step, 38 none
+        101])
     @pytest.mark.parametrize("mode", ["ideal", "modeled", "realized"])
     def test_replica_means_match(self, mode, horizon):
         n = 4
@@ -381,9 +416,13 @@ class TestAgainstReference:
         n = 4
         dead = ChannelModel(1e-4, 0.05, 0.0125, n)
         bank = QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.05))
-        sim = self.check(CausalTransform.identity(n), bank, dead, 100_000, 5, bound=1e6)
-        assert sim.diverged
-        assert sim.steps < 100_000
+        # the state first crosses 1e6 in frame 10 and 1e16 in frame 24: both
+        # in the middle of a chunk, the second one in the second chunk
+        for bound, frames in ((1e6, 10), (1e16, 24)):
+            sim = self.check(CausalTransform.identity(n), bank, dead, 100_000, 5, bound=bound)
+            assert sim.diverged
+            assert sim.steps == frames * n * REPLICAS
+            assert frames % CHUNK_FRAMES
 
     @pytest.mark.parametrize("horizon, n", [(7, 3), (50, 3), (400_000, 6), (1_000_000, 8),
                                             (64 * 8 + 5, 8), (64 * 24, 8)])
