@@ -139,12 +139,13 @@ def channel_moments(marginals: np.ndarray):
 
 def sample_availability_bits(model: ChannelModel, count: int, seed: int,
                              mode: str = "montecarlo") -> np.ndarray:
-    """Raw availability draws, shape (count, N, N), one pattern per row.
+    """Raw availability draws: bool, shape (count, N, N), one pattern per row.
 
     montecarlo: one exponential delay per index, so bits within a column are
     coupled (an index that made an early deadline also makes later ones).
     independent: every b_ij is an independent Bernoulli with the closed-form
     marginal, the literal reading of the per-pair loss law.
+    The result views a C-ordered (N, N, count) array: bits[:, i, j] is contiguous.
     """
     if mode not in ("montecarlo", "independent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -154,9 +155,11 @@ def sample_availability_bits(model: ChannelModel, count: int, seed: int,
     n = model.frame_length
     if mode == "montecarlo":
         delays = rng.exponential(model.mean_delay, (count, n))
-        return (delays[:, None, :] <= model.thresholds()[None, :, :]).astype(float)
-    marg = availability_marginals(model)
-    return (rng.random((count, n, n)) < marg[None, :, :]).astype(float)
+        lanes = np.less_equal(delays.T, model.thresholds()[:, :, None], order="C")
+    else:
+        bits = rng.random((count, n, n)) < availability_marginals(model)
+        lanes = np.ascontiguousarray(bits.transpose(1, 2, 0))
+    return lanes.transpose(2, 0, 1)
 
 
 def availability_stats(model: ChannelModel, sample_count: int, seed: int,

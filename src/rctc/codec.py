@@ -143,11 +143,11 @@ def encode(frame: np.ndarray, transform: CausalTransform,
 
 def encode_batch(frames: np.ndarray, transform: CausalTransform,
                  bank: QuantizerBank | None = None, rng=None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ladder over many frames; returns (codevalues, quantizer_inputs)."""
+    """Vectorized ladder over (count, N) frames; returns (codevalues, quantizer_inputs)."""
     x = np.asarray(frames, dtype=float)
     n = transform.frame_length
     if x.ndim != 2 or x.shape[1] != n:
-        raise ValueError(f"frames must have shape (count, {n})")
+        raise ValueError(f"frames must have shape (count, {n}), got {x.shape}")
     _check_bank(transform, bank, rng)
     enc = transform.encoder_coeffs
     codevalues = np.zeros_like(x)
@@ -182,11 +182,24 @@ def decode(codevalues: np.ndarray, transform: CausalTransform, availability) -> 
 
 def decode_batch(codevalues: np.ndarray, transform: CausalTransform,
                  bits_stack: np.ndarray) -> np.ndarray:
-    """Decode many frames, each with its own availability pattern."""
+    """Decode many frames, each with its own availability pattern.
+
+    codevalues is (count, N) and bits_stack (count, N, N).  Element i of all
+    frames is summed as a lane, Ahat[i, j] * x_c[:, j] * bits[:, i, j] over the
+    nonzero Ahat[i, j], so the bits multiply as in `decode`.
+    """
     xc = np.asarray(codevalues, dtype=float)
+    bits = np.asarray(bits_stack)
+    n = transform.frame_length
+    if xc.ndim != 2 or xc.shape[1] != n:
+        raise ValueError(f"codevalues must have shape (count, {n}), got {xc.shape}")
+    if bits.shape != (xc.shape[0], n, n):
+        raise ValueError(f"bits_stack must have shape {(xc.shape[0], n, n)}, got {bits.shape}")
     _, Ahat = transform.assemble()
-    H = Ahat[None, :, :] * np.asarray(bits_stack, dtype=float)
-    return np.einsum("fij,fj->fi", H, xc)
+    out = np.zeros((n, xc.shape[0]))
+    for i, j in zip(*np.nonzero(Ahat)):
+        out[i] += Ahat[i, j] * xc[:, j] * bits[:, i, j]
+    return out.T
 
 
 def transform_to_text(transform: CausalTransform) -> str:

@@ -276,14 +276,17 @@ def _experiment_context(config: ExperimentConfig):
             analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
             z = np.random.default_rng(derive_seed(sim_seed, "frames")).standard_normal(
                 (config.sim_frames, n))
-            # einsum, not a BLAS GEMM: the GEMM wakes a second BLAS thread that then spins
-            x = np.einsum("ij,fj->fi", chol, z)
+            # row i of x is element i of every frame; x = chol z is summed entry by
+            # entry, as a BLAS GEMM would wake a second BLAS thread that then spins
+            x = np.zeros((n, config.sim_frames))
+            for i, j in zip(*np.tril_indices(n)):
+                x[i] += chol[i, j] * z[:, j]
             bits = sample_availability_bits(cm, config.sim_frames,
                                             derive_seed(sim_seed, "channel"), config.b_mode)
             rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
-            codevalues, _ = encode_batch(x, result.transform, bank, rng)
-            err = x - decode_batch(codevalues, result.transform, bits)
-            per_frame = np.einsum("fi,fi->f", err, err) / n
+            codevalues, _ = encode_batch(x.T, result.transform, bank, rng)
+            err = x - decode_batch(codevalues, result.transform, bits).T
+            per_frame = np.square(err, out=err).sum(axis=0) / n
             return analytic, float(per_frame.mean()), batch_standard_error(per_frame)
 
         return K_x, evaluate, None

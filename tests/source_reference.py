@@ -1,0 +1,57 @@
+"""Reference source simulation: the (frames, N, N) float-stack formulas.
+
+These are the formulas the simulated column of a source sweep used before
+its frames were coded in lanes.  The bits are a float stack with one N x N
+pattern per frame, decoding forms Ahat o B for every frame and contracts it
+with einsum, and frames and errors are (frames, N) arrays transformed by
+einsum.  They draw the same random numbers in the same calls and order as
+`rctc.channel.sample_availability_bits` and the harness's source `evaluate`,
+so the lane code must agree with them to rounding (and the bits exactly).
+"""
+import numpy as np
+
+from rctc.channel import availability_marginals
+from rctc.codec import encode_batch
+from rctc.harness import derive_seed
+from rctc.lqg import am_wmse, batch_standard_error
+from rctc.sources import ar1_covariance
+
+
+def stack_bits(model, count, seed, mode="montecarlo"):
+    """(count, N, N) float availability patterns, one per frame."""
+    rng = np.random.default_rng(seed)
+    n = model.frame_length
+    if mode == "montecarlo":
+        delays = rng.exponential(model.mean_delay, (count, n))
+        return (delays[:, None, :] <= model.thresholds()[None, :, :]).astype(float)
+    marg = availability_marginals(model)
+    return (rng.random((count, n, n)) < marg[None, :, :]).astype(float)
+
+
+def stack_decode(codevalues, transform, bits_stack):
+    """xhat_f = (Ahat o B_f) x_c,f for every frame f, through one float stack."""
+    _, Ahat = transform.assemble()
+    H = Ahat[None, :, :] * np.asarray(bits_stack, dtype=float)
+    return np.einsum("fij,fj->fi", H, np.asarray(codevalues, dtype=float))
+
+
+def stack_source_context(config):
+    """(K_x, evaluate, None), the harness's source context with stack arithmetic."""
+    n = config.n
+    K_x = ar1_covariance(config.rho, config.source_variance, n)
+    chol = np.linalg.cholesky(K_x)
+
+    def evaluate(result, bank, marginals, cm, sim_seed):
+        analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
+        z = np.random.default_rng(derive_seed(sim_seed, "frames")).standard_normal(
+            (config.sim_frames, n))
+        x = np.einsum("ij,fj->fi", chol, z)
+        bits = stack_bits(cm, config.sim_frames, derive_seed(sim_seed, "channel"),
+                          config.b_mode)
+        rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
+        codevalues, _ = encode_batch(x, result.transform, bank, rng)
+        err = x - stack_decode(codevalues, result.transform, bits)
+        per_frame = np.einsum("fi,fi->f", err, err) / n
+        return analytic, float(per_frame.mean()), batch_standard_error(per_frame)
+
+    return K_x, evaluate, None

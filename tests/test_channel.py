@@ -9,6 +9,7 @@ from rctc.channel import (AvailabilityStats, ChannelModel, availability_marginal
                           loss_probabilities, sample_availability_bits)
 
 from channel_reference import stack_moments
+from source_reference import stack_bits
 
 
 def model(lam=20.0, delta=0.05, ts=0.0125, n=4):
@@ -47,6 +48,15 @@ class TestSampleAvailability:
     def test_degenerate_zero_delays(self):
         bits = np.zeros(4)[None, :] <= model().thresholds()
         assert np.array_equal(bits, np.tril(np.ones((4, 4), dtype=bool)))
+
+    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
+    def test_bool_lanes_equal_stack_reference(self, mode):
+        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 5)
+        for seed in range(6):
+            bits = sample_availability_bits(cm, 257, seed, mode)
+            assert bits.dtype == bool and bits.shape == (257, 5, 5)
+            assert bits.transpose(1, 2, 0).flags.c_contiguous  # bits[:, i, j] contiguous
+            assert np.array_equal(bits, stack_bits(cm, 257, seed, mode))
 
     def test_near_certain_arrival(self):
         cm = ChannelModel(50 / 0.05, 0.05, 0.0125, 4)  # lambda * delta = 50

@@ -13,6 +13,7 @@ from rctc.codec import (CausalTransform, decode, decode_batch, encode, encode_ba
 from rctc.design import unpack_parameters
 from rctc.quantizers import QuantizerBank
 from rctc.sources import ar1_covariance
+from source_reference import stack_decode
 
 
 def random_transform(n, rng, kind="full", scale=0.5):
@@ -189,11 +190,17 @@ class TestEncode:
         t = random_transform(5, rng)
         frames = rng.normal(size=(20, 5))
         bank = QuantizerBank.lloyd_max(np.full(5, 3.0), np.ones(5))
-        codes, inputs = encode_batch(frames, t, bank)
-        for f in range(20):
-            single = encode(frames[f], t, bank)
-            assert np.array_equal(codes[f], single.codevalues)
-            assert np.array_equal(inputs[f], single.quantizer_inputs)
+        for order in "CF":
+            codes, inputs = encode_batch(np.asarray(frames, order=order), t, bank)
+            for f in range(20):
+                single = encode(frames[f], t, bank)
+                assert np.array_equal(codes[f], single.codevalues)
+                assert np.array_equal(inputs[f], single.quantizer_inputs)
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 4), (5, 3, 1)])
+    def test_batch_rejects_frames_shape(self, shape):
+        with pytest.raises(ValueError, match="frames must have shape"):
+            encode_batch(np.zeros(shape), CausalTransform.identity(3))
 
 
 class TestDecode:
@@ -230,10 +237,40 @@ class TestDecode:
         rng = np.random.default_rng(7)
         t = random_transform(4, rng)
         codes = rng.normal(size=(10, 4))
-        bits = (rng.random((10, 4, 4)) < 0.7) * np.tril(np.ones((4, 4)))
-        out = decode_batch(codes, t, bits)
-        for f in range(10):
-            assert_allclose(out[f], decode(codes[f], t, bits[f]), atol=1e-14)
+        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
+        stacks = ((rng.random((10, 4, 4)) < 0.7) * np.tril(np.ones((4, 4))),
+                  sample_availability_bits(cm, 10, 3))
+        for bits in stacks:
+            for order in "CF":
+                out = decode_batch(np.asarray(codes, order=order), t, bits)
+                for f in range(10):
+                    assert_allclose(out[f], decode(codes[f], t, bits[f]), atol=1e-14)
+
+    def test_batch_matches_stack_reference(self):
+        rng = np.random.default_rng(13)
+        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 5)
+        codes = rng.normal(size=(300, 5))
+        stacks = (sample_availability_bits(cm, 300, 1),
+                  sample_availability_bits(cm, 300, 2, "independent"),
+                  rng.random((300, 5, 5)))  # bits other than 0/1 multiply
+        for kind in ("full", "toeplitz"):
+            t = random_transform(5, rng, kind)
+            for bits in stacks:
+                expected = stack_decode(codes, t, bits)
+                for order in "CF":
+                    out = decode_batch(np.asarray(codes, order=order), t, bits)
+                    assert_allclose(out, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (5, 3, 4), (4, 3, 3)])
+    def test_batch_rejects_bits_shape(self, shape):
+        # an (N, N) pattern or a (1, N, N) stack is not broadcast across frames
+        with pytest.raises(ValueError, match="bits_stack must have shape"):
+            decode_batch(np.zeros((5, 3)), CausalTransform.identity(3), np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 4), (5, 3, 1)])
+    def test_batch_rejects_codevalues_shape(self, shape):
+        with pytest.raises(ValueError, match="codevalues must have shape"):
+            decode_batch(np.zeros(shape), CausalTransform.identity(3), np.ones((5, 3, 3)))
 
 
 class TestEquivalentChannel:
@@ -387,19 +424,28 @@ def matched_transforms(draw):
 @settings(max_examples=80, deadline=None)
 @given(matched_transforms(), st.data())
 def test_full_availability_round_trip_property(t, data):
+    """Both frame layouts, full and partial availability, against encode/decode."""
     count = data.draw(st.integers(1, 4))
     n = t.frame_length
     x = np.reshape(data.draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
                                       min_size=count * n, max_size=count * n)), (count, n))
+    x = np.asarray(x, order=data.draw(st.sampled_from("CF")))
     bits = full_bits(t.frame_length)
+    partial = np.reshape(data.draw(st.lists(st.booleans(), min_size=count * n * n,
+                                            max_size=count * n * n)), (count, n, n))
+    if data.draw(st.booleans()):  # the lane layout of sample_availability_bits
+        partial = np.ascontiguousarray(partial.transpose(1, 2, 0)).transpose(2, 0, 1)
     codevalues, _ = encode_batch(x, t)
     decoded = decode_batch(codevalues, t, np.repeat(bits[None], count, axis=0))
+    decoded_partial = decode_batch(codevalues, t, partial)
     for f in range(count):
         frame = encode(x[f], t)
         assert_allclose(codevalues[f], frame.codevalues, rtol=0, atol=1e-12)
         single = decode(frame.codevalues, t, bits)
         assert_allclose(decoded[f], single, rtol=0, atol=1e-12)
         assert_allclose(single, x[f], rtol=0, atol=1e-9)
+        assert_allclose(decoded_partial[f], decode(frame.codevalues, t, partial[f]),
+                        rtol=0, atol=1e-12)
 
 
 class TestQuantizerInputVariances:

@@ -11,6 +11,7 @@ from rctc.harness import (_CONFIG_KEYS, SCHEMES, ConfigError, ExperimentConfig, 
                           run_experiment)
 from rctc.lqg import simulate_closed_loop
 from sim_reference import reference_loop
+from source_reference import stack_source_context
 
 SOURCE_CFG = """
 # tiny source sweep
@@ -141,6 +142,26 @@ seed = 4
         config = ExperimentConfig.from_text(cfg)
         row = run_experiment(config)[0]
         assert row.simulated == pytest.approx(row.analytic, abs=4 * row.stderr)
+
+    @pytest.mark.parametrize("modes", ["", "b_mode = independent\nquantizer_mode = realized\n"])
+    def test_simulated_column_matches_stack_reference(self, monkeypatch, modes):
+        config = ExperimentConfig.from_text(f"""
+kind = source
+n = 4
+rate = 5
+p_grid = 0.1, 0.3
+sim_frames = 2000
+search_budget = 400
+seed = 21
+{modes}""")
+        rows = run_experiment(config)
+        monkeypatch.setattr("rctc.harness._experiment_context", stack_source_context)
+        reference = run_experiment(config)
+        assert len(rows) == len(reference) == 8
+        for row, ref in zip(rows, reference):
+            assert (row.scheme, row.p, row.analytic) == (ref.scheme, ref.p, ref.analytic)
+            assert row.simulated == pytest.approx(ref.simulated, rel=1e-13, abs=0)
+            assert row.stderr == pytest.approx(ref.stderr, rel=1e-13, abs=0)
 
     def test_realized_quantizer_mode(self):
         cfg = SOURCE_CFG + "quantizer_mode = realized\n"
