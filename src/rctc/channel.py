@@ -157,8 +157,8 @@ def sample_availability_bits(model: ChannelModel, count: int, seed: int,
         delays = rng.exponential(model.mean_delay, (count, n))
         lanes = np.less_equal(delays.T, model.thresholds()[:, :, None], order="C")
     else:
-        bits = rng.random((count, n, n)) < availability_marginals(model)
-        lanes = np.ascontiguousarray(bits.transpose(1, 2, 0))
+        lanes = np.less(rng.random((count, n, n)).transpose(1, 2, 0),
+                        availability_marginals(model)[:, :, None], order="C")
     return lanes.transpose(2, 0, 1)
 
 

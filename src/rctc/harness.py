@@ -276,11 +276,9 @@ def _experiment_context(config: ExperimentConfig):
             analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
             z = np.random.default_rng(derive_seed(sim_seed, "frames")).standard_normal(
                 (config.sim_frames, n))
-            # row i of x is element i of every frame; x = chol z is summed entry by
-            # entry, as a BLAS GEMM would wake a second BLAS thread that then spins
-            x = np.zeros((n, config.sim_frames))
-            for i, j in zip(*np.tril_indices(n)):
-                x[i] += chol[i, j] * z[:, j]
+            # row i of x is element i of every frame; einsum, as a BLAS GEMM would
+            # wake a second BLAS thread that then spins
+            x = np.einsum("ij,fj->if", chol, z, order="C")
             bits = sample_availability_bits(cm, config.sim_frames,
                                             derive_seed(sim_seed, "channel"), config.b_mode)
             rng = np.random.default_rng(derive_seed(sim_seed, "noise"))

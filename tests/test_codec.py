@@ -13,7 +13,6 @@ from rctc.codec import (CausalTransform, decode, decode_batch, encode, encode_ba
 from rctc.design import unpack_parameters
 from rctc.quantizers import QuantizerBank
 from rctc.sources import ar1_covariance
-from source_reference import stack_decode
 
 
 def random_transform(n, rng, kind="full", scale=0.5):
@@ -235,31 +234,19 @@ class TestDecode:
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
-        t = random_transform(4, rng)
-        codes = rng.normal(size=(10, 4))
+        codes = rng.normal(size=(40, 4))
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
-        stacks = ((rng.random((10, 4, 4)) < 0.7) * np.tril(np.ones((4, 4))),
-                  sample_availability_bits(cm, 10, 3))
-        for bits in stacks:
-            for order in "CF":
-                out = decode_batch(np.asarray(codes, order=order), t, bits)
-                for f in range(10):
-                    assert_allclose(out[f], decode(codes[f], t, bits[f]), atol=1e-14)
-
-    def test_batch_matches_stack_reference(self):
-        rng = np.random.default_rng(13)
-        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 5)
-        codes = rng.normal(size=(300, 5))
-        stacks = (sample_availability_bits(cm, 300, 1),
-                  sample_availability_bits(cm, 300, 2, "independent"),
-                  rng.random((300, 5, 5)))  # bits other than 0/1 multiply
+        stacks = ((rng.random((40, 4, 4)) < 0.7) * np.tril(np.ones((4, 4))),
+                  sample_availability_bits(cm, 40, 3),
+                  sample_availability_bits(cm, 40, 2, "independent"),
+                  rng.random((40, 4, 4)))  # bits other than 0/1 multiply
         for kind in ("full", "toeplitz"):
-            t = random_transform(5, rng, kind)
+            t = random_transform(4, rng, kind)
             for bits in stacks:
-                expected = stack_decode(codes, t, bits)
                 for order in "CF":
                     out = decode_batch(np.asarray(codes, order=order), t, bits)
-                    assert_allclose(out, expected, rtol=0, atol=1e-14)
+                    for f in range(40):
+                        assert_allclose(out[f], decode(codes[f], t, bits[f]), atol=1e-14)
 
     @pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (5, 3, 4), (4, 3, 3)])
     def test_batch_rejects_bits_shape(self, shape):
