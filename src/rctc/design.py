@@ -2,8 +2,9 @@
 
 Two steps.  First the encoder/decoder pair minimizing the channel-averaged
 MSE under fine quantization with uniform rates: for a given encoder
-the optimal decoder solves one small linear system, so L-BFGS searches over
-the free encoder entries alone, with the gradient in closed form.  Then the
+the optimal decoder solves one small linear system, so limited-memory BFGS
+(`lbfgs`, numpy only) searches over the free encoder entries alone, with the
+gradient in closed form.  Then the
 closed-form rate allocation over the effective variances seen through the
 optimized pair.  `hooke_jeeves`, the derivative-free pattern search the design
 used to run over both halves of the pair, is no longer called by the design;
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import channel_moments
 from .codec import (CausalTransform, plt_design, quantizer_input_variances,
@@ -234,10 +234,86 @@ def effective_variances(transform: CausalTransform, marginals: np.ndarray,
 
 
 # L-BFGS stopping rules on the objective divided by its value at the start:
-# stop when every projected gradient entry is below GTOL or an iteration
-# lowers the objective by less than FTOL relative
+# stop when every gradient entry is at most GTOL, or when two successive
+# iterations each lower the objective by at most FTOL relative; give up
+# after MAX_ITERATIONS iterations
 GTOL = 1e-9
 FTOL = 1e-12
+MAX_ITERATIONS = 15_000
+# L-BFGS keeps this many (step, gradient change) pairs
+MEMORY = 10
+# sufficient decrease (Armijo) constant and step cuts of the line search
+ARMIJO = 1e-4
+BACKTRACKS = 40
+
+
+def lbfgs(fun, x0) -> tuple[np.ndarray, float, bool]:
+    """Minimize fun(x) -> (value, gradient) by limited-memory BFGS.
+
+    The direction is the two-loop recursion over the last MEMORY pairs
+    (s, y) with s'y > 0, scaled by s'y / y'y of the newest pair (Liu and
+    Nocedal 1989); a direction that is not downhill drops the pairs and
+    falls back to steepest descent.  The step is a backtracking line search
+    with quadratic interpolation that takes the first point of sufficient
+    decrease.  Stops when max |gradient| <= GTOL, when two successive
+    iterations each lower the value by at most FTOL * max(|f|, |f_new|, 1)
+    or when no step lowers the value.  L-BFGS-B stops at the first such
+    iteration; on a slowly converging search that leaves about one more
+    FTOL of decrease untaken, which the second iteration takes.  Returns
+    (x, value, cap_reached), where cap_reached says MAX_ITERATIONS ran out
+    first.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = fun(x)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    stalled = 0
+    for _ in range(MAX_ITERATIONS):
+        if float(np.max(np.abs(g), initial=0.0)) <= GTOL:
+            return x, f, False
+        direction = _two_loop(g, pairs)
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            pairs.clear()
+            direction, slope = -g, -float(g @ g)
+        step = 1.0 if pairs else min(1.0, 1.0 / math.sqrt(-slope))
+        for _ in range(BACKTRACKS):
+            x_new = x + step * direction
+            f_new, g_new = fun(x_new)
+            if f_new <= f + ARMIJO * step * slope:
+                break
+            # minimizer of the quadratic through f, the slope and f_new,
+            # kept within [0.1, 0.5] of the step
+            curve = f_new - f - step * slope
+            trial = -slope * step * step / (2.0 * curve) if curve > 0.0 else 0.1 * step
+            step = min(max(trial, 0.1 * step), 0.5 * step)
+        else:
+            return x, f, False
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-MEMORY]
+        stalled = stalled + 1 if f - f_new <= FTOL * max(abs(f), abs(f_new), 1.0) else 0
+        x, f, g = x_new, f_new, g_new
+        if stalled == 2:
+            return x, f, False
+    return x, f, True
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the stored pairs."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
 
 
 def _reduced_objective(problem: DesignProblem):
@@ -316,14 +392,14 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
     """Design a transform and its rate allocation for the given channel.
 
     Search structures ("full", "toeplitz") minimize the uniform-rate AM-MSE
-    over the encoder alone by L-BFGS on design_objective, whose decoder is
+    over the encoder alone by `lbfgs` on design_objective, whose decoder is
     the closed-form optimum, starting at the prediction-based transform's
     encoder (or the best of the supplied warm starts).  The result is the
     best encoder evaluated, so never worse than its start.  "identity" keeps
     uniform rates and "plt" allocates over its prediction error variances:
     neither searches or looks through the channel.  Spending max_evaluations
-    objective evaluations (or L-BFGS's iteration cap) is reported on the
-    result, never raised.
+    objective evaluations (or MAX_ITERATIONS L-BFGS iterations) is reported
+    on the result as budget_exhausted, never raised.
     """
     if max_evaluations < 1:
         raise ValueError("max_evaluations must be positive")
@@ -364,10 +440,7 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
             return value / history[0], gradient / history[0]
 
         try:
-            result = minimize(scaled, best_x, jac=True, method="L-BFGS-B",
-                              options={"maxfun": max_evaluations, "gtol": GTOL,
-                                       "ftol": FTOL})
-            exhausted = result.status == 1
+            exhausted = lbfgs(scaled, best_x)[2]
         except _BudgetSpent:
             exhausted = True
         decoder = optimal_decoder(problem, best_x)

@@ -12,6 +12,9 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads numpy.random on first use; loading it with the package keeps
+# those 15-20 ms out of the first row of a sweep
+import numpy.random  # noqa: F401
 
 from .channel import ChannelModel, availability_marginals, sample_availability_bits
 from .channel import availability_stats  # noqa: F401  (unused; bench/layertrace.py wraps it)

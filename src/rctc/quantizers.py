@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import ndtr, ndtri
 
 
 class InfeasibleRateError(ValueError):
@@ -16,7 +15,7 @@ class InfeasibleRateError(ValueError):
 
 # Lloyd-Max training stops once every cell's centroid condition holds to
 # RESIDUAL_TOL in mass-weighted form, |y_k mass_k - (phi(e_{k-1}) - phi(e_k))|;
-# rounding leaves about 4e-16 at 2^16 levels.  From the ndtri start Newton's
+# rounding leaves about 4e-16 at 2^16 levels.  From the quantile start Newton's
 # method needs at most 20 steps up to MAX_LEVELS.
 RESIDUAL_TOL = 1e-15
 NEWTON_STEPS = 50
@@ -28,10 +27,73 @@ MAX_LEVELS = 2 ** 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _norm_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+
+
+def _norm_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(X <= x), P(X > x)) for a standard normal X, entry by entry.
+
+    One erfc per entry gives the smaller of the two, 0.5 erfc(|x| / sqrt(2)),
+    to full relative precision however far out the tail; the other is one
+    minus it.
+    """
+    tail = 0.5 * np.fromiter(map(math.erfc, (np.abs(x) * _SQRT_HALF).tolist()), float, x.size)
+    return np.where(x < 0.0, tail, 1.0 - tail), np.where(x < 0.0, 1.0 - tail, tail)
+
+
+def _quantile_levels(n_levels: int) -> np.ndarray:
+    """The standard normal quantiles at (k + 1/2) / n_levels, k = 0 .. n_levels - 1."""
+    probabilities = ((np.arange(n_levels) + 0.5) / n_levels).tolist()
+    return np.fromiter(map(statistics.NormalDist().inv_cdf, probabilities), float, n_levels)
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve the tridiagonal system T x = rhs by cyclic reduction.
+
+    diag holds T[k, k], lower[k] = T[k, k - 1] and upper[k] = T[k, k + 1], all
+    of length L (lower[0] and upper[L - 1] are ignored).  Each level folds the
+    odd rows into the even ones with whole-array operations and halves the
+    system, so a solve takes about log2(L) levels.  No pivoting: T must be
+    diagonally dominant or positive definite.
+    """
+    n = len(diag)
+    rows = _odd_rows(n)
+    rows[:, :n] = lower, diag, upper, rhs
+    rows[0, 0] = rows[2, n - 1] = 0.0
+    return _cyclic_reduction(rows)[:n]
+
+
+def _odd_rows(n: int) -> np.ndarray:
+    """Zero (lower, diag, upper, rhs) rows for n unknowns, with one identity
+    row for an extra unknown 0 when n is even, so the system has odd length."""
+    rows = np.zeros((4, n + 1 - n % 2))
+    rows[1, n:] = 1.0
+    return rows
+
+
+def _cyclic_reduction(rows: np.ndarray) -> np.ndarray:
+    """Solution of the odd-length system held as in _odd_rows."""
+    n = rows.shape[1]
+    if n == 1:
+        return rows[3] / rows[1]
+    even, odd = rows[:, ::2], rows[:, 1::2]
+    m = odd.shape[1]
+    # row 2i+1 takes left * row 2i and right * row 2i+2, which clear its lower
+    # and upper entries and couple it to rows 2i-1 and 2i+3
+    left = (-odd[0] / even[1, :-1]) * even[:, :-1]
+    right = (-odd[2] / even[1, 1:]) * even[:, 1:]
+    reduced = _odd_rows(m)
+    reduced[0, :m], reduced[2, :m] = left[0], right[2]
+    reduced[1::2, :m] = odd[1::2] + left[2:] + right[::3]  # diagonal and rhs
+    # x[1 + k] is unknown k; x[0] and x[-1] stand for the absent outer neighbours
+    x = np.zeros(n + 2)
+    x[2:-2:2] = _cyclic_reduction(reduced)[:m]
+    x[1:-1:2] = (even[3] - even[0] * x[:-2:2] - even[2] * x[2::2]) / even[1]
+    return x[1:-1]
 
 
 def lloyd_max_gaussian(n_levels: int):
@@ -40,7 +102,8 @@ def lloyd_max_gaussian(n_levels: int):
     Fully deterministic: boundaries are level midpoints and every level is the
     conditional mean of its cell.  Newton's method solves these centroid
     conditions F_k = y_k mass_k - (phi(e_{k-1}) - phi(e_k)) = 0, whose
-    Jacobian is tridiagonal, from the ndtri quantile start.  Raises
+    Jacobian is symmetric tridiagonal, from the normal quantile start.  Each
+    step solves the Jacobian by cyclic reduction in O(L) work.  Raises
     ArithmeticError if max_k |F_k| stays above RESIDUAL_TOL after
     NEWTON_STEPS steps.  Returns (levels, mse) where mse is the design
     distortion, summed over cells as E[(X - y_k)^2; X in cell k] about each
@@ -50,14 +113,15 @@ def lloyd_max_gaussian(n_levels: int):
         raise ValueError("n_levels must be at least 1")
     if n_levels == 1:
         return np.zeros(1), 1.0
-    levels = ndtri((np.arange(n_levels) + 0.5) / n_levels)
+    levels = _quantile_levels(n_levels)
     for step in range(NEWTON_STEPS + 1):
         edges = 0.5 * (levels[1:] + levels[:-1])
         pdf = _norm_pdf(edges)
         # a cell above zero takes its mass from upper-tail probabilities, so
         # that no tail mass is the difference of two numbers near one
-        below = np.concatenate(([0.0], ndtr(edges), [1.0]))
-        above = np.concatenate(([1.0], ndtr(-edges), [0.0]))
+        below, above = _norm_cdf(edges)
+        below = np.concatenate(([0.0], below, [1.0]))
+        above = np.concatenate(([1.0], above, [0.0]))
         mass = np.where(levels > 0.0, above[:-1] - above[1:], below[1:] - below[:-1])
         density = np.concatenate(([0.0], pdf, [0.0]))
         first = density[:-1] - density[1:]  # integral of x over each cell
@@ -70,15 +134,13 @@ def lloyd_max_gaussian(n_levels: int):
                 f"Lloyd-Max training of {n_levels} levels left a centroid residual "
                 f"of {worst:.3g} after {NEWTON_STEPS} Newton steps "
                 f"(bound {RESIDUAL_TOL:g})")
-        upper = 0.5 * pdf * (levels[:-1] - edges)  # dF_k/dy_{k+1}
-        lower = 0.5 * pdf * (edges - levels[1:])   # dF_{k+1}/dy_k
-        bands = np.zeros((3, n_levels))
-        bands[0, 1:] = upper
-        bands[1] = mass
-        bands[1, :-1] += upper
-        bands[1, 1:] += lower
-        bands[2, :-1] = lower
-        levels = levels - solve_banded((1, 1), bands, residual, check_finite=False)
+        # the Jacobian is symmetric, dF_k/dy_{k+1} = dF_{k+1}/dy_k =
+        # phi(e_k) (y_k - y_{k+1}) / 4 as e_k is the midpoint of y_k and y_{k+1};
+        # its diagonal is mass_k plus the couplings of row k
+        coupling = 0.25 * pdf * (levels[:-1] - levels[1:])
+        off = np.concatenate(([0.0], coupling, [0.0]))
+        levels = levels - _solve_tridiagonal(off[:-1], mass + off[:-1] + off[1:], off[1:],
+                                             residual)
     # Any closed form for a finite cell, expanded or about its level, takes
     # the small distortion of a narrow cell as a difference of much larger
     # terms; quadrature sums positive terms only.  A tail cell [e, inf) with
@@ -88,7 +150,7 @@ def lloyd_max_gaussian(n_levels: int):
     inner = half * ((np.square(nodes - levels[1:-1, None]) * _norm_pdf(nodes)) @ _GL_WEIGHTS)
     tails = 0.0
     for e, y in ((edges[-1], levels[-1]), (-edges[0], -levels[0])):
-        tails += ndtr(-e) * (1.0 + y * y) + (e - 2.0 * y) * _norm_pdf(e)
+        tails += 0.5 * math.erfc(e * _SQRT_HALF) * (1.0 + y * y) + (e - 2.0 * y) * _norm_pdf(e)
     return levels, float(np.sum(inner) + tails)
 
 

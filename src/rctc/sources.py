@@ -4,11 +4,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 
 class StationarityError(ValueError):
     """AR coefficients describe a non-stationary process."""
+
+
+def _toeplitz(first_column: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with entry (i, j) = first_column[|i - j|]."""
+    c = np.asarray(first_column, dtype=float)
+    lags = np.arange(c.size)
+    return c[np.abs(lags[:, None] - lags[None, :])]
 
 
 def validate_covariance(K: np.ndarray, name: str = "covariance") -> np.ndarray:
@@ -102,7 +108,7 @@ class GaussMarkovModel:
 
     def stationary_covariance(self, n: int) -> np.ndarray:
         """Covariance of an n-sample window of the stationary process."""
-        return validate_covariance(toeplitz(self.autocovariances(n)), "window covariance")
+        return validate_covariance(_toeplitz(self.autocovariances(n)), "window covariance")
 
 
 def ar1_covariance(rho: float, variance: float, n: int) -> np.ndarray:
@@ -113,7 +119,7 @@ def ar1_covariance(rho: float, variance: float, n: int) -> np.ndarray:
         raise ValueError("variance must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return validate_covariance(toeplitz(variance * rho ** np.arange(n)), "AR(1) covariance")
+    return validate_covariance(_toeplitz(variance * rho ** np.arange(n)), "AR(1) covariance")
 
 
 def sample_path(model: GaussMarkovModel, length: int, seed: int) -> np.ndarray:
@@ -122,8 +128,9 @@ def sample_path(model: GaussMarkovModel, length: int, seed: int) -> np.ndarray:
     The initial block comes from the stationary distribution (no burn-in), so
     windows of any length have exactly the model's window covariance.
     Deterministic given the seed; a fresh generator is used per call.
-    Sweeps draw i.i.d. frames from the window covariance instead, so
-    scipy.signal is imported here, not on every command's import path.
+    Sweeps draw i.i.d. frames from the window covariance instead.  This is
+    the package's one use of scipy: scipy.signal is imported here, when
+    called, so no command's import path loads scipy.
     """
     from scipy.signal import lfilter, lfiltic
 
@@ -131,7 +138,7 @@ def sample_path(model: GaussMarkovModel, length: int, seed: int) -> np.ndarray:
     if length == 0:
         return np.zeros(0)
     p = model.order
-    init_cov = toeplitz(model.autocovariances(p))
+    init_cov = _toeplitz(model.autocovariances(p))
     init = np.linalg.cholesky(init_cov) @ rng.standard_normal(p)
     x = np.empty(length)
     k = min(p, length)

@@ -1,0 +1,29 @@
+"""Reference design search: scipy's L-BFGS-B over the encoder, as `design_code` once ran it.
+
+The search starts at the prediction-based encoder, minimizes
+`design_objective` divided by its value there with the same GTOL and FTOL
+and a budget of 100,000 evaluations, and keeps the lowest value it
+evaluated.  It shares the objective with `rctc.design.design_code` but not
+the minimizer, so it is the oracle the in-house L-BFGS is checked against.
+"""
+from scipy.optimize import minimize
+
+from rctc.codec import plt_design
+from rctc.design import FTOL, GTOL, DesignProblem, design_objective, pack_parameters
+
+
+def reference_search(problem: DesignProblem) -> float:
+    """The lowest objective value the search evaluated."""
+    objective = design_objective(problem)
+    start = pack_parameters(plt_design(problem.K_x)[0], problem.structure)
+    best = scale = objective(start)[0]
+
+    def scaled(x):
+        nonlocal best
+        value, gradient = objective(x)
+        best = min(best, value)
+        return value / scale, gradient / scale
+
+    minimize(scaled, start, jac=True, method="L-BFGS-B",
+             options={"maxfun": 100_000, "gtol": GTOL, "ftol": FTOL})
+    return best

@@ -350,12 +350,17 @@ class TestErrors:
 
 
 def test_import_leaves_out_scipy_signal():
-    # only sources.sample_path uses scipy.signal, and it imports it when called
+    # only sources.sample_path uses scipy (scipy.signal, imported when called);
+    # numpy.random is loaded with the package so that the first draw of a
+    # sweep pays nothing
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, rctc.cli; print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
+    code = ("import sys, rctc.cli; "
+            "print('scipy.signal' in sys.modules); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n")[:3] == ["False", "[]", "True"]

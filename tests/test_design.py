@@ -4,16 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import rctc.design as design
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.codec import CausalTransform, plt_design, quantizer_input_variances
 from rctc.design import (DesignProblem, DesignResult, SearchConfig, design_code,
-                         design_objective, effective_variances, hooke_jeeves,
+                         design_objective, effective_variances, hooke_jeeves, lbfgs,
                          load_design, optimal_decoder, pack_parameters, save_design,
                          unpack_parameters)
 from rctc.factorizations import reverse_cholesky
+from rctc.harness import ExperimentConfig, _lqg_context
 from rctc.lqg import am_wmse
 from rctc.quantizers import QuantizerBank, allocate_rates, clamp_rates
 from rctc.sources import ar1_covariance
+
+from design_reference import reference_search
 
 
 class TestHookeJeeves:
@@ -60,6 +64,49 @@ class TestHookeJeeves:
             SearchConfig(shrink_factor=1.5)
         with pytest.raises(ValueError):
             SearchConfig(initial_step=-1.0)
+
+
+def rosenbrock(x):
+    a, b = x
+    return ((1 - a) ** 2 + 100 * (b - a * a) ** 2,
+            np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]))
+
+
+class TestLbfgs:
+    def test_convex_quadratic(self):
+        rng = np.random.default_rng(0)
+        M = rng.normal(size=(6, 6))
+        Q, b = M @ M.T + 0.1 * np.eye(6), rng.normal(size=6)
+        x_star = np.linalg.solve(Q, b)
+        f_star = -0.5 * b @ x_star
+        x, f, cap_reached = lbfgs(lambda x: (0.5 * x @ Q @ x - b @ x, Q @ x - b), np.zeros(6))
+        assert not cap_reached
+        assert f <= f_star + 1e-12 * abs(f_star)
+        assert_allclose(x, x_star, rtol=0, atol=1e-6)
+
+    def test_rosenbrock(self):
+        x, f, cap_reached = lbfgs(rosenbrock, np.array([-1.2, 1.0]))
+        assert not cap_reached
+        assert f < 1e-15
+        assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-7)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(design, "MAX_ITERATIONS", 3)
+        x0 = np.array([-1.2, 1.0])
+        x, f, cap_reached = lbfgs(rosenbrock, x0)
+        assert cap_reached
+        assert f == rosenbrock(x)[0] < rosenbrock(x0)[0]
+
+    def test_stationary_start_is_kept(self):
+        calls = []
+
+        def bowl(x):
+            calls.append(x.copy())
+            return float(x @ x), 2 * x
+
+        x, f, cap_reached = lbfgs(bowl, np.zeros(3))
+        assert np.array_equal(x, np.zeros(3)) and f == 0.0 and not cap_reached
+        assert len(calls) == 1
 
 
 class TestParameterPacking:
@@ -214,6 +261,21 @@ def test_design_no_worse_than_joint_pattern_search(n, p, structure):
     assert result.objective_history[-1] == pytest.approx(designed, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+@pytest.mark.parametrize("structure", ["toeplitz", "full"])
+@pytest.mark.parametrize("source", ["source", "lqg"])
+@pytest.mark.parametrize("p", [0.05, 0.3])
+def test_design_no_worse_than_scipy_lbfgsb(n, structure, source, p):
+    # reference: scipy's L-BFGS-B over the same objective, as the design ran before
+    if source == "source":
+        K = ar1_covariance(0.9, 1.0, n)
+    else:  # the AR(1) model of the default plant's loop
+        K = _lqg_context(ExperimentConfig.from_text(f"kind = lqg\nn = {n}"))[3]
+    P = availability_marginals(ChannelModel.from_violation_probability(p, 0.05, 0.0125, n))
+    prob = DesignProblem(K, P, 5.0, structure)
+    assert design_code(prob).objective_history[-1] <= reference_search(prob) * (1 + 1e-12)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.floats(0.0, 0.95), st.floats(0.02, 0.5))
 def test_design_objectives_nest(rho, p):
@@ -284,6 +346,12 @@ class TestDesignCode:
         assert result.budget_exhausted
         assert result.evaluations <= 6  # warm-start evaluations included
         assert not design_code(prob).budget_exhausted
+
+    def test_iteration_cap_sets_budget_flag(self, monkeypatch):
+        monkeypatch.setattr(design, "MAX_ITERATIONS", 2)
+        result = design_code(make_problem(0.2, "full", n=5))
+        assert result.budget_exhausted
+        assert result.objective_history[-1] < result.objective_history[0]
 
     def test_improves_on_plt_under_loss(self):
         prob = make_problem(0.2, "toeplitz")

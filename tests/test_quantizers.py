@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtr, ndtri
 
 import rctc.quantizers as quantizers
 from rctc.quantizers import (MAX_LEVELS, RESIDUAL_TOL, InfeasibleRateError,
@@ -135,6 +136,62 @@ class TestNoiseModel:
             delta -= delta.mean()  # keep the same mean rate
             other = np.sum(np.exp2(-2 * (alloc.rates + delta)) * var)
             assert other >= best - 1e-15
+
+
+def lloyd_max_jacobian(levels):
+    """Dense Jacobian of the centroid conditions F_k = y_k mass_k - (phi(e_{k-1}) - phi(e_k))."""
+    edges = 0.5 * (levels[1:] + levels[:-1])
+    pdf = np.exp(-0.5 * edges ** 2) / np.sqrt(2 * np.pi)
+    mass = np.diff(np.concatenate(([0.0], ndtr(edges), [1.0])))
+    upper = 0.5 * pdf * (levels[:-1] - edges)  # dF_k/dy_{k+1}
+    lower = 0.5 * pdf * (edges - levels[1:])   # dF_{k+1}/dy_k
+    return (np.diag(mass + np.append(upper, 0.0) + np.append(0.0, lower))
+            + np.diag(upper, 1) + np.diag(lower, -1))
+
+
+class TestNumericKernels:
+    """The in-house replacements of scipy's solve_banded, ndtr and ndtri."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 17, 64, 1000, 1025])
+    def test_tridiagonal_solve_matches_dense_on_dominant_systems(self, n):
+        rng = np.random.default_rng(n)
+        lower, upper, rhs = rng.normal(size=(3, n))
+        diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 1.0, n)) * rng.choice([-1, 1], n)
+        T = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        x = quantizers._solve_tridiagonal(lower, diag, upper, rhs)
+        assert_allclose(x, np.linalg.solve(T, rhs), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 8, 64, 255, 1024])
+    @pytest.mark.parametrize("where", ["start", "trained"])
+    def test_tridiagonal_solve_matches_dense_on_lloyd_max_jacobians(self, n_levels, where):
+        if where == "start":
+            levels = ndtri((np.arange(n_levels) + 0.5) / n_levels)
+        else:
+            levels = lloyd_max_gaussian(n_levels)[0]
+        J = lloyd_max_jacobian(levels)
+        rhs = np.random.default_rng(n_levels).normal(size=n_levels)
+        x = quantizers._solve_tridiagonal(np.append(0.0, np.diag(J, -1)), np.diag(J),
+                                          np.append(np.diag(J, 1), 0.0), rhs)
+        dense = np.linalg.solve(J, rhs)
+        assert_allclose(x, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
+
+    def test_normal_cdf_matches_ndtr(self):
+        x = np.linspace(-40.0, 40.0, 160_001)
+        below, above = quantizers._norm_cdf(x)
+        for got, ref in ((below, ndtr(x)), (above, ndtr(-x))):
+            # libm's erfc and scipy's ndtr both carry a relative error that
+            # grows like x^2 ulp in the tails; below the smallest normal
+            # number each keeps only absolute precision
+            bound = 4.0 * (1.0 + x * x) * np.spacing(ref) + 1e-2 * np.finfo(float).tiny
+            assert np.all(np.abs(got - ref) <= bound)
+        central = np.abs(x) <= 1.0
+        assert np.all(np.abs(below - ndtr(x))[central] <= 4 * np.spacing(ndtr(x))[central])
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 7, 64, 1000, 2 ** 16])
+    def test_quantile_start_matches_ndtri(self, n_levels):
+        got = quantizers._quantile_levels(n_levels)
+        ref = ndtri((np.arange(n_levels) + 0.5) / n_levels)
+        assert np.all(np.abs(got - ref) <= 8 * np.spacing(np.abs(ref)))
 
 
 class TestLloydMax:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import toeplitz
 
-from rctc.sources import (GaussMarkovModel, StationarityError, ar1_covariance,
+from rctc.sources import (GaussMarkovModel, StationarityError, _toeplitz, ar1_covariance,
                           sample_path, validate_covariance)
 
 
@@ -39,6 +40,13 @@ class TestAr1Covariance:
             ar1_covariance(0.5, 0.0, 3)
         with pytest.raises(ValueError):
             ar1_covariance(0.5, 1.0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+def test_toeplitz_matches_scipy_exactly(n):
+    c = np.random.default_rng(n).normal(size=n)
+    assert np.array_equal(_toeplitz(c), toeplitz(c))
+    assert np.array_equal(ar1_covariance(0.7, 2.5, n), toeplitz(2.5 * 0.7 ** np.arange(n)))
 
 
 class TestGaussMarkovModel:
