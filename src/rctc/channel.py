@@ -137,8 +137,34 @@ def channel_moments(marginals: np.ndarray):
     return moments
 
 
+# Floats `sample_availability_bits` draws from its generator at once: the
+# delays of CHUNK_DRAWS // N frames, or the uniforms of CHUNK_DRAWS // N^2.
+# Not a tuning knob: the generator fills its draws in order, so the draws
+# of one chunk after another are the draws of one call, and the bits do not
+# depend on it.  It only bounds the floats held at once (256 KiB, and as
+# much again for the delays' lane copy).
+CHUNK_DRAWS = 32768
+
+
+def out_lanes(out: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    """`out`, a (count, ...) result buffer, with its frame axis moved last.
+
+    Every `out=` of the frame-batch functions takes this layout: the lanes
+    are C-ordered, so one element of all frames is contiguous.  Any other
+    shape, dtype or layout raises a one-line ValueError.
+    """
+    if (not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != dtype
+            or not np.moveaxis(out, 0, -1).flags.c_contiguous):
+        got = (f"{out.dtype} {out.shape}, strides {out.strides}"
+               if isinstance(out, np.ndarray) else type(out).__name__)
+        raise ValueError(f"out must be a {np.dtype(dtype)} array of shape {shape} whose "
+                         f"first axis, moved last, gives C-ordered lanes; got {got}")
+    return np.moveaxis(out, 0, -1)
+
+
 def sample_availability_bits(model: ChannelModel, count: int, seed: int,
-                             mode: str = "montecarlo") -> np.ndarray:
+                             mode: str = "montecarlo", *, out: np.ndarray | None = None
+                             ) -> np.ndarray:
     """Raw availability draws: bool, shape (count, N, N), one pattern per row.
 
     montecarlo: one exponential delay per index, so bits within a column are
@@ -146,20 +172,32 @@ def sample_availability_bits(model: ChannelModel, count: int, seed: int,
     independent: every b_ij is an independent Bernoulli with the closed-form
     marginal, the literal reading of the per-pair loss law.
     The result views a C-ordered (N, N, count) array: bits[:, i, j] is contiguous.
+    With `out`, an array of that shape, dtype and layout (such as an earlier
+    result), the bits are written into it and `out` is returned.
     """
     if mode not in ("montecarlo", "independent"):
         raise ValueError(f"unknown mode {mode!r}")
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    rng = np.random.default_rng(seed)
     n = model.frame_length
+    lanes = (np.empty((n, n, count), dtype=bool) if out is None
+             else out_lanes(out, (count, n, n), bool))
+    rng = np.random.default_rng(seed)
+    step = max(1, CHUNK_DRAWS // (n if mode == "montecarlo" else n * n))
+    chunks = [lanes[:, :, start:start + step] for start in range(0, count, step)]
     if mode == "montecarlo":
-        delays = rng.exponential(model.mean_delay, (count, n))
-        lanes = np.less_equal(delays.T, model.thresholds()[:, :, None], order="C")
+        thresholds = model.thresholds()[:, :, None]
+        for chunk in chunks:
+            delays = rng.exponential(model.mean_delay, (chunk.shape[2], n))
+            # compare from contiguous (N, frames) delay lanes: from strided
+            # columns the compares take about 5x longer
+            np.less_equal(np.ascontiguousarray(delays.T), thresholds, out=chunk)
     else:
-        lanes = np.less(rng.random((count, n, n)).transpose(1, 2, 0),
-                        availability_marginals(model)[:, :, None], order="C")
-    return lanes.transpose(2, 0, 1)
+        marginals = availability_marginals(model)[:, :, None]
+        for chunk in chunks:
+            np.less(rng.random((chunk.shape[2], n, n)).transpose(1, 2, 0), marginals,
+                    out=chunk)
+    return lanes.transpose(2, 0, 1) if out is None else out
 
 
 def availability_stats(model: ChannelModel, sample_count: int, seed: int,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import out_lanes
 from .factorizations import ldl_unit_lower
 from .quantizers import QuantizerBank
 from .sources import validate_covariance
@@ -142,29 +143,40 @@ def encode(frame: np.ndarray, transform: CausalTransform,
 
 
 def encode_batch(frames: np.ndarray, transform: CausalTransform,
-                 bank: QuantizerBank | None = None, rng=None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ladder over (count, N) frames; returns (codevalues, quantizer_inputs)."""
+                 bank: QuantizerBank | None = None, rng=None, *,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Vectorized ladder over (count, N) frames; returns (codevalues, quantizer_inputs).
+
+    With `out`, a float (count, N) array whose columns are contiguous (the
+    transpose of C-ordered (N, count) lanes), the codevalues are written into
+    it and (out, None) is returned: each lane's quantizer inputs are formed
+    in its codevalue lane and not kept.
+    """
     x = np.asarray(frames, dtype=float)
     n = transform.frame_length
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"frames must have shape (count, {n}), got {x.shape}")
     _check_bank(transform, bank, rng)
+    codevalues = np.empty_like(x) if out is None else out_lanes(out, x.shape, float).T
+    inputs = np.empty_like(x) if out is None else codevalues
     enc = transform.encoder_coeffs
-    codevalues = np.zeros_like(x)
-    inputs = np.zeros_like(x)
+    scratch = np.empty(x.shape[0])
     for i in range(n):
-        pred = np.zeros(x.shape[0])
+        # the prediction sum_{j<i} A[i,j] x_c[j], then the input x[i] minus it
+        lane = inputs[:, i]
+        lane.fill(0.0)
         for j in range(i):
-            pred += enc[i, j] * codevalues[:, j]
-        inputs[:, i] = x[:, i] - pred
+            lane += np.multiply(codevalues[:, j], enc[i, j], out=scratch)
+        np.subtract(x[:, i], lane, out=lane)
         if bank is None:
-            codevalues[:, i] = inputs[:, i]
+            codevalues[:, i] = lane
         elif bank.codebooks is not None:
-            codevalues[:, i] = bank.codebooks[i].quantize_array(inputs[:, i])[1]
+            bank.codebooks[i].quantize_array(lane, out=codevalues[:, i])
         else:
-            codevalues[:, i] = (inputs[:, i] + np.sqrt(bank.noise_variances[i])
-                                * rng.standard_normal(x.shape[0]))
-    return codevalues, inputs
+            noise = rng.standard_normal(out=scratch)
+            np.add(lane, np.multiply(noise, np.sqrt(bank.noise_variances[i]), out=noise),
+                   out=codevalues[:, i])
+    return (codevalues, inputs) if out is None else (out, None)
 
 
 def decode(codevalues: np.ndarray, transform: CausalTransform, availability) -> np.ndarray:
@@ -181,12 +193,14 @@ def decode(codevalues: np.ndarray, transform: CausalTransform, availability) -> 
 
 
 def decode_batch(codevalues: np.ndarray, transform: CausalTransform,
-                 bits_stack: np.ndarray) -> np.ndarray:
+                 bits_stack: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Decode many frames, each with its own availability pattern.
 
     codevalues is (count, N) and bits_stack (count, N, N).  Element i of all
     frames is summed as a lane, Ahat[i, j] * x_c[:, j] * bits[:, i, j] over the
-    nonzero Ahat[i, j], so the bits multiply as in `decode`.
+    nonzero Ahat[i, j], so the bits multiply as in `decode`.  The result is
+    the transpose of C-ordered (N, count) lanes; with `out`, an array of that
+    shape, dtype and layout, it is written into `out`, which is returned.
     """
     xc = np.asarray(codevalues, dtype=float)
     bits = np.asarray(bits_stack)
@@ -195,11 +209,14 @@ def decode_batch(codevalues: np.ndarray, transform: CausalTransform,
         raise ValueError(f"codevalues must have shape (count, {n}), got {xc.shape}")
     if bits.shape != (xc.shape[0], n, n):
         raise ValueError(f"bits_stack must have shape {(xc.shape[0], n, n)}, got {bits.shape}")
+    lanes = np.empty((n, xc.shape[0])) if out is None else out_lanes(out, xc.shape, float)
+    lanes.fill(0.0)
     _, Ahat = transform.assemble()
-    out = np.zeros((n, xc.shape[0]))
+    term = np.empty(xc.shape[0])
     for i, j in zip(*np.nonzero(Ahat)):
-        out[i] += Ahat[i, j] * xc[:, j] * bits[:, i, j]
-    return out.T
+        np.multiply(xc[:, j], Ahat[i, j], out=term)
+        lanes[i] += np.multiply(term, bits[:, i, j], out=term)
+    return lanes.T if out is None else out
 
 
 def transform_to_text(transform: CausalTransform) -> str:

@@ -4,6 +4,14 @@ Reproduces the two experiment shapes end to end: open-loop coding of
 frames of an AR(1) source (analytic and simulated AM-MSE per scheme) and the
 closed-loop LQG plant (analytic and simulated cost per scheme), emitting one
 CSV row per (scheme, p) with enough metadata to re-run the row exactly.
+
+A source sweep codes its simulated frames in (N, frames) lanes.  The
+frame-sized arrays (draws, frames, availability bits, codevalues, errors)
+are made when the sweep evaluates its first row and every later row writes
+into them through the `out=` of `sample_availability_bits`, `encode_batch`
+and `decode_batch`.  Later rows allocate only (frames,) scratch lanes and
+chunks of channel draws, and a design-only context (`rctc design`) makes
+none of the arrays.
 """
 from __future__ import annotations
 
@@ -248,6 +256,24 @@ def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:
                                  config.noise_constant)
 
 
+class _FrameLanes:
+    """The frame-sized arrays of a source sweep, made once and reused by every row.
+
+    Each row overwrites every element it reads: z takes the frame draws
+    (frames, N), x the frames as (N, frames) lanes, bits the availability
+    bits in the layout `sample_availability_bits` returns, codevalues and err
+    the (N, frames) codevalue and error lanes, per_frame each frame's error.
+    """
+
+    def __init__(self, frames: int, n: int):
+        self.z = np.empty((frames, n))
+        self.x = np.empty((n, frames))
+        self.bits = np.empty((n, n, frames), dtype=bool).transpose(2, 0, 1)
+        self.codevalues = np.empty((n, frames))
+        self.err = np.empty((n, frames))
+        self.per_frame = np.empty(frames)
+
+
 def _lqg_context(config: ExperimentConfig):
     plant = PlantModel(config.F, config.G, config.K_w)
     if plant.state_dim != 1 or plant.input_dim != 1:
@@ -273,21 +299,29 @@ def _experiment_context(config: ExperimentConfig):
     if config.kind == "source":
         K_x = ar1_covariance(config.rho, config.source_variance, n)
         chol = np.linalg.cholesky(K_x)
+        frames = config.sim_frames
+        lanes = None
 
         def evaluate(result, bank, marginals, cm, sim_seed):
             """AM-MSE of i.i.d. N(0, K_x) frames coded through the sampled channel."""
+            nonlocal lanes
             analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
+            if lanes is None:
+                lanes = _FrameLanes(frames, n)
             z = np.random.default_rng(derive_seed(sim_seed, "frames")).standard_normal(
-                (config.sim_frames, n))
+                out=lanes.z)
             # row i of x is element i of every frame; einsum, as a BLAS GEMM would
             # wake a second BLAS thread that then spins
-            x = np.einsum("ij,fj->if", chol, z, order="C")
-            bits = sample_availability_bits(cm, config.sim_frames,
-                                            derive_seed(sim_seed, "channel"), config.b_mode)
+            x = np.einsum("ij,fj->if", chol, z, out=lanes.x)
+            bits = sample_availability_bits(cm, frames, derive_seed(sim_seed, "channel"),
+                                            config.b_mode, out=lanes.bits)
             rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
-            codevalues, _ = encode_batch(x.T, result.transform, bank, rng)
-            err = x - decode_batch(codevalues, result.transform, bits).T
-            per_frame = np.square(err, out=err).sum(axis=0) / n
+            codevalues, _ = encode_batch(x.T, result.transform, bank, rng,
+                                         out=lanes.codevalues.T)
+            xhat = decode_batch(codevalues, result.transform, bits, out=lanes.err.T).T
+            err = np.subtract(x, xhat, out=xhat)
+            per_frame = np.square(err, out=err).sum(axis=0, out=lanes.per_frame)
+            per_frame /= n
             return analytic, float(per_frame.mean()), batch_standard_error(per_frame)
 
         return K_x, evaluate, None

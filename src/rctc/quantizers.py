@@ -188,9 +188,11 @@ class ScalarCodebook:
         idx = int(np.searchsorted(self.boundaries, value))
         return idx, float(self.levels[idx])
 
-    def quantize_array(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def quantize_array(self, values: np.ndarray, out: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, codewords) of many values; `out` takes the codewords if given."""
         idx = np.searchsorted(self.boundaries, np.asarray(values, dtype=float))
-        return idx, self.levels[idx]
+        return idx, np.take(self.levels, idx, out=out)
 
 
 @dataclass(frozen=True)

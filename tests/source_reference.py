@@ -7,11 +7,12 @@ with einsum, and frames and errors are (frames, N) arrays transformed by
 einsum.  They draw the same random numbers in the same calls and order as
 `rctc.channel.sample_availability_bits` and the harness's source `evaluate`,
 so the lane code must agree with them to rounding (and the bits exactly).
+The frames are encoded by `stack_encode`, the ladder with a fresh array for
+every intermediate that `encode_batch` ran before it filled `out=` buffers.
 """
 import numpy as np
 
 from rctc.channel import availability_marginals
-from rctc.codec import encode_batch
 from rctc.harness import derive_seed
 from rctc.lqg import am_wmse, batch_standard_error
 from rctc.sources import ar1_covariance
@@ -26,6 +27,25 @@ def stack_bits(model, count, seed, mode="montecarlo"):
         return (delays[:, None, :] <= model.thresholds()[None, :, :]).astype(float)
     marg = availability_marginals(model)
     return (rng.random((count, n, n)) < marg[None, :, :]).astype(float)
+
+
+def stack_encode(frames, transform, bank, rng):
+    """(count, N) codevalues of the causal ladder, one fresh array per step."""
+    x = np.asarray(frames, dtype=float)
+    enc = transform.encoder_coeffs
+    codevalues = np.zeros_like(x)
+    for i in range(x.shape[1]):
+        pred = np.zeros(x.shape[0])
+        for j in range(i):
+            pred += enc[i, j] * codevalues[:, j]
+        inputs = x[:, i] - pred
+        if bank.codebooks is not None:
+            codevalues[:, i] = bank.codebooks[i].levels[
+                np.searchsorted(bank.codebooks[i].boundaries, inputs)]
+        else:
+            codevalues[:, i] = (inputs + np.sqrt(bank.noise_variances[i])
+                                * rng.standard_normal(x.shape[0]))
+    return codevalues
 
 
 def stack_decode(codevalues, transform, bits_stack):
@@ -49,7 +69,7 @@ def stack_source_context(config):
         bits = stack_bits(cm, config.sim_frames, derive_seed(sim_seed, "channel"),
                           config.b_mode)
         rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
-        codevalues, _ = encode_batch(x, result.transform, bank, rng)
+        codevalues = stack_encode(x, result.transform, bank, rng)
         err = x - stack_decode(codevalues, result.transform, bits)
         per_frame = np.einsum("fi,fi->f", err, err) / n
         return analytic, float(per_frame.mean()), batch_standard_error(per_frame)

@@ -58,6 +58,35 @@ class TestSampleAvailability:
             assert bits.transpose(1, 2, 0).flags.c_contiguous  # bits[:, i, j] contiguous
             assert np.array_equal(bits, stack_bits(cm, 257, seed, mode))
 
+    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
+    @pytest.mark.parametrize("chunk", [1, 64, 300])
+    def test_chunked_draws_equal_one_draw(self, monkeypatch, mode, chunk):
+        # chunks of 1 to 60 frames (CHUNK_DRAWS // N or // N^2), the last one short
+        monkeypatch.setattr("rctc.channel.CHUNK_DRAWS", chunk)
+        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 5)
+        assert np.array_equal(sample_availability_bits(cm, 101, 4, mode),
+                              stack_bits(cm, 101, 4, mode))
+
+    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
+    def test_out_equals_allocating_result(self, mode):
+        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 5)
+        out = np.ones((5, 5, 300), dtype=bool).transpose(2, 0, 1)  # stale bits
+        for seed in range(3):
+            bits = sample_availability_bits(cm, 300, seed, mode, out=out)
+            assert bits is out
+            assert np.array_equal(out, sample_availability_bits(cm, 300, seed, mode))
+
+    @pytest.mark.parametrize("out", [
+        np.zeros((40, 4, 4), dtype=bool),  # C-ordered frames: bits[:, i, j] strided
+        np.zeros((4, 4, 39), dtype=bool).transpose(2, 0, 1),
+        np.zeros((4, 4, 40)).transpose(2, 0, 1),
+        [[[False] * 4] * 4] * 40,
+    ])
+    def test_out_rejects_shape_dtype_and_layout(self, out):
+        with pytest.raises(ValueError, match="^out must") as info:
+            sample_availability_bits(model(), 40, 1, out=out)
+        assert "\n" not in str(info.value)
+
     def test_near_certain_arrival(self):
         cm = ChannelModel(50 / 0.05, 0.05, 0.0125, 4)  # lambda * delta = 50
         for seed in range(20):

@@ -14,6 +14,8 @@ from rctc.design import unpack_parameters
 from rctc.quantizers import QuantizerBank
 from rctc.sources import ar1_covariance
 
+from source_reference import stack_encode
+
 
 def random_transform(n, rng, kind="full", scale=0.5):
     if kind == "toeplitz":
@@ -201,6 +203,38 @@ class TestEncode:
         with pytest.raises(ValueError, match="frames must have shape"):
             encode_batch(np.zeros(shape), CausalTransform.identity(3))
 
+    @pytest.mark.parametrize("bank_kind", ["none", "modeled", "codebooks"])
+    @pytest.mark.parametrize("kind", ["full", "toeplitz"])
+    def test_batch_out_equals_allocating_result(self, bank_kind, kind):
+        rng = np.random.default_rng(8)
+        t = random_transform(5, rng, kind)
+        lanes = rng.normal(size=(5, 300))  # frames as the harness holds them
+        bank = {"none": None,
+                "modeled": QuantizerBank.modeled(np.full(5, 3.0), np.ones(5)),
+                "codebooks": QuantizerBank.lloyd_max(np.full(5, 3.0), np.ones(5))}[bank_kind]
+        out = np.full((5, 300), np.nan).T  # stale codevalues
+        for frames in (lanes.T, np.ascontiguousarray(lanes.T)):
+            codes, inputs = encode_batch(frames, t, bank, np.random.default_rng(2))
+            result = encode_batch(frames, t, bank, np.random.default_rng(2), out=out)
+            assert result[0] is out and result[1] is None
+            assert np.array_equal(out, codes)
+            if bank is None:
+                assert np.array_equal(inputs, codes)
+            else:  # the same arithmetic as the ladder of fresh arrays
+                assert np.array_equal(codes, stack_encode(frames, t, bank,
+                                                          np.random.default_rng(2)))
+
+    @pytest.mark.parametrize("out", [
+        np.zeros((40, 3)),  # C-ordered: each element's lane strided
+        np.zeros((3, 39)).T,
+        np.zeros((3, 40), dtype=np.float32).T,
+        np.zeros((40, 3, 1)),
+    ])
+    def test_batch_out_rejects_shape_dtype_and_layout(self, out):
+        with pytest.raises(ValueError, match="^out must") as info:
+            encode_batch(np.zeros((40, 3)), CausalTransform.identity(3), out=out)
+        assert "\n" not in str(info.value)
+
 
 class TestDecode:
     def test_full_availability_round_trip(self):
@@ -258,6 +292,31 @@ class TestDecode:
     def test_batch_rejects_codevalues_shape(self, shape):
         with pytest.raises(ValueError, match="codevalues must have shape"):
             decode_batch(np.zeros(shape), CausalTransform.identity(3), np.ones((5, 3, 3)))
+
+    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
+    @pytest.mark.parametrize("kind", ["identity", "full", "toeplitz"])
+    def test_batch_out_equals_allocating_result(self, mode, kind):
+        rng = np.random.default_rng(9)
+        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
+        t = CausalTransform.identity(4) if kind == "identity" else random_transform(4, rng, kind)
+        codes = rng.normal(size=(4, 300)).T
+        out = np.full((4, 300), np.nan).T  # stale reconstructions
+        for seed in range(3):
+            bits = sample_availability_bits(cm, 300, seed, mode)
+            decoded = decode_batch(codes, t, bits, out=out)
+            assert decoded is out
+            assert np.array_equal(out, decode_batch(codes, t, bits))
+
+    @pytest.mark.parametrize("out", [
+        np.zeros((5, 3)),
+        np.zeros((3, 4)).T,
+        np.zeros((3, 5), dtype=int).T,
+    ])
+    def test_batch_out_rejects_shape_dtype_and_layout(self, out):
+        with pytest.raises(ValueError, match="^out must") as info:
+            decode_batch(np.zeros((5, 3)), CausalTransform.identity(3), np.ones((5, 3, 3)),
+                         out=out)
+        assert "\n" not in str(info.value)
 
 
 class TestEquivalentChannel:

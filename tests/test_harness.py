@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.harness import (_CONFIG_KEYS, SCHEMES, ConfigError, ExperimentConfig, _bank_for,
-                          _lqg_context, derive_seed, design_schemes, rows_to_csv,
-                          run_experiment)
+                          _experiment_context, _lqg_context, derive_seed, design_schemes,
+                          rows_to_csv, run_experiment)
 from rctc.lqg import simulate_closed_loop
 from sim_reference import reference_loop
 from source_reference import stack_source_context
@@ -162,6 +163,56 @@ seed = 21
             assert (row.scheme, row.p, row.analytic) == (ref.scheme, ref.p, ref.analytic)
             assert row.simulated == pytest.approx(ref.simulated, rel=1e-13, abs=0)
             assert row.stderr == pytest.approx(ref.stderr, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("modes", ["", "b_mode = independent\nquantizer_mode = realized\n"])
+    def test_rows_share_no_state(self, monkeypatch, modes):
+        # the no_coding row decodes through the diagonal alone, so lanes left
+        # over from the full-Ahat rc_tc row before it would show in its numbers
+        def no_coding_row(schemes):
+            config = ExperimentConfig.from_text(
+                SOURCE_CFG.replace("schemes = no_coding, plt, rtc_tc", f"schemes = {schemes}")
+                + modes)
+            return next(row for row in run_experiment(config) if row.scheme == "no_coding")
+
+        alone = no_coding_row("no_coding")
+        assert no_coding_row("rc_tc, no_coding").to_csv() == alone.to_csv()
+        # and a first row does not read the arrays before it has written them
+        monkeypatch.setattr("rctc.harness._experiment_context", stack_source_context)
+        assert alone.simulated == pytest.approx(no_coding_row("no_coding").simulated,
+                                                rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("modes", ["", "b_mode = independent\nquantizer_mode = realized\n"])
+    def test_rows_reuse_the_frame_arrays(self, modes):
+        # tracemalloc counts numpy's data buffers: after the first row, no row
+        # may allocate as much as one (frames, N) float array
+        frames, n = 20000, 6
+        bound = frames * n * 8
+        config = ExperimentConfig.from_text(f"""
+kind = source
+n = {n}
+p_grid = 0.2
+sim_frames = {frames}
+search_budget = 400
+seed = 3
+{modes}""")
+        cm = ChannelModel.from_violation_probability(0.2, config.delta, config.ts, n)
+        marginals = availability_marginals(cm)
+        tracemalloc.start()
+        try:
+            context = _experiment_context(config)
+            assert tracemalloc.get_traced_memory()[1] < bound  # no arrays before a row
+            designs = design_schemes(config, marginals, config.schemes, context)
+            peaks = []
+            for scheme, result in designs.items():
+                bank = _bank_for(result, config)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                context[1](result, bank, marginals, cm, derive_seed(3, scheme))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] > 4 * bound  # the first row makes the sweep's arrays
+        assert max(peaks[1:]) < bound, peaks
 
     def test_realized_quantizer_mode(self):
         cfg = SOURCE_CFG + "quantizer_mode = realized\n"
