@@ -165,7 +165,9 @@ def encode_batch(frames: np.ndarray, transform: CausalTransform,
         # the prediction sum_{j<i} A[i,j] x_c[j], then the input x[i] minus it
         lane = inputs[:, i]
         lane.fill(0.0)
-        for j in range(i):
+        for j in np.flatnonzero(enc[i, :i]):
+            # zero coefficients are skipped: adding +-0 to a lane that starts at +0
+            # changes no bit of a finite sum
             lane += np.multiply(codevalues[:, j], enc[i, j], out=scratch)
         np.subtract(x[:, i], lane, out=lane)
         if bank is None:

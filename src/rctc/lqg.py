@@ -412,6 +412,8 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
                 XC[i] = D[i]
                 XC[i, 0] += q_noise[:, i]
             elif codebooks is not None:
+                # one search over the replicas costs less than the array passes
+                # of ScalarCodebook.quantize_array's cell table
                 bounds, levels = codebooks[i]
                 XC[i] = levels[np.searchsorted(bounds, D[i], side="left")]
             else:

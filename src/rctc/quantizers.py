@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,9 +155,84 @@ def lloyd_max_gaussian(n_levels: int):
     return levels, float(np.sum(inner) + tails)
 
 
+# quantize_array looks values up this many at a time, so that its temporaries
+# stay a few small arrays however many values it is given
+LOOKUP_CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class _CellTable:
+    """Exact constant-time search over a codebook's sorted, finite boundaries.
+
+    A monotone map sends a value to one of about 2 x levels uniform cells
+    between the outer boundaries; `first[c]` counts the boundaries whose own
+    cell is below c, and `passes` is the most boundaries one cell holds.  As
+    the map is monotone, a value's searchsorted index is first[cell] plus the
+    boundaries of its own cell that lie below it, which `passes` steps of
+    `index += value > bounds[index]` count.  The top cell, `top`, holds no
+    boundary: +inf and NaN land there, at index len(boundaries), as in
+    searchsorted.
+    """
+
+    offset: float
+    scale: float
+    top: float
+    first: np.ndarray
+    passes: int
+    bounds: np.ndarray  # the boundaries and a +inf sentinel
+
+    @classmethod
+    def build(cls, boundaries: np.ndarray, cells: int) -> _CellTable:
+        lo, hi = (float(boundaries[0]), float(boundaries[-1])) if boundaries.size else (0.0, 0.0)
+        width = hi - lo  # finite: ScalarCodebook checks it
+        scale = min(cells / width, sys.float_info.max) if width > 0.0 else 1.0
+        # the boundaries' cells come from the map the lookup uses; top, the cell
+        # after the last of them, holds none
+        raw = _cell_map(boundaries, lo, scale, math.inf, np.empty(boundaries.size))
+        top = int(raw[-1]) + 1 if boundaries.size else 0
+        first = np.searchsorted(raw, np.arange(top + 1))  # raw < c: its cell is below c
+        return cls(lo, scale, float(top), first, int(np.max(np.diff(first), initial=0)),
+                   np.append(boundaries, math.inf))
+
+    def search(self, values: np.ndarray, out: np.ndarray) -> None:
+        """np.searchsorted(boundaries, values) for 1-D `values`, written to `out`."""
+        size = min(LOOKUP_CHUNK, values.size)
+        scratch, cell, above = np.empty(size), np.empty(size, np.intp), np.empty(size, bool)
+        # a value far outside the boundaries may overflow to +-inf, still its cell
+        with np.errstate(over="ignore"):
+            for start in range(0, values.size, LOOKUP_CHUNK):
+                x, index = values[start:start + size], out[start:start + size]
+                n = x.size
+                cell[:n] = _cell_map(x, self.offset, self.scale, self.top, scratch[:n])
+                # every index taken here is in range, so mode="clip" clips nothing;
+                # it spares the buffered copy of `out` that the default mode makes
+                np.take(self.first, cell[:n], out=index, mode="clip")
+                for _ in range(self.passes):
+                    np.take(self.bounds, index, out=scratch[:n], mode="clip")
+                    index += np.greater(x, scratch[:n], out=above[:n])
+
+
+def _cell_map(values, offset: float, scale: float, top: float, out: np.ndarray) -> np.ndarray:
+    """(values - offset) * scale held to [0, top], NaN to top, written to `out`.
+
+    Every step is monotone, so the cells, the truncated results, are too.
+    """
+    np.subtract(values, offset, out=out)
+    np.multiply(out, scale, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.fmin(out, top, out=out)
+
+
 @dataclass(frozen=True)
 class ScalarCodebook:
-    """Nearest-neighbor scalar quantizer: sorted levels, midpoint boundaries."""
+    """Nearest-neighbor scalar quantizer: sorted levels, midpoint boundaries.
+
+    Levels must be finite and strictly increasing, and the boundaries must
+    span a finite range; mse must be finite and non-negative.
+    `quantize_array` looks values up in a cell table of about 2 x levels
+    entries, built once per codebook on its first call; `quantize` keeps
+    np.searchsorted, the reference the table is tested against.
+    """
 
     levels: np.ndarray
     mse: float
@@ -165,10 +241,20 @@ class ScalarCodebook:
         levels = np.asarray(self.levels, dtype=float)
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("levels must be a non-empty vector")
-        if np.any(np.diff(levels) <= 0.0):
+        if not np.all(np.isfinite(levels)):
+            i = int(np.argmin(np.isfinite(levels)))
+            raise ValueError(f"level {i} is {levels[i]:g}: levels must be finite")
+        if np.any(levels[1:] <= levels[:-1]):
             raise ValueError("levels must be strictly increasing")
+        if not 0.0 <= self.mse < math.inf:  # also rejects nan
+            raise ValueError(f"mse must be finite and non-negative, got {self.mse:g}")
+        with np.errstate(over="ignore"):  # rejected below
+            boundaries = 0.5 * (levels[1:] + levels[:-1])
+        if boundaries.size and not math.isfinite(float(boundaries[-1]) - float(boundaries[0])):
+            raise ValueError(f"the boundaries of levels {levels[0]:g} .. {levels[-1]:g} "
+                             f"do not span a finite range")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "boundaries", 0.5 * (levels[1:] + levels[:-1]))
+        object.__setattr__(self, "boundaries", boundaries)
 
     @property
     def size(self) -> int:
@@ -179,8 +265,8 @@ class ScalarCodebook:
         return math.log2(self.size) if self.size > 1 else 0.0
 
     def scaled(self, sigma: float) -> ScalarCodebook:
-        if sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < sigma < math.inf:  # also rejects nan
+            raise ValueError(f"sigma must be finite and positive, got {sigma:g}")
         return ScalarCodebook(self.levels * sigma, self.mse * sigma * sigma)
 
     def quantize(self, value: float) -> tuple[int, float]:
@@ -188,11 +274,25 @@ class ScalarCodebook:
         idx = int(np.searchsorted(self.boundaries, value))
         return idx, float(self.levels[idx])
 
+    @functools.cached_property
+    def _table(self) -> _CellTable:
+        return _CellTable.build(self.boundaries, 2 * self.size)
+
     def quantize_array(self, values: np.ndarray, out: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, codewords) of many values; `out` takes the codewords if given."""
-        idx = np.searchsorted(self.boundaries, np.asarray(values, dtype=float))
-        return idx, np.take(self.levels, idx, out=out)
+        """(indices, codewords) of an array of values of any shape.
+
+        The indices are exactly np.searchsorted(boundaries, values), as in
+        `quantize`: +/-inf saturate at the extreme levels and NaN takes the
+        top level.  They come from the cell table a chunk of LOOKUP_CHUNK
+        values at a time, so the temporaries are a few chunk-sized arrays,
+        and every value is read before `out`, which takes the codewords if
+        given, is written: `out` may be `values` itself.
+        """
+        x = np.asarray(values, dtype=float)
+        indices = np.empty(x.shape, dtype=np.intp)
+        self._table.search(x.reshape(-1), indices.reshape(-1))
+        return indices, np.take(self.levels, indices, out=out, mode="clip")
 
 
 @dataclass(frozen=True)

@@ -186,10 +186,15 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(np.zeros(3), CausalTransform.identity(4))
 
-    def test_batch_matches_scalar(self):
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_batch_matches_scalar(self, sparse):
         rng = np.random.default_rng(5)
         t = random_transform(5, rng)
+        if sparse:  # the batch skips zero coefficients, the scalar ladder adds them
+            enc = np.where(rng.random((5, 5)) < 0.5, 0.0, t.encoder_coeffs)
+            t = CausalTransform("full", 5, enc, t.decoder_coeffs)
         frames = rng.normal(size=(20, 5))
+        frames[::3, 2] = -0.0
         bank = QuantizerBank.lloyd_max(np.full(5, 3.0), np.ones(5))
         for order in "CF":
             codes, inputs = encode_batch(np.asarray(frames, order=order), t, bank)
@@ -197,6 +202,7 @@ class TestEncode:
                 single = encode(frames[f], t, bank)
                 assert np.array_equal(codes[f], single.codevalues)
                 assert np.array_equal(inputs[f], single.quantizer_inputs)
+                assert np.array_equal(np.signbit(inputs[f]), np.signbit(single.quantizer_inputs))
 
     @pytest.mark.parametrize("shape", [(3,), (5, 4), (5, 3, 1)])
     def test_batch_rejects_frames_shape(self, shape):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
 
@@ -267,6 +269,30 @@ class TestLloydMax:
         assert empirical == pytest.approx(mse, rel=0.02)  # typically much tighter
 
 
+def edge_inputs(book: ScalarCodebook) -> np.ndarray:
+    """Every boundary and both its float neighbours, every level, and the extremes."""
+    b = book.boundaries
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    return np.concatenate([b, np.nextafter(b, -math.inf), np.nextafter(b, math.inf),
+                           book.levels, extremes])
+
+
+def assert_exact_lookup(book: ScalarCodebook, x: np.ndarray) -> None:
+    """quantize_array agrees with searchsorted, and with quantize on a spread of x."""
+    expected = np.searchsorted(book.boundaries, x)
+    indices, codewords = book.quantize_array(x)
+    assert np.array_equal(indices, expected)
+    assert np.array_equal(codewords, book.levels[expected])
+    for value, index in zip(x[::max(1, x.size // 2000)], expected[::max(1, x.size // 2000)]):
+        assert book.quantize(float(value)) == (index, book.levels[index])
+
+
+# levels -1000 and 1000 around five within 0.004 of 100: the cell of about 71
+# that holds 100 holds four boundaries, so the lookup takes four passes
+CLUSTERED = ScalarCodebook(
+    np.array([-1000.0, 100.0, 100.001, 100.002, 100.003, 100.004, 1000.0]), 1.0)
+
+
 class TestScalarCodebook:
     def build(self):
         levels, mse = lloyd_max_gaussian(8)
@@ -283,6 +309,90 @@ class TestScalarCodebook:
         book = self.build()
         assert book.quantize(math.inf) == (7, book.levels[-1])
         assert book.quantize(-math.inf) == (0, book.levels[0])
+
+    @pytest.mark.parametrize("levels", [[0.0, math.nan, 1.0], [-math.inf, 0.0, math.inf]])
+    def test_non_finite_levels_rejected(self, levels):
+        bad = next(i for i, v in enumerate(levels) if not math.isfinite(v))
+        with pytest.raises(ValueError) as info:
+            ScalarCodebook(np.array(levels), 1.0)
+        assert str(info.value) == f"level {bad} is {levels[bad]:g}: levels must be finite"
+
+    def test_overflowing_boundaries_rejected(self):
+        # finite levels whose midpoint 0.5 (1e308 + 1.7e308) overflows
+        with pytest.raises(ValueError) as info:
+            ScalarCodebook(np.array([-1e308, 1e308, 1.7e308]), 1.0)
+        assert str(info.value) == ("the boundaries of levels -1e+308 .. 1.7e+308 "
+                                   "do not span a finite range")
+
+    @pytest.mark.parametrize("mse", [math.nan, -1.0, math.inf])
+    def test_bad_mse_rejected(self, mse):
+        with pytest.raises(ValueError) as info:
+            ScalarCodebook(np.array([-1.0, 1.0]), mse)
+        assert str(info.value) == f"mse must be finite and non-negative, got {mse:g}"
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0])
+    def test_bad_scale_rejected(self, sigma):
+        with pytest.raises(ValueError) as info:
+            self.build().scaled(sigma)
+        assert str(info.value) == f"sigma must be finite and positive, got {sigma:g}"
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-6, 1.0, 1e6, 1e300])
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 64, 128, 1024, MAX_LEVELS])
+    def test_lookup_equals_searchsorted_on_lloyd_max_books(self, n_levels, scale):
+        # built directly: the design distortion would overflow at 1e300
+        book = ScalarCodebook(quantizers._unit_codebook(n_levels).levels * scale, 1.0)
+        assert_exact_lookup(book, edge_inputs(book))
+
+    def test_lookup_passes_of_the_trained_books(self):
+        # one pass up to 128 levels, two at 1,024; the clustered book needs four
+        passes = {n: quantizers._unit_codebook(n).scaled(1.0)._table.passes
+                  for n in (2, 3, 64, 128, 1024)}
+        assert passes == {2: 1, 3: 1, 64: 1, 128: 1, 1024: 2}
+        assert CLUSTERED._table.passes == 4
+        assert_exact_lookup(CLUSTERED, edge_inputs(CLUSTERED))
+
+    @pytest.mark.parametrize("chunk", [7, quantizers.LOOKUP_CHUNK])
+    def test_lookup_in_place_and_in_chunks(self, monkeypatch, chunk):
+        # encode_batch passes a lane as both values and out: every value must
+        # be read before its codeword is written
+        monkeypatch.setattr(quantizers, "LOOKUP_CHUNK", chunk)
+        book = quantizers._unit_codebook(64).scaled(2.0)
+        x = np.random.default_rng(5).standard_normal(2 * quantizers.LOOKUP_CHUNK + 3) * 3.0
+        expected = book.levels[np.searchsorted(book.boundaries, x)]
+        same = x.copy()
+        book.quantize_array(same, out=same)
+        assert np.array_equal(same, expected)
+        lanes = np.stack([x, x])  # a view of the same memory, as encode_batch makes it
+        book.quantize_array(lanes[1], out=lanes[1, :])
+        assert np.array_equal(lanes[1], expected)
+        assert np.array_equal(lanes[0], x)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_lookup_of_a_matrix(self, order):
+        book = CLUSTERED
+        x = np.asarray(edge_inputs(book)[:-1].reshape(3, -1), order=order)
+        indices, codewords = book.quantize_array(x)
+        assert indices.shape == x.shape
+        assert np.array_equal(indices, np.searchsorted(book.boundaries, x))
+        out = np.empty((x.shape[1], x.shape[0])).T  # a strided out
+        assert book.quantize_array(x, out=out)[1] is out
+        assert np.array_equal(out, codewords)
+        assert book.quantize_array(np.empty((0, 3)))[0].shape == (0, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40,
+                unique=True),
+       st.lists(st.floats(), max_size=40))
+def test_lookup_equals_searchsorted_property(levels, values):
+    # any finite levels, from subnormal to near-overflow spacings, and any floats
+    levels = np.sort(np.array(levels))
+    assume(np.all(levels[1:] > levels[:-1]))  # -0.0 and 0.0 are one level
+    try:
+        book = ScalarCodebook(levels, 1.0)
+    except ValueError:
+        assume(False)  # midpoints that overflow
+    assert_exact_lookup(book, np.concatenate([edge_inputs(book), values]))
 
 
 class TestQuantizerBank:
