@@ -11,7 +11,7 @@ from .codec import (CausalTransform, EncodedFrame, decode, decode_batch, encode,
                     encode_batch, plt_design, quantizer_input_variances)
 from .design import (DesignProblem, DesignResult, SearchConfig, design_code,
                      effective_variances, hooke_jeeves, load_design, save_design)
-from .factorizations import FactorizationError, ldl_unit_lower, reverse_cholesky
+from .factorizations import FactorizationError, ldl_unit_lower
 from .harness import ConfigError, ExperimentConfig, ResultRow, run_experiment, write_csv
 from .lqg import (REPLICAS, ControllerSolution, LqgWeights, PlantModel,
                   RiccatiConvergenceError, SimulationResult, am_wmse,

@@ -20,7 +20,6 @@ import numpy as np
 from .channel import channel_moments
 from .codec import (CausalTransform, plt_design, quantizer_input_variances,
                     transform_from_text, transform_to_text)
-from .factorizations import reverse_cholesky
 from .lqg import am_wmse, frame_error_terms
 from .quantizers import QuantizerBank, RateAllocation, allocate_rates, clamp_rates
 
@@ -210,24 +209,17 @@ def effective_variances(transform: CausalTransform, marginals: np.ndarray,
                         K_x: np.ndarray) -> np.ndarray:
     """Per-quantizer variances feeding the rate allocation.
 
-    The noise energy tr(W K_q) with W = E_B[H'H] converts to a problem with
-    independent slots through W = Z'Z with Z lower triangular; the variance
-    charged to quantizer i is then Z_ii^2 Var(d_i), the freshly coded part of
-    the equivalent-domain input.  On a lossless channel it reduces to the
-    plain prediction error variances.
+    The quantizer noises are independent, so the noise energy tr(W K_q) with
+    W = E_B[H'H] is the sum of W_ii q_i: the variance charged to quantizer i
+    is W_ii Var(d_i), Var(d_i) the diagonal of inv(A) K_x inv(A)'.  With
+    nothing lost and a decoder that inverts the encoder, W = I and these are
+    the plain prediction error variances.
     """
-    n = transform.frame_length
     K_x = np.asarray(K_x, dtype=float)
     _, Ahat = transform.assemble()
     Ainv = transform.encoder_inverse()
     _, W = channel_moments(marginals)(Ahat, Ainv)
-    W = 0.5 * (W + W.T)
-    # rows of B can be all zero, leaving W merely semi-definite
-    floor = 1e-12 * float(np.trace(W)) / n
-    if float(np.linalg.eigvalsh(W)[0]) < floor:
-        W = W + floor * np.eye(n)
-    z = np.diag(reverse_cholesky(W))
-    out = z * np.diag(Ainv @ K_x @ Ainv.T) * z
+    out = np.diag(W) * np.diag(Ainv @ K_x @ Ainv.T)
     if np.any(out <= 0.0):
         raise ValueError(f"effective variance for quantizer {np.argmax(out <= 0)} is not positive")
     return out

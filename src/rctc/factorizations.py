@@ -33,21 +33,3 @@ def ldl_unit_lower(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             L[i, j] = (K[i, j] - np.dot(L[i, :j] * L[j, :j], d[:j])) / d[j]
     return L, d
 
-
-def reverse_cholesky(W: np.ndarray) -> np.ndarray:
-    """Factor a symmetric positive definite W as Z.T @ Z with Z lower triangular.
-
-    Mirror image of the usual Cholesky factorization W = L @ L.T.  Keeping the
-    lower triangular factor on the right preserves causal orderings when W
-    weights an error vector: row i of Z only touches components 0..i.
-    """
-    W = np.asarray(W, dtype=float)
-    n = W.shape[0]
-    if W.ndim != 2 or W.shape != (n, n):
-        raise FactorizationError(f"expected a square matrix, got shape {W.shape}")
-    flipped = W[::-1, ::-1]
-    try:
-        L = np.linalg.cholesky(flipped)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(str(exc)) from None
-    return L.T[::-1, ::-1]

@@ -157,6 +157,9 @@ class ExperimentConfig:
         if v["quantizer_mode"] not in ("modeled", "realized"):
             raise ConfigError(
                 f"quantizer_mode must be modeled or realized, got {v['quantizer_mode']!r}")
+        if kind == "lqg" and v["quantizer_mode"] != "modeled":
+            raise ConfigError("quantizer_mode must be modeled for kind = lqg: the closed-loop "
+                              "simulator runs modeled quantizer noise only")
 
     def __getattr__(self, name):
         try:
@@ -336,8 +339,10 @@ def _experiment_context(config: ExperimentConfig):
         sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
                                    config.horizon, sim_seed,
                                    divergence_bound=config.divergence_bound)
-        return (lqg_cost(result, bank, marginals),
-                "diverged" if sim.diverged else sim.empirical_cost, sim.standard_error)
+        analytic = lqg_cost(result, bank, marginals)
+        if sim.diverged:  # no finite variance for a stderr to estimate
+            return analytic, "diverged", math.nan
+        return analytic, sim.empirical_cost, sim.standard_error
 
     return K_x, evaluate, lqg_cost
 

@@ -315,13 +315,12 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     once, on two lanes: a noise lane from x_0 = 0 with the drawn noise, and
     a unit lane from x_0 = 1 without it.  The scan x_{k+1} = phi_k x_k + psi_k
     then gives every frame's start state, and each value of frame k is its
-    noise-lane value plus x_k times its unit-lane value.  Codebooks make the
-    loop nonlinear, so a bank with them runs the same ladder a frame at a
-    time on the noise lane alone, started from the known state.
+    noise-lane value plus x_k times its unit-lane value.  A bank must be
+    modeled: codebooks would make the loop nonlinear.
 
     Random draws, from one generator seeded with `seed`: the REPLICAS start
     states, then for each frame an (N, REPLICAS) block of delays, one of
-    quantizer noise (modeled banks only) and one of process noise.  The
+    quantizer noise (when there is a bank) and one of process noise.  The
     chunk does not change this order.
 
     The cost is the sum of the per-replica cost sums, each summed step by
@@ -339,6 +338,8 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
         raise ValueError("channel frame length does not match the transform")
     if bank is not None and bank.count != n:
         raise ValueError("bank layout does not match the transform")
+    if bank is not None and bank.codebooks is not None:
+        raise ValueError("closed-loop simulation needs a modeled bank, not codebooks")
     if horizon < n:
         raise ValueError("horizon must cover at least one frame")
     lengths = replica_lengths(horizon, n)
@@ -353,19 +354,13 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     neg_enc = -transform.encoder_coeffs[:, :, None, None, None]
     dec = transform.assemble()[1][:, :, None, None]
     thresholds = channel_model.thresholds()[:, :, None, None]
-    sigma_q = codebooks = None
-    if bank is not None and bank.codebooks is not None:
-        codebooks = [(book.boundaries, book.levels) for book in bank.codebooks]
-    elif bank is not None:
-        sigma_q = np.sqrt(bank.noise_variances)[:, None]
-    R = REPLICAS
-    # lane 0 is the noise lane, lane 1 the unit lane; with codebooks lane 0
-    # alone carries the whole state
-    lanes, chunk = (1, 1) if codebooks is not None else (2, CHUNK_FRAMES)
+    sigma_q = None if bank is None else np.sqrt(bank.noise_variances)[:, None]
+    R, chunk = REPLICAS, CHUNK_FRAMES
     # [quantity, element, lane, frame, replica] for the quantities x, xhat,
-    # u, d and xc; x[i] is the state at frame element i, x[n] the frame's end
-    ladder = np.zeros((5, n + 1, lanes, chunk, R))
-    scratch = np.empty((n, lanes, chunk, R))
+    # u, d and xc; x[i] is the state at frame element i, x[n] the frame's end;
+    # lane 0 is the noise lane, lane 1 the unit lane
+    ladder = np.zeros((5, n + 1, 2, chunk, R))
+    scratch = np.empty((n, 2, chunk, R))
     # the last chunk runs whole; its frames past the horizon hold old draws
     delays, q_noise, w = (np.zeros((chunk, n, R)) for _ in range(3))
     arrived = np.empty((n, n, chunk, R), dtype=bool)  # [i, j, k, r]: index j is in by element i
@@ -398,8 +393,9 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
         if first + c > whole_frames:  # the last frame, cut short for some replicas
             t = (first + np.arange(chunk)) * n + np.arange(n)[:, None]
             held = lengths <= t[:, :, None]
-        X[0, 0] = starts[0] if lanes == 1 else 0.0
-        X[0, 1:] = 1.0  # the unit lane, if any
+        # the lane sum of the last chunk overwrote the frame start x_0
+        X[0, 0] = 0.0
+        X[0, 1] = 1.0
         for i in range(n):
             if i:
                 # x - sum_j enc[i, j] xc[j], subtracted term by term
@@ -408,16 +404,9 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
                 scratch[:i + 1].sum(axis=0, out=D[i])
             else:
                 D[0] = X[0]
+            XC[i] = D[i]
             if sigma_q is not None:
-                XC[i] = D[i]
                 XC[i, 0] += q_noise[:, i]
-            elif codebooks is not None:
-                # one search over the replicas costs less than the array passes
-                # of ScalarCodebook.quantize_array's cell table
-                bounds, levels = codebooks[i]
-                XC[i] = levels[np.searchsorted(bounds, D[i], side="left")]
-            else:
-                XC[i] = D[i]
             np.multiply(DA[i, :i + 1], XC[:i + 1], out=scratch[:i + 1])
             scratch[:i + 1].sum(axis=0, out=XH[i])
             np.multiply(XH[i], l, out=U[i])
@@ -429,21 +418,17 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
         # each frame's start state, checked at every frame end
         stop = c
         for k in range(c):
-            if lanes == 2:
-                np.multiply(X[n, 1, k], starts[k], out=starts[k + 1])
-                starts[k + 1] += X[n, 0, k]
-            else:
-                starts[k + 1] = X[n, 0, k]
+            np.multiply(X[n, 1, k], starts[k], out=starts[k + 1])
+            starts[k + 1] += X[n, 0, k]
             if not np.abs(starts[k + 1]).max() <= divergence_bound:
                 diverged = True
                 stop = k + 1
                 break
         # the quantities at the frames' true start states, in lane 0
         V = ladder[:kept, :n, 0, :stop]
-        if lanes == 2:
-            unit = ladder[:kept, :n, 1, :stop]
-            unit *= starts[:stop]
-            V += unit
+        unit = ladder[:kept, :n, 1, :stop]
+        unit *= starts[:stop]
+        V += unit
         state, rec_x, control = V[:3]
         err = state - rec_x
         cost = r_w * rec_x * rec_x + s_w * control * control + r_w * err * err

@@ -3,13 +3,12 @@
 It draws the same random numbers as `rctc.lqg.simulate_closed_loop`, in the
 same per-frame block layout (start states, then per frame the delay, modeled
 quantizer noise and process noise blocks of shape (N, replicas)), and then
-steps every replica on its own with Python floats and `bisect_left`.  It
+steps every replica on its own with Python floats.  It
 shares no loop code with the product, so it is the oracle the vectorised
 simulator's per-replica costs are checked against.  With replicas = 1 it is
 one long run, the loop's original form.
 """
 import math
-from bisect import bisect_left
 
 import numpy as np
 
@@ -48,13 +47,8 @@ def reference_loop(plant, weights, solution, transform, bank, channel_model, hor
                 for i in range(n)]
     thr_rows = [[channel_model.deadline + (i - j) * channel_model.sample_period
                  for j in range(i + 1)] for i in range(n)]
-    mode = "ideal"
-    if bank is not None and bank.codebooks is not None:
-        mode = "realized"
-        levels = [list(map(float, book.levels)) for book in bank.codebooks]
-        bounds = [list(map(float, book.boundaries)) for book in bank.codebooks]
-    elif bank is not None:
-        mode = "modeled"
+    modeled = bank is not None
+    if modeled:
         sigma_q = [math.sqrt(float(v)) for v in bank.noise_variances]
 
     rng = np.random.default_rng(seed)
@@ -62,7 +56,7 @@ def reference_loop(plant, weights, solution, transform, bank, channel_model, hor
     blocks = []
     for _ in range(-(-max(lengths) // n)):
         delays = rng.exponential(channel_model.mean_delay, (n, replicas)).tolist()
-        q_noise = rng.standard_normal((n, replicas)).tolist() if mode == "modeled" else None
+        q_noise = rng.standard_normal((n, replicas)).tolist() if modeled else None
         w_noise = rng.standard_normal((n, replicas)).tolist()
         blocks.append((delays, q_noise, w_noise))
 
@@ -81,13 +75,7 @@ def reference_loop(plant, weights, solution, transform, bank, channel_model, hor
             d_val = x
             for j in range(i):
                 d_val -= enc_rows[i][j] * xc[j]
-            if mode == "modeled":
-                xc_i = d_val + sigma_q[i] * q_noise[i][r]
-            elif mode == "realized":
-                xc_i = levels[i][bisect_left(bounds[i], d_val)]
-            else:
-                xc_i = d_val
-            xc[i] = xc_i
+            xc[i] = d_val + sigma_q[i] * q_noise[i][r] if modeled else d_val
             xhat = 0.0
             for j in range(i + 1):
                 if delays[j][r] <= thr_rows[i][j]:

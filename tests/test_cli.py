@@ -88,6 +88,9 @@ BAD_SETTINGS = [
     ("K_w = nan", "K_w entries must be finite, got nan"),
     ("R = -inf", "R entries must be finite, got -inf"),
     ("S = 1e400", "S entries must be finite, got inf"),
+    ("kind = lqg\nquantizer_mode = realized",
+     "quantizer_mode must be modeled for kind = lqg: the closed-loop simulator runs "
+     "modeled quantizer noise only"),
 ]
 
 
@@ -238,6 +241,15 @@ class TestSimulateCommand:
                      "--horizon", horizon]) == 1
         assert capsys.readouterr().err == \
             f"error: horizon must be at least 2n = 6, got {horizon}\n"
+        assert not out.exists()
+
+    def test_realized_mode_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "sim.cfg", LQG_SIM_CFG + "quantizer_mode = realized\n")
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: quantizer_mode must be modeled for kind = lqg: the closed-loop "
+            "simulator runs modeled quantizer noise only\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("seed, scheme, p_grid", [

@@ -11,7 +11,6 @@ from rctc.design import (DesignProblem, DesignResult, SearchConfig, design_code,
                          design_objective, effective_variances, hooke_jeeves, lbfgs,
                          load_design, optimal_decoder, pack_parameters, save_design,
                          unpack_parameters)
-from rctc.factorizations import reverse_cholesky
 from rctc.harness import ExperimentConfig, _lqg_context
 from rctc.lqg import am_wmse
 from rctc.quantizers import QuantizerBank, allocate_rates, clamp_rates
@@ -173,11 +172,9 @@ class TestEffectiveVariances:
         K = ar1_covariance(a, 1.0, 2)
         t, d = plt_design(K)
         bits = np.array([[1.0, 0.0], [0.0, 1.0]])
-        # W = (H inv(A))' (H inv(A)) with H = diag(1, 1): W = [[1+a^2, -a], [-a, 1]]
-        W = np.array([[1 + a * a, -a], [-a, 1.0]])
-        Z = reverse_cholesky(W)
-        assert_allclose(Z, [[1.0, 0.0], [-a, 1.0]], atol=1e-12)
-        expected = np.array([Z[0, 0] ** 2 * d[0], Z[1, 1] ** 2 * d[1]])
+        # W = (H inv(A))' (H inv(A)) with H = diag(1, 1): W = [[1+a^2, -a], [-a, 1]],
+        # so quantizer 0's noise reaches the error with weight W_00 = 1 + a^2
+        expected = np.array([(1 + a * a) * d[0], d[1]])
         assert_allclose(effective_variances(t, bits, K), expected, atol=1e-12)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rctc.factorizations import FactorizationError, ldl_unit_lower, reverse_cholesky
+from rctc.factorizations import FactorizationError, ldl_unit_lower
 
 
 def test_ldl_ar1_two_by_two():
@@ -37,25 +37,3 @@ def test_ldl_rejects_indefinite():
         ldl_unit_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(FactorizationError):
         ldl_unit_lower(np.zeros((2, 2)))
-
-
-def test_reverse_cholesky_hand_case():
-    a = 0.9
-    W = np.array([[1 + a * a, -a], [-a, 1.0]])
-    Z = reverse_cholesky(W)
-    assert_allclose(Z, [[1.0, 0.0], [-a, 1.0]], atol=1e-14)
-
-
-def test_reverse_cholesky_random_spd():
-    rng = np.random.default_rng(2)
-    for n in (1, 3, 6):
-        A = rng.normal(size=(n, n))
-        W = A @ A.T + 0.5 * np.eye(n)
-        Z = reverse_cholesky(W)
-        assert_allclose(np.triu(Z, 1), 0.0)
-        assert_allclose(Z.T @ Z, W, rtol=1e-12, atol=1e-12)
-
-
-def test_reverse_cholesky_rejects_indefinite():
-    with pytest.raises(FactorizationError):
-        reverse_cholesky(np.array([[0.0, 1.0], [1.0, 0.0]]))

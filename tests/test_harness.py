@@ -270,6 +270,9 @@ seed = 2
 """
         rows = run_experiment(ExperimentConfig.from_text(cfg))
         assert rows[0].simulated == "diverged"
+        # a stderr is reported only where the variance it estimates is finite
+        assert math.isnan(rows[0].stderr)
+        assert rows[0].to_csv().split(",")[5] == "nan"
 
     @pytest.mark.parametrize("plant", ["F = 0.9, 0.1; 0, 0.8\nG = 1; 1\nK_w = 1, 0; 0, 1\n"
                                        "R = 1, 0; 0, 1",

@@ -272,9 +272,7 @@ class TestSimulateClosedLoop:
         designed = design_code(DesignProblem(K_x, availability_marginals(cm), 5.0,
                                              "toeplitz")).transform
         assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
-        banks = [None,
-                 QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.015)),
-                 QuantizerBank.lloyd_max(np.full(n, 5.0), np.full(n, 0.015))]
+        banks = [None, QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.015))]
         for t in (CausalTransform.identity(n), designed):
             for bank in banks:
                 plain = simulate_closed_loop(self.plant, self.weights, self.sol, t, bank,
@@ -354,6 +352,19 @@ class TestSimulateClosedLoop:
                                  CausalTransform.identity(4), None, self.lossless(4),
                                  3, 0)
 
+    def test_codebook_bank_rejected(self):
+        # the loop is simulated under modeled quantizer noise only
+        n = 3
+        t = CausalTransform.identity(n)
+        for bank, message in ((QuantizerBank.lloyd_max(np.full(n, 4.0), np.ones(n)),
+                               "needs a modeled bank, not codebooks"),
+                              (QuantizerBank.modeled(np.full(n + 1, 4.0), np.ones(n + 1)),
+                               "bank layout does not match")):
+            with pytest.raises(ValueError, match=message) as err:
+                simulate_closed_loop(self.plant, self.weights, self.sol, t, bank,
+                                     self.lossless(n), 600, 9)
+            assert "\n" not in str(err.value)
+
     def test_vector_plant_rejected(self):
         cm = ChannelModel(50 / 0.05, 0.05, 0.0125, 3)
         two_states = PlantModel([[0.9, 0.2], [0.0, 0.7]], np.eye(2), 0.01 * np.eye(2))
@@ -395,7 +406,7 @@ class TestAgainstReference:
         REPLICAS * 4 * (2 * CHUNK_FRAMES + 5) + 3,
         # below REPLICAS * N: 25 replicas run a frame, one runs 1 step, 38 none
         101])
-    @pytest.mark.parametrize("mode", ["ideal", "modeled", "realized"])
+    @pytest.mark.parametrize("mode", ["ideal", "modeled"])
     def test_replica_means_match(self, mode, horizon):
         n = 4
         K_x = ar1_covariance(loop_pole(self.plant, self.sol),
@@ -405,8 +416,7 @@ class TestAgainstReference:
                                              "toeplitz")).transform
         assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
         bank = {"ideal": None,
-                "modeled": QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.2)),
-                "realized": QuantizerBank.lloyd_max(np.full(n, 5.0), np.full(n, 0.2))}[mode]
+                "modeled": QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.2))}[mode]
         for t in (CausalTransform.identity(n), designed):
             sim = self.check(t, bank, cm, horizon, 21)
             assert not sim.diverged
