@@ -177,6 +177,35 @@ class TestEffectiveVariances:
         expected = np.array([(1 + a * a) * d[0], d[1]])
         assert_allclose(effective_variances(t, bits, K), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["full", "toeplitz"])
+    @pytest.mark.parametrize("channel", ["lossless", "p0.2", "own-bits", "first-row-lost"])
+    def test_weighted_sum_is_modeled_noise_energy(self, channel, kind):
+        # at any rates, the modeled noise energy tr(W K_q) that am_wmse charges
+        # is c sum_i 2^(-2 R_i) times the variance charged to quantizer i
+        n = 4
+        rng = np.random.default_rng(5)
+        K = ar1_covariance(0.9, 1.0, n)
+        if kind == "toeplitz":
+            t = unpack_parameters(*(rng.normal(scale=0.5, size=n - 1) for _ in range(2)),
+                                  "toeplitz", n)
+        else:
+            enc, dec = (np.tril(rng.normal(scale=0.5, size=(n, n)), -1) for _ in range(2))
+            t = CausalTransform("full", n, enc, dec)
+        bits = np.tril(np.ones((n, n)))
+        bits[0] = 0.0  # slot 0 is never reconstructed, so W is singular
+        marginals = {"lossless": self.lossless_marginals(n),
+                     "p0.2": availability_marginals(
+                         ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)),
+                     "own-bits": np.eye(n),
+                     "first-row-lost": bits}[channel]
+        rates, c = np.array([5.0, 3.5, 4.25, 6.0]), 1.7
+        K_q = np.diag(QuantizerBank.modeled(rates, quantizer_input_variances(t, K),
+                                            c).noise_variances)
+        noise = n * (am_wmse(t, marginals, K, K_q) - am_wmse(t, marginals, K, 0.0 * K_q))
+        sigma_hat = effective_variances(t, marginals, K)
+        assert np.all(sigma_hat > 0.0)
+        assert_allclose(c * np.sum(np.exp2(-2.0 * rates) * sigma_hat), noise, rtol=1e-9)
+
 
 def make_problem(p, structure, n=6, rate=5.0):
     K = ar1_covariance(0.9, 1.0, n)
