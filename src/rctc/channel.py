@@ -182,6 +182,9 @@ def sample_availability_bits(model: ChannelModel, count: int, seed: int,
     n = model.frame_length
     lanes = (np.empty((n, n, count), dtype=bool) if out is None
              else out_lanes(out, (count, n, n), bool))
+    # index j > i is not yet sent at element i: those lanes are False, and
+    # only the N(N + 1)/2 lanes with j <= i are compared
+    lanes[np.triu_indices(n, 1)] = False
     rng = np.random.default_rng(seed)
     step = max(1, CHUNK_DRAWS // (n if mode == "montecarlo" else n * n))
     chunks = [lanes[:, :, start:start + step] for start in range(0, count, step)]
@@ -191,12 +194,16 @@ def sample_availability_bits(model: ChannelModel, count: int, seed: int,
             delays = rng.exponential(model.mean_delay, (chunk.shape[2], n))
             # compare from contiguous (N, frames) delay lanes: from strided
             # columns the compares take about 5x longer
-            np.less_equal(np.ascontiguousarray(delays.T), thresholds, out=chunk)
+            delays = np.ascontiguousarray(delays.T)
+            for i in range(n):
+                np.less_equal(delays[:i + 1], thresholds[i, :i + 1], out=chunk[i, :i + 1])
     else:
         marginals = availability_marginals(model)[:, :, None]
         for chunk in chunks:
-            np.less(rng.random((chunk.shape[2], n, n)).transpose(1, 2, 0), marginals,
-                    out=chunk)
+            # every uniform is drawn, so the stream does not depend on which are read
+            uniforms = rng.random((chunk.shape[2], n, n)).transpose(1, 2, 0)
+            for i in range(n):
+                np.less(uniforms[i, :i + 1], marginals[i, :i + 1], out=chunk[i, :i + 1])
     return lanes.transpose(2, 0, 1) if out is None else out
 
 

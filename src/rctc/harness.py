@@ -11,7 +11,10 @@ are made when the sweep evaluates its first row and every later row writes
 into them through the `out=` of `sample_availability_bits`, `encode_batch`
 and `decode_batch`.  Later rows allocate only (frames,) scratch lanes and
 chunks of channel draws, and a design-only context (`rctc design`) makes
-none of the arrays.
+none of the arrays.  The frames and the availability bits are drawn once
+per channel point, from the point's seed, and every scheme of the point
+codes those same draws (common random numbers); a row draws only its own
+quantizer noise.
 """
 from __future__ import annotations
 
@@ -262,10 +265,12 @@ def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:
 class _FrameLanes:
     """The frame-sized arrays of a source sweep, made once and reused by every row.
 
-    Each row overwrites every element it reads: z takes the frame draws
-    (frames, N), x the frames as (N, frames) lanes, bits the availability
-    bits in the layout `sample_availability_bits` returns, codevalues and err
-    the (N, frames) codevalue and error lanes, per_frame each frame's error.
+    z takes the frame draws (frames, N), x the frames as (N, frames) lanes
+    and bits the availability bits in the layout `sample_availability_bits`
+    returns: these three are filled once per channel point and only read by
+    its rows.  Each row overwrites every element it reads of codevalues and
+    err, the (N, frames) codevalue and error lanes, and per_frame, each
+    frame's error.
     """
 
     def __init__(self, frames: int, n: int):
@@ -294,9 +299,13 @@ def _experiment_context(config: ExperimentConfig):
     """(K_x, evaluate, lqg_cost) of the configured kind.
 
     K_x is the frame covariance every design, rate allocation and analytic
-    column reads.  evaluate(result, bank, marginals, cm, sim_seed) returns
-    one row's (analytic, simulated, stderr); lqg_cost(result, bank,
-    marginals), None for kind = source, its analytic column.
+    column reads.  evaluate(result, bank, marginals, cm, sim_seed, point_seed)
+    returns one row's (analytic, simulated, stderr); lqg_cost(result, bank,
+    marginals), None for kind = source, its analytic column.  The source
+    evaluate draws the frames and bits of channel point (point_seed, cm) at
+    the first row it evaluates there and reuses them for the point's other
+    rows; sim_seed seeds the row's own quantizer noise.  The LQG evaluate
+    reads sim_seed alone.
     """
     n = config.n
     if config.kind == "source":
@@ -304,20 +313,24 @@ def _experiment_context(config: ExperimentConfig):
         chol = np.linalg.cholesky(K_x)
         frames = config.sim_frames
         lanes = None
+        drawn = None  # the (point_seed, cm) whose frames and bits the lanes hold
 
-        def evaluate(result, bank, marginals, cm, sim_seed):
+        def evaluate(result, bank, marginals, cm, sim_seed, point_seed):
             """AM-MSE of i.i.d. N(0, K_x) frames coded through the sampled channel."""
-            nonlocal lanes
+            nonlocal lanes, drawn
             analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
             if lanes is None:
                 lanes = _FrameLanes(frames, n)
-            z = np.random.default_rng(derive_seed(sim_seed, "frames")).standard_normal(
-                out=lanes.z)
-            # row i of x is element i of every frame; einsum, as a BLAS GEMM would
-            # wake a second BLAS thread that then spins
-            x = np.einsum("ij,fj->if", chol, z, out=lanes.x)
-            bits = sample_availability_bits(cm, frames, derive_seed(sim_seed, "channel"),
-                                            config.b_mode, out=lanes.bits)
+            if drawn != (point_seed, cm):
+                np.random.default_rng(derive_seed(point_seed, "frames")).standard_normal(
+                    out=lanes.z)
+                # row i of x is element i of every frame; einsum, as a BLAS GEMM
+                # would wake a second BLAS thread that then spins
+                np.einsum("ij,fj->if", chol, lanes.z, out=lanes.x)
+                sample_availability_bits(cm, frames, derive_seed(point_seed, "channel"),
+                                         config.b_mode, out=lanes.bits)
+                drawn = (point_seed, cm)
+            x, bits = lanes.x, lanes.bits
             rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
             codevalues, _ = encode_batch(x.T, result.transform, bank, rng,
                                          out=lanes.codevalues.T)
@@ -335,7 +348,7 @@ def _experiment_context(config: ExperimentConfig):
         return analytic_lqg_cost(solution, plant, marginals, result.transform, K_x,
                                  np.diag(bank.noise_variances))
 
-    def evaluate(result, bank, marginals, cm, sim_seed):
+    def evaluate(result, bank, marginals, cm, sim_seed, point_seed):
         sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
                                    config.horizon, sim_seed,
                                    divergence_bound=config.divergence_bound)
@@ -381,6 +394,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
     mode = f"{config.b_mode}/{config.quantizer_mode}"
     for pi, p in enumerate(config.p_grid):
+        # seeds the channel point's frames and bits, which all its rows share
+        point_seed = derive_seed(config.seed, "sim", pi)
         cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
         marginals = availability_marginals(cm)
         designs = design_schemes(config, marginals, config.schemes, context)
@@ -392,7 +407,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 tag = f"{mode}:{type(result).__name__}"
             else:
                 bank = _bank_for(result, config)
-                columns, tag = evaluate(result, bank, marginals, cm, sim_seed), mode
+                columns, tag = evaluate(result, bank, marginals, cm, sim_seed, point_seed), mode
             rows.append(ResultRow(scheme, p, cm.delay_rate, *columns, sim_seed, tag,
                                   config.noise_constant, config.n, config.rate))
     rows.sort(key=lambda row: (row.p, row.scheme))

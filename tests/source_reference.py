@@ -7,6 +7,8 @@ with einsum, and frames and errors are (frames, N) arrays transformed by
 einsum.  They draw the same random numbers in the same calls and order as
 `rctc.channel.sample_availability_bits` and the harness's source `evaluate`,
 so the lane code must agree with them to rounding (and the bits exactly).
+Like the harness, the frames and bits come from the channel point's seed and
+the quantizer noise from the row's; the reference redraws them for each row.
 The frames are encoded by `stack_encode`, the ladder with a fresh array for
 every intermediate that `encode_batch` ran before it filled `out=` buffers.
 """
@@ -61,12 +63,12 @@ def stack_source_context(config):
     K_x = ar1_covariance(config.rho, config.source_variance, n)
     chol = np.linalg.cholesky(K_x)
 
-    def evaluate(result, bank, marginals, cm, sim_seed):
+    def evaluate(result, bank, marginals, cm, sim_seed, point_seed):
         analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
-        z = np.random.default_rng(derive_seed(sim_seed, "frames")).standard_normal(
+        z = np.random.default_rng(derive_seed(point_seed, "frames")).standard_normal(
             (config.sim_frames, n))
         x = np.einsum("ij,fj->fi", chol, z)
-        bits = stack_bits(cm, config.sim_frames, derive_seed(sim_seed, "channel"),
+        bits = stack_bits(cm, config.sim_frames, derive_seed(point_seed, "channel"),
                           config.b_mode)
         rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
         codevalues = stack_encode(x, result.transform, bank, rng)

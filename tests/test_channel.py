@@ -76,6 +76,16 @@ class TestSampleAvailability:
             assert bits is out
             assert np.array_equal(out, sample_availability_bits(cm, 300, seed, mode))
 
+    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
+    def test_true_filled_out_equals_stack_reference(self, mode):
+        # only the lanes with j <= i are compared: those above the diagonal
+        # are cleared once per call, so stale True bits there do not survive
+        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 6)
+        out = np.ones((6, 6, 500), dtype=bool).transpose(2, 0, 1)
+        assert sample_availability_bits(cm, 500, 11, mode, out=out) is out
+        assert np.array_equal(out, stack_bits(cm, 500, 11, mode))
+        assert not np.triu(out, 1).any()
+
     @pytest.mark.parametrize("out", [
         np.zeros((40, 4, 4), dtype=bool),  # C-ordered frames: bits[:, i, j] strided
         np.zeros((4, 4, 39), dtype=bool).transpose(2, 0, 1),

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rctc import harness
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.harness import (_CONFIG_KEYS, SCHEMES, ConfigError, ExperimentConfig, _bank_for,
                           _experiment_context, _lqg_context, derive_seed, design_schemes,
@@ -165,6 +166,57 @@ seed = 21
             assert row.stderr == pytest.approx(ref.stderr, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("modes", ["", "b_mode = independent\nquantizer_mode = realized\n"])
+    def test_channel_point_draws_are_shared_by_its_rows(self, monkeypatch, modes):
+        # common random numbers: one draw of frames and bits per channel point,
+        # coded by every scheme of the point and written by none of them
+        config = ExperimentConfig.from_text(f"""
+kind = source
+n = 4
+rate = 5
+p_grid = 0.1, 0.3
+sim_frames = 2000
+search_budget = 400
+seed = 21
+{modes}""")
+        draws, encoded = [], []
+        real_bits, real_encode = harness.sample_availability_bits, harness.encode_batch
+        real_context = harness._experiment_context
+
+        def bits(model, *args, **kwargs):
+            result = real_bits(model, *args, **kwargs)
+            draws.append((model.violation_probability, result, result.copy()))
+            return result
+
+        def encode(frames, *args, **kwargs):
+            encoded.append((frames, frames.copy()))
+            return real_encode(frames, *args, **kwargs)
+
+        def context(cfg):
+            K_x, evaluate, lqg_cost = real_context(cfg)
+
+            def checked(*args):
+                columns = evaluate(*args)
+                frames, drawn_frames = encoded[-1]
+                _, shared_bits, drawn_bits = draws[-1]
+                assert np.array_equal(frames, drawn_frames)
+                assert np.array_equal(shared_bits, drawn_bits)
+                return columns
+
+            return K_x, checked, lqg_cost
+
+        monkeypatch.setattr(harness, "sample_availability_bits", bits)
+        monkeypatch.setattr(harness, "encode_batch", encode)
+        monkeypatch.setattr(harness, "_experiment_context", context)
+        rows = run_experiment(config)
+        assert len(rows) == 8 and len(encoded) == 8
+        assert [p for p, _, _ in draws] == pytest.approx([0.1, 0.3])
+        points = [[drawn for _, drawn in encoded[:4]], [drawn for _, drawn in encoded[4:]]]
+        for frames in points:
+            assert all(np.array_equal(f, frames[0]) for f in frames[1:])
+        assert not np.array_equal(points[0][0], points[1][0])
+        assert len({row.seed for row in rows}) == 8  # each row seeds its own noise
+
+    @pytest.mark.parametrize("modes", ["", "b_mode = independent\nquantizer_mode = realized\n"])
     def test_rows_share_no_state(self, monkeypatch, modes):
         # the no_coding row decodes through the diagonal alone, so lanes left
         # over from the full-Ahat rc_tc row before it would show in its numbers
@@ -207,7 +259,8 @@ seed = 3
                 bank = _bank_for(result, config)
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                context[1](result, bank, marginals, cm, derive_seed(3, scheme))
+                context[1](result, bank, marginals, cm, derive_seed(3, scheme),
+                           derive_seed(3, "sim", 0))
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
