@@ -137,12 +137,11 @@ def channel_moments(marginals: np.ndarray):
     return moments
 
 
-# Floats `sample_availability_bits` draws from its generator at once: the
-# delays of CHUNK_DRAWS // N frames, or the uniforms of CHUNK_DRAWS // N^2.
-# Not a tuning knob: the generator fills its draws in order, so the draws
-# of one chunk after another are the draws of one call, and the bits do not
-# depend on it.  It only bounds the floats held at once (256 KiB, and as
-# much again for the delays' lane copy).
+# Delays `sample_availability_bits` draws from its generator at once: those
+# of CHUNK_DRAWS // N frames.  Not a tuning knob: the generator fills its
+# draws in order, so the draws of one chunk after another are the draws of
+# one call, and the bits do not depend on it.  It only bounds the floats
+# held at once (256 KiB, and as much again for the delays' lane copy).
 CHUNK_DRAWS = 32768
 
 
@@ -162,21 +161,17 @@ def out_lanes(out: np.ndarray, shape: tuple, dtype) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def sample_availability_bits(model: ChannelModel, count: int, seed: int,
-                             mode: str = "montecarlo", *, out: np.ndarray | None = None
-                             ) -> np.ndarray:
+def sample_availability_bits(model: ChannelModel, count: int, seed: int, *,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """Raw availability draws: bool, shape (count, N, N), one pattern per row.
 
-    montecarlo: one exponential delay per index, so bits within a column are
-    coupled (an index that made an early deadline also makes later ones).
-    independent: every b_ij is an independent Bernoulli with the closed-form
-    marginal, the literal reading of the per-pair loss law.
+    Every transmitted index draws one exponential delay, so bits within a
+    column are coupled (an index that made an early deadline also makes
+    later ones).
     The result views a C-ordered (N, N, count) array: bits[:, i, j] is contiguous.
     With `out`, an array of that shape, dtype and layout (such as an earlier
     result), the bits are written into it and `out` is returned.
     """
-    if mode not in ("montecarlo", "independent"):
-        raise ValueError(f"unknown mode {mode!r}")
     if count < 1:
         raise ValueError("sample count must be at least 1")
     n = model.frame_length
@@ -186,40 +181,32 @@ def sample_availability_bits(model: ChannelModel, count: int, seed: int,
     # only the N(N + 1)/2 lanes with j <= i are compared
     lanes[np.triu_indices(n, 1)] = False
     rng = np.random.default_rng(seed)
-    step = max(1, CHUNK_DRAWS // (n if mode == "montecarlo" else n * n))
-    chunks = [lanes[:, :, start:start + step] for start in range(0, count, step)]
-    if mode == "montecarlo":
-        thresholds = model.thresholds()[:, :, None]
-        for chunk in chunks:
-            delays = rng.exponential(model.mean_delay, (chunk.shape[2], n))
-            # compare from contiguous (N, frames) delay lanes: from strided
-            # columns the compares take about 5x longer
-            delays = np.ascontiguousarray(delays.T)
-            for i in range(n):
-                np.less_equal(delays[:i + 1], thresholds[i, :i + 1], out=chunk[i, :i + 1])
-    else:
-        marginals = availability_marginals(model)[:, :, None]
-        for chunk in chunks:
-            # every uniform is drawn, so the stream does not depend on which are read
-            uniforms = rng.random((chunk.shape[2], n, n)).transpose(1, 2, 0)
-            for i in range(n):
-                np.less(uniforms[i, :i + 1], marginals[i, :i + 1], out=chunk[i, :i + 1])
+    thresholds = model.thresholds()[:, :, None]
+    step = max(1, CHUNK_DRAWS // n)
+    for start in range(0, count, step):
+        chunk = lanes[:, :, start:start + step]
+        delays = rng.exponential(model.mean_delay, (chunk.shape[2], n))
+        # compare from contiguous (N, frames) delay lanes: from strided
+        # columns the compares take about 5x longer
+        delays = np.ascontiguousarray(delays.T)
+        for i in range(n):
+            np.less_equal(delays[:i + 1], thresholds[i, :i + 1], out=chunk[i, :i + 1])
     return lanes.transpose(2, 0, 1) if out is None else out
 
 
-def availability_stats(model: ChannelModel, sample_count: int, seed: int,
-                       mode: str = "montecarlo") -> AvailabilityStats:
+def availability_stats(model: ChannelModel, sample_count: int, seed: int) -> AvailabilityStats:
     """Sampled availability realizations with uniform weights (a test oracle)."""
-    bits = sample_availability_bits(model, sample_count, seed, mode)
-    return AvailabilityStats(model, mode, bits, np.full(sample_count, 1.0 / sample_count),
+    bits = sample_availability_bits(model, sample_count, seed)
+    return AvailabilityStats(model, "montecarlo", bits, np.full(sample_count, 1.0 / sample_count),
                              availability_marginals(model))
 
 
 def exhaustive_stats(model: ChannelModel) -> AvailabilityStats:
     """Every lower-triangular pattern with its exact independent-bit probability.
 
-    Realizes channel expectations exactly under the independent reading; the
-    pattern count is 2^(N(N+1)/2), so this is only for small frames.
+    Realizes exactly every expectation that pairs only bits of different
+    indices, such as those of `channel_moments`; the pattern count is
+    2^(N(N+1)/2), so this is only for small frames.
     """
     n = model.frame_length
     cells = [(i, j) for i in range(n) for j in range(i + 1)]

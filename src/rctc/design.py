@@ -375,12 +375,8 @@ def optimal_decoder(problem: DesignProblem, params: np.ndarray) -> np.ndarray:
     return _reduced_objective(problem)(np.asarray(params, dtype=float))[2]
 
 
-class _BudgetSpent(Exception):
-    """The design search asked for an evaluation beyond its budget."""
-
-
-def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None = None,
-                max_evaluations: int = 100_000) -> DesignResult:
+def design_code(problem: DesignProblem,
+                initial_points: list[np.ndarray] | None = None) -> DesignResult:
     """Design a transform and its rate allocation for the given channel.
 
     Search structures ("full", "toeplitz") minimize the uniform-rate AM-MSE
@@ -389,12 +385,10 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
     encoder (or the best of the supplied warm starts).  The result is the
     best encoder evaluated, so never worse than its start.  "identity" keeps
     uniform rates and "plt" allocates over its prediction error variances:
-    neither searches or looks through the channel.  Spending max_evaluations
-    objective evaluations (or MAX_ITERATIONS L-BFGS iterations) is reported
+    neither searches or looks through the channel.  The search stops by the
+    `lbfgs` rules alone; running out of MAX_ITERATIONS iterations is reported
     on the result as budget_exhausted, never raised.
     """
-    if max_evaluations < 1:
-        raise ValueError("max_evaluations must be positive")
     n = problem.frame_length
     r = problem.average_rate
 
@@ -422,8 +416,6 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
 
         def scaled(x):
             nonlocal best_x, spent
-            if spent == max_evaluations:
-                raise _BudgetSpent
             spent += 1
             value, gradient = objective(x)
             if value < history[-1]:
@@ -431,10 +423,7 @@ def design_code(problem: DesignProblem, initial_points: list[np.ndarray] | None 
                 history.append(value)
             return value / history[0], gradient / history[0]
 
-        try:
-            exhausted = lbfgs(scaled, best_x)[2]
-        except _BudgetSpent:
-            exhausted = True
+        exhausted = lbfgs(scaled, best_x)[2]
         decoder = optimal_decoder(problem, best_x)
         transform = unpack_parameters(best_x, decoder, problem.structure, n)
         evaluations = spent + len(starts)

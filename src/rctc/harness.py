@@ -6,8 +6,8 @@ closed-loop LQG plant (analytic and simulated cost per scheme), emitting one
 CSV row per (scheme, p) with enough metadata to re-run the row exactly.
 
 A source sweep codes its simulated frames in (N, frames) lanes.  The
-frame-sized arrays (draws, frames, availability bits, codevalues, errors)
-are made when the sweep evaluates its first row and every later row writes
+frame-sized arrays (frames, availability bits, codevalues, errors) are
+made when the sweep evaluates its first row and every later row writes
 into them through the `out=` of `sample_availability_bits`, `encode_batch`
 and `decode_batch`.  Later rows allocate only (frames,) scratch lanes and
 chunks of channel draws, and a design-only context (`rctc design`) makes
@@ -78,7 +78,6 @@ _CONFIG_KEYS = {
     "p": (float, None),
     "schemes": (_parse_str_list, SCHEMES),
     "scheme": (str, "rtc_tc"),
-    "b_mode": (str, "montecarlo"),
     "quantizer_mode": (str, "modeled"),
     "seed": (int, 12345),
     "sim_frames": (int, 20000),
@@ -86,7 +85,6 @@ _CONFIG_KEYS = {
     "noise_constant": (float, 1.0),
     "min_rate": (float, 0.0),
     "out": (str, ""),
-    "search_budget": (int, 100_000),
     "rho": (float, 0.9),
     "source_variance": (float, 1.0),
     "F": (_parse_matrix, np.asarray([[1.49]])),
@@ -116,9 +114,8 @@ class ExperimentConfig:
             v["ts"] = v["delta"] / 4.0
         if v.get("p") is None:
             v["p"] = v["p_grid"][0]
-        for key in ("n", "search_budget"):
-            if v[key] < 1:
-                raise ConfigError(f"{key} must be at least 1")
+        if v["n"] < 1:
+            raise ConfigError("n must be at least 1")
         # a standard error needs two frames
         if v["sim_frames"] < 2:
             raise ConfigError(f"sim_frames must be at least 2, got {v['sim_frames']}")
@@ -152,11 +149,6 @@ class ExperimentConfig:
             for i, x in enumerate(v[key]):
                 if x in v[key][:i]:
                     raise ConfigError(f"{key} lists {x!r} more than once")
-        if v["b_mode"] not in ("montecarlo", "independent"):
-            raise ConfigError(f"b_mode must be montecarlo or independent, got {v['b_mode']!r}")
-        if kind == "lqg" and v["b_mode"] != "montecarlo":
-            raise ConfigError("b_mode must be montecarlo for kind = lqg: the closed-loop "
-                              "simulator draws one delay per transmitted index")
         if v["quantizer_mode"] not in ("modeled", "realized"):
             raise ConfigError(
                 f"quantizer_mode must be modeled or realized, got {v['quantizer_mode']!r}")
@@ -265,16 +257,14 @@ def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:
 class _FrameLanes:
     """The frame-sized arrays of a source sweep, made once and reused by every row.
 
-    z takes the frame draws (frames, N), x the frames as (N, frames) lanes
-    and bits the availability bits in the layout `sample_availability_bits`
-    returns: these three are filled once per channel point and only read by
-    its rows.  Each row overwrites every element it reads of codevalues and
-    err, the (N, frames) codevalue and error lanes, and per_frame, each
-    frame's error.
+    x holds the frames as (N, frames) lanes and bits the availability bits in
+    the layout `sample_availability_bits` returns: both are filled once per
+    channel point and only read by its rows.  Each row overwrites every
+    element it reads of codevalues and err, the (N, frames) codevalue and
+    error lanes, and per_frame, each frame's error.
     """
 
     def __init__(self, frames: int, n: int):
-        self.z = np.empty((frames, n))
         self.x = np.empty((n, frames))
         self.bits = np.empty((n, n, frames), dtype=bool).transpose(2, 0, 1)
         self.codevalues = np.empty((n, frames))
@@ -305,7 +295,8 @@ def _experiment_context(config: ExperimentConfig):
     evaluate draws the frames and bits of channel point (point_seed, cm) at
     the first row it evaluates there and reuses them for the point's other
     rows; sim_seed seeds the row's own quantizer noise.  The LQG evaluate
-    reads sim_seed alone.
+    reads sim_seed alone, and its analytic column is the design's
+    predicted_lqg_cost, which `design_schemes` computes by lqg_cost.
     """
     n = config.n
     if config.kind == "source":
@@ -322,13 +313,15 @@ def _experiment_context(config: ExperimentConfig):
             if lanes is None:
                 lanes = _FrameLanes(frames, n)
             if drawn != (point_seed, cm):
-                np.random.default_rng(derive_seed(point_seed, "frames")).standard_normal(
-                    out=lanes.z)
+                # the (frames, N) draws z go to the codevalue lanes, which no
+                # row has read yet at this point
+                z = lanes.codevalues.reshape(frames, n)
+                np.random.default_rng(derive_seed(point_seed, "frames")).standard_normal(out=z)
                 # row i of x is element i of every frame; einsum, as a BLAS GEMM
                 # would wake a second BLAS thread that then spins
-                np.einsum("ij,fj->if", chol, lanes.z, out=lanes.x)
+                np.einsum("ij,fj->if", chol, z, out=lanes.x)
                 sample_availability_bits(cm, frames, derive_seed(point_seed, "channel"),
-                                         config.b_mode, out=lanes.bits)
+                                         out=lanes.bits)
                 drawn = (point_seed, cm)
             x, bits = lanes.x, lanes.bits
             rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
@@ -352,7 +345,9 @@ def _experiment_context(config: ExperimentConfig):
         sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
                                    config.horizon, sim_seed,
                                    divergence_bound=config.divergence_bound)
-        analytic = lqg_cost(result, bank, marginals)
+        # kind = lqg runs modeled noise only, so the row's bank is the one
+        # design_schemes priced: its analytic cost is the design's
+        analytic = result.predicted_lqg_cost
         if sim.diverged:  # no finite variance for a stderr to estimate
             return analytic, "diverged", math.nan
         return analytic, sim.empirical_cost, sim.standard_error
@@ -377,7 +372,7 @@ def design_schemes(config: ExperimentConfig, marginals: np.ndarray, schemes,
         problem = DesignProblem(K_x, marginals, config.rate, SCHEME_STRUCTURES[scheme],
                                 config.noise_constant, config.min_rate)
         try:
-            designs[scheme] = result = design_code(problem, starts, config.search_budget)
+            designs[scheme] = result = design_code(problem, starts)
             if lqg_cost:
                 bank = QuantizerBank.modeled(result.rates.rates, result.input_variances,
                                              config.noise_constant)
@@ -392,7 +387,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     context = _experiment_context(config)
     _, evaluate, _ = context
     rows = []
-    mode = f"{config.b_mode}/{config.quantizer_mode}"
+    # every index draws one delay, in the simulator and in the source lanes alike
+    mode = f"montecarlo/{config.quantizer_mode}"
     for pi, p in enumerate(config.p_grid):
         # seeds the channel point's frames and bits, which all its rows share
         point_seed = derive_seed(config.seed, "sim", pi)

@@ -147,8 +147,8 @@ class ControllerSolution:
     R_eq: np.ndarray
 
 
-def controller_solution(plant: PlantModel, weights: LqgWeights, **riccati_kwargs) -> ControllerSolution:
-    P = solve_riccati(plant, weights, **riccati_kwargs)
+def controller_solution(plant: PlantModel, weights: LqgWeights) -> ControllerSolution:
+    P = solve_riccati(plant, weights)
     res = riccati_residual(P, plant, weights)
     if res > 1e-10 * float(np.linalg.norm(P)):
         raise RiccatiConvergenceError(f"Riccati residual {res:.3e} too large", res)

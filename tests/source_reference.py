@@ -14,21 +14,16 @@ every intermediate that `encode_batch` ran before it filled `out=` buffers.
 """
 import numpy as np
 
-from rctc.channel import availability_marginals
 from rctc.harness import derive_seed
 from rctc.lqg import am_wmse, batch_standard_error
 from rctc.sources import ar1_covariance
 
 
-def stack_bits(model, count, seed, mode="montecarlo"):
+def stack_bits(model, count, seed):
     """(count, N, N) float availability patterns, one per frame."""
-    rng = np.random.default_rng(seed)
-    n = model.frame_length
-    if mode == "montecarlo":
-        delays = rng.exponential(model.mean_delay, (count, n))
-        return (delays[:, None, :] <= model.thresholds()[None, :, :]).astype(float)
-    marg = availability_marginals(model)
-    return (rng.random((count, n, n)) < marg[None, :, :]).astype(float)
+    delays = np.random.default_rng(seed).exponential(model.mean_delay,
+                                                     (count, model.frame_length))
+    return (delays[:, None, :] <= model.thresholds()[None, :, :]).astype(float)
 
 
 def stack_encode(frames, transform, bank, rng):
@@ -68,8 +63,7 @@ def stack_source_context(config):
         z = np.random.default_rng(derive_seed(point_seed, "frames")).standard_normal(
             (config.sim_frames, n))
         x = np.einsum("ij,fj->fi", chol, z)
-        bits = stack_bits(cm, config.sim_frames, derive_seed(point_seed, "channel"),
-                          config.b_mode)
+        bits = stack_bits(cm, config.sim_frames, derive_seed(point_seed, "channel"))
         rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
         codevalues = stack_encode(x, result.transform, bank, rng)
         err = x - stack_decode(codevalues, result.transform, bits)

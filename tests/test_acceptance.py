@@ -333,7 +333,6 @@ rate = 5
 p_grid = 0.1, 0.3
 schemes = no_coding, plt, rtc_tc
 sim_frames = 500
-search_budget = 2000
 seed = 31
 """)
     out1 = tmp_path / "run1.csv"

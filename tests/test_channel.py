@@ -49,41 +49,36 @@ class TestSampleAvailability:
         bits = np.zeros(4)[None, :] <= model().thresholds()
         assert np.array_equal(bits, np.tril(np.ones((4, 4), dtype=bool)))
 
-    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
-    def test_bool_lanes_equal_stack_reference(self, mode):
+    def test_bool_lanes_equal_stack_reference(self):
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 5)
         for seed in range(6):
-            bits = sample_availability_bits(cm, 257, seed, mode)
+            bits = sample_availability_bits(cm, 257, seed)
             assert bits.dtype == bool and bits.shape == (257, 5, 5)
             assert bits.transpose(1, 2, 0).flags.c_contiguous  # bits[:, i, j] contiguous
-            assert np.array_equal(bits, stack_bits(cm, 257, seed, mode))
+            assert np.array_equal(bits, stack_bits(cm, 257, seed))
 
-    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
     @pytest.mark.parametrize("chunk", [1, 64, 300])
-    def test_chunked_draws_equal_one_draw(self, monkeypatch, mode, chunk):
-        # chunks of 1 to 60 frames (CHUNK_DRAWS // N or // N^2), the last one short
+    def test_chunked_draws_equal_one_draw(self, monkeypatch, chunk):
+        # chunks of 1 to 60 frames (CHUNK_DRAWS // N), the last one short
         monkeypatch.setattr("rctc.channel.CHUNK_DRAWS", chunk)
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 5)
-        assert np.array_equal(sample_availability_bits(cm, 101, 4, mode),
-                              stack_bits(cm, 101, 4, mode))
+        assert np.array_equal(sample_availability_bits(cm, 101, 4), stack_bits(cm, 101, 4))
 
-    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
-    def test_out_equals_allocating_result(self, mode):
+    def test_out_equals_allocating_result(self):
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 5)
         out = np.ones((5, 5, 300), dtype=bool).transpose(2, 0, 1)  # stale bits
         for seed in range(3):
-            bits = sample_availability_bits(cm, 300, seed, mode, out=out)
+            bits = sample_availability_bits(cm, 300, seed, out=out)
             assert bits is out
-            assert np.array_equal(out, sample_availability_bits(cm, 300, seed, mode))
+            assert np.array_equal(out, sample_availability_bits(cm, 300, seed))
 
-    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
-    def test_true_filled_out_equals_stack_reference(self, mode):
+    def test_true_filled_out_equals_stack_reference(self):
         # only the lanes with j <= i are compared: those above the diagonal
         # are cleared once per call, so stale True bits there do not survive
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 6)
         out = np.ones((6, 6, 500), dtype=bool).transpose(2, 0, 1)
-        assert sample_availability_bits(cm, 500, 11, mode, out=out) is out
-        assert np.array_equal(out, stack_bits(cm, 500, 11, mode))
+        assert sample_availability_bits(cm, 500, 11, out=out) is out
+        assert np.array_equal(out, stack_bits(cm, 500, 11))
         assert not np.triu(out, 1).any()
 
     @pytest.mark.parametrize("out", [
@@ -153,37 +148,32 @@ class TestAvailabilityStats:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             availability_stats(model(), 0, 1)
-        with pytest.raises(ValueError):
-            availability_stats(model(), 10, 1, mode="bogus")
 
-    def test_marginals_are_closed_form_in_both_modes(self):
+    def test_marginals_are_closed_form(self):
         cm = model()
-        mc = availability_stats(cm, 100, 1, "montecarlo")
-        ind = availability_stats(cm, 100, 1, "independent")
-        assert np.array_equal(mc.marginals, ind.marginals)
-        assert np.array_equal(mc.marginals, availability_marginals(cm))
+        assert np.array_equal(availability_stats(cm, 100, 1).marginals,
+                              availability_marginals(cm))
 
     def test_empirical_marginals_match(self):
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
         count = 10 ** 5
-        for mode in ("montecarlo", "independent"):
-            stats = availability_stats(cm, count, 5, mode)
-            emp = stats.empirical_marginals()
-            dev = np.abs(emp - stats.marginals)[np.tril_indices(4)]
-            assert dev.max() < 0.01
-            se = np.sqrt(stats.marginals * (1 - stats.marginals) / count)
-            assert np.all(dev <= 4 * np.maximum(se[np.tril_indices(4)], 1e-12))
+        stats = availability_stats(cm, count, 5)
+        emp = stats.empirical_marginals()
+        dev = np.abs(emp - stats.marginals)[np.tril_indices(4)]
+        assert dev.max() < 0.01
+        se = np.sqrt(stats.marginals * (1 - stats.marginals) / count)
+        assert np.all(dev <= 4 * np.maximum(se[np.tril_indices(4)], 1e-12))
 
     def test_stats_keep_the_raw_draws(self):
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
-        raw = sample_availability_bits(cm, 5000, 7, "montecarlo")
-        stats = availability_stats(cm, 5000, 7, "montecarlo")
+        raw = sample_availability_bits(cm, 5000, 7)
+        stats = availability_stats(cm, 5000, 7)
         assert np.array_equal(stats.realizations, raw)
         assert_allclose(stats.empirical_marginals(), raw.mean(axis=0), atol=1e-12)
 
     def test_montecarlo_rows_monotone(self):
         cm = ChannelModel.from_violation_probability(0.4, 0.05, 0.0125, 4)
-        stats = availability_stats(cm, 500, 3, "montecarlo")
+        stats = availability_stats(cm, 500, 3)
         for real in stats.realizations:
             for j in range(4):
                 assert np.all(np.diff(real[j:, j]) >= 0)
@@ -191,7 +181,7 @@ class TestAvailabilityStats:
     def test_joint_moment_tight_deadline(self):
         # with one delay per index, E[b_2j b_3j] equals the tighter marginal
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
-        stats = availability_stats(cm, 2 * 10 ** 5, 11, "montecarlo")
+        stats = availability_stats(cm, 2 * 10 ** 5, 11)
         joint = np.einsum("s,s->", stats.weights,
                           stats.realizations[:, 1, 0] * stats.realizations[:, 2, 0])
         tighter = stats.marginals[1, 0]
@@ -201,17 +191,9 @@ class TestAvailabilityStats:
         prod = stats.realizations[:, 1, 0] * stats.realizations[:, 2, 0]
         assert np.array_equal(prod, stats.realizations[:, 1, 0])
 
-    def test_independent_joint_factorizes(self):
-        cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
-        stats = availability_stats(cm, 4 * 10 ** 5, 13, "independent")
-        joint = np.einsum("s,s->", stats.weights,
-                          stats.realizations[:, 1, 0] * stats.realizations[:, 2, 0])
-        expected = stats.marginals[1, 0] * stats.marginals[2, 0]
-        assert joint == pytest.approx(expected, abs=0.006)
-
     def test_near_lossless_all_ones(self):
         cm = ChannelModel(30 / 0.05, 0.05, 0.0125, 4)  # lambda * delta = 30
-        stats = availability_stats(cm, 2000, 1, "montecarlo")
+        stats = availability_stats(cm, 2000, 1)
         assert np.all(stats.realizations == np.tril(np.ones((4, 4))))
 
 
@@ -269,7 +251,7 @@ class TestExactMoments:
         Ahat = random_ladder(rng, n)
         Ainv = np.linalg.inv(random_ladder(rng, n))
         exact_H, exact_W = channel_moments(availability_marginals(cm))(Ahat, Ainv)
-        draws = [stack_moments(availability_stats(cm, count, 500 + b, "montecarlo"))(Ahat, Ainv)
+        draws = [stack_moments(availability_stats(cm, count, 500 + b))(Ahat, Ainv)
                  for b in range(batches)]
         for exact, index in ((exact_H, 0), (exact_W, 1)):
             values = np.asarray([d[index] for d in draws])

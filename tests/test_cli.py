@@ -36,7 +36,6 @@ n = 4
 rate = 5
 p = 0.2
 scheme = rtc_tc
-search_budget = 500
 seed = 8
 """
 
@@ -53,7 +52,6 @@ seed = 3
 # (config line, the one error line it must get)
 BAD_SETTINGS = [
     ("search_shrink = 2", "unknown config key 'search_shrink'"),
-    ("search_budget = 0", "search_budget must be at least 1"),
     ("rate = -1", "rate must be finite and positive, got -1.0"),
     ("rate = nan", "rate must be finite and positive, got nan"),
     ("rate = inf", "rate must be finite and positive, got inf"),
@@ -319,12 +317,13 @@ class TestErrors:
         assert "out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["design_samples", "analysis_samples", "search_step",
-                                     "search_shrink", "search_tol", "pilot_steps", "m",
-                                     "C", "K_v"])
+                                     "search_shrink", "search_tol", "search_budget",
+                                     "pilot_steps", "m", "C", "K_v", "b_mode"])
     def test_removed_sample_keys_rejected(self, tmp_path, capsys, key):
         # channel expectations are exact, so there is no sample count to set; the
-        # design search has fixed stopping rules: only its budget is set; the loop
-        # variance has a closed form; and only scalar, fully observed plants exist
+        # design search stops by fixed rules alone; the loop variance has a
+        # closed form; only scalar, fully observed plants exist; and every
+        # transmitted index draws one delay, so there is no channel mode to pick
         cfg = write(tmp_path, "old.cfg", SWEEP_CFG + f"{key} = 2000\n")
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1

@@ -278,7 +278,6 @@ class TestDecode:
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
         stacks = ((rng.random((40, 4, 4)) < 0.7) * np.tril(np.ones((4, 4))),
                   sample_availability_bits(cm, 40, 3),
-                  sample_availability_bits(cm, 40, 2, "independent"),
                   rng.random((40, 4, 4)))  # bits other than 0/1 multiply
         for kind in ("full", "toeplitz"):
             t = random_transform(4, rng, kind)
@@ -299,16 +298,15 @@ class TestDecode:
         with pytest.raises(ValueError, match="codevalues must have shape"):
             decode_batch(np.zeros(shape), CausalTransform.identity(3), np.ones((5, 3, 3)))
 
-    @pytest.mark.parametrize("mode", ["montecarlo", "independent"])
     @pytest.mark.parametrize("kind", ["identity", "full", "toeplitz"])
-    def test_batch_out_equals_allocating_result(self, mode, kind):
+    def test_batch_out_equals_allocating_result(self, kind):
         rng = np.random.default_rng(9)
         cm = ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, 4)
         t = CausalTransform.identity(4) if kind == "identity" else random_transform(4, rng, kind)
         codes = rng.normal(size=(4, 300)).T
         out = np.full((4, 300), np.nan).T  # stale reconstructions
         for seed in range(3):
-            bits = sample_availability_bits(cm, 300, seed, mode)
+            bits = sample_availability_bits(cm, 300, seed)
             decoded = decode_batch(codes, t, bits, out=out)
             assert decoded is out
             assert np.array_equal(out, decode_batch(codes, t, bits))

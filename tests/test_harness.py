@@ -25,7 +25,6 @@ ts = 0.0125
 p_grid = 0.1
 schemes = no_coding, plt, rtc_tc
 sim_frames = 400
-search_budget = 400
 seed = 9
 """
 
@@ -36,7 +35,6 @@ rate = 5
 p_grid = 0.05
 schemes = no_coding, rtc_tc
 horizon = 4000
-search_budget = 400
 seed = 9
 """
 
@@ -89,14 +87,6 @@ class TestConfigParsing:
         b = ExperimentConfig.from_text(SOURCE_CFG).echo()
         assert a == b
 
-    def test_lqg_needs_montecarlo_b_mode(self):
-        # the closed loop draws one delay per index: labelling those rows
-        # 'independent' would misname them
-        with pytest.raises(ConfigError, match="b_mode must be montecarlo for kind = lqg"):
-            ExperimentConfig.from_text("kind = lqg\nb_mode = independent")
-        config = ExperimentConfig.from_text("kind = source\nb_mode = independent")
-        assert config.b_mode == "independent"
-
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         listed = []
@@ -145,7 +135,7 @@ seed = 4
         row = run_experiment(config)[0]
         assert row.simulated == pytest.approx(row.analytic, abs=4 * row.stderr)
 
-    @pytest.mark.parametrize("modes", ["", "b_mode = independent\nquantizer_mode = realized\n"])
+    @pytest.mark.parametrize("modes", ["", "quantizer_mode = realized\n"])
     def test_simulated_column_matches_stack_reference(self, monkeypatch, modes):
         config = ExperimentConfig.from_text(f"""
 kind = source
@@ -153,7 +143,6 @@ n = 4
 rate = 5
 p_grid = 0.1, 0.3
 sim_frames = 2000
-search_budget = 400
 seed = 21
 {modes}""")
         rows = run_experiment(config)
@@ -165,7 +154,7 @@ seed = 21
             assert row.simulated == pytest.approx(ref.simulated, rel=1e-13, abs=0)
             assert row.stderr == pytest.approx(ref.stderr, rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("modes", ["", "b_mode = independent\nquantizer_mode = realized\n"])
+    @pytest.mark.parametrize("modes", ["", "quantizer_mode = realized\n"])
     def test_channel_point_draws_are_shared_by_its_rows(self, monkeypatch, modes):
         # common random numbers: one draw of frames and bits per channel point,
         # coded by every scheme of the point and written by none of them
@@ -175,7 +164,6 @@ n = 4
 rate = 5
 p_grid = 0.1, 0.3
 sim_frames = 2000
-search_budget = 400
 seed = 21
 {modes}""")
         draws, encoded = [], []
@@ -216,7 +204,7 @@ seed = 21
         assert not np.array_equal(points[0][0], points[1][0])
         assert len({row.seed for row in rows}) == 8  # each row seeds its own noise
 
-    @pytest.mark.parametrize("modes", ["", "b_mode = independent\nquantizer_mode = realized\n"])
+    @pytest.mark.parametrize("modes", ["", "quantizer_mode = realized\n"])
     def test_rows_share_no_state(self, monkeypatch, modes):
         # the no_coding row decodes through the diagonal alone, so lanes left
         # over from the full-Ahat rc_tc row before it would show in its numbers
@@ -233,7 +221,7 @@ seed = 21
         assert alone.simulated == pytest.approx(no_coding_row("no_coding").simulated,
                                                 rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("modes", ["", "b_mode = independent\nquantizer_mode = realized\n"])
+    @pytest.mark.parametrize("modes", ["", "quantizer_mode = realized\n"])
     def test_rows_reuse_the_frame_arrays(self, modes):
         # tracemalloc counts numpy's data buffers: after the first row, no row
         # may allocate as much as one (frames, N) float array
@@ -244,7 +232,6 @@ kind = source
 n = {n}
 p_grid = 0.2
 sim_frames = {frames}
-search_budget = 400
 seed = 3
 {modes}""")
         cm = ChannelModel.from_violation_probability(0.2, config.delta, config.ts, n)
@@ -264,7 +251,9 @@ seed = 3
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
-        assert peaks[0] > 4 * bound  # the first row makes the sweep's arrays
+        # the first row makes the sweep's arrays: x, codevalues and err; the
+        # frame draws go to codevalues first and get no array of their own
+        assert 3 * bound < peaks[0] < 5 * bound, peaks
         assert max(peaks[1:]) < bound, peaks
 
     def test_realized_quantizer_mode(self):
@@ -309,6 +298,31 @@ class TestLqgExperiment:
                                                  SCHEMES).items():
                 assert result.predicted_lqg_cost == base + r_eq * result.predicted_am_wmse, \
                     (p, scheme)
+
+    def test_analytic_is_the_designs_predicted_cost(self, monkeypatch):
+        # the row's bank is the modeled one its design was priced with, so
+        # the cost is computed once per design and the row reads it
+        designs, calls = [], []
+        real_design, real_cost = harness.design_code, harness.analytic_lqg_cost
+
+        def design(*args, **kwargs):
+            designs.append(real_design(*args, **kwargs))
+            return designs[-1]
+
+        def cost(*args, **kwargs):
+            calls.append(args)
+            return real_cost(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "design_code", design)
+        monkeypatch.setattr(harness, "analytic_lqg_cost", cost)
+        config = ExperimentConfig.from_text(LQG_CFG.replace("schemes = no_coding, rtc_tc",
+                                                            "schemes = no_coding, rc_tc"))
+        rows = run_experiment(config)
+        assert len(designs) == len(calls) == 3  # rtc_tc is designed to start rc_tc
+        by_structure = {d.transform.kind: d for d in designs}
+        for row in rows:
+            result = by_structure[harness.SCHEME_STRUCTURES[row.scheme]]
+            assert row.analytic == result.predicted_lqg_cost, row
 
     def test_divergence_marked(self):
         cfg = """

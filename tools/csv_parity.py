@@ -5,13 +5,18 @@ Usage: python3 tools/csv_parity.py OLD_SRC NEW_SRC [SCRATCH_DIR]
 OLD_SRC and NEW_SRC are directories holding an `rctc` package (a checkout's
 `src`). For every workload in bench/workloads.py, at its parity and its
 held-out seed, `rctc sweep` runs once against each tree, in a fresh process
-with one BLAS thread. Each pair of CSVs is compared as a whole file, the
-`# config:` line included, and one line is printed per pair: `identical`, or
-the first line that differs on each side followed by the largest relative
-difference, |new - old| / |old|, of the `analytic`, `simulated` and `stderr`
-columns over the rows matched by (scheme, p). The exit status is 0 only when
-every pair is identical. The configs and CSVs are written to SCRATCH_DIR
-(default: a temporary directory, removed afterwards).
+with one BLAS thread. One line is printed per pair of CSVs: `identical` when
+the whole files match. Otherwise the data rows and the `# config:` line are
+reported apart: `rows identical`, or the first other line that differs on
+each side followed by the largest relative difference, |new - old| / |old|,
+of the `analytic`, `simulated` and `stderr` columns over the rows matched by
+(scheme, p); then the config line's difference as `-key=value` for each
+setting only the old side echoes (or echoes with another value) and
+`+key=value` for each only the new side echoes, for example
+`rows identical; config line: -b_mode=montecarlo -search_budget=100000`.
+The exit status is 0 only when every pair is identical as whole files. The
+configs and CSVs are written to SCRATCH_DIR (default: a temporary directory,
+removed afterwards).
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from pathlib import Path
 
 WORKLOADS_FILE = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 COLUMNS = ("analytic", "simulated", "stderr")
+CONFIG_PREFIX = "# config: "
 
 
 def load_workloads() -> dict:
@@ -46,12 +52,32 @@ def sweep(src: Path, config: Path, out: Path) -> bytes:
     return out.read_bytes()
 
 
-def first_difference(old: bytes, new: bytes) -> str:
-    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
-    for number, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
+def data_lines(text: bytes) -> list[tuple[int, str]]:
+    """(line number, line) of every line but the `# config:` one."""
+    return [(number, line) for number, line in enumerate(text.decode().splitlines(), start=1)
+            if not line.startswith(CONFIG_PREFIX)]
+
+
+def first_difference(old: list[tuple[int, str]], new: list[tuple[int, str]]) -> str:
+    for (number, a), (_, b) in zip(old, new):
         if a != b:
             return f"line {number}: old {a!r} new {b!r}"
-    return f"line count: old {len(old_lines)} new {len(new_lines)}"
+    return f"line count: old {len(old)} new {len(new)}"
+
+
+def config_settings(text: bytes) -> set[str]:
+    """The `key=value` settings of the `# config:` line; matrices join rows by a bare ';'."""
+    for line in text.decode().splitlines():
+        if line.startswith(CONFIG_PREFIX):
+            return set(line[len(CONFIG_PREFIX):].split("; "))
+    return set()
+
+
+def config_difference(old: bytes, new: bytes) -> str:
+    old_settings, new_settings = config_settings(old), config_settings(new)
+    changes = ([f"-{s}" for s in sorted(old_settings - new_settings)]
+               + [f"+{s}" for s in sorted(new_settings - old_settings)])
+    return " ".join(changes) or "identical"
 
 
 def rows_by_key(text: str) -> dict:
@@ -75,6 +101,15 @@ def relative_difference(old: str, new: str) -> float | None:
     return abs(b - a) / abs(a) if a else math.inf
 
 
+def verdict(old: bytes, new: bytes) -> str:
+    if old == new:
+        return "identical"
+    old_rows, new_rows = data_lines(old), data_lines(new)
+    rows = ("rows identical" if old_rows == new_rows else
+            f"{first_difference(old_rows, new_rows)}; {largest_differences(old, new)}")
+    return f"{rows}; config line: {config_difference(old, new)}"
+
+
 def largest_differences(old: bytes, new: bytes) -> str:
     old_rows, new_rows = rows_by_key(old.decode()), rows_by_key(new.decode())
     keys = old_rows.keys() & new_rows.keys()
@@ -95,10 +130,8 @@ def compare(old_src: Path, new_src: Path, scratch: Path) -> bool:
             config.write_text(workload.render(seed))
             old = sweep(old_src, config, scratch / f"{stem}-old.csv")
             new = sweep(new_src, config, scratch / f"{stem}-new.csv")
-            verdict = ("identical" if old == new else
-                       f"{first_difference(old, new)}; {largest_differences(old, new)}")
             same &= old == new
-            print(f"{workload.name} seed {seed}: {verdict}", flush=True)
+            print(f"{workload.name} seed {seed}: {verdict(old, new)}", flush=True)
     return same
 
 
