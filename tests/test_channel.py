@@ -149,6 +149,14 @@ class TestAvailabilityStats:
         with pytest.raises(ValueError):
             availability_stats(model(), 0, 1)
 
+    def test_a_channel_mode_argument_is_refused(self):
+        # one delay per index is the only draw: a caller still naming a mode
+        # fails loudly instead of having it read as another argument
+        with pytest.raises(TypeError):
+            availability_stats(model(), 10, 1, "montecarlo")
+        with pytest.raises(TypeError):
+            sample_availability_bits(model(), 10, 1, "montecarlo")
+
     def test_marginals_are_closed_form(self):
         cm = model()
         assert np.array_equal(availability_stats(cm, 100, 1).marginals,

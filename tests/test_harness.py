@@ -87,6 +87,23 @@ class TestConfigParsing:
         b = ExperimentConfig.from_text(SOURCE_CFG).echo()
         assert a == b
 
+    @pytest.mark.parametrize("kind", ["source", "lqg"])
+    @pytest.mark.parametrize("setting", ["b_mode = montecarlo", "search_budget = 400"])
+    def test_retired_keys_are_unknown_for_every_kind(self, kind, setting):
+        # every transmitted index draws one delay and a design stops by its
+        # L-BFGS rules alone: neither kind takes a channel mode or a budget,
+        # not even one set to the value that used to be the default
+        key = setting.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            ExperimentConfig.from_text(f"kind = {kind}\n{setting}")
+
+    @pytest.mark.parametrize("text", [SOURCE_CFG, LQG_CFG])
+    def test_echo_names_no_retired_key(self, text):
+        # the CSV's config line echoes every setting, defaults included
+        echo = ExperimentConfig.from_text(text).echo()
+        assert "seed=9" in echo.split("; ")
+        assert "b_mode" not in echo and "search_budget" not in echo
+
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         listed = []
