@@ -104,11 +104,12 @@ def quantizer_input_variances(transform: CausalTransform, K_x: np.ndarray) -> np
     return np.einsum("ij,jk,ik->i", Ainv, K_x, Ainv)
 
 
-def _check_bank(transform: CausalTransform, bank: QuantizerBank | None, rng) -> None:
+def _check_bank(transform: CausalTransform, bank: QuantizerBank | None, noise,
+                noise_name: str) -> None:
     if bank is not None and bank.count != transform.frame_length:
         raise ValueError("bank layout does not match the transform")
-    if bank is not None and bank.codebooks is None and rng is None:
-        raise ValueError("modeled-noise encoding requires an rng")
+    if bank is not None and bank.codebooks is None and noise is None:
+        raise ValueError(f"modeled-noise encoding requires {noise_name}")
 
 
 def encode(frame: np.ndarray, transform: CausalTransform,
@@ -123,7 +124,7 @@ def encode(frame: np.ndarray, transform: CausalTransform,
     n = transform.frame_length
     if x.shape != (n,):
         raise ValueError(f"frame must have length {n}, got {x.shape}")
-    _check_bank(transform, bank, rng)
+    _check_bank(transform, bank, rng, "an rng")
     enc = transform.encoder_coeffs
     codevalues = np.zeros(n)
     inputs = np.zeros(n)
@@ -143,10 +144,13 @@ def encode(frame: np.ndarray, transform: CausalTransform,
 
 
 def encode_batch(frames: np.ndarray, transform: CausalTransform,
-                 bank: QuantizerBank | None = None, rng=None, *,
+                 bank: QuantizerBank | None = None, noise: np.ndarray | None = None, *,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectorized ladder over (count, N) frames; returns (codevalues, quantizer_inputs).
 
+    A bank without codebooks needs `noise`, (count, N) standard normals
+    that are only read: quantizer i adds column i scaled by its modeled
+    standard deviation, so rows coded with other banks can share one draw.
     With `out`, a float (count, N) array whose columns are contiguous (the
     transpose of C-ordered (N, count) lanes), the codevalues are written into
     it and (out, None) is returned: each lane's quantizer inputs are formed
@@ -156,7 +160,9 @@ def encode_batch(frames: np.ndarray, transform: CausalTransform,
     n = transform.frame_length
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"frames must have shape (count, {n}), got {x.shape}")
-    _check_bank(transform, bank, rng)
+    _check_bank(transform, bank, noise, "noise lanes")
+    if bank is not None and bank.codebooks is None and np.shape(noise) != x.shape:
+        raise ValueError(f"noise must have the frames' shape {x.shape}, got {np.shape(noise)}")
     codevalues = np.empty_like(x) if out is None else out_lanes(out, x.shape, float).T
     inputs = np.empty_like(x) if out is None else codevalues
     enc = transform.encoder_coeffs
@@ -175,9 +181,8 @@ def encode_batch(frames: np.ndarray, transform: CausalTransform,
         elif bank.codebooks is not None:
             bank.codebooks[i].quantize_array(lane, out=codevalues[:, i])
         else:
-            noise = rng.standard_normal(out=scratch)
-            np.add(lane, np.multiply(noise, np.sqrt(bank.noise_variances[i]), out=noise),
-                   out=codevalues[:, i])
+            scaled = np.multiply(noise[:, i], np.sqrt(bank.noise_variances[i]), out=scratch)
+            np.add(lane, scaled, out=codevalues[:, i])
     return (codevalues, inputs) if out is None else (out, None)
 
 
@@ -200,9 +205,12 @@ def decode_batch(codevalues: np.ndarray, transform: CausalTransform,
 
     codevalues is (count, N) and bits_stack (count, N, N).  Element i of all
     frames is summed as a lane, Ahat[i, j] * x_c[:, j] * bits[:, i, j] over the
-    nonzero Ahat[i, j], so the bits multiply as in `decode`.  The result is
-    the transpose of C-ordered (N, count) lanes; with `out`, an array of that
-    shape, dtype and layout, it is written into `out`, which is returned.
+    nonzero Ahat[i, j] in order of j, so the bits multiply as in `decode`.
+    The result is the transpose of C-ordered (N, count) lanes; with `out`, an
+    array of that shape, dtype and layout, it is written into `out`, which is
+    returned.  `out` may be codevalues itself: the lanes are decoded from the
+    last up, and lane i is read by its own diagonal term before it is cleared,
+    so every lane is read before it is overwritten.
     """
     xc = np.asarray(codevalues, dtype=float)
     bits = np.asarray(bits_stack)
@@ -212,12 +220,20 @@ def decode_batch(codevalues: np.ndarray, transform: CausalTransform,
     if bits.shape != (xc.shape[0], n, n):
         raise ValueError(f"bits_stack must have shape {(xc.shape[0], n, n)}, got {bits.shape}")
     lanes = np.empty((n, xc.shape[0])) if out is None else out_lanes(out, xc.shape, float)
-    lanes.fill(0.0)
     _, Ahat = transform.assemble()
-    term = np.empty(xc.shape[0])
-    for i, j in zip(*np.nonzero(Ahat)):
-        np.multiply(xc[:, j], Ahat[i, j], out=term)
-        lanes[i] += np.multiply(term, bits[:, i, j], out=term)
+    # both scratch lanes in one block: as two separate (count,) arrays they
+    # came from the heap, whose growth raised the sweep's peak RSS
+    term, own = np.empty((2, xc.shape[0]))
+    for i in reversed(range(n)):
+        # Ahat is unit diagonal: the last term of lane i is its own codevalue's
+        np.multiply(xc[:, i], Ahat[i, i], out=own)
+        np.multiply(own, bits[:, i, i], out=own)
+        lane = lanes[i]
+        lane.fill(0.0)
+        for j in np.flatnonzero(Ahat[i, :i]):
+            np.multiply(xc[:, j], Ahat[i, j], out=term)
+            lane += np.multiply(term, bits[:, i, j], out=term)
+        lane += own
     return lanes.T if out is None else out
 
 

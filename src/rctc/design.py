@@ -380,10 +380,11 @@ def design_code(problem: DesignProblem,
     """Design a transform and its rate allocation for the given channel.
 
     Search structures ("full", "toeplitz") minimize the uniform-rate AM-MSE
-    over the encoder alone by `lbfgs` on design_objective, whose decoder is
-    the closed-form optimum, starting at the prediction-based transform's
-    encoder (or the best of the supplied warm starts).  The result is the
-    best encoder evaluated, so never worse than its start.  "identity" keeps
+    over the encoder alone by `lbfgs` on the objective of design_objective,
+    whose decoder is the closed-form optimum, starting at the
+    prediction-based transform's encoder (or the best of the supplied warm
+    starts).  The result is the best encoder evaluated, so never worse than
+    its start, with the decoder that evaluation solved for.  "identity" keeps
     uniform rates and "plt" allocates over its prediction error variances:
     neither searches or looks through the channel.  The search stops by the
     `lbfgs` rules alone; running out of MAX_ITERATIONS iterations is reported
@@ -405,26 +406,26 @@ def design_code(problem: DesignProblem,
             sigma_hat = np.ones(n)
         evaluations, history, exhausted = 0, [am_wmse_at(np.full(n, r))], False
     else:
-        objective = design_objective(problem)
+        evaluate = _reduced_objective(problem)
         starts = [pack_parameters(plt_design(problem.K_x)[0], problem.structure)]
         if initial_points:
             starts.extend(np.asarray(p, dtype=float) for p in initial_points)
-        values = [objective(p)[0] for p in starts]
-        best = int(np.argmin(values))
-        best_x, history = starts[best], [values[best]]
+        evaluated = [evaluate(p) for p in starts]
+        best = int(np.argmin([value for value, _, _ in evaluated]))
+        best_x, history = starts[best], [evaluated[best][0]]
+        decoder = evaluated[best][2]
         spent = 0
 
         def scaled(x):
-            nonlocal best_x, spent
+            nonlocal best_x, decoder, spent
             spent += 1
-            value, gradient = objective(x)
+            value, gradient, x_decoder = evaluate(x)
             if value < history[-1]:
-                best_x = x.copy()
+                best_x, decoder = x.copy(), x_decoder
                 history.append(value)
             return value / history[0], gradient / history[0]
 
         exhausted = lbfgs(scaled, best_x)[2]
-        decoder = optimal_decoder(problem, best_x)
         transform = unpack_parameters(best_x, decoder, problem.structure, n)
         evaluations = spent + len(starts)
         sigma_d = quantizer_input_variances(transform, problem.K_x)

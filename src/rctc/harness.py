@@ -6,15 +6,16 @@ closed-loop LQG plant (analytic and simulated cost per scheme), emitting one
 CSV row per (scheme, p) with enough metadata to re-run the row exactly.
 
 A source sweep codes its simulated frames in (N, frames) lanes.  The
-frame-sized arrays (frames, availability bits, codevalues, errors) are
-made when the sweep evaluates its first row and every later row writes
+frame-sized arrays (frames, quantizer noise, availability bits, codevalues)
+are made when the sweep evaluates its first row and every later row writes
 into them through the `out=` of `sample_availability_bits`, `encode_batch`
 and `decode_batch`.  Later rows allocate only (frames,) scratch lanes and
 chunks of channel draws, and a design-only context (`rctc design`) makes
-none of the arrays.  The frames and the availability bits are drawn once
-per channel point, from the point's seed, and every scheme of the point
-codes those same draws (common random numbers); a row draws only its own
-quantizer noise.
+none of the arrays.  The sweep draws its random numbers once, from one
+draw seed: the frames and the standard-normal quantizer noise at its first
+row, and at each channel point the availability bits from one stream of
+delays.  Every row codes those same draws (common random numbers), so a
+bit lost at p is lost at every larger p.
 """
 from __future__ import annotations
 
@@ -255,20 +256,31 @@ def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:
 
 
 class _FrameLanes:
-    """The frame-sized arrays of a source sweep, made once and reused by every row.
+    """The frame-sized arrays of a source sweep, made once and read by every row.
 
-    x holds the frames as (N, frames) lanes and bits the availability bits in
-    the layout `sample_availability_bits` returns: both are filled once per
-    channel point and only read by its rows.  Each row overwrites every
-    element it reads of codevalues and err, the (N, frames) codevalue and
-    error lanes, and per_frame, each frame's error.
+    x holds the frames as (N, frames) lanes and noise, made at the first
+    modeled row, each lane's standard-normal quantizer noise: both are drawn
+    once per sweep.  bits holds the availability bits of channel point
+    `channel` in the layout `sample_availability_bits` returns.  None of the
+    three is written by a row.  Each row overwrites every element it reads of
+    codevalues, its (N, frames) codevalue lanes (decoded and then turned into
+    errors in place), and per_frame, each frame's error.
     """
 
-    def __init__(self, frames: int, n: int):
-        self.x = np.empty((n, frames))
-        self.bits = np.empty((n, n, frames), dtype=bool).transpose(2, 0, 1)
+    def __init__(self, frames: int, chol: np.ndarray, seed: int):
+        n = chol.shape[0]
+        self.seed = seed
         self.codevalues = np.empty((n, frames))
-        self.err = np.empty((n, frames))
+        # the (frames, N) draws z go to the codevalue lanes, which no row has
+        # read yet at this point
+        z = self.codevalues.reshape(frames, n)
+        np.random.default_rng(derive_seed(seed, "frames")).standard_normal(out=z)
+        # row i of x is element i of every frame; einsum, as a BLAS GEMM
+        # would wake a second BLAS thread that then spins
+        self.x = np.einsum("ij,fj->if", chol, z, out=np.empty((n, frames)))
+        self.noise = None
+        self.bits = np.empty((n, n, frames), dtype=bool).transpose(2, 0, 1)
+        self.channel = None
         self.per_frame = np.empty(frames)
 
 
@@ -289,14 +301,15 @@ def _experiment_context(config: ExperimentConfig):
     """(K_x, evaluate, lqg_cost) of the configured kind.
 
     K_x is the frame covariance every design, rate allocation and analytic
-    column reads.  evaluate(result, bank, marginals, cm, sim_seed, point_seed)
-    returns one row's (analytic, simulated, stderr); lqg_cost(result, bank,
-    marginals), None for kind = source, its analytic column.  The source
-    evaluate draws the frames and bits of channel point (point_seed, cm) at
-    the first row it evaluates there and reuses them for the point's other
-    rows; sim_seed seeds the row's own quantizer noise.  The LQG evaluate
-    reads sim_seed alone, and its analytic column is the design's
-    predicted_lqg_cost, which `design_schemes` computes by lqg_cost.
+    column reads.  evaluate(result, bank, marginals, cm, seed) returns one
+    row's (analytic, simulated, stderr); lqg_cost(result, bank, marginals),
+    None for kind = source, its analytic column.  The source evaluate reads
+    `seed` as the sweep's draw seed: it draws the frames, and at its first
+    modeled row the quantizer noise, once per seed, and the bits once per
+    channel point, and its analytic column for a modeled bank is the
+    design's predicted_am_wmse.  The LQG evaluate seeds its run with `seed`,
+    and its analytic column is the design's predicted_lqg_cost, which
+    `design_schemes` computes by lqg_cost.
     """
     n = config.n
     if config.kind == "source":
@@ -304,31 +317,30 @@ def _experiment_context(config: ExperimentConfig):
         chol = np.linalg.cholesky(K_x)
         frames = config.sim_frames
         lanes = None
-        drawn = None  # the (point_seed, cm) whose frames and bits the lanes hold
 
-        def evaluate(result, bank, marginals, cm, sim_seed, point_seed):
+        def evaluate(result, bank, marginals, cm, seed):
             """AM-MSE of i.i.d. N(0, K_x) frames coded through the sampled channel."""
-            nonlocal lanes, drawn
-            analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
-            if lanes is None:
-                lanes = _FrameLanes(frames, n)
-            if drawn != (point_seed, cm):
-                # the (frames, N) draws z go to the codevalue lanes, which no
-                # row has read yet at this point
-                z = lanes.codevalues.reshape(frames, n)
-                np.random.default_rng(derive_seed(point_seed, "frames")).standard_normal(out=z)
-                # row i of x is element i of every frame; einsum, as a BLAS GEMM
-                # would wake a second BLAS thread that then spins
-                np.einsum("ij,fj->if", chol, z, out=lanes.x)
-                sample_availability_bits(cm, frames, derive_seed(point_seed, "channel"),
+            nonlocal lanes
+            # a modeled bank is the one the design priced, from its rates and
+            # input variances; a realized bank is priced here
+            analytic = (result.predicted_am_wmse if bank.codebooks is None else
+                        am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances)))
+            if lanes is None or lanes.seed != seed:
+                lanes = _FrameLanes(frames, chol, seed)
+            if bank.codebooks is None and lanes.noise is None:
+                lanes.noise = np.random.default_rng(derive_seed(seed, "noise")).standard_normal(
+                    (n, frames))
+            if lanes.channel != cm:
+                # one stream of delays at every point: the delays scale with
+                # the mean delay, so the bits of a larger p are a subset
+                sample_availability_bits(cm, frames, derive_seed(seed, "channel"),
                                          out=lanes.bits)
-                drawn = (point_seed, cm)
-            x, bits = lanes.x, lanes.bits
-            rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
-            codevalues, _ = encode_batch(x.T, result.transform, bank, rng,
-                                         out=lanes.codevalues.T)
-            xhat = decode_batch(codevalues, result.transform, bits, out=lanes.err.T).T
-            err = np.subtract(x, xhat, out=xhat)
+                lanes.channel = cm
+            x, codevalues = lanes.x, lanes.codevalues
+            noise = None if lanes.noise is None else lanes.noise.T
+            encode_batch(x.T, result.transform, bank, noise, out=codevalues.T)
+            decode_batch(codevalues.T, result.transform, lanes.bits, out=codevalues.T)
+            err = np.subtract(x, codevalues, out=codevalues)
             per_frame = np.square(err, out=err).sum(axis=0, out=lanes.per_frame)
             per_frame /= n
             return analytic, float(per_frame.mean()), batch_standard_error(per_frame)
@@ -341,9 +353,9 @@ def _experiment_context(config: ExperimentConfig):
         return analytic_lqg_cost(solution, plant, marginals, result.transform, K_x,
                                  np.diag(bank.noise_variances))
 
-    def evaluate(result, bank, marginals, cm, sim_seed, point_seed):
+    def evaluate(result, bank, marginals, cm, seed):
         sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
-                                   config.horizon, sim_seed,
+                                   config.horizon, seed,
                                    divergence_bound=config.divergence_bound)
         # kind = lqg runs modeled noise only, so the row's bank is the one
         # design_schemes priced: its analytic cost is the design's
@@ -389,22 +401,27 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
     # every index draws one delay, in the simulator and in the source lanes alike
     mode = f"montecarlo/{config.quantizer_mode}"
+    # a source row's seed column is the sweep's draw seed, which all its draws
+    # come from; an LQG row's seeds its own run, which `rctc simulate` replays
+    draw_seed = derive_seed(config.seed, "sim") if config.kind == "source" else None
     for pi, p in enumerate(config.p_grid):
-        # seeds the channel point's frames and bits, which all its rows share
-        point_seed = derive_seed(config.seed, "sim", pi)
+        # no row reads the point's seed; the call stays so that the benchmark's
+        # layer trace, which follows derive_seed, tags the designs with their p
+        derive_seed(config.seed, "sim", pi)
         cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
         marginals = availability_marginals(cm)
         designs = design_schemes(config, marginals, config.schemes, context)
         for scheme, result in designs.items():
-            sim_seed = derive_seed(config.seed, "sim", pi, scheme)
+            row_seed = derive_seed(config.seed, "sim", pi, scheme)  # also tags the trace
+            seed = row_seed if draw_seed is None else draw_seed
             if isinstance(result, Exception):
                 # a flagged row, so that the rest of the sweep continues
                 columns = (math.nan, "design_failed", math.nan)
                 tag = f"{mode}:{type(result).__name__}"
             else:
                 bank = _bank_for(result, config)
-                columns, tag = evaluate(result, bank, marginals, cm, sim_seed, point_seed), mode
-            rows.append(ResultRow(scheme, p, cm.delay_rate, *columns, sim_seed, tag,
+                columns, tag = evaluate(result, bank, marginals, cm, seed), mode
+            rows.append(ResultRow(scheme, p, cm.delay_rate, *columns, seed, tag,
                                   config.noise_constant, config.n, config.rate))
     rows.sort(key=lambda row: (row.p, row.scheme))
     return rows

@@ -4,13 +4,15 @@ These are the formulas the simulated column of a source sweep used before
 its frames were coded in lanes.  The bits are a float stack with one N x N
 pattern per frame, decoding forms Ahat o B for every frame and contracts it
 with einsum, and frames and errors are (frames, N) arrays transformed by
-einsum.  They draw the same random numbers in the same calls and order as
+einsum.  They draw the same random numbers in the same order as
 `rctc.channel.sample_availability_bits` and the harness's source `evaluate`,
 so the lane code must agree with them to rounding (and the bits exactly).
-Like the harness, the frames and bits come from the channel point's seed and
-the quantizer noise from the row's; the reference redraws them for each row.
-The frames are encoded by `stack_encode`, the ladder with a fresh array for
-every intermediate that `encode_batch` ran before it filled `out=` buffers.
+Like the harness, every row reads the sweep's draw seed: the frames, the
+bits (from one stream of delays at every p) and the quantizer noise all come
+from it, and the reference redraws them for each row.  The frames are
+encoded by `stack_encode`, the ladder with a fresh array for every
+intermediate, which draws each element's noise lane from the generator in
+turn: the same numbers as the harness's one (N, frames) draw.
 """
 import numpy as np
 
@@ -58,13 +60,13 @@ def stack_source_context(config):
     K_x = ar1_covariance(config.rho, config.source_variance, n)
     chol = np.linalg.cholesky(K_x)
 
-    def evaluate(result, bank, marginals, cm, sim_seed, point_seed):
+    def evaluate(result, bank, marginals, cm, seed):
         analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
-        z = np.random.default_rng(derive_seed(point_seed, "frames")).standard_normal(
+        z = np.random.default_rng(derive_seed(seed, "frames")).standard_normal(
             (config.sim_frames, n))
         x = np.einsum("ij,fj->fi", chol, z)
-        bits = stack_bits(cm, config.sim_frames, derive_seed(point_seed, "channel"))
-        rng = np.random.default_rng(derive_seed(sim_seed, "noise"))
+        bits = stack_bits(cm, config.sim_frames, derive_seed(seed, "channel"))
+        rng = np.random.default_rng(derive_seed(seed, "noise"))
         codevalues = stack_encode(x, result.transform, bank, rng)
         err = x - stack_decode(codevalues, result.transform, bits)
         per_frame = np.einsum("fi,fi->f", err, err) / n

@@ -219,16 +219,26 @@ class TestEncode:
                 "modeled": QuantizerBank.modeled(np.full(5, 3.0), np.ones(5)),
                 "codebooks": QuantizerBank.lloyd_max(np.full(5, 3.0), np.ones(5))}[bank_kind]
         out = np.full((5, 300), np.nan).T  # stale codevalues
+        # each element's noise as one lane, drawn in the order the reference draws it
+        noise = np.random.default_rng(2).standard_normal((5, 300))
+        drawn = noise.copy()
         for frames in (lanes.T, np.ascontiguousarray(lanes.T)):
-            codes, inputs = encode_batch(frames, t, bank, np.random.default_rng(2))
-            result = encode_batch(frames, t, bank, np.random.default_rng(2), out=out)
+            codes, inputs = encode_batch(frames, t, bank, noise.T)
+            result = encode_batch(frames, t, bank, noise.T, out=out)
             assert result[0] is out and result[1] is None
             assert np.array_equal(out, codes)
+            assert np.array_equal(noise, drawn)  # the noise lanes are only read
             if bank is None:
                 assert np.array_equal(inputs, codes)
             else:  # the same arithmetic as the ladder of fresh arrays
                 assert np.array_equal(codes, stack_encode(frames, t, bank,
                                                           np.random.default_rng(2)))
+
+    @pytest.mark.parametrize("noise", [None, np.zeros((40, 2)), np.zeros((39, 3))])
+    def test_batch_modeled_needs_noise_of_the_frames_shape(self, noise):
+        bank = QuantizerBank.modeled([1.0] * 3, [1.0] * 3)
+        with pytest.raises(ValueError, match="noise"):
+            encode_batch(np.zeros((40, 3)), CausalTransform.identity(3), bank, noise)
 
     @pytest.mark.parametrize("out", [
         np.zeros((40, 3)),  # C-ordered: each element's lane strided
@@ -310,6 +320,10 @@ class TestDecode:
             decoded = decode_batch(codes, t, bits, out=out)
             assert decoded is out
             assert np.array_equal(out, decode_batch(codes, t, bits))
+            # decoded in place, into the codevalue lanes themselves
+            in_place = codes.copy(order="F")
+            assert decode_batch(in_place, t, bits, out=in_place) is in_place
+            assert np.array_equal(in_place, out)
 
     @pytest.mark.parametrize("out", [
         np.zeros((5, 3)),

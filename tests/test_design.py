@@ -366,6 +366,23 @@ class TestDesignCode:
         assert np.array_equal(a.rates.rates, b.rates.rates)
         assert a.predicted_am_wmse == b.predicted_am_wmse
 
+    @pytest.mark.parametrize("structure", ["full", "toeplitz"])
+    def test_one_objective_per_searched_design(self, monkeypatch, structure):
+        # the decoder comes from the best evaluation of the one objective the
+        # search built; no second objective is built to solve for it again
+        builds = []
+        real_build = design._reduced_objective
+
+        def build(problem):
+            builds.append(problem)
+            return real_build(problem)
+
+        monkeypatch.setattr(design, "_reduced_objective", build)
+        prob = make_problem(0.2, structure, n=5)
+        result = design_code(prob)
+        assert builds == [prob]
+        assert result.evaluations > len(builds)
+
     def test_iteration_cap_sets_budget_flag(self, monkeypatch):
         prob = make_problem(0.2, "full", n=5)
         assert not design_code(prob).budget_exhausted

@@ -173,8 +173,9 @@ seed = 21
 
     @pytest.mark.parametrize("modes", ["", "quantizer_mode = realized\n"])
     def test_channel_point_draws_are_shared_by_its_rows(self, monkeypatch, modes):
-        # common random numbers: one draw of frames and bits per channel point,
-        # coded by every scheme of the point and written by none of them
+        # common random numbers: one draw of frames and quantizer noise per
+        # sweep and one of bits per channel point, coded by every row and
+        # written by none of them
         config = ExperimentConfig.from_text(f"""
 kind = source
 n = 4
@@ -187,23 +188,24 @@ seed = 21
         real_bits, real_encode = harness.sample_availability_bits, harness.encode_batch
         real_context = harness._experiment_context
 
-        def bits(model, *args, **kwargs):
-            result = real_bits(model, *args, **kwargs)
-            draws.append((model.violation_probability, result, result.copy()))
+        def bits(model, count, seed, **kwargs):
+            result = real_bits(model, count, seed, **kwargs)
+            draws.append((model.violation_probability, seed, result, result.copy()))
             return result
 
-        def encode(frames, *args, **kwargs):
-            encoded.append((frames, frames.copy()))
-            return real_encode(frames, *args, **kwargs)
+        def encode(frames, transform, bank, noise, **kwargs):
+            encoded.append((frames, frames.copy(), noise, None if noise is None else noise.copy()))
+            return real_encode(frames, transform, bank, noise, **kwargs)
 
         def context(cfg):
             K_x, evaluate, lqg_cost = real_context(cfg)
 
             def checked(*args):
                 columns = evaluate(*args)
-                frames, drawn_frames = encoded[-1]
-                _, shared_bits, drawn_bits = draws[-1]
+                frames, drawn_frames, noise, drawn_noise = encoded[-1]
+                _, _, shared_bits, drawn_bits = draws[-1]
                 assert np.array_equal(frames, drawn_frames)
+                assert np.array_equal(noise, drawn_noise)
                 assert np.array_equal(shared_bits, drawn_bits)
                 return columns
 
@@ -214,12 +216,65 @@ seed = 21
         monkeypatch.setattr(harness, "_experiment_context", context)
         rows = run_experiment(config)
         assert len(rows) == 8 and len(encoded) == 8
-        assert [p for p, _, _ in draws] == pytest.approx([0.1, 0.3])
-        points = [[drawn for _, drawn in encoded[:4]], [drawn for _, drawn in encoded[4:]]]
-        for frames in points:
-            assert all(np.array_equal(f, frames[0]) for f in frames[1:])
-        assert not np.array_equal(points[0][0], points[1][0])
-        assert len({row.seed for row in rows}) == 8  # each row seeds its own noise
+        assert [p for p, _, _, _ in draws] == pytest.approx([0.1, 0.3])
+        assert draws[0][1] == draws[1][1]  # one stream of delays at every point
+        for _, frames, _, noise in encoded[1:]:
+            assert np.array_equal(frames, encoded[0][1])
+            if modes:  # realized rows quantize and draw no noise
+                assert noise is None
+            else:
+                assert np.array_equal(noise, encoded[0][3])
+        # every row's seed column names the one seed all its draws come from
+        assert {row.seed for row in rows} == {derive_seed(21, "sim")}
+
+    def test_a_bit_lost_at_p_is_lost_at_every_larger_p(self, monkeypatch):
+        config = ExperimentConfig.from_text(SOURCE_CFG.replace("p_grid = 0.1",
+                                                               "p_grid = 0.2, 0.05, 0.1, 0.4"))
+        drawn = {}
+        real_bits = harness.sample_availability_bits
+
+        def bits(model, *args, **kwargs):
+            result = real_bits(model, *args, **kwargs)
+            drawn[model.violation_probability] = result.copy()
+            return result
+
+        monkeypatch.setattr(harness, "sample_availability_bits", bits)
+        run_experiment(config)
+        by_p = [drawn[p] for p in sorted(drawn)]
+        assert len(by_p) == 4
+        for smaller, larger in zip(by_p, by_p[1:]):
+            assert np.all(larger <= smaller)
+            assert np.any(larger < smaller)
+
+    @pytest.mark.parametrize("modes", ["", "quantizer_mode = realized\n"])
+    def test_analytic_column_is_computed_once_per_bank(self, monkeypatch, modes):
+        # a modeled row's bank is the one its design priced, so the row reads
+        # the design's predicted_am_wmse; a realized bank is priced by the row
+        designs, calls = [], []
+        real_design, real_am_wmse = harness.design_code, harness.am_wmse
+
+        def design(*args, **kwargs):
+            designs.append(real_design(*args, **kwargs))
+            return designs[-1]
+
+        def am_wmse(*args, **kwargs):
+            calls.append(args)
+            return real_am_wmse(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "design_code", design)
+        monkeypatch.setattr(harness, "am_wmse", am_wmse)
+        config = ExperimentConfig.from_text(SOURCE_CFG.replace(
+            "schemes = no_coding, plt, rtc_tc", "schemes = no_coding, plt, rtc_tc, rc_tc") + modes)
+        rows = run_experiment(config)
+        assert len(rows) == len(designs) == 4
+        by_structure = {d.transform.kind: d for d in designs}
+        if modes:
+            assert len(calls) == 4
+            return
+        assert calls == []
+        for row in rows:
+            result = by_structure[harness.SCHEME_STRUCTURES[row.scheme]]
+            assert row.analytic == result.predicted_am_wmse, row
 
     @pytest.mark.parametrize("modes", ["", "quantizer_mode = realized\n"])
     def test_rows_share_no_state(self, monkeypatch, modes):
@@ -263,14 +318,15 @@ seed = 3
                 bank = _bank_for(result, config)
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                context[1](result, bank, marginals, cm, derive_seed(3, scheme),
-                           derive_seed(3, "sim", 0))
+                context[1](result, bank, marginals, cm, derive_seed(3, "sim"))
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
-        # the first row makes the sweep's arrays: x, codevalues and err; the
-        # frame draws go to codevalues first and get no array of their own
-        assert 3 * bound < peaks[0] < 5 * bound, peaks
+        # the first row makes the sweep's arrays: x, codevalues, the bits and,
+        # in modeled mode, the noise lanes; the frame draws go to codevalues
+        # first and get no array of their own
+        arrays = 2 if modes else 3
+        assert arrays * bound < peaks[0] < (arrays + 2) * bound, peaks
         assert max(peaks[1:]) < bound, peaks
 
     def test_realized_quantizer_mode(self):

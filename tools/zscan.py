@@ -14,7 +14,11 @@ each workload:
   rtc_tc, rc_tc, the sd over the seeds of the paired difference
   simulated(a) - simulated(b);
 - order flips: the (seed, p, pair) cases in which the simulated column orders
-  the pair otherwise than the analytic column, out of all such cases.
+  the pair otherwise than the analytic column, out of all such cases;
+- every row with |z| above the source row check of bench/checks.py (4), by
+  seed, scheme and p: the rows a benchmark run at that seed would fail. For
+  an LQG workload, whose benchmark check is relative, they are only
+  reported.
 
 Rows whose simulated column is a flag (`design_failed`, `diverged`) or whose
 stderr is not finite and positive are left out, and their count is printed.
@@ -32,39 +36,54 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS_FILE = ROOT / "bench" / "workloads.py"
+CHECKS_FILE = ROOT / "bench" / "checks.py"
 
 
-def load_workloads() -> dict:
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_FILE)
+def load_bench_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
+
+
+def load_workloads() -> dict:
+    return load_bench_module("bench_workloads", WORKLOADS_FILE).WORKLOADS
 
 
 def scan(harness, workload, seeds) -> list[str]:
     """The report lines of one workload over the given seeds."""
-    z, skipped, flips, cases = [], 0, 0, 0
+    runs = [(seed, harness.run_experiment(harness.ExperimentConfig.from_text(
+        workload.render(seed)))) for seed in seeds]
+    return report(workload.name, runs, harness.SCHEMES)
+
+
+def report(name: str, runs, schemes) -> list[str]:
+    """The report lines of (seed, rows) runs of one workload, schemes in nesting order."""
+    z_limit = load_bench_module("bench_checks", CHECKS_FILE).SOURCE_Z_LIMIT
+    seeds = [seed for seed, _ in runs]
+    z, skipped, flips, cases, above = [], 0, 0, 0, []
     differences = defaultdict(list)  # (p, a, b) -> simulated(a) - simulated(b), per seed
-    for seed in seeds:
-        config = harness.ExperimentConfig.from_text(workload.render(seed))
+    for seed, sweep_rows in runs:
         by_p = defaultdict(dict)
-        for row in harness.run_experiment(config):
+        for row in sweep_rows:
             if isinstance(row.simulated, str) or not 0.0 < row.stderr < math.inf:
                 skipped += 1
                 continue
             z.append((row.simulated - row.analytic) / row.stderr)
+            if abs(row.simulated - row.analytic) > z_limit * row.stderr:
+                above.append(f"seed {seed} {row.scheme} p={row.p} z={z[-1]:.2f}")
             by_p[row.p][row.scheme] = row
         for p, rows in by_p.items():
-            present = [s for s in harness.SCHEMES if s in rows]
+            present = [s for s in schemes if s in rows]
             for a, b in zip(present, present[1:]):
                 simulated = rows[a].simulated - rows[b].simulated
                 differences[p, a, b].append(simulated)
                 cases += 1
                 flips += (simulated > 0.0) != (rows[a].analytic - rows[b].analytic > 0.0)
     if len(z) < 2:
-        return [f"{workload.name}: fewer than two rows with a stderr"]
-    lines = [f"{workload.name} (seeds {seeds[0]}-{seeds[-1]}, {len(z)} rows, "
+        return [f"{name}: fewer than two rows with a stderr"]
+    lines = [f"{name} (seeds {seeds[0]}-{seeds[-1]}, {len(z)} rows, "
              f"{skipped} left out): z mean {statistics.fmean(z):.3f} "
              f"sd {statistics.stdev(z):.3f}, max |z| {max(map(abs, z)):.2f}"]
     for p in sorted({p for p, _, _ in differences}):
@@ -72,6 +91,7 @@ def scan(harness, workload, seeds) -> list[str]:
                  for (q, a, b), d in differences.items() if q == p and len(d) > 1]
         lines.append(f"  p={p}: sd of simulated differences " + ", ".join(parts))
     lines.append(f"  order flips: {flips} of {cases} adjacent pairs")
+    lines.append(f"  rows above {z_limit:g} stderr: {', '.join(above) or 'none'}")
     return lines
 
 
