@@ -432,7 +432,9 @@ def design_code(problem: DesignProblem,
         sigma_hat = effective_variances(transform, problem.marginals, problem.K_x)
 
     allocation = clamp_rates(allocate_rates(sigma_hat, r), problem.min_rate)
-    return DesignResult(transform, allocation, am_wmse_at(allocation.rates), None, evaluations,
+    # an identity design's allocation is the uniform r its history priced
+    predicted = history[0] if problem.structure == "identity" else am_wmse_at(allocation.rates)
+    return DesignResult(transform, allocation, predicted, None, evaluations,
                         history, exhausted, input_variances=sigma_d)
 
 

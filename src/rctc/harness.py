@@ -308,6 +308,7 @@ def _experiment_context(config: ExperimentConfig):
     modeled row the quantizer noise, once per seed, and the bits once per
     channel point, and its analytic column for a modeled bank is the
     design's predicted_am_wmse.  The LQG evaluate seeds its run with `seed`,
+    the channel point's, so every scheme at a point reads the same draws,
     and its analytic column is the design's predicted_lqg_cost, which
     `design_schemes` computes by lqg_cost.
     """
@@ -401,19 +402,22 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
     # every index draws one delay, in the simulator and in the source lanes alike
     mode = f"montecarlo/{config.quantizer_mode}"
-    # a source row's seed column is the sweep's draw seed, which all its draws
-    # come from; an LQG row's seeds its own run, which `rctc simulate` replays
+    # a row's seed column is the seed all its draws come from: a source
+    # sweep's draw seed, or an LQG point's, on which every scheme at that p
+    # runs (common random numbers) and which `rctc simulate` replays
     draw_seed = derive_seed(config.seed, "sim") if config.kind == "source" else None
     for pi, p in enumerate(config.p_grid):
-        # no row reads the point's seed; the call stays so that the benchmark's
-        # layer trace, which follows derive_seed, tags the designs with their p
-        derive_seed(config.seed, "sim", pi)
+        # at pi = 0 this equals derive_seed(config.seed, "sim") (SeedSequence
+        # drops a trailing zero tag), which an LQG sweep draws nothing else from
+        point_seed = derive_seed(config.seed, "sim", pi)
+        seed = point_seed if draw_seed is None else draw_seed
         cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
         marginals = availability_marginals(cm)
         designs = design_schemes(config, marginals, config.schemes, context)
         for scheme, result in designs.items():
-            row_seed = derive_seed(config.seed, "sim", pi, scheme)  # also tags the trace
-            seed = row_seed if draw_seed is None else draw_seed
+            # seeds nothing: the benchmark's layer trace follows derive_seed to
+            # tag the row's spans with its scheme and p
+            derive_seed(config.seed, "sim", pi, scheme)
             if isinstance(result, Exception):
                 # a flagged row, so that the rest of the sweep continues
                 columns = (math.nan, "design_failed", math.nan)

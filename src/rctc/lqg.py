@@ -268,12 +268,11 @@ REPLICAS = 64
 
 # Frames the closed-loop simulator runs through its ladder at once.  Not a
 # tuning knob: every frame's numbers come from the same elementwise
-# operations, and every running sum from the same step-by-step additions,
-# whatever the chunk, so it changes no number.  It only trades per-frame
-# Python overhead against memory.  The buffers are reused from chunk to chunk
-# and, with their temporaries, peak at 1.5 MB at N = 6 and 2.1 MB at N = 8.
-# (400,000 steps at N = 6: 8 frames took 0.8 MB and 12 % more time than 16;
-# 32 frames took 2.9 MB and no less time.)
+# operations, every draw stream fills its blocks in frame order and every
+# running sum comes from the same step-by-step additions, whatever the chunk,
+# so it changes no number.  It trades per-frame Python overhead against
+# memory: the buffers, reused from chunk to chunk, peak with their
+# temporaries at about 1.1 MiB at N = 6 and 1.5 MiB at N = 8.
 CHUNK_FRAMES = 16
 
 
@@ -303,33 +302,35 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     The horizon is split over REPLICAS independent copies of the loop
     (`replica_lengths`), run side by side as arrays.  Each starts from the
     stationary law N(0, K_w/(1 - a^2)) of the ideal-observation loop,
-    a = F + GL.  Each sample period feeds the current state into the running
-    frame ladder, reconstructs it from whatever same-frame indices met their
-    deadlines, and applies u = L xhat; the per-step cost is
-    xhat'R xhat + u'S u + e'R e with e = x - xhat.
+    a = F + GL.  Each sample period feeds the state x into the running
+    frame ladder, reconstructs xhat from whatever same-frame indices met
+    their deadlines, applies u = L xhat and steps x to F x + GL xhat + w; the
+    per-step cost is (R + S L^2) xhat^2 + R e^2 with e = x - xhat.
 
     The coder restarts every frame, so with modeled noise or none every
     value in a frame is affine in the frame's start state x_0, and the frame
     ends in phi x_0 + psi: phi depends only on the frame's arrivals, psi only
     on its noise.  The ladder therefore runs over CHUNK_FRAMES frames at
     once, on two lanes: a noise lane from x_0 = 0 with the drawn noise, and
-    a unit lane from x_0 = 1 without it.  The scan x_{k+1} = phi_k x_k + psi_k
-    then gives every frame's start state, and each value of frame k is its
-    noise-lane value plus x_k times its unit-lane value.  A bank must be
-    modeled: codebooks would make the loop nonlinear.
+    a unit lane from x_0 = 1 without it.  It carries x and xhat; codevalues
+    and decoder weights (entry times arrival, formed once per chunk for the
+    lower-triangle entries) enter through row sums.  The scan
+    x_{k+1} = phi_k x_k + psi_k gives every frame's start state, and each
+    value of frame k is its noise-lane value plus x_k times its unit-lane
+    value.  A bank must be modeled: codebooks would make the loop nonlinear.
 
-    Random draws, from one generator seeded with `seed`: the REPLICAS start
-    states, then for each frame an (N, REPLICAS) block of delays, one of
-    quantizer noise (when there is a bank) and one of process noise.  The
-    chunk does not change this order.
+    Four streams spawned from SeedSequence(seed) draw the REPLICAS start
+    states, the standard exponential delays (an index is in when its delay is
+    at most its deadline times the delay rate), the quantizer noise (when
+    there is a bank) and the process noise, each one (frames, N, REPLICAS)
+    block per chunk in frame order, so the chunk changes no draw.
 
     The cost is the sum of the per-replica cost sums, each summed step by
-    step, over the steps run, and the standard error is that of the mean of
-    the per-replica means.  collect_trace adds one TraceRecord per step,
-    replica by replica, and changes no number.  The state is checked against
-    divergence_bound at every frame end; once any replica's state exceeds it
-    (or is not finite) the run stops after that frame and reports a partial
-    result instead of raising.
+    step, over the steps run; the standard error is that of the mean of the
+    per-replica means.  collect_trace adds one TraceRecord per step, replica
+    by replica, and changes no number.  Once a chunk's frame-end states
+    exceed divergence_bound (or are not finite), the run stops after the
+    first such frame and reports a partial result instead of raising.
     """
     n = transform.frame_length
     if plant.state_dim != 1 or plant.input_dim != 1:
@@ -343,109 +344,108 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     if horizon < n:
         raise ValueError("horizon must cover at least one frame")
     lengths = replica_lengths(horizon, n)
-    rng = np.random.default_rng(seed)
-    f = float(plant.F[0, 0])
-    g = float(plant.G[0, 0])
+    start_rng, delay_rng, q_rng, w_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4))
     l = float(solution.L[0, 0])
     r_w = float(weights.R[0, 0])
-    s_w = float(weights.S[0, 0])
+    xh_weight = r_w + float(weights.S[0, 0]) * l * l
     sqrt_kw = math.sqrt(float(plant.K_w[0, 0]))
-    # coefficients broadcast over ([lane,] frame, replica)
-    neg_enc = -transform.encoder_coeffs[:, :, None, None, None]
-    dec = transform.assemble()[1][:, :, None, None]
-    thresholds = channel_model.thresholds()[:, :, None, None]
-    sigma_q = None if bank is None else np.sqrt(bank.noise_variances)[:, None]
     R, chunk = REPLICAS, CHUNK_FRAMES
-    # [quantity, element, lane, frame, replica] for the quantities x, xhat,
-    # u, d and xc; x[i] is the state at frame element i, x[n] the frame's end;
-    # lane 0 is the noise lane, lane 1 the unit lane
-    ladder = np.zeros((5, n + 1, 2, chunk, R))
-    scratch = np.empty((n, 2, chunk, R))
-    # the last chunk runs whole; its frames past the horizon hold old draws
-    delays, q_noise, w = (np.zeros((chunk, n, R)) for _ in range(3))
-    arrived = np.empty((n, n, chunk, R), dtype=bool)  # [i, j, k, r]: index j is in by element i
-    dec_arrived = np.empty((n, n, chunk, R))
-    X, XH, U, D, XC = ladder
-    DA = dec_arrived[:, :, None]
+    neg_enc = -transform.encoder_coeffs
+    coded = neg_enc.any(axis=1)  # the encoder rows with a term to subtract
+    # the decoder entries arrivals are formed for, row by row: row i's run
+    # from its first nonzero entry to the diagonal, at entries[i]
+    dec = transform.assemble()[1]
+    first = np.argmax(dec != 0, axis=1)
+    rows, cols = np.nonzero(np.tri(n, dtype=bool) & (np.arange(n) >= first[:, None]))
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    entries = [slice(bounds[i], bounds[i + 1]) for i in range(n)]
+    limits = channel_model.thresholds() * channel_model.delay_rate
+    entry_limits, entry_dec = limits[rows, cols][:, None, None], dec[rows, cols][:, None, None]
+    sigma_q = None if bank is None else np.sqrt(bank.noise_variances)[:, None, None]
+    # the draws, [frame, index, replica]; past the last frame, zeros or old
+    # draws.  The normal draws are scaled into q and the ladder's w.
+    delays, normals = np.zeros((chunk, n, R)), np.zeros((chunk, n, R))
+    arrived, dec_weights = np.empty((cols.size, chunk, R), bool), np.empty((cols.size, chunk, R))
+    # [element, quantity, lane, frame, replica] for x, xhat and w: lane 0 is the
+    # noise lane, lane 1 the unit lane, whose w stays 0; x[n] is the frame's end
+    ladder = np.zeros((n + 1, 3, 2, chunk, R))
+    ladder[0, 0, 1] = 1.0
+    update = np.array([float(plant.F[0, 0]), float(plant.G[0, 0]) * l, 1.0])
+    codes, values = np.empty((n, 2, chunk, R)), np.empty((n, 2, chunk, R))
+    q, err = np.empty((n, chunk, R)), np.empty((n, chunk, R))  # q: [index, frame, replica]
+    # each replica's running sum, then the chunk's step costs in step order
+    steps_cost = np.empty((1 + chunk * n, R))
     starts = np.empty((chunk + 1, R))  # start state of each frame of the chunk, and the next
-    starts[0] = math.sqrt(pilot_state_variance(plant, solution)) * rng.standard_normal(R)
-    kept = 5 if collect_trace else 3
-    sums = np.zeros(R)
-    done = np.zeros(R, dtype=int)
+    starts[0] = math.sqrt(pilot_state_variance(plant, solution)) * start_rng.standard_normal(R)
+    # the scan's (REPLICAS,) rows: unit- and noise-lane frame ends, start states
+    phi, psi, start = list(ladder[n, 0, 1]), list(ladder[n, 0, 0]), list(starts)
+    sums, done = np.zeros(R), np.zeros(R, dtype=int)
     records = [] if collect_trace else None
-    diverged = False
     frames = -(-int(lengths.max()) // n)
     whole_frames = int(lengths.min()) // n
-    for first in range(0, frames, chunk):
-        c = min(chunk, frames - first)
-        for k in range(c):
-            rng.standard_exponential(out=delays[k])
-            if sigma_q is not None:
-                rng.standard_normal(out=q_noise[k])
-            rng.standard_normal(out=w[k])
-        delays *= channel_model.mean_delay
+    for first_frame in range(0, frames, chunk):
+        c = min(chunk, frames - first_frame)
+        delay_rng.standard_exponential(out=delays[:c])
         if sigma_q is not None:
-            q_noise *= sigma_q
-        w *= sqrt_kw
-        np.less_equal(delays.transpose(1, 0, 2), thresholds, out=arrived)
-        np.multiply(dec, arrived, out=dec_arrived)
-        held = None
-        if first + c > whole_frames:  # the last frame, cut short for some replicas
-            t = (first + np.arange(chunk)) * n + np.arange(n)[:, None]
-            held = lengths <= t[:, :, None]
-        # the lane sum of the last chunk overwrote the frame start x_0
-        X[0, 0] = 0.0
-        X[0, 1] = 1.0
+            q_rng.standard_normal(out=normals[:c])
+            np.multiply(normals.transpose(1, 0, 2), sigma_q, out=q)
+        w_rng.standard_normal(out=normals[:c])
+        np.multiply(normals.transpose(1, 0, 2), sqrt_kw, out=ladder[:n, 2, 0])
+        for i, at in enumerate(entries):
+            np.less_equal(delays[:, first[i]:i + 1].transpose(1, 0, 2), entry_limits[at],
+                          out=arrived[at])
+        np.multiply(arrived, entry_dec, out=dec_weights)
+        # the steps past a replica's end, in the last frame, cut short for some
+        held = None if first_frame + c <= whole_frames else (
+            lengths <= ((first_frame + np.arange(chunk)) * n + np.arange(n)[:, None])[:, :, None])
         for i in range(n):
-            if i:
-                # x - sum_j enc[i, j] xc[j], subtracted term by term
-                scratch[0] = X[i]
-                np.multiply(neg_enc[i, :i], XC[:i], out=scratch[1:i + 1])
-                scratch[:i + 1].sum(axis=0, out=D[i])
+            x = ladder[i, 0]
+            if coded[i]:  # x - sum_j enc[i, j] xc[j]
+                np.einsum("j,jlfr->lfr", neg_enc[i, :i], codes[:i], out=codes[i])
+                codes[i] += x
             else:
-                D[0] = X[0]
-            XC[i] = D[i]
+                codes[i] = x
             if sigma_q is not None:
-                XC[i, 0] += q_noise[:, i]
-            np.multiply(DA[i, :i + 1], XC[:i + 1], out=scratch[:i + 1])
-            scratch[:i + 1].sum(axis=0, out=XH[i])
-            np.multiply(XH[i], l, out=U[i])
-            np.multiply(X[i], f, out=X[i + 1])
-            X[i + 1] += g * U[i]
-            X[i + 1, 0] += w[:, i]
+                codes[i, 0] += q[i]
+            np.einsum("kfr,klfr->lfr", dec_weights[entries[i]], codes[first[i]:i + 1],
+                      out=ladder[i, 1])
+            # F x + GL xhat + w
+            np.einsum("q,qlfr->lfr", update, ladder[i], out=ladder[i + 1, 0])
             if held is not None:
-                np.copyto(X[i + 1], X[i], where=held[i])
-        # each frame's start state, checked at every frame end
-        stop = c
-        for k in range(c):
-            np.multiply(X[n, 1, k], starts[k], out=starts[k + 1])
-            starts[k + 1] += X[n, 0, k]
-            if not np.abs(starts[k + 1]).max() <= divergence_bound:
-                diverged = True
-                stop = k + 1
-                break
-        # the quantities at the frames' true start states, in lane 0
-        V = ladder[:kept, :n, 0, :stop]
-        unit = ladder[:kept, :n, 1, :stop]
-        unit *= starts[:stop]
-        V += unit
-        state, rec_x, control = V[:3]
-        err = state - rec_x
-        cost = r_w * rec_x * rec_x + s_w * control * control + r_w * err * err
-        if held is None:
-            done += n * stop
-        else:
-            held = held[:, :stop]
-            cost[held] = 0.0
-            done += n * stop - held.sum(axis=(0, 1))
-        # each replica's running sum, step by step along time
-        steps_cost = np.concatenate((sums[None], cost.transpose(1, 0, 2).reshape(-1, R)))
-        sums = np.add.accumulate(steps_cost, axis=0)[-1]
+                np.copyto(ladder[i + 1, 0], x, where=held[i])
+        # each frame's start state; past a crossing the values are not read
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(c):
+                np.multiply(phi[k], start[k], start[k + 1])
+                np.add(start[k + 1], psi[k], start[k + 1])
+        inside = np.abs(starts[1:c + 1]) <= divergence_bound
+        diverged = not inside.all()
+        stop = int(np.argmin(inside.all(axis=1))) + 1 if diverged else c
+        # x and xhat at the frames' true start states
+        V = np.multiply(ladder[:n, :2, 1, :stop], starts[:stop], out=values[:, :, :stop])
+        V += ladder[:n, :2, 0, :stop]
+        state, rec_x = V[:, 0], V[:, 1]
+        steps_cost[0] = sums
+        cost = steps_cost[1:1 + stop * n].reshape(stop, n, R).transpose(1, 0, 2)
+        e2 = np.square(np.subtract(state, rec_x, out=err[:, :stop]), out=err[:, :stop])
+        e2 *= r_w
+        np.multiply(np.square(rec_x, out=cost), xh_weight, out=cost)
+        cost += e2
+        done += n * stop
+        if held is not None:
+            cost[held[:, :stop]] = 0.0
+            done -= held[:, :stop].sum(axis=(0, 1))
+        # each replica's running sum, step by step along time: a sum over the
+        # first axis of a C-ordered array adds its rows in order
+        steps_cost[:1 + stop * n].sum(axis=0, out=sums)
         if collect_trace:
-            for k in range(stop):
-                records.append([a[:, k].tolist() for a in (state, V[3], V[4], rec_x,
-                                                           control, cost)]
-                               + [arrived[:, :, k].tolist()])
+            code = codes[:, 1, :stop] * starts[:stop] + codes[:, 0, :stop]
+            inputs = code if sigma_q is None else code - q[:, :stop]
+            bits = delays[:stop, None] <= limits[:, :, None]  # [frame, i, j, replica]
+            kept = (state, inputs, code, rec_x, l * rec_x, cost)
+            records.extend([a[:, k].tolist() for a in kept] + [bits[k].tolist()]
+                           for k in range(stop))
         if diverged:
             break
         starts[0] = starts[c]

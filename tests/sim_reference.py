@@ -1,9 +1,11 @@
 """Reference closed-loop simulator: the plain-float loop, one replica at a time.
 
-It draws the same random numbers as `rctc.lqg.simulate_closed_loop`, in the
-same per-frame block layout (start states, then per frame the delay, modeled
-quantizer noise and process noise blocks of shape (N, replicas)), and then
-steps every replica on its own with Python floats.  It
+It draws the same random numbers as `rctc.lqg.simulate_closed_loop`: four
+streams spawned from SeedSequence(seed) give the start states, then per frame
+a block of shape (N, replicas) each of standard exponential delays (an index
+is in when its delay is at most its deadline times the delay rate), modeled
+quantizer noise and process noise.
+It then steps every replica on its own with Python floats.  It
 shares no loop code with the product, so it is the oracle the vectorised
 simulator's per-replica costs are checked against.  With replicas = 1 it is
 one long run, the loop's original form.
@@ -45,19 +47,20 @@ def reference_loop(plant, weights, solution, transform, bank, channel_model, hor
     enc_rows = [[float(transform.encoder_coeffs[i, j]) for j in range(i)] for i in range(n)]
     dec_rows = [[float(transform.decoder_coeffs[i, j]) for j in range(i)] + [1.0]
                 for i in range(n)]
-    thr_rows = [[channel_model.deadline + (i - j) * channel_model.sample_period
-                 for j in range(i + 1)] for i in range(n)]
+    thr_rows = [[(channel_model.deadline + (i - j) * channel_model.sample_period)
+                 * channel_model.delay_rate for j in range(i + 1)] for i in range(n)]
     modeled = bank is not None
     if modeled:
         sigma_q = [math.sqrt(float(v)) for v in bank.noise_variances]
 
-    rng = np.random.default_rng(seed)
-    starts = (math.sqrt(k_w / (1.0 - a * a)) * rng.standard_normal(replicas)).tolist()
+    start_rng, delay_rng, q_rng, w_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4))
+    starts = (math.sqrt(k_w / (1.0 - a * a)) * start_rng.standard_normal(replicas)).tolist()
     blocks = []
     for _ in range(-(-max(lengths) // n)):
-        delays = rng.exponential(channel_model.mean_delay, (n, replicas)).tolist()
-        q_noise = rng.standard_normal((n, replicas)).tolist() if modeled else None
-        w_noise = rng.standard_normal((n, replicas)).tolist()
+        delays = delay_rng.standard_exponential((n, replicas)).tolist()
+        q_noise = q_rng.standard_normal((n, replicas)).tolist() if modeled else None
+        w_noise = w_rng.standard_normal((n, replicas)).tolist()
         blocks.append((delays, q_noise, w_noise))
 
     # per replica: cost sum at the end of each of its frames, and the first

@@ -345,6 +345,23 @@ class TestDesignCode:
         assert result.predicted_am_wmse == pytest.approx(
             am_wmse(result.transform, prob.marginals, prob.K_x, K_q), rel=1e-12)
 
+    def test_identity_prices_its_rates_once(self, monkeypatch):
+        # the uniform rates its history prices are the allocation it returns
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return am_wmse(*args)
+
+        monkeypatch.setattr(design, "am_wmse", counted)
+        prob = make_problem(0.2, "identity", n=6)
+        result = design_code(prob)
+        assert len(calls) == 1
+        assert np.array_equal(result.rates.rates, np.full(6, 5.0))
+        K_q = QuantizerBank.modeled(np.full(6, 5.0), np.diag(prob.K_x), 1.0).noise_variances
+        assert result.predicted_am_wmse == am_wmse(CausalTransform.identity(6), prob.marginals,
+                                                   prob.K_x, np.diag(K_q))
+
     def test_plt_passthrough(self):
         prob = make_problem(0.2, "plt", n=4)
         result = design_code(prob)

@@ -347,6 +347,27 @@ class TestLqgExperiment:
             assert row.analytic > base  # cost exceeds tr(P K_w) > tr(K_w) here
             assert isinstance(row.simulated, float)
 
+    def test_channel_point_seed_is_shared_by_its_rows(self, monkeypatch):
+        # common random numbers: every scheme at a p runs on the point's seed,
+        # which the seed column names; the points' seeds differ
+        seen = []
+        real_sim = harness.simulate_closed_loop
+
+        def sim(*args, **kwargs):
+            seen.append(args[7])
+            return real_sim(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_closed_loop", sim)
+        config = ExperimentConfig.from_text(LQG_CFG.replace("p_grid = 0.05",
+                                                            "p_grid = 0.05, 0.1"))
+        rows = run_experiment(config)
+        seeds = {pi: derive_seed(9, "sim", pi) for pi in range(2)}
+        assert seeds[0] != seeds[1]
+        assert len(rows) == len(seen) == 4
+        for row in rows:
+            assert row.seed == seeds[config.p_grid.index(row.p)]
+        assert sorted(seen) == sorted(row.seed for row in rows)
+
     def test_zero_dynamics_plant_designs_every_scheme(self):
         # F = 0 gives P = R and R_eq = 0: the cost is tr(P K_w) = K_w whatever
         # the code, and every scheme still designs

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,28 @@ class TestSimulateClosedLoop:
             assert a.trace == b.trace
         assert default[-1].diverged and default[-1].steps == 24 * n * REPLICAS
         assert default[2].steps == len(default[2].trace) == 8003
+
+    def test_memory_holds_no_square_stack(self):
+        # arrivals and decoder weights are formed for the lower-triangle
+        # entries only: an (N, N, CHUNK_FRAMES, REPLICAS) float stack would add
+        # 512 KiB at N = 8 to a peak of about 1.5 MiB
+        n = 8
+        K_x = ar1_covariance(loop_pole(self.plant, self.sol),
+                             pilot_state_variance(self.plant, self.sol), n)
+        t, d = plt_design(K_x)
+        cm = ChannelModel.from_violation_probability(0.005, 0.05, 0.0125, n)
+        bank = QuantizerBank.modeled(np.full(n, 8.0), d)
+        # 40 frames: two whole chunks and a part of one
+        horizon = REPLICAS * n * 40
+        simulate_closed_loop(self.plant, self.weights, self.sol, t, bank, cm, horizon, 3)
+        tracemalloc.start()
+        try:
+            simulate_closed_loop(self.plant, self.weights, self.sol, t, bank, cm, horizon, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = n * n * CHUNK_FRAMES * REPLICAS * 8
+        assert peak < 1.5 * 2 ** 20 + stack / 2, peak
 
     def test_unstable_plant_all_lost_diverges(self):
         n = 4
