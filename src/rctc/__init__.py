@@ -14,7 +14,7 @@ from .design import (DesignProblem, DesignResult, SearchConfig, design_code,
 from .factorizations import FactorizationError, ldl_unit_lower
 from .harness import ConfigError, ExperimentConfig, ResultRow, run_experiment, write_csv
 from .lqg import (REPLICAS, ControllerSolution, LqgWeights, PlantModel,
-                  RiccatiConvergenceError, SimulationResult, am_wmse,
+                  RiccatiConvergenceError, SimulationResult, SimulationResults, am_wmse,
                   analytic_lqg_cost, ce_gain, controller_solution,
                   expected_error_terms, loop_pole, pilot_state_variance,
                   replica_lengths, riccati_residual, simulate_closed_loop,

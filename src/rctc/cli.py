@@ -8,8 +8,8 @@ import numpy as np
 
 from .channel import ChannelModel, availability_marginals
 from .design import save_design
-from .harness import (ConfigError, ExperimentConfig, _bank_for, _lqg_context, derive_seed,
-                      design_schemes, run_experiment, write_csv)
+from .harness import (ConfigError, ExperimentConfig, _lqg_context, derive_seed, design_schemes,
+                      run_experiment, write_csv)
 from .lqg import simulate_closed_loop
 
 
@@ -71,12 +71,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs kind = lqg")
     plant, weights, solution, _ = _lqg_context(config)
     cm, result = _design(config)
-    bank = _bank_for(result, config)
     # the sweep's point seed: p's position in p_grid, or 0 when p_grid leaves p out
     pi = config.p_grid.index(config.p) if config.p in config.p_grid else 0
-    sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
-                               config.horizon, derive_seed(config.seed, "sim", pi),
-                               collect_trace=True, divergence_bound=config.divergence_bound)
+    sim, = simulate_closed_loop(plant, weights, solution, [result.transform], [result.bank], cm,
+                                config.horizon, derive_seed(config.seed, "sim", pi),
+                                collect_trace=True, divergence_bound=config.divergence_bound)
 
     with open(out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# rctc trace csv v1\n")

@@ -168,6 +168,8 @@ class DesignResult:
     objective_history: list[float]
     budget_exhausted: bool
     input_variances: np.ndarray = field(repr=False, default=None)
+    # the modeled bank predicted_lqg_cost was priced with, set along with it
+    bank: QuantizerBank | None = field(repr=False, default=None)
 
 
 def _parameter_map(structure: str, frame_length: int):

@@ -301,16 +301,18 @@ def _experiment_context(config: ExperimentConfig):
     """(K_x, evaluate, lqg_cost) of the configured kind.
 
     K_x is the frame covariance every design, rate allocation and analytic
-    column reads.  evaluate(result, bank, marginals, cm, seed) returns one
-    row's (analytic, simulated, stderr); lqg_cost(result, bank, marginals),
-    None for kind = source, its analytic column.  The source evaluate reads
-    `seed` as the sweep's draw seed: it draws the frames, and at its first
-    modeled row the quantizer noise, once per seed, and the bits once per
-    channel point, and its analytic column for a modeled bank is the
-    design's predicted_am_wmse.  The LQG evaluate seeds its run with `seed`,
-    the channel point's, so every scheme at a point reads the same draws,
-    and its analytic column is the design's predicted_lqg_cost, which
-    `design_schemes` computes by lqg_cost.
+    column reads.  For kind = source, evaluate(result, bank, marginals, cm,
+    seed) returns one row's (analytic, simulated, stderr) and lqg_cost is
+    None.  It reads `seed` as the sweep's draw seed: it draws the frames,
+    and at its first modeled row the quantizer noise, once per seed, and the
+    bits once per channel point, and its analytic column for a modeled bank
+    is the design's predicted_am_wmse.  For kind = lqg, evaluate(results,
+    cm, seed) returns the (analytic, simulated, stderr) of each of a channel
+    point's designs from one lockstep simulation seeded with `seed`, the
+    point's, so every scheme at a point reads the same draws.  Each design
+    runs with the bank `design_schemes` priced its predicted_lqg_cost with,
+    by lqg_cost(result, bank, marginals), and that cost is its row's
+    analytic column.
     """
     n = config.n
     if config.kind == "source":
@@ -354,16 +356,18 @@ def _experiment_context(config: ExperimentConfig):
         return analytic_lqg_cost(solution, plant, marginals, result.transform, K_x,
                                  np.diag(bank.noise_variances))
 
-    def evaluate(result, bank, marginals, cm, seed):
-        sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
-                                   config.horizon, seed,
-                                   divergence_bound=config.divergence_bound)
-        # kind = lqg runs modeled noise only, so the row's bank is the one
-        # design_schemes priced: its analytic cost is the design's
-        analytic = result.predicted_lqg_cost
-        if sim.diverged:  # no finite variance for a stderr to estimate
-            return analytic, "diverged", math.nan
-        return analytic, sim.empirical_cost, sim.standard_error
+    def evaluate(results, cm, seed):
+        # each design runs with the bank design_schemes priced it with, so
+        # its analytic cost is the design's
+        sims = simulate_closed_loop(plant, weights, solution,
+                                    [result.transform for result in results],
+                                    [result.bank for result in results], cm,
+                                    config.horizon, seed,
+                                    divergence_bound=config.divergence_bound)
+        # a diverged run has no finite variance for a stderr to estimate
+        return [(result.predicted_lqg_cost, "diverged", math.nan) if sim.diverged else
+                (result.predicted_lqg_cost, sim.empirical_cost, sim.standard_error)
+                for result, sim in zip(results, sims)]
 
     return K_x, evaluate, lqg_cost
 
@@ -374,7 +378,8 @@ def design_schemes(config: ExperimentConfig, marginals: np.ndarray, schemes,
 
     Designs are made in SCHEMES order; rc_tc always starts from the rtc_tc
     encoder, designed for it when not listed.  For kind = lqg a design carries
-    predicted_lqg_cost, the analytic column under modeled quantizer noise.
+    predicted_lqg_cost, the analytic column under modeled quantizer noise,
+    and the bank it was priced with, which its row simulates.
     context is the config's `_experiment_context`, made here when not given.
     """
     K_x, _, lqg_cost = context or _experiment_context(config)
@@ -387,16 +392,20 @@ def design_schemes(config: ExperimentConfig, marginals: np.ndarray, schemes,
         try:
             designs[scheme] = result = design_code(problem, starts)
             if lqg_cost:
-                bank = QuantizerBank.modeled(result.rates.rates, result.input_variances,
-                                             config.noise_constant)
-                result.predicted_lqg_cost = lqg_cost(result, bank, marginals)
+                result.bank = QuantizerBank.modeled(result.rates.rates, result.input_variances,
+                                                    config.noise_constant)
+                result.predicted_lqg_cost = lqg_cost(result, result.bank, marginals)
         except (ValueError, ArithmeticError) as exc:
             designs[scheme] = exc
     return {scheme: designs[scheme] for scheme in schemes}
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """One row per (p, scheme): design, realize the bank, evaluate."""
+    """One row per (p, scheme): design, realize the bank, evaluate.
+
+    A source row is evaluated on its own; an LQG point's designs are
+    simulated together, in one lockstep run.
+    """
     context = _experiment_context(config)
     _, evaluate, _ = context
     rows = []
@@ -414,6 +423,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
         marginals = availability_marginals(cm)
         designs = design_schemes(config, marginals, config.schemes, context)
+        if config.kind == "lqg":
+            # the point's designs in one lockstep simulation, before the rows
+            # tag the layer trace one by one
+            designed = {s: r for s, r in designs.items() if not isinstance(r, Exception)}
+            point = (dict(zip(designed, evaluate(list(designed.values()), cm, seed)))
+                     if designed else {})
         for scheme, result in designs.items():
             # seeds nothing: the benchmark's layer trace follows derive_seed to
             # tag the row's spans with its scheme and p
@@ -422,6 +437,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 # a flagged row, so that the rest of the sweep continues
                 columns = (math.nan, "design_failed", math.nan)
                 tag = f"{mode}:{type(result).__name__}"
+            elif config.kind == "lqg":
+                columns, tag = point[scheme], mode
             else:
                 bank = _bank_for(result, config)
                 columns, tag = evaluate(result, bank, marginals, cm, seed), mode

@@ -12,6 +12,7 @@ analytic_lqg_cost, and every error term below is the plain, unweighted MSE.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +232,7 @@ class TraceRecord:
 
 @dataclass
 class SimulationResult:
-    """Outcome of one closed-loop run.
+    """Outcome of one design's closed-loop run.
 
     `replica_means` holds the mean per-step cost of every replica that ran at
     least one step, in replica order; the standard error is taken from them.
@@ -243,6 +244,22 @@ class SimulationResult:
     diverged: bool
     trace: list[TraceRecord] | None
     replica_means: np.ndarray
+
+
+class SimulationResults(tuple):
+    """The SimulationResult of each design of one lockstep run, in design order.
+
+    `steps` totals the steps run over the designs and `diverged` counts the
+    designs that diverged.
+    """
+
+    @property
+    def steps(self) -> int:
+        return sum(result.steps for result in self)
+
+    @property
+    def diverged(self) -> int:
+        return sum(result.diverged for result in self)
 
 
 def batch_standard_error(values: np.ndarray) -> float:
@@ -292,12 +309,66 @@ def replica_lengths(horizon: int, frame_length: int) -> np.ndarray:
     return lengths
 
 
+class _LoopDesign:
+    """One design of a lockstep run: its coefficients and the state it carries between chunks.
+
+    The decoder row i runs from its first nonzero entry, first[i], to the
+    diagonal; entries[i] is that run's slice of the lower-triangle entries,
+    which are numbered row by row, and entry_dec holds the decoder at every
+    lower-triangle entry.  start is the start state of each replica's next
+    frame, sums its running cost sum, done its steps run and records, with
+    collect_trace, the trace values of each frame run.
+    """
+
+    def __init__(self, transform: CausalTransform, bank: QuantizerBank | None,
+                 row_starts: np.ndarray, start: np.ndarray):
+        n = transform.frame_length
+        self.neg_enc = -transform.encoder_coeffs
+        self.coded = self.neg_enc.any(axis=1)  # the encoder rows with a term to subtract
+        dec = transform.assemble()[1]
+        self.first = np.argmax(dec != 0, axis=1)
+        self.entries = [slice(row_starts[i] + self.first[i], row_starts[i] + i + 1)
+                        for i in range(n)]
+        self.entry_dec = dec[np.tril_indices(n)][:, None, None]
+        self.sigma_q = None if bank is None else np.sqrt(bank.noise_variances)[:, None, None]
+        self.start = start.copy()
+        self.sums, self.done = np.zeros(start.size), np.zeros(start.size, dtype=int)
+        self.diverged = False
+        self.records = []
+
+    def result(self, collect_trace: bool) -> SimulationResult:
+        """This design's SimulationResult, from its sums, steps and trace records."""
+        n, sums, done = self.first.size, self.sums, self.done
+        steps = int(done.sum())
+        ran = done > 0
+        means = sums[ran] / done[ran]
+        cost_mean = math.fsum(sums) / steps if steps else math.nan
+        stderr = (float(np.std(means, ddof=1) / math.sqrt(means.size))
+                  if means.size >= 2 else math.nan)
+        trace = None
+        if collect_trace:
+            trace = []
+            for r in range(REPLICAS):
+                for t in range(done[r]):
+                    frame, i = divmod(t, n)
+                    state, d_val, code, rec_x, control, cost_t, arr = self.records[frame]
+                    avail = "".join("1" if arr[i][j][r] else "0" for j in range(i + 1))
+                    trace.append(TraceRecord(len(trace), r, state[i][r], d_val[i][r],
+                                             code[i][r], avail, rec_x[i][r],
+                                             control[i][r], cost_t[i][r]))
+        return SimulationResult(cost_mean, stderr, steps, self.diverged, trace, means)
+
+
 def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
-                         solution: ControllerSolution, transform: CausalTransform,
-                         bank: QuantizerBank | None, channel_model: ChannelModel,
+                         solution: ControllerSolution, transforms: Sequence[CausalTransform],
+                         banks: Sequence[QuantizerBank | None], channel_model: ChannelModel,
                          horizon: int, seed: int, *, collect_trace: bool = False,
-                         divergence_bound: float = 1e9) -> SimulationResult:
-    """Simulate the coded LQG loop of a scalar plant and return the empirical per-step cost.
+                         divergence_bound: float = 1e9) -> SimulationResults:
+    """Simulate the coded LQG loop of a scalar plant under each design; return its per-step cost.
+
+    Design d codes with transforms[d] and banks[d] (None for no quantizer
+    noise); the designs run in lockstep on the same random numbers, and
+    each one's result is the one a run of that design alone returns.
 
     The horizon is split over REPLICAS independent copies of the loop
     (`replica_lengths`), run side by side as arrays.  Each starts from the
@@ -313,34 +384,41 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     on its noise.  The ladder therefore runs over CHUNK_FRAMES frames at
     once, on two lanes: a noise lane from x_0 = 0 with the drawn noise, and
     a unit lane from x_0 = 1 without it.  It carries x and xhat; codevalues
-    and decoder weights (entry times arrival, formed once per chunk for the
-    lower-triangle entries) enter through row sums.  The scan
-    x_{k+1} = phi_k x_k + psi_k gives every frame's start state, and each
-    value of frame k is its noise-lane value plus x_k times its unit-lane
-    value.  A bank must be modeled: codebooks would make the loop nonlinear.
+    and decoder weights (entry times arrival, for the lower-triangle
+    entries) enter through row sums.  The scan x_{k+1} = phi_k x_k + psi_k
+    gives every frame's start state, and each value of frame k is its
+    noise-lane value plus x_k times its unit-lane value.  A bank must be
+    modeled: codebooks would make the loop nonlinear.
 
     Four streams spawned from SeedSequence(seed) draw the REPLICAS start
     states, the standard exponential delays (an index is in when its delay is
     at most its deadline times the delay rate), the quantizer noise (when
-    there is a bank) and the process noise, each one (frames, N, REPLICAS)
-    block per chunk in frame order, so the chunk changes no draw.
+    some design has a bank) and the process noise, each one
+    (frames, N, REPLICAS) block per chunk in frame order, so the chunk
+    changes no draw.  A chunk draws its blocks and compares its arrivals
+    once; then each design in turn runs its ladder, scan and cost through
+    the same buffers.
 
-    The cost is the sum of the per-replica cost sums, each summed step by
-    step, over the steps run; the standard error is that of the mean of the
-    per-replica means.  collect_trace adds one TraceRecord per step, replica
-    by replica, and changes no number.  Once a chunk's frame-end states
-    exceed divergence_bound (or are not finite), the run stops after the
-    first such frame and reports a partial result instead of raising.
+    A design's cost is the sum of its per-replica cost sums, each summed
+    step by step, over the steps run; the standard error is that of the mean
+    of the per-replica means.  collect_trace adds one TraceRecord per step,
+    replica by replica, and changes no number.  Once a chunk's frame-end
+    states of a design exceed divergence_bound (or are not finite), that
+    design stops after the first such frame and reports a partial result
+    instead of raising; the others go on.
     """
-    n = transform.frame_length
+    n = channel_model.frame_length
+    if len(transforms) != len(banks) or not transforms:
+        raise ValueError("transforms and banks must be parallel sequences of one design or more")
     if plant.state_dim != 1 or plant.input_dim != 1:
         raise ValueError("closed-loop simulation needs a scalar plant (one state, one input)")
-    if channel_model.frame_length != n:
-        raise ValueError("channel frame length does not match the transform")
-    if bank is not None and bank.count != n:
-        raise ValueError("bank layout does not match the transform")
-    if bank is not None and bank.codebooks is not None:
-        raise ValueError("closed-loop simulation needs a modeled bank, not codebooks")
+    for transform, bank in zip(transforms, banks):
+        if transform.frame_length != n:
+            raise ValueError("channel frame length does not match the transform")
+        if bank is not None and bank.count != n:
+            raise ValueError("bank layout does not match the transform")
+        if bank is not None and bank.codebooks is not None:
+            raise ValueError("closed-loop simulation needs a modeled bank, not codebooks")
     if horizon < n:
         raise ValueError("horizon must cover at least one frame")
     lengths = replica_lengths(horizon, n)
@@ -351,22 +429,20 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     xh_weight = r_w + float(weights.S[0, 0]) * l * l
     sqrt_kw = math.sqrt(float(plant.K_w[0, 0]))
     R, chunk = REPLICAS, CHUNK_FRAMES
-    neg_enc = -transform.encoder_coeffs
-    coded = neg_enc.any(axis=1)  # the encoder rows with a term to subtract
-    # the decoder entries arrivals are formed for, row by row: row i's run
-    # from its first nonzero entry to the diagonal, at entries[i]
-    dec = transform.assemble()[1]
-    first = np.argmax(dec != 0, axis=1)
-    rows, cols = np.nonzero(np.tri(n, dtype=bool) & (np.arange(n) >= first[:, None]))
-    bounds = np.searchsorted(rows, np.arange(n + 1))
-    entries = [slice(bounds[i], bounds[i + 1]) for i in range(n)]
+    # the lower-triangle entries, row by row: row i's at rows_at[i]
+    tri = n * (n + 1) // 2
+    row_starts = np.arange(n) * (np.arange(n) + 1) // 2
+    rows_at = [slice(row_starts[i], row_starts[i] + i + 1) for i in range(n)]
     limits = channel_model.thresholds() * channel_model.delay_rate
-    entry_limits, entry_dec = limits[rows, cols][:, None, None], dec[rows, cols][:, None, None]
-    sigma_q = None if bank is None else np.sqrt(bank.noise_variances)[:, None, None]
+    row_limits = [limits[i, :i + 1, None, None] for i in range(n)]
+    start_state = math.sqrt(pilot_state_variance(plant, solution)) * start_rng.standard_normal(R)
+    designs = [_LoopDesign(t, bank, row_starts, start_state) for t, bank in zip(transforms, banks)]
+    noisy = any(bank is not None for bank in banks)
     # the draws, [frame, index, replica]; past the last frame, zeros or old
-    # draws.  The normal draws are scaled into q and the ladder's w.
+    # draws.  The process normals are scaled into the ladder's w, then the
+    # quantizer normals take their place and each design scales them into q.
     delays, normals = np.zeros((chunk, n, R)), np.zeros((chunk, n, R))
-    arrived, dec_weights = np.empty((cols.size, chunk, R), bool), np.empty((cols.size, chunk, R))
+    arrived, dec_weights = np.empty((tri, chunk, R), bool), np.empty((tri, chunk, R))
     # [element, quantity, lane, frame, replica] for x, xhat and w: lane 0 is the
     # noise lane, lane 1 the unit lane, whose w stays 0; x[n] is the frame's end
     ladder = np.zeros((n + 1, 3, 2, chunk, R))
@@ -377,96 +453,84 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     # each replica's running sum, then the chunk's step costs in step order
     steps_cost = np.empty((1 + chunk * n, R))
     starts = np.empty((chunk + 1, R))  # start state of each frame of the chunk, and the next
-    starts[0] = math.sqrt(pilot_state_variance(plant, solution)) * start_rng.standard_normal(R)
     # the scan's (REPLICAS,) rows: unit- and noise-lane frame ends, start states
     phi, psi, start = list(ladder[n, 0, 1]), list(ladder[n, 0, 0]), list(starts)
-    sums, done = np.zeros(R), np.zeros(R, dtype=int)
-    records = [] if collect_trace else None
     frames = -(-int(lengths.max()) // n)
     whole_frames = int(lengths.min()) // n
+    running = designs
     for first_frame in range(0, frames, chunk):
         c = min(chunk, frames - first_frame)
         delay_rng.standard_exponential(out=delays[:c])
-        if sigma_q is not None:
-            q_rng.standard_normal(out=normals[:c])
-            np.multiply(normals.transpose(1, 0, 2), sigma_q, out=q)
         w_rng.standard_normal(out=normals[:c])
         np.multiply(normals.transpose(1, 0, 2), sqrt_kw, out=ladder[:n, 2, 0])
-        for i, at in enumerate(entries):
-            np.less_equal(delays[:, first[i]:i + 1].transpose(1, 0, 2), entry_limits[at],
-                          out=arrived[at])
-        np.multiply(arrived, entry_dec, out=dec_weights)
+        if noisy:
+            q_rng.standard_normal(out=normals[:c])
+        for i, at in enumerate(rows_at):
+            np.less_equal(delays[:, :i + 1].transpose(1, 0, 2), row_limits[i], out=arrived[at])
         # the steps past a replica's end, in the last frame, cut short for some
         held = None if first_frame + c <= whole_frames else (
             lengths <= ((first_frame + np.arange(chunk)) * n + np.arange(n)[:, None])[:, :, None])
-        for i in range(n):
-            x = ladder[i, 0]
-            if coded[i]:  # x - sum_j enc[i, j] xc[j]
-                np.einsum("j,jlfr->lfr", neg_enc[i, :i], codes[:i], out=codes[i])
-                codes[i] += x
-            else:
-                codes[i] = x
+        for design in running:
+            neg_enc, coded, first, entries = (design.neg_enc, design.coded, design.first,
+                                              design.entries)
+            sigma_q, sums, done = design.sigma_q, design.sums, design.done
+            np.multiply(arrived, design.entry_dec, out=dec_weights)
             if sigma_q is not None:
-                codes[i, 0] += q[i]
-            np.einsum("kfr,klfr->lfr", dec_weights[entries[i]], codes[first[i]:i + 1],
-                      out=ladder[i, 1])
-            # F x + GL xhat + w
-            np.einsum("q,qlfr->lfr", update, ladder[i], out=ladder[i + 1, 0])
+                np.multiply(normals.transpose(1, 0, 2), sigma_q, out=q)
+            for i in range(n):
+                x = ladder[i, 0]
+                if coded[i]:  # x - sum_j enc[i, j] xc[j]
+                    np.einsum("j,jlfr->lfr", neg_enc[i, :i], codes[:i], out=codes[i])
+                    codes[i] += x
+                else:
+                    codes[i] = x
+                if sigma_q is not None:
+                    codes[i, 0] += q[i]
+                np.einsum("kfr,klfr->lfr", dec_weights[entries[i]], codes[first[i]:i + 1],
+                          out=ladder[i, 1])
+                # F x + GL xhat + w
+                np.einsum("q,qlfr->lfr", update, ladder[i], out=ladder[i + 1, 0])
+                if held is not None:
+                    np.copyto(ladder[i + 1, 0], x, where=held[i])
+            # each frame's start state; past a crossing the values are not read
+            starts[0] = design.start
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(c):
+                    np.multiply(phi[k], start[k], start[k + 1])
+                    np.add(start[k + 1], psi[k], start[k + 1])
+            inside = np.abs(starts[1:c + 1]) <= divergence_bound
+            design.diverged = not inside.all()
+            stop = int(np.argmin(inside.all(axis=1))) + 1 if design.diverged else c
+            # x and xhat at the frames' true start states
+            V = np.multiply(ladder[:n, :2, 1, :stop], starts[:stop], out=values[:, :, :stop])
+            V += ladder[:n, :2, 0, :stop]
+            state, rec_x = V[:, 0], V[:, 1]
+            steps_cost[0] = sums
+            cost = steps_cost[1:1 + stop * n].reshape(stop, n, R).transpose(1, 0, 2)
+            e2 = np.square(np.subtract(state, rec_x, out=err[:, :stop]), out=err[:, :stop])
+            e2 *= r_w
+            np.multiply(np.square(rec_x, out=cost), xh_weight, out=cost)
+            cost += e2
+            done += n * stop
             if held is not None:
-                np.copyto(ladder[i + 1, 0], x, where=held[i])
-        # each frame's start state; past a crossing the values are not read
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(c):
-                np.multiply(phi[k], start[k], start[k + 1])
-                np.add(start[k + 1], psi[k], start[k + 1])
-        inside = np.abs(starts[1:c + 1]) <= divergence_bound
-        diverged = not inside.all()
-        stop = int(np.argmin(inside.all(axis=1))) + 1 if diverged else c
-        # x and xhat at the frames' true start states
-        V = np.multiply(ladder[:n, :2, 1, :stop], starts[:stop], out=values[:, :, :stop])
-        V += ladder[:n, :2, 0, :stop]
-        state, rec_x = V[:, 0], V[:, 1]
-        steps_cost[0] = sums
-        cost = steps_cost[1:1 + stop * n].reshape(stop, n, R).transpose(1, 0, 2)
-        e2 = np.square(np.subtract(state, rec_x, out=err[:, :stop]), out=err[:, :stop])
-        e2 *= r_w
-        np.multiply(np.square(rec_x, out=cost), xh_weight, out=cost)
-        cost += e2
-        done += n * stop
-        if held is not None:
-            cost[held[:, :stop]] = 0.0
-            done -= held[:, :stop].sum(axis=(0, 1))
-        # each replica's running sum, step by step along time: a sum over the
-        # first axis of a C-ordered array adds its rows in order
-        steps_cost[:1 + stop * n].sum(axis=0, out=sums)
-        if collect_trace:
-            code = codes[:, 1, :stop] * starts[:stop] + codes[:, 0, :stop]
-            inputs = code if sigma_q is None else code - q[:, :stop]
-            bits = delays[:stop, None] <= limits[:, :, None]  # [frame, i, j, replica]
-            kept = (state, inputs, code, rec_x, l * rec_x, cost)
-            records.extend([a[:, k].tolist() for a in kept] + [bits[k].tolist()]
-                           for k in range(stop))
-        if diverged:
+                cost[held[:, :stop]] = 0.0
+                done -= held[:, :stop].sum(axis=(0, 1))
+            # each replica's running sum, step by step along time: a sum over the
+            # first axis of a C-ordered array adds its rows in order
+            steps_cost[:1 + stop * n].sum(axis=0, out=sums)
+            if collect_trace:
+                code = codes[:, 1, :stop] * starts[:stop] + codes[:, 0, :stop]
+                inputs = code if sigma_q is None else code - q[:, :stop]
+                bits = delays[:stop, None] <= limits[:, :, None]  # [frame, i, j, replica]
+                kept = (state, inputs, code, rec_x, l * rec_x, cost)
+                design.records.extend([a[:, k].tolist() for a in kept] + [bits[k].tolist()]
+                                      for k in range(stop))
+            if not design.diverged:
+                design.start[:] = starts[c]
+        running = [design for design in running if not design.diverged]
+        if not running:
             break
-        starts[0] = starts[c]
-    steps = int(done.sum())
-    ran = done > 0
-    means = sums[ran] / done[ran]
-    cost_mean = math.fsum(sums) / steps if steps else math.nan
-    stderr = (float(np.std(means, ddof=1) / math.sqrt(means.size))
-              if means.size >= 2 else math.nan)
-    trace = None
-    if collect_trace:
-        trace = []
-        for r in range(R):
-            for t in range(done[r]):
-                frame, i = divmod(t, n)
-                state, d_val, code, rec_x, control, cost_t, arr = records[frame]
-                avail = "".join("1" if arr[i][j][r] else "0" for j in range(i + 1))
-                trace.append(TraceRecord(len(trace), r, state[i][r], d_val[i][r],
-                                         code[i][r], avail, rec_x[i][r],
-                                         control[i][r], cost_t[i][r]))
-    return SimulationResult(cost_mean, stderr, steps, diverged, trace, means)
+    return SimulationResults(design.result(collect_trace) for design in designs)
 
 
 def loop_pole(plant: PlantModel, solution: ControllerSolution) -> float:

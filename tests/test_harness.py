@@ -349,12 +349,13 @@ class TestLqgExperiment:
 
     def test_channel_point_seed_is_shared_by_its_rows(self, monkeypatch):
         # common random numbers: every scheme at a p runs on the point's seed,
-        # which the seed column names; the points' seeds differ
+        # which the seed column names, in one simulator call that carries all
+        # of the point's designs; the points' seeds differ
         seen = []
         real_sim = harness.simulate_closed_loop
 
         def sim(*args, **kwargs):
-            seen.append(args[7])
+            seen.append((args[3], args[4], args[7]))
             return real_sim(*args, **kwargs)
 
         monkeypatch.setattr(harness, "simulate_closed_loop", sim)
@@ -363,10 +364,19 @@ class TestLqgExperiment:
         rows = run_experiment(config)
         seeds = {pi: derive_seed(9, "sim", pi) for pi in range(2)}
         assert seeds[0] != seeds[1]
-        assert len(rows) == len(seen) == 4
+        assert len(rows) == 4 and len(seen) == 2
         for row in rows:
             assert row.seed == seeds[config.p_grid.index(row.p)]
-        assert sorted(seen) == sorted(row.seed for row in rows)
+        assert [seed for _, _, seed in seen] == [seeds[0], seeds[1]]
+        for pi, (transforms, banks, _) in enumerate(seen):
+            p = config.p_grid[pi]
+            cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
+            designs = design_schemes(config, availability_marginals(cm), config.schemes)
+            assert len(transforms) == len(banks) == len(config.schemes)
+            for scheme, transform, bank in zip(config.schemes, transforms, banks):
+                assert np.array_equal(transform.encoder_coeffs,
+                                      designs[scheme].transform.encoder_coeffs)
+                assert np.array_equal(bank.noise_variances, designs[scheme].bank.noise_variances)
 
     def test_zero_dynamics_plant_designs_every_scheme(self):
         # F = 0 gives P = R and R_eq = 0: the cost is tr(P K_w) = K_w whatever
@@ -536,8 +546,8 @@ seed = {seed}
         bank = _bank_for(result, config)
         sims, stderrs, long_runs = [], [], []
         for seed in self.SEEDS:
-            sim = simulate_closed_loop(plant, weights, solution, result.transform, bank, cm,
-                                       config.horizon, seed)
+            sim, = simulate_closed_loop(plant, weights, solution, [result.transform], [bank],
+                                        cm, config.horizon, seed)
             sims.append(sim.empirical_cost)
             stderrs.append(sim.standard_error)
             totals, steps, diverged = reference_loop(

@@ -251,8 +251,8 @@ class TestSimulateClosedLoop:
     def test_classical_benchmark(self):
         n = 4
         t = CausalTransform.identity(n)
-        sim = simulate_closed_loop(self.plant, self.weights, self.sol, t, None,
-                                   self.lossless(n), 200_000, 3)
+        sim, = simulate_closed_loop(self.plant, self.weights, self.sol, [t], [None],
+                                    self.lossless(n), 200_000, 3)
         target = np.trace(self.sol.P @ self.plant.K_w)
         assert abs(sim.empirical_cost - target) < 3 * sim.standard_error
         assert not sim.diverged
@@ -260,10 +260,10 @@ class TestSimulateClosedLoop:
     def test_deterministic(self):
         n = 4
         t = CausalTransform.identity(n)
-        a = simulate_closed_loop(self.plant, self.weights, self.sol, t, None,
-                                 self.lossless(n), 5000, 11)
-        b = simulate_closed_loop(self.plant, self.weights, self.sol, t, None,
-                                 self.lossless(n), 5000, 11)
+        a, = simulate_closed_loop(self.plant, self.weights, self.sol, [t], [None],
+                                  self.lossless(n), 5000, 11)
+        b, = simulate_closed_loop(self.plant, self.weights, self.sol, [t], [None],
+                                  self.lossless(n), 5000, 11)
         assert a.empirical_cost == b.empirical_cost
 
     def test_trace_changes_no_number(self):
@@ -276,10 +276,10 @@ class TestSimulateClosedLoop:
         banks = [None, QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.015))]
         for t in (CausalTransform.identity(n), designed):
             for bank in banks:
-                plain = simulate_closed_loop(self.plant, self.weights, self.sol, t, bank,
-                                             cm, 8000, 21)
-                traced = simulate_closed_loop(self.plant, self.weights, self.sol, t, bank,
-                                              cm, 8000, 21, collect_trace=True)
+                plain, = simulate_closed_loop(self.plant, self.weights, self.sol, [t], [bank],
+                                              cm, 8000, 21)
+                traced, = simulate_closed_loop(self.plant, self.weights, self.sol, [t], [bank],
+                                               cm, 8000, 21, collect_trace=True)
                 assert plain.trace is None
                 assert traced.empirical_cost == plain.empirical_cost
                 assert traced.standard_error == plain.standard_error
@@ -310,9 +310,9 @@ class TestSimulateClosedLoop:
                  (modeled, cm, True, 1e9), (modeled, dead, True, 1e16)]
 
         def run_all():
-            return [simulate_closed_loop(self.plant, self.weights, self.sol, t, bank, channel,
-                                         8003, 21, collect_trace=trace,
-                                         divergence_bound=bound)
+            return [simulate_closed_loop(self.plant, self.weights, self.sol, [t], [bank],
+                                         channel, 8003, 21, collect_trace=trace,
+                                         divergence_bound=bound)[0]
                     for bank, channel, trace, bound in cases]
 
         default = run_all()
@@ -326,34 +326,106 @@ class TestSimulateClosedLoop:
         assert default[-1].diverged and default[-1].steps == 24 * n * REPLICAS
         assert default[2].steps == len(default[2].trace) == 8003
 
+    def plt_at_eight(self):
+        """The plt transform of the loop's source model at N = 8 and its rate-8 modeled bank."""
+        n = 8
+        K_x = ar1_covariance(loop_pole(self.plant, self.sol),
+                             pilot_state_variance(self.plant, self.sol), n)
+        t, d = plt_design(K_x)
+        return t, QuantizerBank.modeled(np.full(n, 8.0), d)
+
+    def memory_peak(self, transforms, banks):
+        """tracemalloc peak of a call at N = 8, after one call that warms every cache."""
+        n = 8
+        cm = ChannelModel.from_violation_probability(0.005, 0.05, 0.0125, n)
+        # 40 frames: two whole chunks and a part of one
+        horizon = REPLICAS * n * 40
+        simulate_closed_loop(self.plant, self.weights, self.sol, transforms, banks, cm,
+                             horizon, 3)
+        tracemalloc.start()
+        try:
+            simulate_closed_loop(self.plant, self.weights, self.sol, transforms, banks, cm,
+                                 horizon, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_holds_no_square_stack(self):
         # arrivals and decoder weights are formed for the lower-triangle
         # entries only: an (N, N, CHUNK_FRAMES, REPLICAS) float stack would add
         # 512 KiB at N = 8 to a peak of about 1.5 MiB
         n = 8
-        K_x = ar1_covariance(loop_pole(self.plant, self.sol),
-                             pilot_state_variance(self.plant, self.sol), n)
-        t, d = plt_design(K_x)
-        cm = ChannelModel.from_violation_probability(0.005, 0.05, 0.0125, n)
-        bank = QuantizerBank.modeled(np.full(n, 8.0), d)
-        # 40 frames: two whole chunks and a part of one
-        horizon = REPLICAS * n * 40
-        simulate_closed_loop(self.plant, self.weights, self.sol, t, bank, cm, horizon, 3)
-        tracemalloc.start()
-        try:
-            simulate_closed_loop(self.plant, self.weights, self.sol, t, bank, cm, horizon, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        t, bank = self.plt_at_eight()
+        peak = self.memory_peak([t], [bank])
         stack = n * n * CHUNK_FRAMES * REPLICAS * 8
         assert peak < 1.5 * 2 ** 20 + stack / 2, peak
+
+    def test_lockstep_designs_share_the_buffers(self):
+        # the designs of one call run through the same buffers: four of them
+        # stay under the bound of one, where a second set of draw or ladder
+        # buffers would not (the ladder alone is 432 KiB at N = 8)
+        n = 8
+        t, bank = self.plt_at_eight()
+        loud = QuantizerBank.modeled(np.full(n, 2.0), np.full(n, 0.5))
+        identity = CausalTransform.identity(n)
+        peak = self.memory_peak([t, identity, identity, t], [bank, None, loud, loud])
+        stack = n * n * CHUNK_FRAMES * REPLICAS * 8
+        assert peak < 1.5 * 2 ** 20 + stack / 2, peak
+
+    def test_lockstep_equals_one_design_runs(self):
+        # each design of a call reads the same draws, in the same order and
+        # with the same arithmetic, as a call of it alone.  The decoder
+        # supports are the diagonal (identity), a band (first nonzero entry
+        # one left of the diagonal) and the lower triangle (plt and a full
+        # design); None banks run next to modeled ones; 8003 steps leave the
+        # last frame cut short; and the loud design crosses the bound in
+        # frame 23, in the middle of the second chunk, while the others go on
+        n = 4
+        K_x = ar1_covariance(loop_pole(self.plant, self.sol),
+                             pilot_state_variance(self.plant, self.sol), n)
+        cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
+        lag_one = np.diag(np.full(n - 1, -0.6), -1)
+        banded = CausalTransform("full", n, lag_one, 0.8 * lag_one)
+        plt = plt_design(K_x)[0]
+        full = design_code(DesignProblem(K_x, availability_marginals(cm), 5.0,
+                                         "full")).transform
+        fine = QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.015))
+        loud = QuantizerBank.modeled(np.zeros(n), np.full(n, 0.2))
+        transforms = [CausalTransform.identity(n), banded, plt, full, plt]
+        banks = [None, fine, fine, None, loud]
+        for trace in (False, True):
+            together = simulate_closed_loop(self.plant, self.weights, self.sol, transforms,
+                                            banks, cm, 8003, 21, collect_trace=trace,
+                                            divergence_bound=4.0)
+            assert len(together) == len(transforms)
+            for t, bank, a in zip(transforms, banks, together):
+                b, = simulate_closed_loop(self.plant, self.weights, self.sol, [t], [bank], cm,
+                                          8003, 21, collect_trace=trace, divergence_bound=4.0)
+                assert a.empirical_cost == b.empirical_cost
+                assert a.standard_error == b.standard_error
+                assert (a.steps, a.diverged) == (b.steps, b.diverged)
+                assert np.array_equal(a.replica_means, b.replica_means)
+                assert a.trace == b.trace
+                assert (a.trace is None) != trace
+            assert [a.diverged for a in together] == [False] * 4 + [True]
+            # the totals the benchmark's layer trace reads off the call
+            assert together.steps == 4 * 8003 + 23 * n * REPLICAS
+            assert together.diverged == 1
+
+    def test_designs_must_be_parallel(self):
+        t = CausalTransform.identity(3)
+        for transforms, banks in (([t, t], [None]), ([], [])):
+            with pytest.raises(ValueError, match="parallel sequences") as err:
+                simulate_closed_loop(self.plant, self.weights, self.sol, transforms, banks,
+                                     self.lossless(3), 600, 9)
+            assert "\n" not in str(err.value)
 
     def test_unstable_plant_all_lost_diverges(self):
         n = 4
         t = CausalTransform.identity(n)
         dead = ChannelModel(1e-4, 0.05, 0.0125, n)  # essentially everything late
-        sim = simulate_closed_loop(self.plant, self.weights, self.sol, t, None, dead,
-                                   100_000, 5, divergence_bound=1e6)
+        sim, = simulate_closed_loop(self.plant, self.weights, self.sol, [t], [None], dead,
+                                    100_000, 5, divergence_bound=1e6)
         assert sim.diverged
         assert sim.steps < 100_000
         assert math.isfinite(sim.empirical_cost)
@@ -361,8 +433,8 @@ class TestSimulateClosedLoop:
     def test_trace_records(self):
         n = 3
         t = CausalTransform.identity(n)
-        sim = simulate_closed_loop(self.plant, self.weights, self.sol, t, None,
-                                   self.lossless(n), 7, 2, collect_trace=True)
+        sim, = simulate_closed_loop(self.plant, self.weights, self.sol, [t], [None],
+                                    self.lossless(n), 7, 2, collect_trace=True)
         assert len(sim.trace) == 7
         rec = sim.trace[4]
         assert rec.step == 4
@@ -372,7 +444,7 @@ class TestSimulateClosedLoop:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             simulate_closed_loop(self.plant, self.weights, self.sol,
-                                 CausalTransform.identity(4), None, self.lossless(4),
+                                 [CausalTransform.identity(4)], [None], self.lossless(4),
                                  3, 0)
 
     def test_codebook_bank_rejected(self):
@@ -384,7 +456,7 @@ class TestSimulateClosedLoop:
                               (QuantizerBank.modeled(np.full(n + 1, 4.0), np.ones(n + 1)),
                                "bank layout does not match")):
             with pytest.raises(ValueError, match=message) as err:
-                simulate_closed_loop(self.plant, self.weights, self.sol, t, bank,
+                simulate_closed_loop(self.plant, self.weights, self.sol, [t], [bank],
                                      self.lossless(n), 600, 9)
             assert "\n" not in str(err.value)
 
@@ -397,7 +469,7 @@ class TestSimulateClosedLoop:
             sol = controller_solution(plant, weights)
             t = CausalTransform.identity(3)
             with pytest.raises(ValueError, match="scalar plant") as err:
-                simulate_closed_loop(plant, weights, sol, t, None, cm, 600, 9)
+                simulate_closed_loop(plant, weights, sol, [t], [None], cm, 600, 9)
             assert "\n" not in str(err.value)
 
 
@@ -409,8 +481,8 @@ class TestAgainstReference:
         self.sol = controller_solution(self.plant, self.weights)
 
     def check(self, transform, bank, cm, horizon, seed, bound=1e9):
-        sim = simulate_closed_loop(self.plant, self.weights, self.sol, transform, bank, cm,
-                                   horizon, seed, divergence_bound=bound)
+        sim, = simulate_closed_loop(self.plant, self.weights, self.sol, [transform], [bank],
+                                    cm, horizon, seed, divergence_bound=bound)
         totals, steps, diverged = reference_loop(self.plant, self.weights, self.sol,
                                                  transform, bank, cm, horizon, seed,
                                                  bound, REPLICAS)
