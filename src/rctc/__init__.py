@@ -9,7 +9,7 @@ from .channel import (AvailabilityStats, ChannelModel, availability_marginals,
                       loss_probabilities, sample_availability_bits)
 from .codec import (CausalTransform, EncodedFrame, decode, decode_batch, encode,
                     encode_batch, plt_design, quantizer_input_variances)
-from .design import (DesignProblem, DesignResult, SearchConfig, design_code,
+from .design import (DesignProblem, DesignResult, DesignResults, SearchConfig, design_code,
                      effective_variances, hooke_jeeves, load_design, save_design)
 from .factorizations import FactorizationError, ldl_unit_lower
 from .harness import ConfigError, ExperimentConfig, ResultRow, run_experiment, write_csv

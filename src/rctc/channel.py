@@ -84,7 +84,6 @@ class AvailabilityStats:
     """
 
     model: ChannelModel
-    mode: str
     realizations: np.ndarray
     weights: np.ndarray
     marginals: np.ndarray
@@ -112,18 +111,20 @@ def channel_moments(marginals: np.ndarray):
     """The exact channel expectations of H = (Ahat o B) inv(A) that every caller reads.
 
     `marginals` is the N x N availability matrix P = E[B]; a 0/1 pattern is a
-    valid degenerate P.  Returns moments(Ahat, Ainv) -> (E[H], W) with
+    valid degenerate P.  A (..., N, N) stack of them takes stacks of Ahat
+    and Ainv, each slice computed as on its own.  Returns
+    moments(Ahat, Ainv) -> (E[H], W) with
     E[H] = (Ahat o P) inv(A) and W = E[H'H].  In (Ahat o B)'(Ahat o B) only
     bits of one row pair up, and those come from different indices with
     independent delays.  With C = Ahat o P, E[(Ahat o B)'(Ahat o B)] is then
     C'C plus, on the diagonal entry of column a, sum_i (P_ia - P_ia^2) Ahat_ia^2.
     """
     P = np.asarray(marginals, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+    if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
         raise ValueError(f"availability marginals must be a square matrix, got shape {P.shape}")
     if not np.all((P >= 0.0) & (P <= 1.0)) or np.any(np.triu(P, k=1)):
         raise ValueError("availability marginals must lie in [0, 1] and be 0 above the diagonal")
-    eye = np.eye(P.shape[0])
+    eye = np.eye(P.shape[-1])
     variances = P - P * P
 
     def moments(Ahat: np.ndarray, Ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +132,8 @@ def channel_moments(marginals: np.ndarray):
         # C'C takes a second copy of C: numpy hands X.T @ X to BLAS syrk,
         # which rounds differently from the general product
         C = Ahat * P
-        E = C.T @ (Ahat * P) + eye * ((Ahat * variances).T @ Ahat)
-        return C @ Ainv, Ainv.T @ E @ Ainv
+        E = C.swapaxes(-1, -2) @ (Ahat * P) + eye * ((Ahat * variances).swapaxes(-1, -2) @ Ahat)
+        return C @ Ainv, Ainv.swapaxes(-1, -2) @ E @ Ainv
 
     return moments
 
@@ -197,7 +198,7 @@ def sample_availability_bits(model: ChannelModel, count: int, seed: int, *,
 def availability_stats(model: ChannelModel, sample_count: int, seed: int) -> AvailabilityStats:
     """Sampled availability realizations with uniform weights (a test oracle)."""
     bits = sample_availability_bits(model, sample_count, seed)
-    return AvailabilityStats(model, "montecarlo", bits, np.full(sample_count, 1.0 / sample_count),
+    return AvailabilityStats(model, bits, np.full(sample_count, 1.0 / sample_count),
                              availability_marginals(model))
 
 
@@ -223,5 +224,4 @@ def exhaustive_stats(model: ChannelModel) -> AvailabilityStats:
             w *= marg[i, j] if b else 1.0 - marg[i, j]
         patterns.append(bits)
         weights.append(w)
-    return AvailabilityStats(model, "exhaustive", np.asarray(patterns),
-                             np.asarray(weights), marg)
+    return AvailabilityStats(model, np.asarray(patterns), np.asarray(weights), marg)

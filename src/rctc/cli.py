@@ -48,7 +48,8 @@ def cmd_riccati(args) -> int:
 def _design(config: ExperimentConfig):
     """(channel, design) of the configured scheme at the configured p, as a sweep makes it."""
     cm = ChannelModel.from_violation_probability(config.p, config.delta, config.ts, config.n)
-    result = design_schemes(config, availability_marginals(cm), [config.scheme])[config.scheme]
+    designs, = design_schemes(config, [availability_marginals(cm)], [config.scheme])
+    result = designs[config.scheme]
     if isinstance(result, Exception):
         raise result
     return cm, result

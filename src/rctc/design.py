@@ -3,8 +3,9 @@
 Two steps.  First the encoder/decoder pair minimizing the channel-averaged
 MSE under fine quantization with uniform rates: for a given encoder
 the optimal decoder solves one small linear system, so limited-memory BFGS
-(`lbfgs`, numpy only) searches over the free encoder entries alone, with the
-gradient in closed form.  Then the
+(numpy only) searches over the free encoder entries alone, with the
+gradient in closed form.  The searches of one `design_code` call run in
+lockstep, one stacked objective evaluation per round.  Then the
 closed-form rate allocation over the effective variances seen through the
 optimized pair.  `hooke_jeeves`, the derivative-free pattern search the design
 used to run over both halves of the pair, is no longer called by the design;
@@ -13,6 +14,7 @@ tests use it as a reference and the benchmark's layer trace wraps it by name.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from .channel import channel_moments
 from .codec import (CausalTransform, plt_design, quantizer_input_variances,
                     transform_from_text, transform_to_text)
-from .lqg import am_wmse, frame_error_terms
+from .lqg import am_wmse
 from .quantizers import QuantizerBank, RateAllocation, allocate_rates, clamp_rates
 
 STRUCTURES = ("full", "toeplitz", "plt", "identity")
@@ -168,7 +170,7 @@ class DesignResult:
     objective_history: list[float]
     budget_exhausted: bool
     input_variances: np.ndarray = field(repr=False, default=None)
-    # the modeled bank predicted_lqg_cost was priced with, set along with it
+    # the modeled bank predicted_am_wmse (and predicted_lqg_cost) was priced with
     bank: QuantizerBank | None = field(repr=False, default=None)
 
 
@@ -176,13 +178,17 @@ def _parameter_map(structure: str, frame_length: int):
     """(row, column, parameter index) of each free entry.
 
     Parameters are ordered lag band by lag band for "toeplitz" (every entry of
-    a band shares one parameter) and row by row for "full".  Encoder and
-    decoder use the same map.
+    a band shares one parameter, and the entries come band by band, each in
+    row order) and row by row for "full".  Encoder and decoder use the same
+    map.
     """
     if structure not in ("full", "toeplitz"):
         raise ValueError(f"structure {structure!r} has no free parameters")
     rows, cols = np.tril_indices(frame_length, -1)
-    return rows, cols, np.arange(rows.size) if structure == "full" else rows - cols - 1
+    if structure == "full":
+        return rows, cols, np.arange(rows.size)
+    order = np.argsort(rows - cols, kind="stable")
+    return rows[order], cols[order], (rows - cols - 1)[order]
 
 
 def pack_parameters(transform: CausalTransform, structure: str) -> np.ndarray:
@@ -244,6 +250,22 @@ BACKTRACKS = 40
 def lbfgs(fun, x0) -> tuple[np.ndarray, float, bool]:
     """Minimize fun(x) -> (value, gradient) by limited-memory BFGS.
 
+    The one-problem driver of `_lbfgs_search`, which holds the method and its
+    stopping rules.  Returns (x, value, cap_reached), where cap_reached says
+    MAX_ITERATIONS ran out first.
+    """
+    search = _lbfgs_search(x0)
+    x = next(search)
+    while True:
+        try:
+            x = search.send(fun(x))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _lbfgs_search(x0):
+    """L-BFGS as a state machine: yields each point to evaluate and is sent its (value, gradient).
+
     The direction is the two-loop recursion over the last MEMORY pairs
     (s, y) with s'y > 0, scaled by s'y / y'y of the newest pair (Liu and
     Nocedal 1989); a direction that is not downhill drops the pairs and
@@ -254,11 +276,10 @@ def lbfgs(fun, x0) -> tuple[np.ndarray, float, bool]:
     or when no step lowers the value.  L-BFGS-B stops at the first such
     iteration; on a slowly converging search that leaves about one more
     FTOL of decrease untaken, which the second iteration takes.  Returns
-    (x, value, cap_reached), where cap_reached says MAX_ITERATIONS ran out
-    first.
+    (x, value, cap_reached) as its StopIteration value.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fun(x)
+    f, g = yield x
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     stalled = 0
     for _ in range(MAX_ITERATIONS):
@@ -272,7 +293,7 @@ def lbfgs(fun, x0) -> tuple[np.ndarray, float, bool]:
         step = 1.0 if pairs else min(1.0, 1.0 / math.sqrt(-slope))
         for _ in range(BACKTRACKS):
             x_new = x + step * direction
-            f_new, g_new = fun(x_new)
+            f_new, g_new = yield x_new
             if f_new <= f + ARMIJO * step * slope:
                 break
             # minimizer of the quadratic through f, the slope and f_new,
@@ -310,134 +331,267 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
-def _reduced_objective(problem: DesignProblem):
-    """evaluate(params) -> (J, gradient of J, optimal decoder parameters).
+def _reduced_objective(problems: Sequence[DesignProblem]):
+    """evaluate(index, params) -> (J, gradients of J, optimal decoder parameters), a row per point.
 
-    params are the free encoder parameters; K_q is the uniform-rate noise of
-    that encoder A.  For a fixed A the objective is quadratic in the decoder
-    Ahat and couples only decoder entries of one row.  With
-    S = inv(A)(K_x + K_q)inv(A)', Y = inv(A) K_x and p_u = P[r_u, c_u] for
-    the entry u at row r_u and column c_u, the optimal decoder solves G a = h
-    over the free entries:
+    Row b evaluates problems[index[b]] at its free encoder parameters
+    params[b]; the problems share their structure and frame length.  Every
+    row goes through the same stacked numpy calls, so its numbers do not
+    depend on the rows next to it.
+
+    K_q is the uniform-rate noise of the encoder A, kept as its diagonal q.
+    For a fixed A the objective is quadratic in the decoder Ahat and couples
+    only decoder entries of one row.  With S = inv(A)(K_x + K_q)inv(A)',
+    Y = inv(A) K_x and p_u = P[r_u, c_u] for the entry u at row r_u and
+    column c_u, the optimal decoder solves G a = h over the free entries:
     G_uv = (p_u p_v + [c_u = c_v](p_u - p_u^2)) [r_u = r_v] S[c_u, c_v] and
     h_u = p_u (Y[c_u, r_u] - P[r_u, r_u] S[c_u, r_u]).  A toeplitz decoder
-    sums the equations of each lag band.  By the envelope theorem the
-    gradient of J is the partial gradient in A at the optimal decoder,
+    sums the equations of each lag band, and its map comes band by band, so
+    that a band is one `np.add.reduceat` segment.  E[H] and W = E[H'H] are
+    those of `channel_moments`.  By the envelope theorem the gradient of J is
+    the partial gradient in A at the optimal decoder,
     -(2/N) ((W K - E[H]' K_x) inv(A)' + s inv(A)' diag(W) inv(A) K_x inv(A)')
     with K = K_x + K_q and s = c 2^(-2r), read at the free entries and summed
     per parameter.
     """
-    n = problem.frame_length
-    K_x = problem.K_x
-    moments = channel_moments(problem.marginals)
-    P = np.asarray(problem.marginals, dtype=float)
-    rows, cols, src = _parameter_map(problem.structure, n)
-    bands = np.eye(problem.parameter_count)[src]
-    p, p_own = P[rows, cols], P[rows, rows]
-    coupling = ((np.outer(p, p) + (cols[:, None] == cols[None, :]) * (p - p * p)[:, None])
-                * (rows[:, None] == rows[None, :]))
-    noise_scale = problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
+    n = problems[0].frame_length
+    rows, cols, src = _parameter_map(problems[0].structure, n)
+    m = problems[0].parameter_count
+    # G's terms: every pair (u, v) of entries for "full"; for "toeplitz" the
+    # pairs of one row, ordered by their pair of bands, so that a pair of
+    # bands is one segment too
+    bands = segments = None
+    u, v = (a.ravel() for a in np.indices((rows.size, rows.size)))
+    if problems[0].structure == "toeplitz" and m:
+        bands = np.flatnonzero(np.diff(src, prepend=-1))
+        u, v = np.nonzero(rows[:, None] == rows[None, :])
+        order = np.lexsort((src[v], src[u]))
+        u, v = u[order], v[order]
+        segments = np.flatnonzero(np.diff(src[u] * m + src[v], prepend=-1))
+    # flat (row, column) positions in an N x N matrix: the free entries, the
+    # (c_u, r_u) and (c_u, c_v) that h and G read, and the diagonal
+    entries, own, terms = rows * n + cols, cols * n + rows, cols[u] * n + cols[v]
+    diagonal = np.arange(n) * (n + 1)
+    K_x = np.stack([problem.K_x for problem in problems])
+    P = np.stack([np.asarray(problem.marginals, dtype=float) for problem in problems])
+    p, p_own = P.reshape(-1, n * n)[:, entries], P.reshape(-1, n * n)[:, rows * (n + 1)]
+    coupling = ((p[:, u] * p[:, v] + (cols[u] == cols[v]) * (p - p * p)[:, u])
+                * (rows[u] == rows[v]))
+    noise_scale = np.array([problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
+                            for problem in problems])[:, None, None]
+    # each problem's arrays, and those of the rows last evaluated
+    per_problem = (K_x, P, coupling, p, p_own, noise_scale, np.trace(K_x, axis1=1, axis2=2))
+    taken = {}
+    eye, unit = np.eye(n), np.eye(n).reshape(1, n * n)
 
-    def evaluate(params: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        A = np.eye(n)
-        A[rows, cols] = params[src]
-        Ainv = np.linalg.inv(A)
-        Y = Ainv @ K_x
-        K_d = Y @ Ainv.T
-        K_q = np.diag(noise_scale * np.diag(K_d))  # the modeled noise at uniform rates
-        S = K_d + Ainv @ K_q @ Ainv.T
-        G = coupling * S[np.ix_(cols, cols)]
-        h = p * (Y[cols, rows] - p_own * S[cols, rows])
-        decoder = np.linalg.solve(bands.T @ G @ bands, bands.T @ h)
-        Ahat = np.eye(n)
-        Ahat[rows, cols] = decoder[src]
+    def evaluate(index: np.ndarray, params: np.ndarray):
+        B = index.size
+        key = index.tobytes()
+        if key not in taken:
+            taken.clear()
+            Kx, Pb, *rest = (array[index] for array in per_problem)
+            taken[key] = (Kx, channel_moments(Pb), *rest)
+        Kx, moments, coupled, pb, pb_own, scale, trace = taken[key]
+        A = unit.repeat(B, axis=0)
+        A[:, entries] = params[:, src]
+        Ainv = np.linalg.inv(A.reshape(B, n, n))
+        AinvT = Ainv.transpose(0, 2, 1)
+        Y = Ainv @ Kx
+        K_d = Y @ AinvT
+        q = scale * K_d.reshape(B, 1, -1)[:, :, diagonal]  # (B, 1, N)
+        K = Kx + eye * q  # K_x + K_q
+        S = (K_d + (Ainv * q) @ AinvT).reshape(B, -1)
+        G = coupled * S[:, terms]
+        h = pb * (Y.reshape(B, -1)[:, own] - pb_own * S[:, own])
+        if bands is not None:
+            G = np.add.reduceat(G, segments, axis=1)
+            h = np.add.reduceat(h, bands, axis=1)
+        decoder = np.linalg.solve(G.reshape(B, m, m), h[:, :, None])[:, :, 0]
+        Ahat = unit.repeat(B, axis=0)
+        Ahat[:, entries] = decoder[:, src]
+        Ahat = Ahat.reshape(B, n, n)
         mean_H, W = moments(Ahat, Ainv)
-        signal, noise = frame_error_terms(mean_H, W, K_x, K_q)
-        grad = ((W @ (K_x + K_q) - mean_H.T @ K_x) @ Ainv.T
-                + noise_scale * Ainv.T @ (np.diag(W)[:, None] * K_d))
-        gradient = np.bincount(src, weights=grad[rows, cols],
-                               minlength=problem.parameter_count)
-        return (signal + noise) / n, (-2.0 / n) * gradient, decoder
+        # N J = tr(K_x) - 2 tr(E[H] K_x) + tr(W K); diag(W) K_d = diag(W) Y inv(A)'
+        J = (trace + (W * K - 2.0 * mean_H * Kx).sum(axis=(1, 2))) / n
+        w = W.reshape(B, -1, 1)[:, diagonal]
+        grad = (W @ K - mean_H.transpose(0, 2, 1) @ Kx + scale * (AinvT @ (w * Y))) @ AinvT
+        gradient = grad.reshape(B, -1)[:, entries]
+        if bands is not None:
+            gradient = np.add.reduceat(gradient, bands, axis=1)
+        return J, (-2.0 / n) * gradient, decoder
 
     return evaluate
 
 
-def design_objective(problem: DesignProblem):
-    """objective(params) -> (J, gradient of J) for the free encoder parameters.
+def _evaluate_rows(evaluate, index: np.ndarray, points: np.ndarray) -> list:
+    """evaluate's rows as (J, gradient, decoder) tuples.
 
-    J is the uniform-rate AM-MSE minimized over the decoder: it equals
-    am_wmse of the transform pairing the encoder with `optimal_decoder`.
+    A row whose evaluation alone raises a ValueError or ArithmeticError (such
+    as a LinAlgError from its decoder solve) holds that exception instead.
     """
-    evaluate = _reduced_objective(problem)
-    return lambda params: evaluate(params)[:2]
+    try:
+        J, gradients, decoders = evaluate(index, points)
+    except (ValueError, ArithmeticError) as exc:
+        if index.size == 1:
+            return [exc]
+        return [row for b in range(index.size)
+                for row in _evaluate_rows(evaluate, index[b:b + 1], points[b:b + 1])]
+    return list(zip(J.tolist(), gradients, decoders))
 
 
-def optimal_decoder(problem: DesignProblem, params: np.ndarray) -> np.ndarray:
-    """Free parameters of the decoder minimizing the objective for the given encoder."""
-    return _reduced_objective(problem)(np.asarray(params, dtype=float))[2]
+def _design_search(starts: list[np.ndarray]):
+    """One problem's search as a state machine: yields the points it needs evaluated.
 
-
-def design_code(problem: DesignProblem,
-                initial_points: list[np.ndarray] | None = None) -> DesignResult:
-    """Design a transform and its rate allocation for the given channel.
-
-    Search structures ("full", "toeplitz") minimize the uniform-rate AM-MSE
-    over the encoder alone by `lbfgs` on the objective of design_objective,
-    whose decoder is the closed-form optimum, starting at the
-    prediction-based transform's encoder (or the best of the supplied warm
-    starts).  The result is the best encoder evaluated, so never worse than
-    its start, with the decoder that evaluation solved for.  "identity" keeps
-    uniform rates and "plt" allocates over its prediction error variances:
-    neither searches or looks through the channel.  The search stops by the
-    `lbfgs` rules alone; running out of MAX_ITERATIONS iterations is reported
-    on the result as budget_exhausted, never raised.
+    It is sent their (J, gradient, decoder) rows.  The best of the starts
+    begins an `_lbfgs_search` on J divided by its value there; returns
+    (encoder, decoder, history, evaluations, cap_reached), where the encoder
+    is the best evaluated, with the decoder that evaluation solved for, and
+    history the strictly falling values of the best so far.
     """
-    n = problem.frame_length
-    r = problem.average_rate
+    evaluated = yield starts
+    best = int(np.argmin([value for value, _, _ in evaluated]))
+    best_x, history, decoder = starts[best], [evaluated[best][0]], evaluated[best][2]
+    search = _lbfgs_search(best_x)
+    x, spent = next(search), 0
+    while True:
+        (value, gradient, x_decoder), = yield [x]
+        spent += 1
+        if value < history[-1]:
+            best_x, decoder = x.copy(), x_decoder
+            history.append(value)
+        try:
+            x = search.send((value / history[0], gradient / history[0]))
+        except StopIteration as stop:
+            return best_x, decoder, history, spent + len(starts), stop.value[2]
 
-    def am_wmse_at(rates):
-        K_q = QuantizerBank.modeled(rates, sigma_d, problem.noise_constant).noise_variances
-        return am_wmse(transform, problem.marginals, problem.K_x, np.diag(K_q))
 
-    if problem.structure in ("plt", "identity"):
+class DesignResults(tuple):
+    """Each problem's DesignResult, or the exception its design raised, in problem order.
+
+    `evaluations` totals the objective evaluations over the designs and
+    `budget_exhausted` counts the designs that ran out of iterations.
+    """
+
+    @property
+    def evaluations(self) -> int:
+        return sum(result.evaluations for result in self if isinstance(result, DesignResult))
+
+    @property
+    def budget_exhausted(self) -> int:
+        return sum(result.budget_exhausted for result in self
+                   if isinstance(result, DesignResult))
+
+
+def design_code(problems: Sequence[DesignProblem],
+                initial_points: Sequence[Sequence[np.ndarray] | None] | None = None
+                ) -> DesignResults:
+    """Design a transform and its rate allocation for each problem's channel.
+
+    initial_points, parallel to problems (None for none at all), lists each
+    problem's warm starts or None.  Search structures ("full", "toeplitz")
+    minimize the uniform-rate AM-MSE over the encoder alone by L-BFGS on
+    `_reduced_objective`, whose decoder is the closed-form optimum, starting
+    at the prediction-based transform's encoder (or the best of the supplied
+    warm starts).  The result is the best encoder evaluated, so never worse
+    than its start, with the decoder that evaluation solved for.  "identity"
+    keeps uniform rates and "plt" allocates over its prediction error
+    variances: neither searches or looks through the channel.  A search
+    stops by the `lbfgs` rules alone; running out of MAX_ITERATIONS
+    iterations is reported on the result as budget_exhausted, never raised.
+
+    The searched problems of a call, which share their structure and frame
+    length, run in lockstep: each keeps its own search state machine, and
+    each round evaluates the points of all those still searching in one
+    stacked objective call, so a problem's result is bit for bit that of a
+    call with it alone.  A problem whose design raises a ValueError or
+    ArithmeticError gets that exception in its slot; the others go on.  Each
+    result keeps as `bank` the modeled bank its predicted_am_wmse was priced
+    with.
+    """
+    warm = [None] * len(problems) if initial_points is None else list(initial_points)
+    if len(warm) != len(problems):
+        raise ValueError("problems and initial_points must be parallel sequences")
+    if len({(problem.structure, problem.frame_length) for problem in problems
+            if problem.structure in ("full", "toeplitz")}) > 1:
+        raise ValueError("the searched problems of one call must share structure and frame length")
+    results = [None] * len(problems)
+    searches, plt_starts = {}, {}
+    for k, problem in enumerate(problems):
+        if problem.structure not in ("full", "toeplitz"):
+            continue
+        try:
+            key = problem.K_x.tobytes()
+            if key not in plt_starts:
+                plt_starts[key] = pack_parameters(plt_design(problem.K_x)[0], problem.structure)
+            starts = [plt_starts[key], *(np.asarray(x, dtype=float) for x in warm[k] or ())]
+            if any(x.shape != (problem.parameter_count,) for x in starts):
+                raise ValueError(f"a warm start must hold {problem.parameter_count} parameters")
+        except (ValueError, ArithmeticError) as exc:
+            results[k] = exc
+            continue
+        searches[k] = _design_search(starts)
+    found = {}
+    if searches:
+        evaluate = _reduced_objective([problems[k] for k in searches])
+        row_of = {k: row for row, k in enumerate(searches)}
+        pending = {k: next(search) for k, search in searches.items()}
+        while pending:
+            index = np.array([row_of[k] for k, points in pending.items() for _ in points])
+            stacked = np.array([x for points in pending.values() for x in points])
+            evaluated = _evaluate_rows(evaluate, index, stacked)
+            at = 0
+            for k, points in list(pending.items()):
+                rows, at = evaluated[at:at + len(points)], at + len(points)
+                failed = [row for row in rows if isinstance(row, Exception)]
+                if failed:
+                    results[k] = failed[0]
+                    del pending[k]
+                    continue
+                try:
+                    pending[k] = searches[k].send(rows)
+                except StopIteration as stop:
+                    found[k] = stop.value
+                    del pending[k]
+    for k, problem in enumerate(problems):
+        if results[k] is None:
+            try:
+                results[k] = _design_result(problem, found.get(k))
+            except (ValueError, ArithmeticError) as exc:
+                results[k] = exc
+    return DesignResults(results)
+
+
+def _design_result(problem: DesignProblem, found: tuple | None) -> DesignResult:
+    """The problem's design from its search's result `found`, or with no search."""
+    n, r = problem.frame_length, problem.average_rate
+
+    def priced(rates):
+        bank = QuantizerBank.modeled(rates, sigma_d, problem.noise_constant)
+        return bank, am_wmse(transform, problem.marginals, problem.K_x,
+                             np.diag(bank.noise_variances))
+
+    if found is not None:
+        encoder, decoder, history, evaluations, exhausted = found
+        transform = unpack_parameters(encoder, decoder, problem.structure, n)
+        sigma_d = quantizer_input_variances(transform, problem.K_x)
+        sigma_hat = effective_variances(transform, problem.marginals, problem.K_x)
+    else:
         if problem.structure == "plt":
             transform, sigma_d = plt_design(problem.K_x)
             sigma_hat = sigma_d
         else:
             transform, sigma_d = CausalTransform.identity(n), np.diag(problem.K_x).copy()
             sigma_hat = np.ones(n)
-        evaluations, history, exhausted = 0, [am_wmse_at(np.full(n, r))], False
-    else:
-        evaluate = _reduced_objective(problem)
-        starts = [pack_parameters(plt_design(problem.K_x)[0], problem.structure)]
-        if initial_points:
-            starts.extend(np.asarray(p, dtype=float) for p in initial_points)
-        evaluated = [evaluate(p) for p in starts]
-        best = int(np.argmin([value for value, _, _ in evaluated]))
-        best_x, history = starts[best], [evaluated[best][0]]
-        decoder = evaluated[best][2]
-        spent = 0
-
-        def scaled(x):
-            nonlocal best_x, decoder, spent
-            spent += 1
-            value, gradient, x_decoder = evaluate(x)
-            if value < history[-1]:
-                best_x, decoder = x.copy(), x_decoder
-                history.append(value)
-            return value / history[0], gradient / history[0]
-
-        exhausted = lbfgs(scaled, best_x)[2]
-        transform = unpack_parameters(best_x, decoder, problem.structure, n)
-        evaluations = spent + len(starts)
-        sigma_d = quantizer_input_variances(transform, problem.K_x)
-        sigma_hat = effective_variances(transform, problem.marginals, problem.K_x)
-
+        bank, value = priced(np.full(n, r))
+        history, evaluations, exhausted = [value], 0, False
     allocation = clamp_rates(allocate_rates(sigma_hat, r), problem.min_rate)
-    # an identity design's allocation is the uniform r its history priced
-    predicted = history[0] if problem.structure == "identity" else am_wmse_at(allocation.rates)
-    return DesignResult(transform, allocation, predicted, None, evaluations,
-                        history, exhausted, input_variances=sigma_d)
+    if problem.structure == "identity":
+        # its allocation is the uniform r its history priced
+        predicted = history[0]
+    else:
+        bank, predicted = priced(allocation.rates)
+    return DesignResult(transform, allocation, predicted, None, evaluations, history, exhausted,
+                        input_variances=sigma_d, bank=bank)
 
 
 def save_design(result: DesignResult, path, scheme: str = "") -> None:

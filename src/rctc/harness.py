@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,11 +249,11 @@ def derive_seed(master: int, *tags) -> int:
 
 
 def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:
+    """The bank a row codes with: the modeled one its design priced, or a Lloyd-Max one."""
     if config.quantizer_mode == "realized":
         return QuantizerBank.lloyd_max(result.rates.rates, result.input_variances,
                                        config.noise_constant)
-    return QuantizerBank.modeled(result.rates.rates, result.input_variances,
-                                 config.noise_constant)
+    return result.bank
 
 
 class _FrameLanes:
@@ -372,38 +373,43 @@ def _experiment_context(config: ExperimentConfig):
     return K_x, evaluate, lqg_cost
 
 
-def design_schemes(config: ExperimentConfig, marginals: np.ndarray, schemes,
-                   context=None) -> dict:
-    """Each listed scheme's design at the channel point of `marginals`, or the error it raised.
+def design_schemes(config: ExperimentConfig, marginals: Sequence[np.ndarray], schemes,
+                   context=None) -> list[dict]:
+    """Each listed scheme's design, or the error it raised, at each channel point of `marginals`.
 
-    Designs are made in SCHEMES order; rc_tc always starts from the rtc_tc
-    encoder, designed for it when not listed.  For kind = lqg a design carries
-    predicted_lqg_cost, the analytic column under modeled quantizer noise,
-    and the bank it was priced with, which its row simulates.
-    context is the config's `_experiment_context`, made here when not given.
+    One dict per point, in the order of `marginals`.  Each scheme's designs
+    at all the points come from one `design_code` call, made in SCHEMES
+    order; rc_tc always starts from the rtc_tc encoder of its point,
+    designed for it when not listed.  Every design carries the modeled bank
+    it was priced with; for kind = lqg it also carries predicted_lqg_cost,
+    the analytic column under modeled quantizer noise, priced with that
+    bank, which its row simulates.  context is the config's
+    `_experiment_context`, made here when not given.
     """
     K_x, _, lqg_cost = context or _experiment_context(config)
     designs = {}
     for scheme in (s for s in SCHEMES if s in schemes or (s == "rtc_tc" and "rc_tc" in schemes)):
+        problems = [DesignProblem(K_x, P, config.rate, SCHEME_STRUCTURES[scheme],
+                                  config.noise_constant, config.min_rate) for P in marginals]
         warm = designs.get("rtc_tc") if scheme == "rc_tc" else None
-        starts = [pack_parameters(warm.transform, "full")] if isinstance(warm, DesignResult) else None
-        problem = DesignProblem(K_x, marginals, config.rate, SCHEME_STRUCTURES[scheme],
-                                config.noise_constant, config.min_rate)
-        try:
-            designs[scheme] = result = design_code(problem, starts)
-            if lqg_cost:
-                result.bank = QuantizerBank.modeled(result.rates.rates, result.input_variances,
-                                                    config.noise_constant)
-                result.predicted_lqg_cost = lqg_cost(result, result.bank, marginals)
-        except (ValueError, ArithmeticError) as exc:
-            designs[scheme] = exc
-    return {scheme: designs[scheme] for scheme in schemes}
+        starts = None if warm is None else [
+            [pack_parameters(result.transform, "full")] if isinstance(result, DesignResult)
+            else None for result in warm]
+        designs[scheme] = results = list(design_code(problems, starts))
+        for k, result in enumerate(results):
+            if lqg_cost and isinstance(result, DesignResult):
+                try:
+                    result.predicted_lqg_cost = lqg_cost(result, result.bank, marginals[k])
+                except (ValueError, ArithmeticError) as exc:
+                    results[k] = exc
+    return [{scheme: designs[scheme][k] for scheme in schemes} for k in range(len(marginals))]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """One row per (p, scheme): design, realize the bank, evaluate.
+    """One row per (p, scheme): design the sweep, realize the banks, evaluate.
 
-    A source row is evaluated on its own; an LQG point's designs are
+    Every design of the sweep is made before the first row is evaluated.  A
+    source row is evaluated on its own; an LQG point's designs are
     simulated together, in one lockstep run.
     """
     context = _experiment_context(config)
@@ -415,14 +421,15 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     # sweep's draw seed, or an LQG point's, on which every scheme at that p
     # runs (common random numbers) and which `rctc simulate` replays
     draw_seed = derive_seed(config.seed, "sim") if config.kind == "source" else None
-    for pi, p in enumerate(config.p_grid):
+    channels = [ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
+                for p in config.p_grid]
+    marginals = [availability_marginals(cm) for cm in channels]
+    sweep = design_schemes(config, marginals, config.schemes, context)
+    for pi, (p, cm, designs) in enumerate(zip(config.p_grid, channels, sweep)):
         # at pi = 0 this equals derive_seed(config.seed, "sim") (SeedSequence
         # drops a trailing zero tag), which an LQG sweep draws nothing else from
         point_seed = derive_seed(config.seed, "sim", pi)
         seed = point_seed if draw_seed is None else draw_seed
-        cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
-        marginals = availability_marginals(cm)
-        designs = design_schemes(config, marginals, config.schemes, context)
         if config.kind == "lqg":
             # the point's designs in one lockstep simulation, before the rows
             # tag the layer trace one by one
@@ -440,8 +447,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             elif config.kind == "lqg":
                 columns, tag = point[scheme], mode
             else:
-                bank = _bank_for(result, config)
-                columns, tag = evaluate(result, bank, marginals, cm, seed), mode
+                columns = evaluate(result, _bank_for(result, config), marginals[pi], cm, seed)
+                tag = mode
             rows.append(ResultRow(scheme, p, cm.delay_rate, *columns, seed, tag,
                                   config.noise_constant, config.n, config.rate))
     rows.sort(key=lambda row: (row.p, row.scheme))

@@ -314,8 +314,10 @@ class _LoopDesign:
 
     The decoder row i runs from its first nonzero entry, first[i], to the
     diagonal; entries[i] is that run's slice of the lower-triangle entries,
-    which are numbered row by row, and entry_dec holds the decoder at every
-    lower-triangle entry.  start is the start state of each replica's next
+    which are numbered row by row, spans the runs merged where one ends as
+    the next begins (one span for a decoder with no zero below the
+    diagonal, N for an identity decoder), and entry_dec holds the decoder at
+    every lower-triangle entry.  start is the start state of each replica's next
     frame, sums its running cost sum, done its steps run and records, with
     collect_trace, the trace values of each frame run.
     """
@@ -329,6 +331,12 @@ class _LoopDesign:
         self.first = np.argmax(dec != 0, axis=1)
         self.entries = [slice(row_starts[i] + self.first[i], row_starts[i] + i + 1)
                         for i in range(n)]
+        self.spans = self.entries[:1]
+        for run in self.entries[1:]:
+            if self.spans[-1].stop == run.start:
+                self.spans[-1] = slice(self.spans[-1].start, run.stop)
+            else:
+                self.spans.append(run)
         self.entry_dec = dec[np.tril_indices(n)][:, None, None]
         self.sigma_q = None if bank is None else np.sqrt(bank.noise_variances)[:, None, None]
         self.start = start.copy()
@@ -384,11 +392,11 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     on its noise.  The ladder therefore runs over CHUNK_FRAMES frames at
     once, on two lanes: a noise lane from x_0 = 0 with the drawn noise, and
     a unit lane from x_0 = 1 without it.  It carries x and xhat; codevalues
-    and decoder weights (entry times arrival, for the lower-triangle
-    entries) enter through row sums.  The scan x_{k+1} = phi_k x_k + psi_k
-    gives every frame's start state, and each value of frame k is its
-    noise-lane value plus x_k times its unit-lane value.  A bank must be
-    modeled: codebooks would make the loop nonlinear.
+    and decoder weights (entry times arrival, for each row's run of nonzero
+    decoder entries) enter through row sums.  The scan
+    x_{k+1} = phi_k x_k + psi_k gives every frame's start state, and each
+    value of frame k is its noise-lane value plus x_k times its unit-lane
+    value.  A bank must be modeled: codebooks would make the loop nonlinear.
 
     Four streams spawned from SeedSequence(seed) draw the REPLICAS start
     states, the standard exponential delays (an index is in when its delay is
@@ -474,7 +482,9 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
             neg_enc, coded, first, entries = (design.neg_enc, design.coded, design.first,
                                               design.entries)
             sigma_q, sums, done = design.sigma_q, design.sums, design.done
-            np.multiply(arrived, design.entry_dec, out=dec_weights)
+            # the decoder weights at the design's own decoder entries alone
+            for span in design.spans:
+                np.multiply(arrived[span], design.entry_dec[span], out=dec_weights[span])
             if sigma_q is not None:
                 np.multiply(normals.transpose(1, 0, 2), sigma_q, out=q)
             for i in range(n):

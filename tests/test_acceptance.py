@@ -236,7 +236,7 @@ seed = 1234
     for p in config.p_grid:
         cm = ChannelModel.from_violation_probability(p, config.delta, config.ts,
                                                      config.n)
-        designs = design_schemes(config, availability_marginals(cm), SCHEMES)
+        designs = design_schemes(config, [availability_marginals(cm)], SCHEMES)[0]
         values = {scheme: result.predicted_am_wmse for scheme, result in designs.items()}
         assert values["no_coding"] >= values["plt"] >= values["rtc_tc"] >= values["rc_tc"], \
             (p, values)
@@ -256,7 +256,7 @@ def test_criterion_8_lossless_design_recovers_plt():
     cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)  # lambda * delta = 30
     P = availability_marginals(cm)
     problem = DesignProblem(K_x, P, 5.0, "full")
-    result = design_code(problem)
+    result = design_code([problem])[0]
     plt_t, d = plt_design(K_x)
     plt_objective = am_wmse(plt_t, P, K_x, np.diag(4.0 ** -5.0 * d))
     assert result.objective_history[-1] <= plt_objective * (1 + 1e-3)

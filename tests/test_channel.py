@@ -225,8 +225,7 @@ class TestStatsValidation:
         cm = model(n=2)
         real = np.zeros((2, 2, 2))
         with pytest.raises(ValueError):
-            AvailabilityStats(cm, "montecarlo", real, np.array([0.7, 0.7]),
-                              availability_marginals(cm))
+            AvailabilityStats(cm, real, np.array([0.7, 0.7]), availability_marginals(cm))
 
 
 def random_ladder(rng, dim):
@@ -271,8 +270,7 @@ class TestExactMoments:
         rng = np.random.default_rng(5)
         cm = model(n=3)
         bits = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        stats = AvailabilityStats(cm, "montecarlo", bits[None], np.ones(1),
-                                  availability_marginals(cm))
+        stats = AvailabilityStats(cm, bits[None], np.ones(1), availability_marginals(cm))
         Ahat = random_ladder(rng, 3)
         Ainv = np.linalg.inv(random_ladder(rng, 3))
         for got, ref in zip(channel_moments(bits)(Ahat, Ainv),

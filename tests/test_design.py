@@ -7,16 +7,15 @@ from numpy.testing import assert_allclose
 import rctc.design as design
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.codec import CausalTransform, plt_design, quantizer_input_variances
-from rctc.design import (DesignProblem, DesignResult, SearchConfig, design_code,
-                         design_objective, effective_variances, hooke_jeeves, lbfgs,
-                         load_design, optimal_decoder, pack_parameters, save_design,
-                         unpack_parameters)
+from rctc.design import (DesignProblem, DesignResult, DesignResults, SearchConfig,
+                         design_code, effective_variances, hooke_jeeves, lbfgs, load_design,
+                         pack_parameters, save_design, unpack_parameters)
 from rctc.harness import ExperimentConfig, _lqg_context
 from rctc.lqg import am_wmse
 from rctc.quantizers import QuantizerBank, allocate_rates, clamp_rates
 from rctc.sources import ar1_covariance
 
-from design_reference import reference_search
+from design_reference import objective_of, reference_search
 
 
 class TestHookeJeeves:
@@ -238,11 +237,11 @@ def uniform_rate_objective(prob, transform):
 def test_objective_matches_am_wmse(structure, weight):
     # J at (A, Ahat*(A)) is am_wmse of the assembled pair, and Ahat* is optimal
     prob = scaled_problem(structure, weight)
-    objective = design_objective(prob)
+    objective = objective_of(prob)
     rng = np.random.default_rng(3)
     for _ in range(3):
         params = rng.normal(scale=0.4, size=prob.parameter_count)
-        decoder = optimal_decoder(prob, params)
+        decoder = objective(params)[2]
         ref = uniform_rate_objective(
             prob, unpack_parameters(params, decoder, structure, prob.frame_length))
         assert objective(params)[0] == pytest.approx(ref, rel=1e-12)
@@ -256,10 +255,10 @@ def test_objective_matches_am_wmse(structure, weight):
 @pytest.mark.parametrize("weight", ["none", "kron"])
 def test_gradient_matches_central_differences(structure, weight):
     prob = scaled_problem(structure, weight)
-    objective = design_objective(prob)
+    objective = objective_of(prob)
     rng = np.random.default_rng(5)
     params = rng.normal(scale=0.3, size=prob.parameter_count)
-    _, gradient = objective(params)
+    _, gradient, _ = objective(params)
     step = 1e-6
     central = np.array([(objective(params + step * e)[0] - objective(params - step * e)[0])
                         / (2 * step) for e in np.eye(params.size)])
@@ -281,7 +280,7 @@ def test_design_no_worse_than_joint_pattern_search(n, p, structure):
                                                               structure, n))
 
     reference = hooke_jeeves(joint, np.concatenate([start, start]))
-    result = design_code(prob)
+    result = design_code([prob])[0]
     designed = uniform_rate_objective(prob, result.transform)
     assert designed <= reference.value * (1 + 1e-12)
     assert result.objective_history[-1] == pytest.approx(designed, rel=1e-12)
@@ -299,7 +298,7 @@ def test_design_no_worse_than_scipy_lbfgsb(n, structure, source, p):
         K = _lqg_context(ExperimentConfig.from_text(f"kind = lqg\nn = {n}"))[3]
     P = availability_marginals(ChannelModel.from_violation_probability(p, 0.05, 0.0125, n))
     prob = DesignProblem(K, P, 5.0, structure)
-    assert design_code(prob).objective_history[-1] <= reference_search(prob) * (1 + 1e-12)
+    assert design_code([prob])[0].objective_history[-1] <= reference_search(prob) * (1 + 1e-12)
 
 
 @settings(max_examples=15, deadline=None)
@@ -309,10 +308,10 @@ def test_design_objectives_nest(rho, p):
     n = 5
     K = ar1_covariance(rho, 1.0, n)
     P = availability_marginals(ChannelModel.from_violation_probability(p, 0.05, 0.0125, n))
-    toeplitz = design_code(DesignProblem(K, P, 5.0, "toeplitz"))
-    full = design_code(DesignProblem(K, P, 5.0, "full"),
-                       [pack_parameters(toeplitz.transform, "full")])
-    plt = design_code(DesignProblem(K, P, 5.0, "plt"))
+    toeplitz = design_code([DesignProblem(K, P, 5.0, "toeplitz")])[0]
+    full = design_code([DesignProblem(K, P, 5.0, "full")],
+                       [[pack_parameters(toeplitz.transform, "full")]])[0]
+    plt = design_code([DesignProblem(K, P, 5.0, "plt")])[0]
     # equal in exact arithmetic only at a tie; the slack absorbs rounding
     assert full.objective_history[-1] <= toeplitz.objective_history[-1] * (1 + 1e-12)
     assert toeplitz.objective_history[-1] <= plt.objective_history[-1] * (1 + 1e-12)
@@ -329,7 +328,7 @@ def first_value_becomes(value: str):
 class TestDesignCode:
     def test_lossless_recovers_plt(self):
         prob = make_problem(np.exp(-30.0), "full", n=4)
-        result = design_code(prob)
+        result = design_code([prob])[0]
         plt_t, _ = plt_design(prob.K_x)
         A, Ahat = result.transform.assemble()
         P, _ = plt_t.assemble()
@@ -338,7 +337,7 @@ class TestDesignCode:
 
     def test_identity_passthrough(self):
         prob = make_problem(0.2, "identity", n=4)
-        result = design_code(prob)
+        result = design_code([prob])[0]
         assert result.transform.kind == "identity"
         K_q = np.diag(QuantizerBank.modeled(result.rates.rates, result.input_variances,
                                             1.0).noise_variances)
@@ -355,7 +354,7 @@ class TestDesignCode:
 
         monkeypatch.setattr(design, "am_wmse", counted)
         prob = make_problem(0.2, "identity", n=6)
-        result = design_code(prob)
+        result = design_code([prob])[0]
         assert len(calls) == 1
         assert np.array_equal(result.rates.rates, np.full(6, 5.0))
         K_q = QuantizerBank.modeled(np.full(6, 5.0), np.diag(prob.K_x), 1.0).noise_variances
@@ -364,21 +363,21 @@ class TestDesignCode:
 
     def test_plt_passthrough(self):
         prob = make_problem(0.2, "plt", n=4)
-        result = design_code(prob)
+        result = design_code([prob])[0]
         assert result.transform.kind == "plt"
         assert result.evaluations == 0
 
     def test_toeplitz_parameter_count_and_history(self):
         prob = make_problem(0.2, "toeplitz", n=6)
-        result = design_code(prob)
+        result = design_code([prob])[0]
         assert prob.parameter_count == 5
         hist = result.objective_history
         assert all(b <= a for a, b in zip(hist, hist[1:]))
 
     def test_deterministic(self):
         prob = make_problem(0.15, "toeplitz", n=4)
-        a = design_code(prob)
-        b = design_code(prob)
+        a = design_code([prob])[0]
+        b = design_code([prob])[0]
         assert np.array_equal(a.transform.encoder_coeffs, b.transform.encoder_coeffs)
         assert np.array_equal(a.rates.rates, b.rates.rates)
         assert a.predicted_am_wmse == b.predicted_am_wmse
@@ -390,45 +389,45 @@ class TestDesignCode:
         builds = []
         real_build = design._reduced_objective
 
-        def build(problem):
-            builds.append(problem)
-            return real_build(problem)
+        def build(problems):
+            builds.append(problems)
+            return real_build(problems)
 
         monkeypatch.setattr(design, "_reduced_objective", build)
         prob = make_problem(0.2, structure, n=5)
-        result = design_code(prob)
-        assert builds == [prob]
+        result = design_code([prob])[0]
+        assert builds == [[prob]]
         assert result.evaluations > len(builds)
 
     def test_iteration_cap_sets_budget_flag(self, monkeypatch):
         prob = make_problem(0.2, "full", n=5)
-        assert not design_code(prob).budget_exhausted
+        assert not design_code([prob])[0].budget_exhausted
         monkeypatch.setattr(design, "MAX_ITERATIONS", 2)
-        result = design_code(prob)
+        result = design_code([prob])[0]
         assert result.budget_exhausted
         assert result.objective_history[-1] < result.objective_history[0]
 
     def test_improves_on_plt_under_loss(self):
         prob = make_problem(0.2, "toeplitz")
-        designed = design_code(prob)
-        plt_result = design_code(make_problem(0.2, "plt"))
+        designed = design_code([prob])[0]
+        plt_result = design_code([make_problem(0.2, "plt")])[0]
         assert designed.predicted_am_wmse < plt_result.predicted_am_wmse
 
     def test_warm_start_guarantees_dominance(self):
         prob_t = make_problem(0.25, "toeplitz")
-        res_t = design_code(prob_t)
+        res_t = design_code([prob_t])[0]
         warm = pack_parameters(res_t.transform, "full")
         prob_f = make_problem(0.25, "full")
-        res_f = design_code(prob_f, [warm])
+        res_f = design_code([prob_f], [[warm]])[0]
         assert res_f.predicted_am_wmse <= res_t.predicted_am_wmse * (1 + 1e-9)
 
     def test_rates_satisfy_mean_constraint(self):
-        result = design_code(make_problem(0.2, "toeplitz"))
+        result = design_code([make_problem(0.2, "toeplitz")])[0]
         assert np.mean(result.rates.rates) == pytest.approx(5.0, abs=1e-12)
         assert np.all(result.rates.rates >= 0.0)
 
     def test_save_load_round_trip(self, tmp_path):
-        result = design_code(make_problem(0.2, "toeplitz", n=4))
+        result = design_code([make_problem(0.2, "toeplitz", n=4)])[0]
         path = tmp_path / "design.txt"
         save_design(result, path, scheme="rtc_tc")
         loaded, scheme = load_design(path)
@@ -439,7 +438,7 @@ class TestDesignCode:
         assert loaded.predicted_am_wmse == result.predicted_am_wmse
 
     def test_load_names_missing_field(self, tmp_path):
-        result = design_code(make_problem(0.2, "plt", n=4))
+        result = design_code([make_problem(0.2, "plt", n=4)])[0]
         path = tmp_path / "design.txt"
         save_design(result, path, scheme="plt")
         text = path.read_text()
@@ -461,7 +460,7 @@ class TestDesignCode:
     ], ids=["not_a_number", "not_an_integer", "repeated", "short_vector", "long_vector",
             "nan_variance", "infinite_variance", "zero_variance", "negative_variance"])
     def test_load_names_bad_field(self, tmp_path, field, edit):
-        result = design_code(make_problem(0.2, "plt", n=4))
+        result = design_code([make_problem(0.2, "plt", n=4)])[0]
         path = tmp_path / "design.txt"
         save_design(result, path, scheme="plt")
         path.write_text("".join(edit(line) if line.startswith(field + " ") else line
@@ -469,6 +468,84 @@ class TestDesignCode:
         with pytest.raises(ValueError, match=f"'{field}'") as info:
             load_design(path)
         assert "\n" not in str(info.value)
+
+
+POINTS = (0.05, 0.1, 0.2, 0.3)
+
+
+def assert_same_design(a: DesignResult, b: DesignResult):
+    """Bit for bit the same design, rates, predictions, search and bank."""
+    for name in ("encoder_coeffs", "decoder_coeffs"):
+        assert np.array_equal(getattr(a.transform, name), getattr(b.transform, name)), name
+    for name in ("rates", "effective_variances"):
+        assert np.array_equal(getattr(a.rates, name), getattr(b.rates, name)), name
+    assert a.predicted_am_wmse == b.predicted_am_wmse
+    assert a.evaluations == b.evaluations
+    assert a.objective_history == b.objective_history
+    assert a.budget_exhausted == b.budget_exhausted
+    assert np.array_equal(a.input_variances, b.input_variances)
+    assert np.array_equal(a.bank.noise_variances, b.bank.noise_variances)
+
+
+class TestLockstepDesign:
+    @pytest.mark.parametrize("structure", ["toeplitz", "full"])
+    def test_equals_one_problem_calls(self, structure):
+        # four channel points, the second and fourth with a second (warm)
+        # start, and a plt problem that searches nothing: every design is the
+        # one a call with its problem alone makes, and the searches stop at
+        # different rounds, so some go on after others have stopped
+        problems = [make_problem(p, structure, n=5) for p in POINTS]
+        rng = np.random.default_rng(11)
+        warm = [None, [rng.normal(scale=0.3, size=problems[1].parameter_count)],
+                None, [pack_parameters(plt_design(problems[3].K_x)[0], structure) + 0.05]]
+        problems.append(make_problem(0.2, "plt", n=5))
+        warm.append(None)
+        many = design_code(problems, warm)
+        assert isinstance(many, DesignResults) and len(many) == len(problems)
+        for problem, starts, result in zip(problems, warm, many):
+            assert_same_design(result, design_code([problem], [starts])[0])
+        assert len({result.evaluations for result in many[:4]}) > 1
+
+    def test_failing_problem_fails_only_its_own_slot(self):
+        # a lower-triangle marginal of 0 leaves decoder entry (3, 0) out of
+        # every equation, so its decoder system is singular and the stacked
+        # solve raises; a warm start of the wrong length fails before the
+        # search; the other problems design as they do alone
+        problems = [make_problem(p, "full", n=5) for p in POINTS]
+        lost = problems[1].marginals.copy()
+        lost[3, 0] = 0.0
+        problems[1] = DesignProblem(problems[1].K_x, lost, 5.0, "full")
+        warm = [None, None, [np.zeros(3)], None]
+        results = design_code(problems, warm)
+        assert isinstance(results[1], np.linalg.LinAlgError)
+        assert isinstance(results[2], ValueError)
+        with pytest.raises(np.linalg.LinAlgError):
+            objective_of(problems[1])(np.zeros(problems[1].parameter_count))
+        for k in (0, 3):
+            assert_same_design(results[k], design_code([problems[k]])[0])
+        assert results.evaluations == results[0].evaluations + results[3].evaluations
+
+    def test_totals_over_designs(self, monkeypatch):
+        # the counts the benchmark's layer trace reads: evaluations summed and
+        # budget_exhausted counted over the designs, failed slots left out
+        results = design_code([make_problem(p, "toeplitz", n=4) for p in POINTS])
+        assert results.evaluations == sum(result.evaluations for result in results) > 0
+        assert results.budget_exhausted == 0
+        monkeypatch.setattr(design, "MAX_ITERATIONS", 2)
+        capped = design_code([make_problem(p, "full", n=4) for p in POINTS]
+                             + [make_problem(0.2, "plt", n=4)])
+        assert capped.budget_exhausted == 4
+        assert capped.evaluations == sum(result.evaluations for result in capped[:4])
+        mixed = DesignResults([capped[0], ValueError("failed"), capped[4]])
+        assert (mixed.evaluations, mixed.budget_exhausted) == (capped[0].evaluations, 1)
+
+    def test_searched_problems_share_structure_and_length(self):
+        with pytest.raises(ValueError, match="share structure"):
+            design_code([make_problem(0.2, "toeplitz"), make_problem(0.2, "full")])
+        with pytest.raises(ValueError, match="share structure"):
+            design_code([make_problem(0.2, "full", n=4), make_problem(0.2, "full", n=5)])
+        with pytest.raises(ValueError, match="parallel"):
+            design_code([make_problem(0.2, "full")], [None, None])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)

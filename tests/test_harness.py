@@ -8,6 +8,7 @@ import pytest
 
 from rctc import harness
 from rctc.channel import ChannelModel, availability_marginals
+from rctc.design import DesignResults, pack_parameters
 from rctc.harness import (_CONFIG_KEYS, SCHEMES, ConfigError, ExperimentConfig, _bank_for,
                           _experiment_context, _lqg_context, derive_seed, design_schemes,
                           rows_to_csv, run_experiment)
@@ -254,8 +255,9 @@ seed = 21
         real_design, real_am_wmse = harness.design_code, harness.am_wmse
 
         def design(*args, **kwargs):
-            designs.append(real_design(*args, **kwargs))
-            return designs[-1]
+            results = real_design(*args, **kwargs)
+            designs.extend(results)
+            return results
 
         def am_wmse(*args, **kwargs):
             calls.append(args)
@@ -312,7 +314,7 @@ seed = 3
         try:
             context = _experiment_context(config)
             assert tracemalloc.get_traced_memory()[1] < bound  # no arrays before a row
-            designs = design_schemes(config, marginals, config.schemes, context)
+            designs = design_schemes(config, [marginals], config.schemes, context)[0]
             peaks = []
             for scheme, result in designs.items():
                 bank = _bank_for(result, config)
@@ -335,6 +337,69 @@ seed = 3
         for row in rows:
             assert row.mode.endswith("/realized")
             assert abs(row.simulated - row.analytic) < 6 * row.stderr
+
+
+class TestSweepDesign:
+    @pytest.mark.parametrize("kind", ["source", "lqg"])
+    def test_one_design_call_per_scheme_covers_every_point(self, monkeypatch, kind):
+        # the whole sweep is designed before its first row is evaluated, in
+        # one design_code call per scheme that carries every point's problem
+        # in p_grid order; rc_tc starts from each point's rtc_tc encoder
+        events, calls = [], []
+        real_design = harness.design_code
+
+        def design(problems, initial_points=None):
+            events.append("design")
+            calls.append((problems, initial_points, real_design(problems, initial_points)))
+            return calls[-1][2]
+
+        row_call = "encode_batch" if kind == "source" else "simulate_closed_loop"
+        real_row = getattr(harness, row_call)
+
+        def row(*args, **kwargs):
+            events.append("row")
+            return real_row(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "design_code", design)
+        monkeypatch.setattr(harness, row_call, row)
+        text = re.sub("schemes = .*", "", SOURCE_CFG if kind == "source" else LQG_CFG)
+        config = ExperimentConfig.from_text(re.sub("p_grid = .*", "p_grid = 0.05, 0.1, 0.3", text))
+        assert config.schemes == SCHEMES
+        rows = run_experiment(config)
+        assert len(rows) == 12
+        assert events[:4] == ["design"] * 4 and "design" not in events[4:]
+        assert [problems[0].structure for problems, _, _ in calls] == [
+            harness.SCHEME_STRUCTURES[scheme] for scheme in SCHEMES]
+        for problems, _, _ in calls:
+            assert len(problems) == 3
+            for problem, p in zip(problems, config.p_grid):
+                cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
+                assert np.array_equal(problem.marginals, availability_marginals(cm))
+        _, _, rtc_tc = calls[2]
+        _, starts, _ = calls[3]
+        assert [calls[k][1] for k in range(3)] == [None] * 3
+        for (start,), result in zip(starts, rtc_tc):
+            assert np.array_equal(start, pack_parameters(result.transform, "full"))
+
+    def test_modeled_rows_code_with_the_bank_their_design_priced(self, monkeypatch):
+        # one modeled bank per design: the one it was priced with, not a copy
+        banks, designs = [], []
+        real_encode, real_design = harness.encode_batch, harness.design_code
+
+        def encode(frames, transform, bank, *args, **kwargs):
+            banks.append(bank)
+            return real_encode(frames, transform, bank, *args, **kwargs)
+
+        def design(*args, **kwargs):
+            results = real_design(*args, **kwargs)
+            designs.extend(results)
+            return results
+
+        monkeypatch.setattr(harness, "encode_batch", encode)
+        monkeypatch.setattr(harness, "design_code", design)
+        run_experiment(ExperimentConfig.from_text(SOURCE_CFG))
+        assert len(banks) == len(designs) == 3
+        assert {id(bank) for bank in banks} == {id(result.bank) for result in designs}
 
 
 class TestLqgExperiment:
@@ -371,7 +436,7 @@ class TestLqgExperiment:
         for pi, (transforms, banks, _) in enumerate(seen):
             p = config.p_grid[pi]
             cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
-            designs = design_schemes(config, availability_marginals(cm), config.schemes)
+            designs = design_schemes(config, [availability_marginals(cm)], config.schemes)[0]
             assert len(transforms) == len(banks) == len(config.schemes)
             for scheme, transform, bank in zip(config.schemes, transforms, banks):
                 assert np.array_equal(transform.encoder_coeffs,
@@ -398,8 +463,8 @@ class TestLqgExperiment:
         r_eq = float(solution.R_eq[0, 0])
         for p in (0.05, 0.2):
             cm = ChannelModel.from_violation_probability(p, config.delta, config.ts, config.n)
-            for scheme, result in design_schemes(config, availability_marginals(cm),
-                                                 SCHEMES).items():
+            for scheme, result in design_schemes(config, [availability_marginals(cm)],
+                                                 SCHEMES)[0].items():
                 assert result.predicted_lqg_cost == base + r_eq * result.predicted_am_wmse, \
                     (p, scheme)
 
@@ -410,8 +475,9 @@ class TestLqgExperiment:
         real_design, real_cost = harness.design_code, harness.analytic_lqg_cost
 
         def design(*args, **kwargs):
-            designs.append(real_design(*args, **kwargs))
-            return designs[-1]
+            results = real_design(*args, **kwargs)
+            designs.extend(results)
+            return results
 
         def cost(*args, **kwargs):
             calls.append(args)
@@ -469,11 +535,12 @@ seed = 2
 
         starts = {}
 
-        def explode(problem, initial_points=None, *args, **kwargs):
-            starts[problem.structure] = initial_points
-            if problem.structure == "toeplitz":
-                raise ValueError("synthetic design failure")
-            return real_design(problem, initial_points, *args, **kwargs)
+        def explode(problems, initial_points=None):
+            structure = problems[0].structure
+            starts[structure] = initial_points
+            if structure == "toeplitz":
+                return DesignResults(ValueError("synthetic design failure") for _ in problems)
+            return real_design(problems, initial_points)
 
         real_design = harness.design_code
         monkeypatch.setattr(harness, "design_code", explode)
@@ -487,7 +554,7 @@ seed = 2
         ok = [r for r in rows if r.scheme == "no_coding"]
         assert isinstance(ok[0].simulated, float)
         # rc_tc has no rtc_tc encoder to start from, so it starts cold
-        assert starts["full"] is None
+        assert starts["full"] == [None]
         cold = [r for r in rows if r.scheme == "rc_tc"]
         assert isinstance(cold[0].simulated, float)
 
@@ -542,7 +609,7 @@ seed = {seed}
                                             .replace("horizon = 4000", "horizon = 50000"))
         plant, weights, solution, _ = _lqg_context(config)
         cm = ChannelModel.from_violation_probability(0.2, config.delta, config.ts, config.n)
-        result = design_schemes(config, availability_marginals(cm), ["rtc_tc"])["rtc_tc"]
+        result = design_schemes(config, [availability_marginals(cm)], ["rtc_tc"])[0]["rtc_tc"]
         bank = _bank_for(result, config)
         sims, stderrs, long_runs = [], [], []
         for seed in self.SEEDS:

@@ -270,8 +270,8 @@ class TestSimulateClosedLoop:
         n = 4
         K_x = ar1_covariance(0.8677, 0.015, n)
         cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
-        designed = design_code(DesignProblem(K_x, availability_marginals(cm), 5.0,
-                                             "toeplitz")).transform
+        designed = design_code([DesignProblem(K_x, availability_marginals(cm), 5.0,
+                                              "toeplitz")])[0].transform
         assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
         banks = [None, QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.015))]
         for t in (CausalTransform.identity(n), designed):
@@ -387,8 +387,8 @@ class TestSimulateClosedLoop:
         lag_one = np.diag(np.full(n - 1, -0.6), -1)
         banded = CausalTransform("full", n, lag_one, 0.8 * lag_one)
         plt = plt_design(K_x)[0]
-        full = design_code(DesignProblem(K_x, availability_marginals(cm), 5.0,
-                                         "full")).transform
+        full = design_code([DesignProblem(K_x, availability_marginals(cm), 5.0,
+                                          "full")])[0].transform
         fine = QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.015))
         loud = QuantizerBank.modeled(np.zeros(n), np.full(n, 0.2))
         transforms = [CausalTransform.identity(n), banded, plt, full, plt]
@@ -507,8 +507,8 @@ class TestAgainstReference:
         K_x = ar1_covariance(loop_pole(self.plant, self.sol),
                              pilot_state_variance(self.plant, self.sol), n)
         cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
-        designed = design_code(DesignProblem(K_x, availability_marginals(cm), 5.0,
-                                             "toeplitz")).transform
+        designed = design_code([DesignProblem(K_x, availability_marginals(cm), 5.0,
+                                              "toeplitz")])[0].transform
         assert np.any(designed.encoder_coeffs != designed.decoder_coeffs)
         bank = {"ideal": None,
                 "modeled": QuantizerBank.modeled(np.full(n, 5.0), np.full(n, 0.2))}[mode]
