@@ -15,10 +15,9 @@ from .factorizations import FactorizationError, ldl_unit_lower
 from .harness import ConfigError, ExperimentConfig, ResultRow, run_experiment, write_csv
 from .lqg import (REPLICAS, ControllerSolution, LqgWeights, PlantModel,
                   RiccatiConvergenceError, SimulationResult, SimulationResults, am_wmse,
-                  analytic_lqg_cost, ce_gain, controller_solution,
-                  expected_error_terms, loop_pole, pilot_state_variance,
-                  replica_lengths, riccati_residual, simulate_closed_loop,
-                  solve_riccati, weight_req)
+                  analytic_lqg_cost, ce_gain, controller_solution, loop_pole,
+                  pilot_state_variance, replica_lengths, riccati_residual,
+                  simulate_closed_loop, solve_riccati, weight_req)
 from .quantizers import (InfeasibleRateError, QuantizerBank, RateAllocation,
                          ScalarCodebook, allocate_rates, clamp_rates, lloyd_max_gaussian)
 from .sources import (GaussMarkovModel, StationarityError, ar1_covariance,

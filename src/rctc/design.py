@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import channel_moments
-from .codec import (CausalTransform, plt_design, quantizer_input_variances,
+from .codec import (KINDS, CausalTransform, plt_design, quantizer_input_variances,
                     transform_from_text, transform_to_text)
-from .lqg import am_wmse
+from .lqg import am_wmse, frame_mse
 from .quantizers import QuantizerBank, RateAllocation, allocate_rates, clamp_rates
-
-STRUCTURES = ("full", "toeplitz", "plt", "identity")
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ class DesignProblem:
     min_rate: float = 0.0
 
     def __post_init__(self):
-        if self.structure not in STRUCTURES:
+        if self.structure not in KINDS:
             raise ValueError(f"unknown structure {self.structure!r}")
         K_x = np.asarray(self.K_x, dtype=float)
         if K_x.ndim != 2 or K_x.shape[0] != K_x.shape[1]:
@@ -380,7 +378,7 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
     noise_scale = np.array([problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
                             for problem in problems])[:, None, None]
     # each problem's arrays, and those of the rows last evaluated
-    per_problem = (K_x, P, coupling, p, p_own, noise_scale, np.trace(K_x, axis1=1, axis2=2))
+    per_problem = (K_x, P, coupling, p, p_own, noise_scale)
     taken = {}
     eye, unit = np.eye(n), np.eye(n).reshape(1, n * n)
 
@@ -391,7 +389,7 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
             taken.clear()
             Kx, Pb, *rest = (array[index] for array in per_problem)
             taken[key] = (Kx, channel_moments(Pb), *rest)
-        Kx, moments, coupled, pb, pb_own, scale, trace = taken[key]
+        Kx, moments, coupled, pb, pb_own, scale = taken[key]
         A = unit.repeat(B, axis=0)
         A[:, entries] = params[:, src]
         Ainv = np.linalg.inv(A.reshape(B, n, n))
@@ -411,8 +409,8 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
         Ahat[:, entries] = decoder[:, src]
         Ahat = Ahat.reshape(B, n, n)
         mean_H, W = moments(Ahat, Ainv)
-        # N J = tr(K_x) - 2 tr(E[H] K_x) + tr(W K); diag(W) K_d = diag(W) Y inv(A)'
-        J = (trace + (W * K - 2.0 * mean_H * Kx).sum(axis=(1, 2))) / n
+        J = frame_mse(mean_H, W, Kx, K)
+        # diag(W) K_d = diag(W) Y inv(A)'
         w = W.reshape(B, -1, 1)[:, diagonal]
         grad = (W @ K - mean_H.transpose(0, 2, 1) @ Kx + scale * (AinvT @ (w * Y))) @ AinvT
         gradient = grad.reshape(B, -1)[:, entries]

@@ -34,9 +34,8 @@ from .channel import availability_stats  # noqa: F401  (unused; bench/layertrace
 from .codec import decode_batch, encode_batch
 from .codec import plt_design  # noqa: F401  (unused; bench/layertrace.py wraps it)
 from .design import DesignProblem, DesignResult, design_code, pack_parameters
-from .lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost,
-                  batch_standard_error, controller_solution, loop_pole,
-                  pilot_state_variance, simulate_closed_loop)
+from .lqg import (LqgWeights, PlantModel, am_wmse, analytic_lqg_cost, controller_solution,
+                  loop_pole, pilot_state_variance, simulate_closed_loop, standard_error)
 from .quantizers import QuantizerBank
 from .sources import ar1_covariance
 from .sources import sample_path  # noqa: F401  (unused; bench/layertrace.py wraps it)
@@ -238,7 +237,11 @@ class ResultRow:
 
 
 def derive_seed(master: int, *tags) -> int:
-    """Stable per-task seed from the master seed and a tag path."""
+    """Stable per-task seed from the master seed and a tag path.
+
+    Trailing zero tags are dropped, as `np.random.SeedSequence` drops
+    trailing zero words: derive_seed(s, "sim", 0) == derive_seed(s, "sim").
+    """
     words = [int(master) & 0xFFFFFFFF]
     for tag in tags:
         if isinstance(tag, str):
@@ -248,27 +251,19 @@ def derive_seed(master: int, *tags) -> int:
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
-def _bank_for(result: DesignResult, config: ExperimentConfig) -> QuantizerBank:
-    """The bank a row codes with: the modeled one its design priced, or a Lloyd-Max one."""
-    if config.quantizer_mode == "realized":
-        return QuantizerBank.lloyd_max(result.rates.rates, result.input_variances,
-                                       config.noise_constant)
-    return result.bank
-
-
 class _FrameLanes:
     """The frame-sized arrays of a source sweep, made once and read by every row.
 
-    x holds the frames as (N, frames) lanes and noise, made at the first
-    modeled row, each lane's standard-normal quantizer noise: both are drawn
-    once per sweep.  bits holds the availability bits of channel point
+    x holds the frames as (N, frames) lanes and noise, in a modeled sweep,
+    each lane's standard-normal quantizer noise: both are drawn once per
+    sweep.  bits holds the availability bits of channel point
     `channel` in the layout `sample_availability_bits` returns.  None of the
     three is written by a row.  Each row overwrites every element it reads of
     codevalues, its (N, frames) codevalue lanes (decoded and then turned into
     errors in place), and per_frame, each frame's error.
     """
 
-    def __init__(self, frames: int, chol: np.ndarray, seed: int):
+    def __init__(self, frames: int, chol: np.ndarray, seed: int, modeled: bool):
         n = chol.shape[0]
         self.seed = seed
         self.codevalues = np.empty((n, frames))
@@ -279,7 +274,8 @@ class _FrameLanes:
         # row i of x is element i of every frame; einsum, as a BLAS GEMM
         # would wake a second BLAS thread that then spins
         self.x = np.einsum("ij,fj->if", chol, z, out=np.empty((n, frames)))
-        self.noise = None
+        self.noise = (np.random.default_rng(derive_seed(seed, "noise")).standard_normal(
+            (n, frames)) if modeled else None)
         self.bits = np.empty((n, n, frames), dtype=bool).transpose(2, 0, 1)
         self.channel = None
         self.per_frame = np.empty(frames)
@@ -302,38 +298,30 @@ def _experiment_context(config: ExperimentConfig):
     """(K_x, evaluate, lqg_cost) of the configured kind.
 
     K_x is the frame covariance every design, rate allocation and analytic
-    column reads.  For kind = source, evaluate(result, bank, marginals, cm,
-    seed) returns one row's (analytic, simulated, stderr) and lqg_cost is
-    None.  It reads `seed` as the sweep's draw seed: it draws the frames,
-    and at its first modeled row the quantizer noise, once per seed, and the
-    bits once per channel point, and its analytic column for a modeled bank
-    is the design's predicted_am_wmse.  For kind = lqg, evaluate(results,
-    cm, seed) returns the (analytic, simulated, stderr) of each of a channel
-    point's designs from one lockstep simulation seeded with `seed`, the
-    point's, so every scheme at a point reads the same draws.  Each design
-    runs with the bank `design_schemes` priced its predicted_lqg_cost with,
-    by lqg_cost(result, bank, marginals), and that cost is its row's
-    analytic column.
+    column reads.  evaluate(results, cm, seed) returns the (analytic,
+    simulated, stderr) of each of a channel point's designs, all read on
+    the same draws from `seed`.  For kind = source it is the sweep's draw
+    seed, from which the frames (and, modeled, the quantizer noise) are
+    drawn once and the bits once per point; a modeled row codes with its
+    design's bank and reads its predicted_am_wmse, a realized row prices
+    the Lloyd-Max bank it codes with, and lqg_cost is None.  For kind = lqg
+    it is the point's: its designs run in one lockstep simulation, each with
+    the bank `design_schemes` priced its predicted_lqg_cost with, by
+    lqg_cost(result, bank, marginals), the row's analytic column.
     """
     n = config.n
     if config.kind == "source":
         K_x = ar1_covariance(config.rho, config.source_variance, n)
         chol = np.linalg.cholesky(K_x)
         frames = config.sim_frames
+        realized = config.quantizer_mode == "realized"
         lanes = None
 
-        def evaluate(result, bank, marginals, cm, seed):
+        def evaluate(results, cm, seed):
             """AM-MSE of i.i.d. N(0, K_x) frames coded through the sampled channel."""
             nonlocal lanes
-            # a modeled bank is the one the design priced, from its rates and
-            # input variances; a realized bank is priced here
-            analytic = (result.predicted_am_wmse if bank.codebooks is None else
-                        am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances)))
             if lanes is None or lanes.seed != seed:
-                lanes = _FrameLanes(frames, chol, seed)
-            if bank.codebooks is None and lanes.noise is None:
-                lanes.noise = np.random.default_rng(derive_seed(seed, "noise")).standard_normal(
-                    (n, frames))
+                lanes = _FrameLanes(frames, chol, seed, not realized)
             if lanes.channel != cm:
                 # one stream of delays at every point: the delays scale with
                 # the mean delay, so the bits of a larger p are a subset
@@ -341,13 +329,23 @@ def _experiment_context(config: ExperimentConfig):
                                          out=lanes.bits)
                 lanes.channel = cm
             x, codevalues = lanes.x, lanes.codevalues
-            noise = None if lanes.noise is None else lanes.noise.T
-            encode_batch(x.T, result.transform, bank, noise, out=codevalues.T)
-            decode_batch(codevalues.T, result.transform, lanes.bits, out=codevalues.T)
-            err = np.subtract(x, codevalues, out=codevalues)
-            per_frame = np.square(err, out=err).sum(axis=0, out=lanes.per_frame)
-            per_frame /= n
-            return analytic, float(per_frame.mean()), batch_standard_error(per_frame)
+            noise = None if realized else lanes.noise.T
+            columns = []
+            for result in results:
+                if realized:
+                    bank = QuantizerBank.lloyd_max(result.rates.rates, result.input_variances,
+                                                   config.noise_constant)
+                    analytic = am_wmse(result.transform, availability_marginals(cm), K_x,
+                                       np.diag(bank.noise_variances))
+                else:
+                    bank, analytic = result.bank, result.predicted_am_wmse
+                encode_batch(x.T, result.transform, bank, noise, out=codevalues.T)
+                decode_batch(codevalues.T, result.transform, lanes.bits, out=codevalues.T)
+                err = np.subtract(x, codevalues, out=codevalues)
+                per_frame = np.square(err, out=err).sum(axis=0, out=lanes.per_frame)
+                per_frame /= n
+                columns.append((analytic, float(per_frame.mean()), standard_error(per_frame)))
+            return columns
 
         return K_x, evaluate, None
 
@@ -406,11 +404,10 @@ def design_schemes(config: ExperimentConfig, marginals: Sequence[np.ndarray], sc
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """One row per (p, scheme): design the sweep, realize the banks, evaluate.
+    """One row per (p, scheme): design the sweep, then evaluate it point by point.
 
-    Every design of the sweep is made before the first row is evaluated.  A
-    source row is evaluated on its own; an LQG point's designs are
-    simulated together, in one lockstep run.
+    Every design of the sweep is made before the first row is evaluated, and
+    a channel point's designs are evaluated together, in one call.
     """
     context = _experiment_context(config)
     _, evaluate, _ = context
@@ -426,29 +423,21 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     marginals = [availability_marginals(cm) for cm in channels]
     sweep = design_schemes(config, marginals, config.schemes, context)
     for pi, (p, cm, designs) in enumerate(zip(config.p_grid, channels, sweep)):
-        # at pi = 0 this equals derive_seed(config.seed, "sim") (SeedSequence
-        # drops a trailing zero tag), which an LQG sweep draws nothing else from
+        # the benchmark's layer trace follows this call to tag the point's
+        # spans with its p.  At pi = 0 it equals a source sweep's draw seed
+        # (see derive_seed), which an LQG sweep draws nothing else from
         point_seed = derive_seed(config.seed, "sim", pi)
         seed = point_seed if draw_seed is None else draw_seed
-        if config.kind == "lqg":
-            # the point's designs in one lockstep simulation, before the rows
-            # tag the layer trace one by one
-            designed = {s: r for s, r in designs.items() if not isinstance(r, Exception)}
-            point = (dict(zip(designed, evaluate(list(designed.values()), cm, seed)))
-                     if designed else {})
+        designed = {s: r for s, r in designs.items() if not isinstance(r, Exception)}
+        point = (dict(zip(designed, evaluate(list(designed.values()), cm, seed)))
+                 if designed else {})
         for scheme, result in designs.items():
-            # seeds nothing: the benchmark's layer trace follows derive_seed to
-            # tag the row's spans with its scheme and p
-            derive_seed(config.seed, "sim", pi, scheme)
             if isinstance(result, Exception):
                 # a flagged row, so that the rest of the sweep continues
                 columns = (math.nan, "design_failed", math.nan)
                 tag = f"{mode}:{type(result).__name__}"
-            elif config.kind == "lqg":
-                columns, tag = point[scheme], mode
             else:
-                columns = evaluate(result, _bank_for(result, config), marginals[pi], cm, seed)
-                tag = mode
+                columns, tag = point[scheme], mode
             rows.append(ResultRow(scheme, p, cm.delay_rate, *columns, seed, tag,
                                   config.noise_constant, config.n, config.rate))
     rows.sort(key=lambda row: (row.p, row.scheme))

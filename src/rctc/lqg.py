@@ -161,24 +161,26 @@ def controller_solution(plant: PlantModel, weights: LqgWeights) -> ControllerSol
     return ControllerSolution(P, L, weight_req(P, plant, weights))
 
 
-def frame_error_terms(mean_H: np.ndarray, W: np.ndarray, K_x: np.ndarray,
-                      K_q: np.ndarray) -> tuple[float, float]:
-    """Signal and noise error energies from the channel moments E[H] and W = E[H'H].
+def frame_mse(mean_H: np.ndarray, W: np.ndarray, K_x: np.ndarray, K: np.ndarray):
+    """Mean squared error per frame slot from the channel moments E[H] and W = E[H'H].
 
-    signal = tr(E[(I - H)'(I - H)] K_x) = tr(K_x) - 2 tr(E[H] K_x) + tr(W K_x)
-    and noise = tr(W K_q), for symmetric K_x and K_q.
+    (tr K_x - 2 tr(E[H] K_x) + tr(W K)) / N with K = K_x + K_q, which is
+    E[tr((I - H) K_x (I - H)') + tr(H K_q H')] / N for symmetric K_x and
+    K_q; of one frame's (N, N) arrays or of a stack of them.
     """
-    signal = np.trace(K_x) - 2.0 * np.vdot(mean_H, K_x) + np.vdot(W, K_x)
-    return float(signal), float(np.vdot(W, K_q))
+    n = K_x.shape[-1]
+    return (np.trace(K_x, axis1=-2, axis2=-1)
+            + (W * K - 2.0 * mean_H * K_x).sum(axis=(-2, -1))) / n
 
 
-def expected_error_terms(transform: CausalTransform, marginals: np.ndarray,
-                         K_x: np.ndarray, K_q: np.ndarray) -> tuple[float, float]:
-    """Channel-averaged signal and noise error energies over one frame.
+def am_wmse(transform: CausalTransform, marginals: np.ndarray, K_x: np.ndarray,
+            K_q: np.ndarray) -> float:
+    """Arithmetic mean (over the N frame slots) of the MSE of x - xhat.
 
-    signal = tr(E_B[(I - H_eq)'(I - H_eq)] K_x) and
-    noise  = tr(E_B[H_eq' H_eq] K_q), with H_eq = (Ahat o B) inv(A) and the
-    exact expectation taken over B from its N x N availability marginals.
+    The `frame_mse` of H_eq = (Ahat o B) inv(A), the exact expectation taken
+    over B from its N x N availability marginals.  The name keeps the W of
+    the weighted MSE the paper poses; for the LQG loop that weight is the
+    scalar R_eq, which analytic_lqg_cost applies.
     """
     n = transform.frame_length
     K_x = np.asarray(K_x, dtype=float)
@@ -189,18 +191,7 @@ def expected_error_terms(transform: CausalTransform, marginals: np.ndarray,
         raise ValueError("availability marginals do not match the transform frame length")
     _, Ahat = transform.assemble()
     mean_H, W = channel_moments(marginals)(Ahat, transform.encoder_inverse())
-    return frame_error_terms(mean_H, W, K_x, K_q)
-
-
-def am_wmse(transform: CausalTransform, marginals: np.ndarray, K_x: np.ndarray,
-            K_q: np.ndarray) -> float:
-    """Arithmetic mean (over the N frame slots) of the MSE of x - xhat.
-
-    The name keeps the W of the weighted MSE the paper poses; for the LQG
-    loop that weight is the scalar R_eq, which analytic_lqg_cost applies.
-    """
-    signal, noise = expected_error_terms(transform, marginals, K_x, K_q)
-    return (signal + noise) / transform.frame_length
+    return float(frame_mse(mean_H, W, K_x, K_x + K_q))
 
 
 def analytic_lqg_cost(solution: ControllerSolution, plant: PlantModel,
@@ -262,17 +253,11 @@ class SimulationResults(tuple):
         return sum(result.diverged for result in self)
 
 
-def batch_standard_error(values: np.ndarray) -> float:
-    """Standard error of the mean of a correlated series, by batch means."""
-    count = values.size
-    if count < 2:
+def standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean of independent values: std(ddof=1) / sqrt(n), nan below two."""
+    if values.size < 2:
         return math.nan
-    if count < 8:
-        return float(np.std(values, ddof=1) / math.sqrt(count))
-    batches = max(2, min(256, count // 64))
-    size = count // batches
-    means = values[: batches * size].reshape(batches, size).mean(axis=1)
-    return float(np.std(means, ddof=1) / math.sqrt(batches))
+    return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 # Independent replicas the closed-loop simulator runs side by side.  Not a
@@ -351,8 +336,6 @@ class _LoopDesign:
         ran = done > 0
         means = sums[ran] / done[ran]
         cost_mean = math.fsum(sums) / steps if steps else math.nan
-        stderr = (float(np.std(means, ddof=1) / math.sqrt(means.size))
-                  if means.size >= 2 else math.nan)
         trace = None
         if collect_trace:
             trace = []
@@ -364,7 +347,8 @@ class _LoopDesign:
                     trace.append(TraceRecord(len(trace), r, state[i][r], d_val[i][r],
                                              code[i][r], avail, rec_x[i][r],
                                              control[i][r], cost_t[i][r]))
-        return SimulationResult(cost_mean, stderr, steps, self.diverged, trace, means)
+        return SimulationResult(cost_mean, standard_error(means), steps, self.diverged, trace,
+                                means)
 
 
 def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,

@@ -451,23 +451,30 @@ def allocate_rates(effective_variances, average_rate: float) -> RateAllocation:
 
 
 def clamp_rates(allocation: RateAllocation, min_rate: float = 0.0) -> RateAllocation:
-    """Raise rates below min_rate to it, absorbing the deficit from the rest.
+    """The optimal allocation under the floor min_rate, by reverse water-filling.
 
-    The deficit is removed from unclamped rates in proportion to their excess
-    over the floor, which preserves the mean, creates no new violations, and
-    makes the operation idempotent.
+    The quantizers below the floor are held at it and the closed form is
+    solved again over the rest with the remaining budget (which shifts their
+    rates by one common amount), until none falls below.  The free
+    quantizers then share one distortion var_i 2^(-2 rate_i), each held one
+    has var_i 2^(-2 min_rate) at most that (the KKT conditions), and the mean
+    is kept.
     """
     rates = allocation.rates
-    below = rates < min_rate
-    if not np.any(below):
+    held = rates < min_rate
+    if not np.any(held):
         return allocation
     if allocation.average < min_rate:
-        raise InfeasibleRateError(
-            f"average rate {allocation.average} cannot meet floor {min_rate}"
-        )
-    deficit = float(np.sum(min_rate - rates[below]))
-    excess = np.where(below, 0.0, rates - min_rate)
-    total_excess = float(np.sum(excess))
-    new_rates = np.where(below, min_rate, rates - deficit * excess / total_excess)
+        raise InfeasibleRateError(f"average rate {allocation.average} cannot meet floor {min_rate}")
+    new_rates = np.full(rates.size, float(min_rate))
+    while not held.all():
+        free = rates[~held]
+        budget = rates.size * allocation.average - held.sum() * min_rate
+        new_rates[~held] = free - free.mean() + budget / free.size
+        below = new_rates < min_rate
+        if not below.any():
+            break
+        new_rates[below] = min_rate
+        held |= below
     return RateAllocation(new_rates, allocation.effective_variances,
                           allocation.average, clamped=True)

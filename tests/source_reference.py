@@ -16,8 +16,10 @@ turn: the same numbers as the harness's one (N, frames) draw.
 """
 import numpy as np
 
+from rctc.channel import availability_marginals
 from rctc.harness import derive_seed
-from rctc.lqg import am_wmse, batch_standard_error
+from rctc.lqg import am_wmse, standard_error
+from rctc.quantizers import QuantizerBank
 from rctc.sources import ar1_covariance
 
 
@@ -60,8 +62,13 @@ def stack_source_context(config):
     K_x = ar1_covariance(config.rho, config.source_variance, n)
     chol = np.linalg.cholesky(K_x)
 
-    def evaluate(result, bank, marginals, cm, seed):
-        analytic = am_wmse(result.transform, marginals, K_x, np.diag(bank.noise_variances))
+    def row(result, cm, seed):
+        bank = result.bank
+        if config.quantizer_mode == "realized":
+            bank = QuantizerBank.lloyd_max(result.rates.rates, result.input_variances,
+                                           config.noise_constant)
+        analytic = am_wmse(result.transform, availability_marginals(cm), K_x,
+                           np.diag(bank.noise_variances))
         z = np.random.default_rng(derive_seed(seed, "frames")).standard_normal(
             (config.sim_frames, n))
         x = np.einsum("ij,fj->fi", chol, z)
@@ -70,6 +77,9 @@ def stack_source_context(config):
         codevalues = stack_encode(x, result.transform, bank, rng)
         err = x - stack_decode(codevalues, result.transform, bits)
         per_frame = np.einsum("fi,fi->f", err, err) / n
-        return analytic, float(per_frame.mean()), batch_standard_error(per_frame)
+        return analytic, float(per_frame.mean()), standard_error(per_frame)
+
+    def evaluate(results, cm, seed):
+        return [row(result, cm, seed) for result in results]
 
     return K_x, evaluate, None

@@ -63,30 +63,48 @@ seed = 5
 NOT_CALLED = {"channel.stats", "sources.path"}
 
 
-def traced_sweep(tmp_path, name):
-    """The `trace` field the benchmark's own worker prints for one sweep."""
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    """The `trace` field the benchmark's own worker prints for each sweep."""
     root = LAYERTRACE.parents[1]
-    config = tmp_path / f"{name}.cfg"
-    config.write_text(SWEEPS[name])
+    tmp_path = tmp_path_factory.mktemp("traced")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))),
         OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-B", str(root / "bench" / "worker.py"), "trace", str(config),
-         str(tmp_path / f"{name}.csv")],
-        capture_output=True, text=True, env=env, cwd=root, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])["trace"]
+    traced = {}
+    for name, text in SWEEPS.items():
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-B", str(root / "bench" / "worker.py"), "trace", str(config),
+             str(tmp_path / f"{name}.csv")],
+            capture_output=True, text=True, env=env, cwd=root, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        traced[name] = json.loads(proc.stdout.splitlines()[-1])["trace"]
+    return traced
 
 
-def test_traced_sweeps_report_every_layer_metric(tmp_path):
+def test_traced_sweeps_report_every_layer_metric(traces):
     # cli.* and trace.* are measured by the worker and bench/run.py, not the tracer
     expected = {m for m in layertrace.metric_units() if not m.startswith(("cli.", "trace."))}
     called = set()
-    for name in SWEEPS:
-        trace = traced_sweep(tmp_path, name)
+    for name, trace in traces.items():
         assert trace["absent_wrappers"] == [], name
         assert expected <= set(trace["values"]), name
         called |= {span["name"] for span in trace["spans"]}
     hooked = {span for span, _, _, hook in layertrace.WRAPPED if hook is not None}
     assert hooked - NOT_CALLED <= called
+
+
+def test_row_work_is_tagged_with_its_p(traces):
+    # the tracer tags spans by following the harness's per-point derive_seed
+    # call; a span of coding, channel draws or simulation without a p of the
+    # grid would leave the per-point breakdown of a traced run blind
+    tagged = {"codec.encode", "channel.bits", "lqg.sim"}
+    for name, trace in traces.items():
+        grid = {float(p) for line in SWEEPS[name].splitlines() if line.startswith("p_grid")
+                for p in line.split("=")[1].split(",")}
+        spans = [span for span in trace["spans"] if span["name"] in tagged]
+        assert spans, name
+        for span in spans:
+            assert span["row"] is not None and span["row"][1] in grid, (name, span)

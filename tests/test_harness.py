@@ -9,7 +9,7 @@ import pytest
 from rctc import harness
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.design import DesignResults, pack_parameters
-from rctc.harness import (_CONFIG_KEYS, SCHEMES, ConfigError, ExperimentConfig, _bank_for,
+from rctc.harness import (_CONFIG_KEYS, SCHEMES, ConfigError, ExperimentConfig,
                           _experiment_context, _lqg_context, derive_seed, design_schemes,
                           rows_to_csv, run_experiment)
 from rctc.lqg import simulate_closed_loop
@@ -123,6 +123,34 @@ class TestDeriveSeed:
                  for s in ("plt", "rc_tc")}
         assert len(seeds) == 6
 
+    def test_trailing_zero_tags_are_dropped_and_no_two_draws_share_a_seed(self, monkeypatch):
+        for master in (0, 9, 2 ** 32 - 1):
+            assert derive_seed(master, "sim") == derive_seed(master, "sim", 0)
+        handed, points = [], []
+        real_rng, real_simulate = np.random.default_rng, harness.simulate_closed_loop
+
+        def rng(seed=None):
+            handed.append(seed)
+            return real_rng(seed)
+
+        def simulate(*args, **kwargs):
+            points.append(args[7])  # the point's seed
+            return real_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        run_experiment(ExperimentConfig.from_text(SOURCE_CFG.replace("p_grid = 0.1",
+                                                                     "p_grid = 0.1, 0.3")))
+        # the frames, the noise, and one stream of delays read at both points
+        frames, noise, channel, channel_again = handed
+        assert channel_again == channel
+        monkeypatch.undo()
+        monkeypatch.setattr(harness, "simulate_closed_loop", simulate)
+        run_experiment(ExperimentConfig.from_text(LQG_CFG.replace("p_grid = 0.05",
+                                                                  "p_grid = 0.05, 0.1, 0.2")))
+        assert len(points) == 3
+        seeds = [frames, noise, channel, *points]
+        assert len(set(seeds)) == len(seeds), seeds
+
 
 class TestSourceExperiment:
     def test_rows_and_determinism(self):
@@ -203,10 +231,10 @@ seed = 21
 
             def checked(*args):
                 columns = evaluate(*args)
-                frames, drawn_frames, noise, drawn_noise = encoded[-1]
+                for frames, drawn_frames, noise, drawn_noise in encoded:
+                    assert np.array_equal(frames, drawn_frames)
+                    assert np.array_equal(noise, drawn_noise)
                 _, _, shared_bits, drawn_bits = draws[-1]
-                assert np.array_equal(frames, drawn_frames)
-                assert np.array_equal(noise, drawn_noise)
                 assert np.array_equal(shared_bits, drawn_bits)
                 return columns
 
@@ -317,10 +345,9 @@ seed = 3
             designs = design_schemes(config, [marginals], config.schemes, context)[0]
             peaks = []
             for scheme, result in designs.items():
-                bank = _bank_for(result, config)
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                context[1](result, bank, marginals, cm, derive_seed(3, "sim"))
+                context[1]([result], cm, derive_seed(3, "sim"))
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
@@ -610,7 +637,7 @@ seed = {seed}
         plant, weights, solution, _ = _lqg_context(config)
         cm = ChannelModel.from_violation_probability(0.2, config.delta, config.ts, config.n)
         result = design_schemes(config, [availability_marginals(cm)], ["rtc_tc"])[0]["rtc_tc"]
-        bank = _bank_for(result, config)
+        bank = result.bank
         sims, stderrs, long_runs = [], [], []
         for seed in self.SEEDS:
             sim, = simulate_closed_loop(plant, weights, solution, [result.transform], [bank],

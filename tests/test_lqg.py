@@ -11,9 +11,9 @@ from rctc.codec import CausalTransform, plt_design
 from rctc.design import DesignProblem, design_code
 from rctc.lqg import (CHUNK_FRAMES, REPLICAS, LqgWeights, PlantModel,
                       RiccatiConvergenceError, am_wmse, analytic_lqg_cost, ce_gain,
-                      controller_solution, expected_error_terms, loop_pole,
-                      pilot_state_variance, replica_lengths, riccati_residual,
-                      simulate_closed_loop, solve_riccati, weight_req)
+                      controller_solution, loop_pole, pilot_state_variance,
+                      replica_lengths, riccati_residual, simulate_closed_loop,
+                      solve_riccati, weight_req)
 from rctc.quantizers import QuantizerBank
 from rctc.sources import ar1_covariance
 from sim_reference import reference_loop, segment_lengths
@@ -169,7 +169,10 @@ class TestErrorTerms:
                     G = np.eye(2) - H
                     signal += w * np.trace(G.T @ G @ K_x)
                     noise += w * np.trace(H.T @ H @ K_q)
-        got_signal, got_noise = expected_error_terms(t, marg, K_x, K_q)
+        # the signal term alone without quantizer noise, the noise term alone
+        # without a signal
+        got_signal = n * am_wmse(t, marg, K_x, np.zeros((n, n)))
+        got_noise = n * am_wmse(t, marg, np.zeros((n, n)), K_q)
         assert got_signal == pytest.approx(signal, abs=1e-12)
         assert got_noise == pytest.approx(noise, abs=1e-12)
         assert am_wmse(t, marg, K_x, K_q) == pytest.approx(

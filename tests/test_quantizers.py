@@ -101,6 +101,24 @@ class TestClampRates:
             assert np.all(once.rates >= 0.0)
             assert np.mean(once.rates) == pytest.approx(r, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
+    def test_kkt_conditions(self, r):
+        # the free quantizers share one distortion var_i 2^(-2 r_i), and a
+        # held one's distortion at the floor is at most that
+        rng = np.random.default_rng(7)
+        held_counts = set()
+        for _ in range(50):
+            var = np.exp(rng.uniform(-6.0, 3.0, size=rng.integers(2, 10)))
+            once = clamp_rates(allocate_rates(var, r), 0.0)
+            held = once.rates == 0.0
+            held_counts.add(int(held.sum()))
+            distortion = var[~held] * 2.0 ** (-2.0 * once.rates[~held])
+            assert_allclose(distortion, distortion[0], rtol=1e-12)
+            assert np.all(var[held] <= distortion[0] * (1 + 1e-12))
+            assert np.mean(once.rates) == pytest.approx(r, abs=1e-12)
+            assert np.array_equal(clamp_rates(once, 0.0).rates, once.rates)
+        assert max(held_counts) >= 2  # some instances hold more than one quantizer
+
 
 class TestNoiseModel:
     def test_fine_quantization_limit(self):
