@@ -5,10 +5,10 @@ allocating quantizer rates, evaluating analytic AM-WMSE / LQG costs, and
 validating them against closed-loop Monte Carlo simulation.
 """
 from .channel import (AvailabilityStats, ChannelModel, availability_marginals,
-                      availability_stats, channel_moments, exhaustive_stats,
-                      loss_probabilities, sample_availability_bits)
-from .codec import (CausalTransform, EncodedFrame, decode, decode_batch, encode,
-                    encode_batch, plt_design, quantizer_input_variances)
+                      availability_stats, channel_moments, loss_probabilities,
+                      sample_availability_bits)
+from .codec import (CausalTransform, decode_batch, encode_batch, plt_design,
+                    quantizer_input_variances)
 from .design import (DesignProblem, DesignResult, DesignResults, SearchConfig, design_code,
                      effective_variances, hooke_jeeves, load_design, save_design)
 from .factorizations import FactorizationError, ldl_unit_lower

@@ -7,7 +7,6 @@ b_ij = [delay_j <= deadline + (i - j) * sample_period].
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,10 +76,11 @@ class AvailabilityStats:
     """Weighted availability realizations: a test oracle for channel expectations.
 
     `realizations` has shape (count, N, N) with 0/1 entries and `weights` sums
-    to 1.  Monte Carlo sets carry uniform weights; the exhaustive constructor
-    enumerates every pattern with its exact probability under independent
-    bits.  `marginals` is always the closed-form matrix.  The library itself
-    computes every expectation exactly from the marginals (`channel_moments`).
+    to 1.  Monte Carlo sets (`availability_stats`) carry uniform weights; the
+    tests' exhaustive sets weight every pattern by its exact probability under
+    independent bits.  `marginals` is always the closed-form matrix.  The
+    library itself computes every expectation exactly from the marginals
+    (`channel_moments`).
     """
 
     model: ChannelModel
@@ -102,9 +102,6 @@ class AvailabilityStats:
     @property
     def count(self) -> int:
         return self.realizations.shape[0]
-
-    def empirical_marginals(self) -> np.ndarray:
-        return np.einsum("s,sij->ij", self.weights, self.realizations)
 
 
 def channel_moments(marginals: np.ndarray):
@@ -200,28 +197,3 @@ def availability_stats(model: ChannelModel, sample_count: int, seed: int) -> Ava
     bits = sample_availability_bits(model, sample_count, seed)
     return AvailabilityStats(model, bits, np.full(sample_count, 1.0 / sample_count),
                              availability_marginals(model))
-
-
-def exhaustive_stats(model: ChannelModel) -> AvailabilityStats:
-    """Every lower-triangular pattern with its exact independent-bit probability.
-
-    Realizes exactly every expectation that pairs only bits of different
-    indices, such as those of `channel_moments`; the pattern count is
-    2^(N(N+1)/2), so this is only for small frames.
-    """
-    n = model.frame_length
-    cells = [(i, j) for i in range(n) for j in range(i + 1)]
-    if len(cells) > 21:
-        raise ValueError(f"exhaustive enumeration needs N <= 6, got N = {n}")
-    marg = availability_marginals(model)
-    patterns = []
-    weights = []
-    for assignment in itertools.product((0, 1), repeat=len(cells)):
-        bits = np.zeros((n, n))
-        w = 1.0
-        for (i, j), b in zip(cells, assignment):
-            bits[i, j] = b
-            w *= marg[i, j] if b else 1.0 - marg[i, j]
-        patterns.append(bits)
-        weights.append(w)
-    return AvailabilityStats(model, np.asarray(patterns), np.asarray(weights), marg)

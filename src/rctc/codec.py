@@ -75,15 +75,6 @@ class CausalTransform:
         return np.linalg.inv(A)
 
 
-@dataclass(frozen=True)
-class EncodedFrame:
-    """One coded frame: reconstruction codevalues, indices, quantizer inputs."""
-
-    codevalues: np.ndarray
-    indices: np.ndarray | None
-    quantizer_inputs: np.ndarray
-
-
 def plt_design(K_x: np.ndarray) -> tuple[CausalTransform, np.ndarray]:
     """Prediction-based lower triangular transform from the source covariance.
 
@@ -104,45 +95,6 @@ def quantizer_input_variances(transform: CausalTransform, K_x: np.ndarray) -> np
     return np.einsum("ij,jk,ik->i", Ainv, K_x, Ainv)
 
 
-def _check_bank(transform: CausalTransform, bank: QuantizerBank | None, noise,
-                noise_name: str) -> None:
-    if bank is not None and bank.count != transform.frame_length:
-        raise ValueError("bank layout does not match the transform")
-    if bank is not None and bank.codebooks is None and noise is None:
-        raise ValueError(f"modeled-noise encoding requires {noise_name}")
-
-
-def encode(frame: np.ndarray, transform: CausalTransform,
-           bank: QuantizerBank | None = None, rng=None) -> EncodedFrame:
-    """Run the causal encoding ladder over one frame.
-
-    bank=None encodes at infinite rate (zero noise).  A bank with codebooks
-    quantizes to the nearest codeword; a bank without codebooks adds Gaussian
-    noise at its modeled variances and needs an explicit rng.
-    """
-    x = np.asarray(frame, dtype=float)
-    n = transform.frame_length
-    if x.shape != (n,):
-        raise ValueError(f"frame must have length {n}, got {x.shape}")
-    _check_bank(transform, bank, rng, "an rng")
-    enc = transform.encoder_coeffs
-    codevalues = np.zeros(n)
-    inputs = np.zeros(n)
-    indices = np.zeros(n, dtype=int) if (bank is not None and bank.codebooks) else None
-    for i in range(n):
-        pred = 0.0
-        for j in range(i):
-            pred += enc[i, j] * codevalues[j]
-        inputs[i] = x[i] - pred
-        if bank is None:
-            codevalues[i] = inputs[i]
-        elif indices is not None:
-            indices[i], codevalues[i] = bank.codebooks[i].quantize(inputs[i])
-        else:
-            codevalues[i] = inputs[i] + np.sqrt(bank.noise_variances[i]) * rng.standard_normal()
-    return EncodedFrame(codevalues, indices, inputs)
-
-
 def encode_batch(frames: np.ndarray, transform: CausalTransform,
                  bank: QuantizerBank | None = None, noise: np.ndarray | None = None, *,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -160,7 +112,10 @@ def encode_batch(frames: np.ndarray, transform: CausalTransform,
     n = transform.frame_length
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"frames must have shape (count, {n}), got {x.shape}")
-    _check_bank(transform, bank, noise, "noise lanes")
+    if bank is not None and bank.count != n:
+        raise ValueError("bank layout does not match the transform")
+    if bank is not None and bank.codebooks is None and noise is None:
+        raise ValueError("modeled-noise encoding requires noise lanes")
     if bank is not None and bank.codebooks is None and np.shape(noise) != x.shape:
         raise ValueError(f"noise must have the frames' shape {x.shape}, got {np.shape(noise)}")
     codevalues = np.empty_like(x) if out is None else out_lanes(out, x.shape, float).T
@@ -186,26 +141,13 @@ def encode_batch(frames: np.ndarray, transform: CausalTransform,
     return (codevalues, inputs) if out is None else (out, None)
 
 
-def decode(codevalues: np.ndarray, transform: CausalTransform, availability) -> np.ndarray:
-    """Reconstruct from whatever arrived: xhat = (Ahat o B) x_c."""
-    xc = np.asarray(codevalues, dtype=float)
-    n = transform.frame_length
-    if xc.shape != (n,):
-        raise ValueError(f"codevalues must have length {n}, got {xc.shape}")
-    bits = np.asarray(availability, dtype=float)
-    if bits.shape != (n, n):
-        raise ValueError(f"availability must be {n}x{n}, got {bits.shape}")
-    _, Ahat = transform.assemble()
-    return (Ahat * bits) @ xc
-
-
 def decode_batch(codevalues: np.ndarray, transform: CausalTransform,
                  bits_stack: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Decode many frames, each with its own availability pattern.
 
     codevalues is (count, N) and bits_stack (count, N, N).  Element i of all
     frames is summed as a lane, Ahat[i, j] * x_c[:, j] * bits[:, i, j] over the
-    nonzero Ahat[i, j] in order of j, so the bits multiply as in `decode`.
+    nonzero Ahat[i, j] in order of j: xhat = (Ahat o B) x_c frame by frame.
     The result is the transpose of C-ordered (N, count) lanes; with `out`, an
     array of that shape, dtype and layout, it is written into `out`, which is
     returned.  `out` may be codevalues itself: the lanes are decoded from the

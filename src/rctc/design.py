@@ -245,22 +245,6 @@ ARMIJO = 1e-4
 BACKTRACKS = 40
 
 
-def lbfgs(fun, x0) -> tuple[np.ndarray, float, bool]:
-    """Minimize fun(x) -> (value, gradient) by limited-memory BFGS.
-
-    The one-problem driver of `_lbfgs_search`, which holds the method and its
-    stopping rules.  Returns (x, value, cap_reached), where cap_reached says
-    MAX_ITERATIONS ran out first.
-    """
-    search = _lbfgs_search(x0)
-    x = next(search)
-    while True:
-        try:
-            x = search.send(fun(x))
-        except StopIteration as stop:
-            return stop.value
-
-
 def _lbfgs_search(x0):
     """L-BFGS as a state machine: yields each point to evaluate and is sent its (value, gradient).
 
@@ -274,7 +258,10 @@ def _lbfgs_search(x0):
     or when no step lowers the value.  L-BFGS-B stops at the first such
     iteration; on a slowly converging search that leaves about one more
     FTOL of decrease untaken, which the second iteration takes.  Returns
-    (x, value, cap_reached) as its StopIteration value.
+    (x, value, cap_reached) as its StopIteration value, where cap_reached
+    says MAX_ITERATIONS ran out first.  Each design search (`_design_search`)
+    drives one, so `design_code` steps the searches of all its problems in
+    lockstep.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = yield x
@@ -494,7 +481,7 @@ def design_code(problems: Sequence[DesignProblem],
     than its start, with the decoder that evaluation solved for.  "identity"
     keeps uniform rates and "plt" allocates over its prediction error
     variances: neither searches or looks through the channel.  A search
-    stops by the `lbfgs` rules alone; running out of MAX_ITERATIONS
+    stops by the `_lbfgs_search` rules alone; running out of MAX_ITERATIONS
     iterations is reported on the result as budget_exhausted, never raised.
 
     The searched problems of a call, which share their structure and frame

@@ -95,6 +95,13 @@ _CONFIG_KEYS = {
     "S": (_parse_matrix, np.asarray([[0.01]])),
     "divergence_bound": (float, 1e9),
 }
+# the keys a sweep of each kind does not read, which its CSV does not echo;
+# p and scheme pick the one design of `rctc design` and `rctc simulate`
+_UNREAD_KEYS = {
+    "source": {"p", "scheme", "out", "F", "G", "K_w", "R", "S", "horizon",
+               "divergence_bound"},
+    "lqg": {"p", "scheme", "out", "rho", "source_variance", "sim_frames"},
+}
 
 
 @dataclass
@@ -199,11 +206,13 @@ class ExperimentConfig:
     def echo(self) -> str:
         """Canonical one-line rendering, stable across runs, for CSV headers.
 
-        The output path is omitted: it does not affect the computed rows.
+        It lists every setting a sweep of the config's kind reads, defaults
+        included, and no other: not the output path, which does not affect
+        the computed rows.
         """
         parts = []
         for key in sorted(self.values):
-            if key == "out":
+            if key in _UNREAD_KEYS[self.kind]:
                 continue
             val = self.values[key]
             if isinstance(val, np.ndarray):
@@ -375,14 +384,14 @@ def design_schemes(config: ExperimentConfig, marginals: Sequence[np.ndarray], sc
                    context=None) -> list[dict]:
     """Each listed scheme's design, or the error it raised, at each channel point of `marginals`.
 
-    One dict per point, in the order of `marginals`.  Each scheme's designs
-    at all the points come from one `design_code` call, made in SCHEMES
-    order; rc_tc always starts from the rtc_tc encoder of its point,
-    designed for it when not listed.  Every design carries the modeled bank
-    it was priced with; for kind = lqg it also carries predicted_lqg_cost,
-    the analytic column under modeled quantizer noise, priced with that
-    bank, which its row simulates.  context is the config's
-    `_experiment_context`, made here when not given.
+    One dict per point, in the order of `marginals`, with the listed schemes
+    in SCHEMES order.  Each scheme's designs at all the points come from one
+    `design_code` call, made in SCHEMES order; rc_tc always starts from the
+    rtc_tc encoder of its point, designed for it when not listed.  Every
+    design carries the modeled bank it was priced with; for kind = lqg it
+    also carries predicted_lqg_cost, the analytic column under modeled
+    quantizer noise, priced with that bank, which its row simulates.
+    context is the config's `_experiment_context`, made here when not given.
     """
     K_x, _, lqg_cost = context or _experiment_context(config)
     designs = {}
@@ -400,14 +409,17 @@ def design_schemes(config: ExperimentConfig, marginals: Sequence[np.ndarray], sc
                     result.predicted_lqg_cost = lqg_cost(result, result.bank, marginals[k])
                 except (ValueError, ArithmeticError) as exc:
                     results[k] = exc
-    return [{scheme: designs[scheme][k] for scheme in schemes} for k in range(len(marginals))]
+    return [{scheme: designs[scheme][k] for scheme in SCHEMES if scheme in schemes}
+            for k in range(len(marginals))]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """One row per (p, scheme): design the sweep, then evaluate it point by point.
 
     Every design of the sweep is made before the first row is evaluated, and
-    a channel point's designs are evaluated together, in one call.
+    a channel point's designs are evaluated together, in one call.  The rows
+    come as the sweep runs: point by point in p_grid order, each point's
+    schemes in SCHEMES order.
     """
     context = _experiment_context(config)
     _, evaluate, _ = context
@@ -440,7 +452,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 columns, tag = point[scheme], mode
             rows.append(ResultRow(scheme, p, cm.delay_rate, *columns, seed, tag,
                                   config.noise_constant, config.n, config.rate))
-    rows.sort(key=lambda row: (row.p, row.scheme))
     return rows
 
 

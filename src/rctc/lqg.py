@@ -368,7 +368,7 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     a = F + GL.  Each sample period feeds the state x into the running
     frame ladder, reconstructs xhat from whatever same-frame indices met
     their deadlines, applies u = L xhat and steps x to F x + GL xhat + w; the
-    per-step cost is (R + S L^2) xhat^2 + R e^2 with e = x - xhat.
+    per-step cost is the LQG cost R x^2 + S u^2.
 
     The coder restarts every frame, so with modeled noise or none every
     value in a frame is affine in the frame's start state x_0, and the frame
@@ -418,7 +418,7 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4))
     l = float(solution.L[0, 0])
     r_w = float(weights.R[0, 0])
-    xh_weight = r_w + float(weights.S[0, 0]) * l * l
+    u_weight = float(weights.S[0, 0]) * l * l  # S u^2 = S L^2 xhat^2
     sqrt_kw = math.sqrt(float(plant.K_w[0, 0]))
     R, chunk = REPLICAS, CHUNK_FRAMES
     # the lower-triangle entries, row by row: row i's at rows_at[i]
@@ -441,7 +441,7 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
     ladder[0, 0, 1] = 1.0
     update = np.array([float(plant.F[0, 0]), float(plant.G[0, 0]) * l, 1.0])
     codes, values = np.empty((n, 2, chunk, R)), np.empty((n, 2, chunk, R))
-    q, err = np.empty((n, chunk, R)), np.empty((n, chunk, R))  # q: [index, frame, replica]
+    q, x_cost = np.empty((n, chunk, R)), np.empty((n, chunk, R))  # [index, frame, replica]
     # each replica's running sum, then the chunk's step costs in step order
     steps_cost = np.empty((1 + chunk * n, R))
     starts = np.empty((chunk + 1, R))  # start state of each frame of the chunk, and the next
@@ -501,10 +501,10 @@ def simulate_closed_loop(plant: PlantModel, weights: LqgWeights,
             state, rec_x = V[:, 0], V[:, 1]
             steps_cost[0] = sums
             cost = steps_cost[1:1 + stop * n].reshape(stop, n, R).transpose(1, 0, 2)
-            e2 = np.square(np.subtract(state, rec_x, out=err[:, :stop]), out=err[:, :stop])
-            e2 *= r_w
-            np.multiply(np.square(rec_x, out=cost), xh_weight, out=cost)
-            cost += e2
+            x2 = np.square(state, out=x_cost[:, :stop])
+            x2 *= r_w
+            np.multiply(np.square(rec_x, out=cost), u_weight, out=cost)
+            cost += x2
             done += n * stop
             if held is not None:
                 cost[held[:, :stop]] = 0.0

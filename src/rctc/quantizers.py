@@ -230,8 +230,8 @@ class ScalarCodebook:
     Levels must be finite and strictly increasing, and the boundaries must
     span a finite range; mse must be finite and non-negative.
     `quantize_array` looks values up in a cell table of about 2 x levels
-    entries, built once per codebook on its first call; `quantize` keeps
-    np.searchsorted, the reference the table is tested against.
+    entries, built once per codebook on its first call, and returns exactly
+    the indices np.searchsorted(boundaries, values) would.
     """
 
     levels: np.ndarray
@@ -269,11 +269,6 @@ class ScalarCodebook:
             raise ValueError(f"sigma must be finite and positive, got {sigma:g}")
         return ScalarCodebook(self.levels * sigma, self.mse * sigma * sigma)
 
-    def quantize(self, value: float) -> tuple[int, float]:
-        """Nearest codeword; +/-inf saturate at the extreme levels."""
-        idx = int(np.searchsorted(self.boundaries, value))
-        return idx, float(self.levels[idx])
-
     @functools.cached_property
     def _table(self) -> _CellTable:
         return _CellTable.build(self.boundaries, 2 * self.size)
@@ -282,12 +277,12 @@ class ScalarCodebook:
                        ) -> tuple[np.ndarray, np.ndarray]:
         """(indices, codewords) of an array of values of any shape.
 
-        The indices are exactly np.searchsorted(boundaries, values), as in
-        `quantize`: +/-inf saturate at the extreme levels and NaN takes the
-        top level.  They come from the cell table a chunk of LOOKUP_CHUNK
-        values at a time, so the temporaries are a few chunk-sized arrays,
-        and every value is read before `out`, which takes the codewords if
-        given, is written: `out` may be `values` itself.
+        The indices are exactly np.searchsorted(boundaries, values): +/-inf
+        saturate at the extreme levels and NaN takes the top level.  They come
+        from the cell table a chunk of LOOKUP_CHUNK values at a time, so the
+        temporaries are a few chunk-sized arrays, and every value is read
+        before `out`, which takes the codewords if given, is written: `out`
+        may be `values` itself.
         """
         x = np.asarray(values, dtype=float)
         indices = np.empty(x.shape, dtype=np.intp)

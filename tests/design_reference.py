@@ -5,12 +5,30 @@ objective (`objective_of`) divided by its value there with the same GTOL and FTO
 and a budget of 100,000 evaluations, and keeps the lowest value it
 evaluated.  It shares the objective with `rctc.design.design_code` but not
 the minimizer, so it is the oracle the in-house L-BFGS is checked against.
+`lbfgs` drives the in-house L-BFGS state machine over one plain function,
+for the tests of the method on its own.
 """
 import numpy as np
 from scipy.optimize import minimize
 
 from rctc.codec import plt_design
-from rctc.design import FTOL, GTOL, DesignProblem, _reduced_objective, pack_parameters
+from rctc.design import (FTOL, GTOL, DesignProblem, _lbfgs_search, _reduced_objective,
+                         pack_parameters)
+
+
+def lbfgs(fun, x0) -> tuple[np.ndarray, float, bool]:
+    """Minimize fun(x) -> (value, gradient) by `rctc.design._lbfgs_search`.
+
+    Returns (x, value, cap_reached), where cap_reached says MAX_ITERATIONS
+    ran out first.
+    """
+    search = _lbfgs_search(x0)
+    x = next(search)
+    while True:
+        try:
+            x = search.send(fun(x))
+        except StopIteration as stop:
+            return stop.value
 
 
 def objective_of(problem: DesignProblem):

@@ -28,7 +28,7 @@ def segment_lengths(horizon, frame_length, replicas):
 
 def reference_loop(plant, weights, solution, transform, bank, channel_model, horizon,
                    seed, divergence_bound=1e9, replicas=64):
-    """(per-replica cost sums, per-replica steps, diverged) of the coded loop.
+    """(per-replica LQG cost sums R x^2 + S u^2, per-replica steps, diverged) of the coded loop.
 
     A replica's state is checked against divergence_bound at each of its frame
     ends and after its last step; the run stops at the end of the first frame
@@ -84,8 +84,7 @@ def reference_loop(plant, weights, solution, transform, bank, channel_model, hor
                 if delays[j][r] <= thr_rows[i][j]:
                     xhat += dec_rows[i][j] * xc[j]
             u = l * xhat
-            e = x - xhat
-            total += r_w * xhat * xhat + s_w * u * u + r_w * e * e
+            total += r_w * x * x + s_w * u * u
             x = f * x + g * u + sqrt_kw * w_noise[i][r]
             if i == n - 1 or t == lengths[r] - 1:
                 sums.append(total)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rctc.channel import ChannelModel, channel_moments, sample_availability_bits
-from rctc.codec import (CausalTransform, decode, decode_batch, encode, encode_batch,
-                        plt_design, quantizer_input_variances, transform_from_text,
-                        transform_to_text)
+from rctc.codec import (CausalTransform, decode_batch, encode_batch, plt_design,
+                        quantizer_input_variances, transform_from_text, transform_to_text)
 from rctc.design import unpack_parameters
 from rctc.quantizers import QuantizerBank
 from rctc.sources import ar1_covariance
 
+from codec_reference import decode, encode
 from source_reference import stack_encode
 
 

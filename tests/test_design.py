@@ -8,14 +8,14 @@ import rctc.design as design
 from rctc.channel import ChannelModel, availability_marginals
 from rctc.codec import CausalTransform, plt_design, quantizer_input_variances
 from rctc.design import (DesignProblem, DesignResult, DesignResults, SearchConfig,
-                         design_code, effective_variances, hooke_jeeves, lbfgs, load_design,
+                         design_code, effective_variances, hooke_jeeves, load_design,
                          pack_parameters, save_design, unpack_parameters)
 from rctc.harness import ExperimentConfig, _lqg_context
 from rctc.lqg import am_wmse
 from rctc.quantizers import QuantizerBank, allocate_rates, clamp_rates
 from rctc.sources import ar1_covariance
 
-from design_reference import objective_of, reference_search
+from design_reference import lbfgs, objective_of, reference_search
 
 
 class TestHookeJeeves:

@@ -100,7 +100,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("text", [SOURCE_CFG, LQG_CFG])
     def test_echo_names_no_retired_key(self, text):
-        # the CSV's config line echoes every setting, defaults included
+        # the CSV's config line echoes every setting its kind reads, defaults included
         echo = ExperimentConfig.from_text(text).echo()
         assert "seed=9" in echo.split("; ")
         assert "b_mode" not in echo and "search_budget" not in echo
@@ -477,7 +477,7 @@ class TestLqgExperiment:
             LQG_CFG.replace("schemes = no_coding, rtc_tc", f"schemes = {', '.join(SCHEMES)}")
             .replace("p_grid = 0.05", "p_grid = 0.1") + "F = 0\n")
         rows = run_experiment(config)
-        assert [row.scheme for row in rows] == sorted(SCHEMES)
+        assert [row.scheme for row in rows] == list(SCHEMES)
         for row in rows:
             assert row.mode == "montecarlo/modeled", row
             assert row.analytic == config.K_w[0, 0]
@@ -627,6 +627,26 @@ seed = {seed}
             assert abs(pooled - runs[0].analytic) <= 3 * pooled_se, \
                 (scheme, pooled, runs[0].analytic, pooled_se)
 
+    def test_low_rate_match_at_criterion_9_points(self):
+        # criterion 9 part 1 at r = 2: coarse quantization with small losses,
+        # where the analytic cost holds and the simulated column, the LQG cost
+        # R x^2 + S u^2, must sit within 3 stderr of it on every row
+        config = ExperimentConfig.from_text("""
+kind = lqg
+n = 8
+rate = 2
+delta = 0.05
+p_grid = 0.002, 0.005
+schemes = no_coding, plt, rtc_tc, rc_tc
+horizon = 1000000
+seed = 20240601
+""")
+        rows = run_experiment(config)
+        assert len(rows) == 8
+        for row in rows:
+            assert abs(row.simulated - row.analytic) <= 3 * row.stderr, \
+                (row.scheme, row.p, row.analytic, row.simulated, row.stderr)
+
     def test_replicas_agree_with_one_long_run(self):
         # at p = 0.2 the analytic column understates the loop cost, so the
         # check is against the plain-float loop run as one long replica, on
@@ -668,3 +688,23 @@ class TestCsv:
         assert len(lines) == 3 + len(rows)
         for line in lines[3:]:
             assert len(line.split(",")) == 11
+
+    @pytest.mark.parametrize("text,read", [
+        (SOURCE_CFG, {"rho", "source_variance", "sim_frames"}),
+        (LQG_CFG, {"F", "G", "K_w", "R", "S", "horizon", "divergence_bound"}),
+    ], ids=["source", "lqg"])
+    def test_csv_reads_as_the_sweep_ran(self, text, read):
+        # the config line echoes the settings the kind reads and no other,
+        # and the rows come point by point in p_grid order, each point's
+        # schemes in SCHEMES order, whatever order the config lists them in
+        shared = {"kind", "n", "rate", "delta", "ts", "p_grid", "schemes", "quantizer_mode",
+                  "seed", "noise_constant", "min_rate"}
+        text = re.sub(r"(?m)^schemes = .*$", "schemes = rc_tc, rtc_tc, plt, no_coding", text)
+        text = re.sub(r"(?m)^p_grid = .*$", "p_grid = 0.2, 0.1", text)
+        config = ExperimentConfig.from_text(text)
+        rows = run_experiment(config)
+        lines = rows_to_csv(rows, config).splitlines()
+        echoed = [part.split("=")[0] for part in lines[1][len("# config: "):].split("; ")]
+        assert echoed == sorted(shared | read)
+        assert [(row.p, row.scheme) for row in rows] == [(p, s) for p in (0.2, 0.1)
+                                                         for s in SCHEMES]

@@ -444,6 +444,24 @@ class TestSimulateClosedLoop:
         assert rec.availability == "11"  # element index 1 of the second frame
         assert rec.cost >= 0.0
 
+    def test_trace_cost_is_the_lqg_cost(self):
+        # every step is priced R x^2 + S u^2 on the plant state and the control,
+        # not on the reconstruction and its error: at a lossy point with a
+        # coarse quantizer the masked decoder's xhat is not orthogonal to
+        # x - xhat, and the two prices differ
+        n = 4
+        K_x = ar1_covariance(loop_pole(self.plant, self.sol),
+                             pilot_state_variance(self.plant, self.sol), n)
+        cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
+        t, d = plt_design(K_x)
+        bank = QuantizerBank.modeled(np.full(n, 2.0), d)
+        sim, = simulate_closed_loop(self.plant, self.weights, self.sol, [t], [bank], cm,
+                                    2000, 21, collect_trace=True)
+        r, s = float(self.weights.R[0, 0]), float(self.weights.S[0, 0])
+        for rec in sim.trace:
+            assert rec.cost == pytest.approx(r * rec.state ** 2 + s * rec.control ** 2,
+                                             rel=1e-12, abs=0.0), rec
+
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             simulate_closed_loop(self.plant, self.weights, self.sol,

@@ -296,13 +296,13 @@ def edge_inputs(book: ScalarCodebook) -> np.ndarray:
 
 
 def assert_exact_lookup(book: ScalarCodebook, x: np.ndarray) -> None:
-    """quantize_array agrees with searchsorted, and with quantize on a spread of x."""
+    """quantize_array agrees with searchsorted, of the array and of a spread of scalars."""
     expected = np.searchsorted(book.boundaries, x)
     indices, codewords = book.quantize_array(x)
     assert np.array_equal(indices, expected)
     assert np.array_equal(codewords, book.levels[expected])
     for value, index in zip(x[::max(1, x.size // 2000)], expected[::max(1, x.size // 2000)]):
-        assert book.quantize(float(value)) == (index, book.levels[index])
+        assert np.searchsorted(book.boundaries, float(value)) == index
 
 
 # levels -1000 and 1000 around five within 0.004 of 100: the cell of about 71
@@ -318,15 +318,15 @@ class TestScalarCodebook:
 
     def test_codeword_fixed_point(self):
         book = self.build()
-        for i, level in enumerate(book.levels):
-            idx, rec = book.quantize(float(level))
-            assert idx == i
-            assert rec == level
+        idx, rec = book.quantize_array(book.levels)
+        assert np.array_equal(idx, np.arange(book.size))
+        assert np.array_equal(rec, book.levels)
 
     def test_saturation(self):
         book = self.build()
-        assert book.quantize(math.inf) == (7, book.levels[-1])
-        assert book.quantize(-math.inf) == (0, book.levels[0])
+        idx, rec = book.quantize_array(np.array([math.inf, -math.inf]))
+        assert idx.tolist() == [7, 0]
+        assert rec.tolist() == [book.levels[-1], book.levels[0]]
 
     @pytest.mark.parametrize("levels", [[0.0, math.nan, 1.0], [-math.inf, 0.0, math.inf]])
     def test_non_finite_levels_rejected(self, levels):
