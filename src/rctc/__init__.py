@@ -11,7 +11,6 @@ from .codec import (CausalTransform, decode_batch, encode_batch, plt_design,
                     quantizer_input_variances)
 from .design import (DesignProblem, DesignResult, DesignResults, SearchConfig, design_code,
                      effective_variances, hooke_jeeves, load_design, save_design)
-from .factorizations import FactorizationError, ldl_unit_lower
 from .harness import ConfigError, ExperimentConfig, ResultRow, run_experiment, write_csv
 from .lqg import (REPLICAS, ControllerSolution, LqgWeights, PlantModel,
                   RiccatiConvergenceError, SimulationResult, SimulationResults, am_wmse,

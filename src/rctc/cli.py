@@ -139,7 +139,5 @@ def main(argv=None) -> int:
         return 1
 
 
-cli = main
-
 if __name__ == "__main__":
     raise SystemExit(main())

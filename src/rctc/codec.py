@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import out_lanes
-from .factorizations import ldl_unit_lower
 from .quantizers import QuantizerBank
 from .sources import validate_covariance
 
@@ -79,14 +78,19 @@ def plt_design(K_x: np.ndarray) -> tuple[CausalTransform, np.ndarray]:
     """Prediction-based lower triangular transform from the source covariance.
 
     Factor K_x = L diag(d) L' with L unit lower triangular and use A = Ahat = L.
-    Under fine quantization the quantizer inputs are then the one-step
-    prediction errors, with covariance diag(d): exactly decorrelated.  Returns
-    the transform and d (the design variance of each quantizer input).
+    Row i of L holds the coefficients of the best linear predictor of
+    component i from components 0..i-1 and d[i] is its error variance, so
+    under fine quantization the quantizer inputs are the one-step prediction
+    errors, with covariance diag(d): exactly decorrelated.  L and d come
+    from the Cholesky factor C = L diag(d)^(1/2): L = C / diag(C) and
+    d = diag(C)^2; a singular K_x raises numpy's LinAlgError, a ValueError.
+    Returns the transform and d (the design variance of each quantizer input).
     """
     K_x = validate_covariance(K_x, "K_x")
-    L, d = ldl_unit_lower(K_x)
-    coeffs = np.tril(L, -1)
-    return CausalTransform("plt", K_x.shape[0], coeffs, coeffs.copy()), d
+    C = np.linalg.cholesky(K_x)
+    root_d = np.diagonal(C)
+    coeffs = np.tril(C / root_d, -1)
+    return CausalTransform("plt", K_x.shape[0], coeffs, coeffs.copy()), root_d * root_d
 
 
 def quantizer_input_variances(transform: CausalTransform, K_x: np.ndarray) -> np.ndarray:

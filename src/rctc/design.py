@@ -8,8 +8,9 @@ gradient in closed form.  The searches of one `design_code` call run in
 lockstep, one stacked objective evaluation per round.  Then the
 closed-form rate allocation over the effective variances seen through the
 optimized pair.  `hooke_jeeves`, the derivative-free pattern search the design
-used to run over both halves of the pair, is no longer called by the design;
-tests use it as a reference and the benchmark's layer trace wraps it by name.
+used to run over both halves of the pair, is no longer called by the design,
+and only its own tests call it; it stays only because the benchmark's layer
+trace wraps `rctc.design.hooke_jeeves` by name.
 """
 from __future__ import annotations
 
@@ -150,12 +151,10 @@ class DesignProblem:
     @property
     def parameter_count(self) -> int:
         """Number of free encoder parameters the design search runs over."""
-        n = self.frame_length
-        if self.structure == "full":
-            return (n * n - n) // 2
-        if self.structure == "toeplitz":
-            return n - 1
-        return 0
+        if self.structure not in SEARCHED:
+            return 0
+        # distinct parameter indices; np.unique would import numpy.ma
+        return len(set(_parameter_map(self.structure, self.frame_length)[2].tolist()))
 
 
 @dataclass
@@ -172,6 +171,10 @@ class DesignResult:
     bank: QuantizerBank | None = field(repr=False, default=None)
 
 
+# the structures whose encoder the design searches
+SEARCHED = ("full", "toeplitz")
+
+
 def _parameter_map(structure: str, frame_length: int):
     """(row, column, parameter index) of each free entry.
 
@@ -180,7 +183,7 @@ def _parameter_map(structure: str, frame_length: int):
     row order) and row by row for "full".  Encoder and decoder use the same
     map.
     """
-    if structure not in ("full", "toeplitz"):
+    if structure not in SEARCHED:
         raise ValueError(f"structure {structure!r} has no free parameters")
     rows, cols = np.tril_indices(frame_length, -1)
     if structure == "full":
@@ -330,9 +333,10 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
     Y = inv(A) K_x and p_u = P[r_u, c_u] for the entry u at row r_u and
     column c_u, the optimal decoder solves G a = h over the free entries:
     G_uv = (p_u p_v + [c_u = c_v](p_u - p_u^2)) [r_u = r_v] S[c_u, c_v] and
-    h_u = p_u (Y[c_u, r_u] - P[r_u, r_u] S[c_u, r_u]).  A toeplitz decoder
-    sums the equations of each lag band, and its map comes band by band, so
-    that a band is one `np.add.reduceat` segment.  E[H] and W = E[H'H] are
+    h_u = p_u (Y[c_u, r_u] - P[r_u, r_u] S[c_u, r_u]), summed per decoder
+    parameter: the map lists each parameter's entries together, so that a
+    parameter is one `np.add.reduceat` segment (of one entry for "full",
+    of a lag band for "toeplitz").  E[H] and W = E[H'H] are
     those of `channel_moments`.  By the envelope theorem the gradient of J is
     the partial gradient in A at the optimal decoder,
     -(2/N) ((W K - E[H]' K_x) inv(A)' + s inv(A)' diag(W) inv(A) K_x inv(A)')
@@ -342,17 +346,17 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
     n = problems[0].frame_length
     rows, cols, src = _parameter_map(problems[0].structure, n)
     m = problems[0].parameter_count
-    # G's terms: every pair (u, v) of entries for "full"; for "toeplitz" the
-    # pairs of one row, ordered by their pair of bands, so that a pair of
-    # bands is one segment too
-    bands = segments = None
-    u, v = (a.ravel() for a in np.indices((rows.size, rows.size)))
-    if problems[0].structure == "toeplitz" and m:
-        bands = np.flatnonzero(np.diff(src, prepend=-1))
-        u, v = np.nonzero(rows[:, None] == rows[None, :])
-        order = np.lexsort((src[v], src[u]))
-        u, v = u[order], v[order]
-        segments = np.flatnonzero(np.diff(src[u] * m + src[v], prepend=-1))
+    # where each parameter's entries start in the map
+    first_entries = np.flatnonzero(np.diff(src, prepend=-1))
+    # G's terms, the pairs (u, v) of entries of one row (G_uv vanishes across
+    # rows), ordered by their pair of parameters, so that a pair of
+    # parameters is one segment too, at cell src[u] m + src[v] of G
+    u, v = np.nonzero(rows[:, None] == rows[None, :])
+    order = np.lexsort((src[v], src[u]))
+    u, v = u[order], v[order]
+    pair_cells = src[u] * m + src[v]
+    segments = np.flatnonzero(np.diff(pair_cells, prepend=-1))
+    cells = pair_cells[segments]
     # flat (row, column) positions in an N x N matrix: the free entries, the
     # (c_u, r_u) and (c_u, c_v) that h and G read, and the diagonal
     entries, own, terms = rows * n + cols, cols * n + rows, cols[u] * n + cols[v]
@@ -360,8 +364,7 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
     K_x = np.stack([problem.K_x for problem in problems])
     P = np.stack([np.asarray(problem.marginals, dtype=float) for problem in problems])
     p, p_own = P.reshape(-1, n * n)[:, entries], P.reshape(-1, n * n)[:, rows * (n + 1)]
-    coupling = ((p[:, u] * p[:, v] + (cols[u] == cols[v]) * (p - p * p)[:, u])
-                * (rows[u] == rows[v]))
+    coupling = p[:, u] * p[:, v] + (cols[u] == cols[v]) * (p - p * p)[:, u]
     noise_scale = np.array([problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
                             for problem in problems])[:, None, None]
     # each problem's arrays, and those of the rows last evaluated
@@ -386,11 +389,10 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
         q = scale * K_d.reshape(B, 1, -1)[:, :, diagonal]  # (B, 1, N)
         K = Kx + eye * q  # K_x + K_q
         S = (K_d + (Ainv * q) @ AinvT).reshape(B, -1)
-        G = coupled * S[:, terms]
-        h = pb * (Y.reshape(B, -1)[:, own] - pb_own * S[:, own])
-        if bands is not None:
-            G = np.add.reduceat(G, segments, axis=1)
-            h = np.add.reduceat(h, bands, axis=1)
+        G = np.zeros((B, m * m))
+        G[:, cells] = np.add.reduceat(coupled * S[:, terms], segments, axis=1)
+        h = np.add.reduceat(pb * (Y.reshape(B, -1)[:, own] - pb_own * S[:, own]),
+                            first_entries, axis=1)
         decoder = np.linalg.solve(G.reshape(B, m, m), h[:, :, None])[:, :, 0]
         Ahat = unit.repeat(B, axis=0)
         Ahat[:, entries] = decoder[:, src]
@@ -400,9 +402,7 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
         # diag(W) K_d = diag(W) Y inv(A)'
         w = W.reshape(B, -1, 1)[:, diagonal]
         grad = (W @ K - mean_H.transpose(0, 2, 1) @ Kx + scale * (AinvT @ (w * Y))) @ AinvT
-        gradient = grad.reshape(B, -1)[:, entries]
-        if bands is not None:
-            gradient = np.add.reduceat(gradient, bands, axis=1)
+        gradient = np.add.reduceat(grad.reshape(B, -1)[:, entries], first_entries, axis=1)
         return J, (-2.0 / n) * gradient, decoder
 
     return evaluate
@@ -473,7 +473,7 @@ def design_code(problems: Sequence[DesignProblem],
     """Design a transform and its rate allocation for each problem's channel.
 
     initial_points, parallel to problems (None for none at all), lists each
-    problem's warm starts or None.  Search structures ("full", "toeplitz")
+    problem's warm starts or None.  The SEARCHED structures ("full", "toeplitz")
     minimize the uniform-rate AM-MSE over the encoder alone by L-BFGS on
     `_reduced_objective`, whose decoder is the closed-form optimum, starting
     at the prediction-based transform's encoder (or the best of the supplied
@@ -497,12 +497,12 @@ def design_code(problems: Sequence[DesignProblem],
     if len(warm) != len(problems):
         raise ValueError("problems and initial_points must be parallel sequences")
     if len({(problem.structure, problem.frame_length) for problem in problems
-            if problem.structure in ("full", "toeplitz")}) > 1:
+            if problem.structure in SEARCHED}) > 1:
         raise ValueError("the searched problems of one call must share structure and frame length")
     results = [None] * len(problems)
     searches, plt_starts = {}, {}
     for k, problem in enumerate(problems):
-        if problem.structure not in ("full", "toeplitz"):
+        if problem.structure not in SEARCHED:
             continue
         try:
             key = problem.K_x.tobytes()

@@ -304,7 +304,7 @@ def _lqg_context(config: ExperimentConfig):
 
 
 def _experiment_context(config: ExperimentConfig):
-    """(K_x, evaluate, lqg_cost) of the configured kind.
+    """(K_x, evaluate, loop) of the configured kind.
 
     K_x is the frame covariance every design, rate allocation and analytic
     column reads.  evaluate(results, cm, seed) returns the (analytic,
@@ -313,10 +313,11 @@ def _experiment_context(config: ExperimentConfig):
     seed, from which the frames (and, modeled, the quantizer noise) are
     drawn once and the bits once per point; a modeled row codes with its
     design's bank and reads its predicted_am_wmse, a realized row prices
-    the Lloyd-Max bank it codes with, and lqg_cost is None.  For kind = lqg
+    the Lloyd-Max bank it codes with, and loop is None.  For kind = lqg
     it is the point's: its designs run in one lockstep simulation, each with
-    the bank `design_schemes` priced its predicted_lqg_cost with, by
-    lqg_cost(result, bank, marginals), the row's analytic column.
+    the modeled bank of its predicted_am_wmse, and the row's analytic column
+    is its predicted_lqg_cost, which `design_schemes` prices from that
+    AM-MSE by `analytic_lqg_cost(*loop, am_wmse)`, loop = (solution, plant).
     """
     n = config.n
     if config.kind == "source":
@@ -360,10 +361,6 @@ def _experiment_context(config: ExperimentConfig):
 
     plant, weights, solution, K_x = _lqg_context(config)
 
-    def lqg_cost(result, bank, marginals):
-        return analytic_lqg_cost(solution, plant, marginals, result.transform, K_x,
-                                 np.diag(bank.noise_variances))
-
     def evaluate(results, cm, seed):
         # each design runs with the bank design_schemes priced it with, so
         # its analytic cost is the design's
@@ -377,7 +374,7 @@ def _experiment_context(config: ExperimentConfig):
                 (result.predicted_lqg_cost, sim.empirical_cost, sim.standard_error)
                 for result, sim in zip(results, sims)]
 
-    return K_x, evaluate, lqg_cost
+    return K_x, evaluate, (solution, plant)
 
 
 def design_schemes(config: ExperimentConfig, marginals: Sequence[np.ndarray], schemes,
@@ -390,10 +387,11 @@ def design_schemes(config: ExperimentConfig, marginals: Sequence[np.ndarray], sc
     rtc_tc encoder of its point, designed for it when not listed.  Every
     design carries the modeled bank it was priced with; for kind = lqg it
     also carries predicted_lqg_cost, the analytic column under modeled
-    quantizer noise, priced with that bank, which its row simulates.
+    quantizer noise, weighted from its predicted_am_wmse, which its row
+    simulates.
     context is the config's `_experiment_context`, made here when not given.
     """
-    K_x, _, lqg_cost = context or _experiment_context(config)
+    K_x, _, loop = context or _experiment_context(config)
     designs = {}
     for scheme in (s for s in SCHEMES if s in schemes or (s == "rtc_tc" and "rc_tc" in schemes)):
         problems = [DesignProblem(K_x, P, config.rate, SCHEME_STRUCTURES[scheme],
@@ -402,13 +400,10 @@ def design_schemes(config: ExperimentConfig, marginals: Sequence[np.ndarray], sc
         starts = None if warm is None else [
             [pack_parameters(result.transform, "full")] if isinstance(result, DesignResult)
             else None for result in warm]
-        designs[scheme] = results = list(design_code(problems, starts))
-        for k, result in enumerate(results):
-            if lqg_cost and isinstance(result, DesignResult):
-                try:
-                    result.predicted_lqg_cost = lqg_cost(result, result.bank, marginals[k])
-                except (ValueError, ArithmeticError) as exc:
-                    results[k] = exc
+        designs[scheme] = results = design_code(problems, starts)
+        for result in results:
+            if loop and isinstance(result, DesignResult):
+                result.predicted_lqg_cost = analytic_lqg_cost(*loop, result.predicted_am_wmse)
     return [{scheme: designs[scheme][k] for scheme in SCHEMES if scheme in schemes}
             for k in range(len(marginals))]
 

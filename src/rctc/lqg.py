@@ -89,6 +89,14 @@ class LqgWeights:
         return cls([[r]], [[s]])
 
 
+def _riccati_map(P: np.ndarray, plant: PlantModel, weights: LqgWeights):
+    """(F'PF - K'(G'PG + S)K + R, K) with K = (G'PG + S)^{-1} G'PF: the Riccati map of P."""
+    F, G = plant.F, plant.G
+    GPG = G.T @ P @ G + weights.S
+    K = np.linalg.solve(GPG, G.T @ P @ F)
+    return F.T @ P @ F - K.T @ GPG @ K + weights.R, K
+
+
 def solve_riccati(plant: PlantModel, weights: LqgWeights, *, rel_tol: float = 1e-12,
                   max_iterations: int = 1_000_000) -> np.ndarray:
     """Stabilizing solution of the discrete Riccati equation by fixed-point iteration.
@@ -97,8 +105,7 @@ def solve_riccati(plant: PlantModel, weights: LqgWeights, *, rel_tol: float = 1e
     falls below rel_tol.  Raises RiccatiConvergenceError (with the last
     residual) if the budget runs out.
     """
-    F, G = plant.F, plant.G
-    R, S = weights.R, weights.S
+    F, R = plant.F, weights.R
     # (F, R^(1/2)) observability guarantees the stabilizing solution is reached
     sqrt_R = np.linalg.cholesky(R).T
     obs = np.vstack([sqrt_R @ np.linalg.matrix_power(F, k) for k in range(plant.state_dim)])
@@ -107,9 +114,7 @@ def solve_riccati(plant: PlantModel, weights: LqgWeights, *, rel_tol: float = 1e
     P = R.copy()
     residual = math.inf
     for _ in range(max_iterations):
-        GPG = G.T @ P @ G + S
-        K = np.linalg.solve(GPG, G.T @ P @ F)
-        P_next = F.T @ P @ F - K.T @ GPG @ K + R
+        P_next, _ = _riccati_map(P, plant, weights)
         P_next = 0.5 * (P_next + P_next.T)
         residual = float(np.linalg.norm(P_next - P))
         P = P_next
@@ -121,16 +126,12 @@ def solve_riccati(plant: PlantModel, weights: LqgWeights, *, rel_tol: float = 1e
 
 def riccati_residual(P: np.ndarray, plant: PlantModel, weights: LqgWeights) -> float:
     """Frobenius norm of P minus the Riccati map applied to P."""
-    F, G = plant.F, plant.G
-    GPG = G.T @ P @ G + weights.S
-    K = np.linalg.solve(GPG, G.T @ P @ F)
-    return float(np.linalg.norm(F.T @ P @ F - K.T @ GPG @ K + weights.R - P))
+    return float(np.linalg.norm(_riccati_map(P, plant, weights)[0] - P))
 
 
 def ce_gain(P: np.ndarray, plant: PlantModel, weights: LqgWeights) -> np.ndarray:
     """Certainty-equivalent feedback gain L = -(G'PG + S)^{-1} G'PF."""
-    G, F = plant.G, plant.F
-    return -np.linalg.solve(G.T @ P @ G + weights.S, G.T @ P @ F)
+    return -_riccati_map(P, plant, weights)[1]
 
 
 def weight_req(P: np.ndarray, plant: PlantModel, weights: LqgWeights) -> np.ndarray:
@@ -195,17 +196,18 @@ def am_wmse(transform: CausalTransform, marginals: np.ndarray, K_x: np.ndarray,
 
 
 def analytic_lqg_cost(solution: ControllerSolution, plant: PlantModel,
-                      marginals: np.ndarray, transform: CausalTransform,
-                      K_x: np.ndarray, K_q: np.ndarray) -> float:
+                      am_wmse: float) -> float:
     """Stationary per-step LQG cost of the coded loop of a scalar plant under fine quantization.
 
-    tr(P K_w) + R_eq am_wmse: the error weight R_eq is applied here and
-    nowhere else, so the cost/WMSE decomposition is exact by construction.
+    tr(P K_w) + R_eq am_wmse, for the coded loop's AM-MSE `am_wmse` (as
+    the function `am_wmse` computes it): the error weight R_eq is applied
+    here and nowhere else, so the cost/WMSE decomposition is exact by
+    construction.
     """
     if plant.state_dim != 1:
         raise ValueError("the analytic LQG cost is wired for scalar plants")
     base = float(np.trace(solution.P @ plant.K_w))
-    return base + float(solution.R_eq[0, 0]) * am_wmse(transform, marginals, K_x, K_q)
+    return base + float(solution.R_eq[0, 0]) * am_wmse
 
 
 @dataclass

@@ -128,24 +128,22 @@ def sample_path(model: GaussMarkovModel, length: int, seed: int) -> np.ndarray:
     The initial block comes from the stationary distribution (no burn-in), so
     windows of any length have exactly the model's window covariance.
     Deterministic given the seed; a fresh generator is used per call.
-    Sweeps draw i.i.d. frames from the window covariance instead.  This is
-    the package's one use of scipy: scipy.signal is imported here, when
-    called, so no command's import path loads scipy.
+    Sweeps draw i.i.d. frames from the window covariance instead.  The AR
+    recursion runs on Python floats, one step at a time.
     """
-    from scipy.signal import lfilter, lfiltic
-
     rng = np.random.default_rng(seed)
     if length == 0:
         return np.zeros(0)
     p = model.order
     init_cov = _toeplitz(model.autocovariances(p))
     init = np.linalg.cholesky(init_cov) @ rng.standard_normal(p)
-    x = np.empty(length)
-    k = min(p, length)
-    x[:k] = init[:k]
+    path = init[:length].tolist()
     if length > p:
         innovations = np.sqrt(model.noise_variance) * rng.standard_normal(length - p)
-        a_poly = np.concatenate(([1.0], -np.asarray(model.coefficients)))
-        zi = lfiltic([1.0], a_poly, y=x[p - 1 :: -1])
-        x[p:], _ = lfilter([1.0], a_poly, innovations, zi=zi)
-    return x + model.mean
+        past = init[::-1].tolist()  # x_{t-1}, ..., x_{t-p}
+        for value in innovations.tolist():
+            for a, lagged in zip(model.coefficients, past):
+                value += a * lagged
+            past = [value, *past[:-1]]
+            path.append(value)
+    return np.asarray(path) + model.mean

@@ -182,7 +182,7 @@ def test_criterion_5_exhaustive_availability_oracle():
         signal, noise = _oracle_error_terms(t, cm, K_x, K_q, M)
         got = r_eq * am_wmse(t, P, K_x, K_q)
         assert abs(got - (signal + noise) / n) < 1e-10
-        got_cost = analytic_lqg_cost(sol, plant, P, t, K_x, K_q)
+        got_cost = analytic_lqg_cost(sol, plant, am_wmse(t, P, K_x, K_q))
         expected_cost = float(np.trace(sol.P @ plant.K_w)) + (signal + noise) / n
         assert abs(got_cost - expected_cost) < 1e-10
         # also check a transform with a decoder different from the encoder
@@ -203,7 +203,7 @@ def test_criterion_6_small_loss_limit_and_decomposition():
     K_q = np.diag(1e-3 * d)
     cm = ChannelModel(30 / 0.05, 0.05, 0.0125, n)  # lambda * delta = 30
     P = availability_marginals(cm)
-    cost = analytic_lqg_cost(sol, plant, P, t, K_x, K_q)
+    cost = analytic_lqg_cost(sol, plant, am_wmse(t, P, K_x, K_q))
     r_eq = float(sol.R_eq[0, 0])
     M = r_eq * np.eye(n)  # the error weight of the LQG cost
     limit = (float(np.trace(sol.P @ plant.K_w))
@@ -216,7 +216,7 @@ def test_criterion_6_small_loss_limit_and_decomposition():
                                                       0.05, 0.0125, n)
         P2 = availability_marginals(cm2)
         K_q2 = np.diag(rng.uniform(1e-4, 1e-1, n))
-        left = analytic_lqg_cost(sol, plant, P2, t, K_x, K_q2)
+        left = analytic_lqg_cost(sol, plant, am_wmse(t, P2, K_x, K_q2))
         right = (float(np.trace(sol.P @ plant.K_w))
                  + r_eq * am_wmse(t, P2, K_x, K_q2))
         assert left == right

@@ -361,7 +361,6 @@ class TestErrors:
 
 
 def test_import_leaves_out_scipy_signal():
-    # only sources.sample_path uses scipy (scipy.signal, imported when called);
     # numpy.random is loaded with the package so that the first draw of a
     # sweep pays nothing
     src = Path(__file__).resolve().parents[1] / "src"
@@ -375,3 +374,21 @@ def test_import_leaves_out_scipy_signal():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["False", "[]", "True"]
+
+
+def test_no_scipy_module_is_loaded_by_a_path_and_a_sweep():
+    # numpy is the one runtime dependency: scipy is a test oracle only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, rctc.cli; "
+            "from rctc.harness import ExperimentConfig, run_experiment; "
+            "from rctc.sources import GaussMarkovModel, sample_path; "
+            "sample_path(GaussMarkovModel((0.5, -0.3), 1.0), 100, seed=1); "
+            "run_experiment(ExperimentConfig.from_text("
+            "'kind = source\\nn = 3\\np_grid = 0.1\\nsim_frames = 200\\n')); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

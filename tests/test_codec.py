@@ -122,6 +122,37 @@ class TestPltDesign:
         K_d = t.encoder_inverse() @ K @ t.encoder_inverse().T
         assert_allclose(K_d, np.diag(d), atol=1e-12)
 
+    def test_factor_ar1_two_by_two(self):
+        t, d = plt_design(np.array([[1.0, 0.9], [0.9, 1.0]]))
+        L, _ = t.assemble()
+        assert_allclose(L, [[1.0, 0.0], [0.9, 1.0]], atol=1e-15)
+        assert_allclose(d, [1.0, 0.19], atol=1e-15)
+
+    def test_factor_ar1_three_by_three(self):
+        # prediction coefficients of the AR(1) covariance: lag-k entry is rho^k
+        t, d = plt_design(np.array([[1.0, 0.9, 0.81], [0.9, 1.0, 0.9], [0.81, 0.9, 1.0]]))
+        L, _ = t.assemble()
+        assert_allclose(L[2], [0.81, 0.9, 1.0], atol=1e-14)
+        assert_allclose(d, [1.0, 0.19, 0.19], atol=1e-14)
+
+    def test_factor_reconstructs_random_spd(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 5, 8):
+            A = rng.normal(size=(n, n))
+            K = A @ A.T + n * np.eye(n)
+            t, d = plt_design(K)
+            L, _ = t.assemble()
+            assert_allclose(L @ np.diag(d) @ L.T, K, rtol=1e-12, atol=1e-12)
+            assert_allclose(np.triu(L, 1), 0.0)
+            assert_allclose(np.diag(L), 1.0)
+            assert np.all(d > 0)
+
+    def test_factor_rejects_indefinite_and_singular(self):
+        with pytest.raises(ValueError):
+            plt_design(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError):
+            plt_design(np.zeros((2, 2)))
+
 
 class TestEncode:
     def test_identity_zero_noise(self):

@@ -67,6 +67,41 @@ def test_row_difference_names_its_line_and_largest_change():
     assert config == "config line: identical"
 
 
+def test_reordered_rows_are_named_as_such():
+    old = sweep_csv(CONFIG, ROWS)
+    new = sweep_csv(CONFIG, [ROWS[2], ROWS[0], ROWS[1]])
+    assert csv_parity.verdict(old, new) == "same rows, other order; config line: identical"
+
+
+def test_matched_rows_are_compared_in_every_column():
+    # the rows move apart in N and mode alone; analytic, simulated and
+    # stderr are printed anyway, the equal lambda, seed, c and r are not
+    moved = ResultRow("plt", 0.3, 20.0, 3.0, 1.5, 0.01, 7, "montecarlo/realized", 0.0, 8,
+                      5.0).to_csv()
+    new_rows = [ROWS[2], moved, ROWS[0]]
+    verdict = csv_parity.verdict(sweep_csv(CONFIG, ROWS), sweep_csv(CONFIG, new_rows))
+    _, largest, config = verdict.split("; ")
+    assert largest == ("largest relative difference over 3 rows: analytic 0, simulated 0, "
+                       "stderr 0, mode - (1 other text), N 1")
+    assert config == "config line: identical"
+
+
+def test_flag_against_number_is_counted_apart():
+    new_rows = [ROWS[0], row("plt", 0.3, 3.0, simulated="diverged"), ROWS[2]]
+    verdict = csv_parity.verdict(sweep_csv(CONFIG, ROWS), sweep_csv(CONFIG, new_rows))
+    assert "simulated 0 (1 other text), stderr 0;" in verdict
+
+
+def test_rows_on_one_side_only_are_listed():
+    new_rows = [ROWS[0], ROWS[1], row("rc_tc", 0.1, 1.0)]
+    verdict = csv_parity.verdict(sweep_csv(CONFIG, ROWS), sweep_csv(CONFIG, new_rows))
+    _, largest, old_only, new_only, config = verdict.split("; ")
+    assert largest.startswith("largest relative difference over 2 rows: analytic 0,")
+    assert old_only == "rows only in old: rtc_tc 0.1"
+    assert new_only == "rows only in new: rc_tc 0.1"
+    assert config == "config line: identical"
+
+
 def test_relative_difference_of_flags_and_nans():
     assert csv_parity.relative_difference("diverged", "1.0") is None
     assert csv_parity.relative_difference("nan", "nan") == 0.0

@@ -196,8 +196,8 @@ class TestAnalyticCost:
         n = 4
         K_x = ar1_covariance(0.8677, 0.015, n)
         t, _ = plt_design(K_x)
-        cost = analytic_lqg_cost(self.sol, self.plant, lossless_marginals(n), t, K_x,
-                                 np.zeros((n, n)))
+        cost = analytic_lqg_cost(self.sol, self.plant,
+                                 am_wmse(t, lossless_marginals(n), K_x, np.zeros((n, n))))
         assert cost == pytest.approx(np.trace(self.sol.P @ self.plant.K_w), rel=1e-12)
 
     def test_small_p_limit(self):
@@ -205,7 +205,8 @@ class TestAnalyticCost:
         K_x = ar1_covariance(0.8677, 0.015, n)
         t, d = plt_design(K_x)
         K_q = np.diag(1e-3 * d)
-        cost = analytic_lqg_cost(self.sol, self.plant, lossless_marginals(n), t, K_x, K_q)
+        cost = analytic_lqg_cost(self.sol, self.plant,
+                                 am_wmse(t, lossless_marginals(n), K_x, K_q))
         expected = (np.trace(self.sol.P @ self.plant.K_w)
                     + self.sol.R_eq[0, 0] * np.trace(K_q) / n)
         assert cost == pytest.approx(expected, rel=1e-12)
@@ -218,7 +219,7 @@ class TestAnalyticCost:
         K_q = np.diag(rng.uniform(0.001, 0.1, n))
         cm = ChannelModel.from_violation_probability(0.2, 0.05, 0.0125, n)
         P = availability_marginals(cm)
-        left = analytic_lqg_cost(self.sol, self.plant, P, t, K_x, K_q)
+        left = analytic_lqg_cost(self.sol, self.plant, am_wmse(t, P, K_x, K_q))
         right = (np.trace(self.sol.P @ self.plant.K_w)
                  + float(self.sol.R_eq[0, 0]) * am_wmse(t, P, K_x, K_q))
         assert left == right
@@ -227,8 +228,8 @@ class TestAnalyticCost:
         plant = PlantModel([[0.9, 0.2], [0.0, 0.7]], np.eye(2), 0.01 * np.eye(2))
         sol = controller_solution(plant, LqgWeights(np.eye(2), 0.1 * np.eye(2)))
         with pytest.raises(ValueError, match="scalar plants"):
-            analytic_lqg_cost(sol, plant, lossless_marginals(3), CausalTransform.identity(3),
-                              np.eye(3), np.eye(3))
+            analytic_lqg_cost(sol, plant, am_wmse(CausalTransform.identity(3),
+                                                  lossless_marginals(3), np.eye(3), np.eye(3)))
 
     def test_wmse_monotone_as_deadline_shrinks(self):
         # exact expectations, so no common random numbers are needed

@@ -104,6 +104,15 @@ class TestSamplePath:
         emp = frames.T @ frames / frames.shape[0]
         assert_allclose(emp, ar1_covariance(0.9, 1.0, n), rtol=0.02, atol=0.02)
 
+    def test_ar2_recursion_adds_the_drawn_innovations(self):
+        model = GaussMarkovModel((0.5, -0.3), 0.7)
+        x = sample_path(model, 5000, seed=9)
+        rng = np.random.default_rng(9)
+        rng.standard_normal(2)  # the stationary start
+        innovations = np.sqrt(0.7) * rng.standard_normal(4998)
+        assert_allclose(x[2:] - 0.5 * x[1:-1] + 0.3 * x[:-2], innovations,
+                        rtol=0, atol=1e-12)
+
     def test_short_path_uses_stationary_init(self):
         model = GaussMarkovModel((0.5, -0.3), 1.0)
         draws = np.array([sample_path(model, 1, seed=s)[0] for s in range(4000)])

@@ -7,10 +7,14 @@ OLD_SRC and NEW_SRC are directories holding an `rctc` package (a checkout's
 held-out seed, `rctc sweep` runs once against each tree, in a fresh process
 with one BLAS thread. One line is printed per pair of CSVs: `identical` when
 the whole files match. Otherwise the data rows and the `# config:` line are
-reported apart: `rows identical`, or the first other line that differs on
-each side followed by the largest relative difference, |new - old| / |old|,
-of the `analytic`, `simulated` and `stderr` columns over the rows matched by
-(scheme, p); then the config line's difference as `-key=value` for each
+reported apart. The rows read `rows identical`, or `same rows, other order`
+when only their order differs, or else the first other line that differs on
+each side followed by the rows matched by (scheme, p), compared in every
+column: the largest relative difference, |new - old| / |old|, of the
+`analytic`, `simulated` and `stderr` columns, then of each other column that
+differs in some matched row (with the count of rows whose text differs
+where a side is not a number, such as `diverged`), then the (scheme, p) of
+the rows found on one side only. The config line's difference follows as `-key=value` for each
 setting only the old side echoes (or echoes with another value) and
 `+key=value` for each only the new side echoes, for example
 `rows identical; config line: -b_mode=montecarlo -search_budget=100000`.
@@ -29,7 +33,10 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS_FILE = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+# the columns whose largest difference is always printed; the others are
+# printed when they differ, and scheme and p match the rows
 COLUMNS = ("analytic", "simulated", "stderr")
+KEY = ("scheme", "p")
 CONFIG_PREFIX = "# config: "
 
 
@@ -85,7 +92,7 @@ def rows_by_key(text: str) -> dict:
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
     header = lines[0].split(",")
     rows = (dict(zip(header, line.split(","))) for line in lines[1:])
-    return {(row["scheme"], row["p"]): row for row in rows}
+    return {tuple(row[column] for column in KEY): row for row in rows}
 
 
 def relative_difference(old: str, new: str) -> float | None:
@@ -105,20 +112,45 @@ def verdict(old: bytes, new: bytes) -> str:
     if old == new:
         return "identical"
     old_rows, new_rows = data_lines(old), data_lines(new)
-    rows = ("rows identical" if old_rows == new_rows else
-            f"{first_difference(old_rows, new_rows)}; {largest_differences(old, new)}")
+    if old_rows == new_rows:
+        rows = "rows identical"
+    elif sorted(line for _, line in old_rows) == sorted(line for _, line in new_rows):
+        rows = "same rows, other order"
+    else:
+        rows = f"{first_difference(old_rows, new_rows)}; {matched_differences(old, new)}"
     return f"{rows}; config line: {config_difference(old, new)}"
 
 
-def largest_differences(old: bytes, new: bytes) -> str:
+def column_difference(column: str, pairs: list[tuple[str, str]]) -> str | None:
+    """`column <largest relative difference>` over the matched (old, new) pairs.
+
+    None for a column outside COLUMNS that is equal in every pair.  The
+    pairs whose text differs where a side is not a number, such as
+    `diverged`, are counted apart as `(k other text)`.
+    """
+    if column not in COLUMNS and all(a == b for a, b in pairs):
+        return None
+    diffs = [relative_difference(a, b) for a, b in pairs]
+    numeric = [d for d in diffs if d is not None]
+    text = sum(d is None and a != b for d, (a, b) in zip(diffs, pairs))
+    part = f"{column} {max(numeric):.3g}" if numeric else f"{column} -"
+    return f"{part} ({text} other text)" if text else part
+
+
+def matched_differences(old: bytes, new: bytes) -> str:
     old_rows, new_rows = rows_by_key(old.decode()), rows_by_key(new.decode())
-    keys = old_rows.keys() & new_rows.keys()
-    parts = []
-    for column in COLUMNS:
-        diffs = [relative_difference(old_rows[k][column], new_rows[k][column]) for k in keys]
-        diffs = [d for d in diffs if d is not None]
-        parts.append(f"{column} {max(diffs):.3g}" if diffs else f"{column} -")
-    return f"largest relative difference over {len(keys)} rows: " + ", ".join(parts)
+    keys = [k for k in old_rows if k in new_rows]
+    header = next(iter(old_rows.values()), {})
+    columns = dict.fromkeys(c for c in (*COLUMNS, *header) if c not in KEY)
+    parts = [column_difference(c, [(old_rows[k].get(c, ""), new_rows[k].get(c, ""))
+                                   for k in keys]) for c in columns]
+    text = (f"largest relative difference over {len(keys)} rows: "
+            + ", ".join(part for part in parts if part))
+    for side, rows, other in (("old", old_rows, new_rows), ("new", new_rows, old_rows)):
+        alone = [" ".join(k) for k in rows if k not in other]
+        if alone:
+            text += f"; rows only in {side}: " + ", ".join(alone)
+    return text
 
 
 def compare(old_src: Path, new_src: Path, scratch: Path) -> bool:
