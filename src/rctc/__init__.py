@@ -5,7 +5,7 @@ allocating quantizer rates, evaluating analytic AM-WMSE / LQG costs, and
 validating them against closed-loop Monte Carlo simulation.
 """
 from .channel import (AvailabilityStats, ChannelModel, availability_marginals,
-                      availability_stats, channel_moments, loss_probabilities,
+                      availability_stats, channel_moments, pair_moments,
                       sample_availability_bits)
 from .codec import (CausalTransform, decode_batch, encode_batch, plt_design,
                     quantizer_input_variances)
@@ -18,7 +18,7 @@ from .lqg import (REPLICAS, ControllerSolution, LqgWeights, PlantModel,
                   pilot_state_variance, replica_lengths, riccati_residual,
                   simulate_closed_loop, solve_riccati, weight_req)
 from .quantizers import (InfeasibleRateError, QuantizerBank, RateAllocation,
-                         ScalarCodebook, allocate_rates, clamp_rates, lloyd_max_gaussian)
+                         ScalarCodebook, allocate_rates, lloyd_max_gaussian)
 from .sources import (GaussMarkovModel, StationarityError, ar1_covariance,
                       sample_path, validate_covariance)
 

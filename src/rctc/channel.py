@@ -55,20 +55,14 @@ class ChannelModel:
         return np.where(j <= i, thr, -np.inf)
 
 
-def loss_probabilities(model: ChannelModel) -> np.ndarray:
-    """Entry (i, j): probability index j misses element i's reconstruction deadline.
-
-    exp(-lambda (deadline + (i - j) sample_period)) on and below the diagonal;
-    above it the probability is 1 (the index has not been transmitted yet).
-    """
-    thr = model.thresholds()
-    safe = np.where(np.isfinite(thr), thr, 0.0)
-    return np.where(np.isfinite(thr), np.exp(-model.delay_rate * safe), 1.0)
-
-
 def availability_marginals(model: ChannelModel) -> np.ndarray:
-    """Closed-form E[b_ij] = 1 - loss probability (0 above the diagonal)."""
-    return 1.0 - loss_probabilities(model)
+    """Closed-form E[b_ij]: 1 - exp(-lambda (deadline + (i - j) sample_period)) for j <= i.
+
+    Above the diagonal the index has not been transmitted yet, so E[b_ij] = 0.
+    """
+    i, j = np.indices((model.frame_length,) * 2)
+    thr = model.deadline + np.maximum(i - j, 0) * model.sample_period
+    return np.tril(1.0 - np.exp(-model.delay_rate * thr))
 
 
 @dataclass(frozen=True)
@@ -104,33 +98,41 @@ class AvailabilityStats:
         return self.realizations.shape[0]
 
 
-def channel_moments(marginals: np.ndarray):
-    """The exact channel expectations of H = (Ahat o B) inv(A) that every caller reads.
+def pair_moments(marginals: np.ndarray) -> np.ndarray:
+    """M[..., i, a, b] = E[b_ia b_ib], the second moments of the bits of each row.
 
-    `marginals` is the N x N availability matrix P = E[B]; a 0/1 pattern is a
-    valid degenerate P.  A (..., N, N) stack of them takes stacks of Ahat
-    and Ainv, each slice computed as on its own.  Returns
-    moments(Ahat, Ainv) -> (E[H], W) with
-    E[H] = (Ahat o P) inv(A) and W = E[H'H].  In (Ahat o B)'(Ahat o B) only
-    bits of one row pair up, and those come from different indices with
-    independent delays.  With C = Ahat o P, E[(Ahat o B)'(Ahat o B)] is then
-    C'C plus, on the diagonal entry of column a, sum_i (P_ia - P_ia^2) Ahat_ia^2.
+    `marginals` is an N x N availability matrix P = E[B], or a (..., N, N)
+    stack of them; a 0/1 pattern is a valid degenerate P.  The bits of one
+    row come from different indices, whose delays are independent, so
+    E[b_ia b_ib] = P_ia P_ib for a != b, and E[b_ia^2] = P_ia as a bit is
+    its own square.
     """
     P = np.asarray(marginals, dtype=float)
     if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
         raise ValueError(f"availability marginals must be a square matrix, got shape {P.shape}")
     if not np.all((P >= 0.0) & (P <= 1.0)) or np.any(np.triu(P, k=1)):
         raise ValueError("availability marginals must lie in [0, 1] and be 0 above the diagonal")
-    eye = np.eye(P.shape[-1])
-    variances = P - P * P
+    M = P[..., :, None] * P[..., None, :]
+    a = np.arange(P.shape[-1])
+    M[..., a, a] = P
+    return M
+
+
+def channel_moments(marginals: np.ndarray):
+    """The exact channel expectations of H = (Ahat o B) inv(A) that every caller reads.
+
+    `marginals` is as in `pair_moments`; a (..., N, N) stack of them takes
+    stacks of Ahat and Ainv, each slice computed as on its own.  Returns
+    moments(Ahat, Ainv) -> (E[H], W) with E[H] = (Ahat o P) inv(A) and
+    W = E[H'H] = inv(A)' E inv(A), where E = E[(Ahat o B)'(Ahat o B)] sums
+    (Ahat_i Ahat_i') o M_i over the rows i of Ahat and the pair moments M.
+    """
+    M = pair_moments(marginals)
+    P = np.asarray(marginals, dtype=float)
 
     def moments(Ahat: np.ndarray, Ainv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the variance term keeps only the diagonal of (Ahat o (P - P^2))' Ahat.
-        # C'C takes a second copy of C: numpy hands X.T @ X to BLAS syrk,
-        # which rounds differently from the general product
-        C = Ahat * P
-        E = C.swapaxes(-1, -2) @ (Ahat * P) + eye * ((Ahat * variances).swapaxes(-1, -2) @ Ahat)
-        return C @ Ainv, Ainv.swapaxes(-1, -2) @ E @ Ainv
+        E = np.einsum("...ia,...iab,...ib->...ab", Ahat, M, Ahat)
+        return (Ahat * P) @ Ainv, Ainv.swapaxes(-1, -2) @ E @ Ainv
 
     return moments
 

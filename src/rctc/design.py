@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import channel_moments
+from .channel import channel_moments, pair_moments
 from .codec import (KINDS, CausalTransform, plt_design, quantizer_input_variances,
                     transform_from_text, transform_to_text)
 from .lqg import am_wmse, frame_mse
-from .quantizers import QuantizerBank, RateAllocation, allocate_rates, clamp_rates
+from .quantizers import QuantizerBank, RateAllocation, allocate_rates
 
 
 @dataclass(frozen=True)
@@ -220,15 +220,14 @@ def effective_variances(transform: CausalTransform, marginals: np.ndarray,
 
     The quantizer noises are independent, so the noise energy tr(W K_q) with
     W = E_B[H'H] is the sum of W_ii q_i: the variance charged to quantizer i
-    is W_ii Var(d_i), Var(d_i) the diagonal of inv(A) K_x inv(A)'.  With
+    is W_ii Var(d_i), Var(d_i) the `quantizer_input_variances`.  With
     nothing lost and a decoder that inverts the encoder, W = I and these are
     the plain prediction error variances.
     """
-    K_x = np.asarray(K_x, dtype=float)
     _, Ahat = transform.assemble()
     Ainv = transform.encoder_inverse()
     _, W = channel_moments(marginals)(Ahat, Ainv)
-    out = np.diag(W) * np.diag(Ainv @ K_x @ Ainv.T)
+    out = np.diag(W) * quantizer_input_variances(transform, K_x)
     if np.any(out <= 0.0):
         raise ValueError(f"effective variance for quantizer {np.argmax(out <= 0)} is not positive")
     return out
@@ -330,9 +329,9 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
     K_q is the uniform-rate noise of the encoder A, kept as its diagonal q.
     For a fixed A the objective is quadratic in the decoder Ahat and couples
     only decoder entries of one row.  With S = inv(A)(K_x + K_q)inv(A)',
-    Y = inv(A) K_x and p_u = P[r_u, c_u] for the entry u at row r_u and
-    column c_u, the optimal decoder solves G a = h over the free entries:
-    G_uv = (p_u p_v + [c_u = c_v](p_u - p_u^2)) [r_u = r_v] S[c_u, c_v] and
+    Y = inv(A) K_x, the pair moments M of `pair_moments` and p_u = P[r_u, c_u]
+    for the entry u at row r_u and column c_u, the optimal decoder solves
+    G a = h over the free entries: G_uv = [r_u = r_v] M_{r_u}[c_u, c_v] S[c_u, c_v] and
     h_u = p_u (Y[c_u, r_u] - P[r_u, r_u] S[c_u, r_u]), summed per decoder
     parameter: the map lists each parameter's entries together, so that a
     parameter is one `np.add.reduceat` segment (of one entry for "full",
@@ -364,7 +363,8 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
     K_x = np.stack([problem.K_x for problem in problems])
     P = np.stack([np.asarray(problem.marginals, dtype=float) for problem in problems])
     p, p_own = P.reshape(-1, n * n)[:, entries], P.reshape(-1, n * n)[:, rows * (n + 1)]
-    coupling = p[:, u] * p[:, v] + (cols[u] == cols[v]) * (p - p * p)[:, u]
+    # G's coupling of the terms, M_{r_u}[c_u, c_v], at (r_u, c_u, c_v) of M
+    coupling = pair_moments(P).reshape(-1, n ** 3)[:, rows[u] * n * n + terms]
     noise_scale = np.array([problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
                             for problem in problems])[:, None, None]
     # each problem's arrays, and those of the rows last evaluated
@@ -569,7 +569,7 @@ def _design_result(problem: DesignProblem, found: tuple | None) -> DesignResult:
             sigma_hat = np.ones(n)
         bank, value = priced(np.full(n, r))
         history, evaluations, exhausted = [value], 0, False
-    allocation = clamp_rates(allocate_rates(sigma_hat, r), problem.min_rate)
+    allocation = allocate_rates(sigma_hat, r, problem.min_rate)
     if problem.structure == "identity":
         # its allocation is the uniform r its history priced
         predicted = history[0]

@@ -428,48 +428,42 @@ class RateAllocation:
         return self.rates.size
 
 
-def allocate_rates(effective_variances, average_rate: float) -> RateAllocation:
-    """Closed-form optimal bit allocation under the fine-quantization noise model.
+def allocate_rates(effective_variances, average_rate: float,
+                   min_rate: float = -math.inf) -> RateAllocation:
+    """Optimal bit allocation under the fine-quantization noise model and the floor min_rate.
 
-    rate_i = average + 0.5 * log2(var_i / geometric_mean(var)).  Computed in
+    With no floor (the default) this is the closed form
+    rate_i = average + 0.5 * log2(var_i / geometric_mean(var)), computed in
     the log domain so the mean constraint holds to machine precision and the
     result is invariant under scaling all variances by a common factor.
+    When some rate falls below the floor, reverse water-filling holds those
+    quantizers at it and solves the closed form again over the rest with
+    the remaining budget (which shifts their rates by one common amount),
+    until none falls below.  The free quantizers then share one distortion
+    var_i 2^(-2 rate_i), each held one has var_i 2^(-2 min_rate) at most
+    that (the KKT conditions), and the mean is kept.
     """
     var = np.asarray(effective_variances, dtype=float)
     if var.ndim != 1 or var.size < 1:
         raise ValueError("effective_variances must be a non-empty vector")
     if np.any(var <= 0.0):
         raise ValueError("effective variances must be positive")
+    average = float(average_rate)
     log_var = np.log2(var)
-    rates = average_rate + 0.5 * (log_var - np.mean(log_var))
-    return RateAllocation(rates, var, float(average_rate))
-
-
-def clamp_rates(allocation: RateAllocation, min_rate: float = 0.0) -> RateAllocation:
-    """The optimal allocation under the floor min_rate, by reverse water-filling.
-
-    The quantizers below the floor are held at it and the closed form is
-    solved again over the rest with the remaining budget (which shifts their
-    rates by one common amount), until none falls below.  The free
-    quantizers then share one distortion var_i 2^(-2 rate_i), each held one
-    has var_i 2^(-2 min_rate) at most that (the KKT conditions), and the mean
-    is kept.
-    """
-    rates = allocation.rates
+    rates = average + 0.5 * (log_var - np.mean(log_var))
     held = rates < min_rate
     if not np.any(held):
-        return allocation
-    if allocation.average < min_rate:
-        raise InfeasibleRateError(f"average rate {allocation.average} cannot meet floor {min_rate}")
+        return RateAllocation(rates, var, average)
+    if average < min_rate:
+        raise InfeasibleRateError(f"average rate {average} cannot meet floor {min_rate}")
     new_rates = np.full(rates.size, float(min_rate))
     while not held.all():
         free = rates[~held]
-        budget = rates.size * allocation.average - held.sum() * min_rate
+        budget = rates.size * average - held.sum() * min_rate
         new_rates[~held] = free - free.mean() + budget / free.size
         below = new_rates < min_rate
         if not below.any():
             break
         new_rates[below] = min_rate
         held |= below
-    return RateAllocation(new_rates, allocation.effective_variances,
-                          allocation.average, clamped=True)
+    return RateAllocation(new_rates, var, average, clamped=True)

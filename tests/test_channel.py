@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rctc.channel import (AvailabilityStats, ChannelModel, availability_marginals,
-                          availability_stats, channel_moments, loss_probabilities,
+                          availability_stats, channel_moments, pair_moments,
                           sample_availability_bits)
 
 from channel_reference import empirical_marginals, exhaustive_stats, stack_moments
@@ -115,32 +115,34 @@ class TestSampleAvailability:
 
 
 class TestLossProbabilities:
+    # the loss probability of index j at element i is 1 - E[b_ij]
     def test_diagonal(self):
-        assert loss_probabilities(model())[0, 0] == pytest.approx(math.exp(-1.0))
+        assert 1.0 - availability_marginals(model())[0, 0] == pytest.approx(math.exp(-1.0))
 
     def test_lag_one(self):
-        assert loss_probabilities(model())[1, 0] == pytest.approx(math.exp(-1.25))
+        assert 1.0 - availability_marginals(model())[1, 0] == pytest.approx(math.exp(-1.25))
 
     def test_constant_along_diagonals(self):
-        lp = loss_probabilities(model(n=5))
+        lp = 1.0 - availability_marginals(model(n=5))
         for lag in range(5):
             band = np.diagonal(lp, -lag)
             assert_allclose(band, band[0])
 
     def test_decreasing_in_lag(self):
-        lp = loss_probabilities(model(n=5))
+        lp = 1.0 - availability_marginals(model(n=5))
         col = lp[:, 0]
         assert np.all(np.diff(col) < 0)
         assert np.all((col > 0) & (col < 1))
 
     def test_fast_channel_limit(self):
-        lp = loss_probabilities(model(lam=1000.0))  # lambda * delta = 50
+        lp = 1.0 - availability_marginals(model(lam=1000.0))  # lambda * delta = 50
         assert np.all(lp[np.tril_indices(4)] < 1e-20)
 
     def test_marginals_complement(self):
         cm = model()
         marg = availability_marginals(cm)
-        assert_allclose(marg, 1.0 - loss_probabilities(cm))
+        lower = np.tril_indices(4)
+        assert_allclose(1.0 - marg[lower], np.exp(-cm.delay_rate * cm.thresholds()[lower]))
         assert np.all(marg[np.triu_indices(4, 1)] == 0.0)
 
 
@@ -228,6 +230,29 @@ class TestStatsValidation:
             AvailabilityStats(cm, real, np.array([0.7, 0.7]), availability_marginals(cm))
 
 
+class TestPairMoments:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_exhaustive_enumeration(self, n):
+        stats = exhaustive_stats(ChannelModel.from_violation_probability(0.3, 0.05, 0.0125, n))
+        real = stats.realizations
+        ref = np.einsum("s,sia,sib->iab", stats.weights, real, real)
+        assert np.abs(pair_moments(stats.marginals) - ref).max() <= 1e-15
+
+    def test_zero_one_pattern_is_outer_product_of_rows(self):
+        bits = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        M = pair_moments(bits)
+        for i in range(3):
+            assert np.array_equal(M[i], np.outer(bits[i], bits[i]))
+
+    def test_stack_equals_its_slices(self):
+        P = np.stack([availability_marginals(ChannelModel.from_violation_probability(
+            p, 0.05, 0.0125, 5)) for p in (0.05, 0.3, 0.7)])
+        M = pair_moments(P)
+        assert M.shape == (3, 5, 5, 5)
+        for b in range(3):
+            assert np.array_equal(M[b], pair_moments(P[b]))
+
+
 def random_ladder(rng, dim):
     return np.tril(rng.normal(scale=0.7, size=(dim, dim)), -1) + np.eye(dim)
 
@@ -266,6 +291,17 @@ class TestExactMoments:
             stderr = values.std(axis=0, ddof=1) / math.sqrt(batches)
             assert np.all(np.abs(mean - exact) <= 4 * stderr + 1e-12)
 
+    def test_stack_equals_its_slices(self):
+        rng = np.random.default_rng(8)
+        P = np.stack([availability_marginals(ChannelModel.from_violation_probability(
+            p, 0.05, 0.0125, 5)) for p in (0.05, 0.3, 0.7)])
+        Ahat = np.stack([random_ladder(rng, 5) for _ in range(3)])
+        Ainv = np.linalg.inv(np.stack([random_ladder(rng, 5) for _ in range(3)]))
+        stacked = channel_moments(P)(Ahat, Ainv)
+        for b in range(3):
+            for got, ref in zip(stacked, channel_moments(P[b])(Ahat[b], Ainv[b])):
+                assert np.array_equal(got[b], ref)
+
     def test_zero_one_pattern_is_one_certain_realization(self):
         rng = np.random.default_rng(5)
         cm = model(n=3)
@@ -288,3 +324,5 @@ class TestExactMoments:
              "upper": P + np.triu(np.full((3, 3), 0.5), 1)}[bad]
         with pytest.raises(ValueError):
             channel_moments(P)
+        with pytest.raises(ValueError):
+            pair_moments(P)

@@ -12,7 +12,7 @@ from rctc.design import (DesignProblem, DesignResult, DesignResults, SearchConfi
                          pack_parameters, save_design, unpack_parameters)
 from rctc.harness import ExperimentConfig, _lqg_context
 from rctc.lqg import am_wmse
-from rctc.quantizers import QuantizerBank, allocate_rates, clamp_rates
+from rctc.quantizers import QuantizerBank, allocate_rates
 from rctc.sources import ar1_covariance
 
 from design_reference import lbfgs, objective_of, reference_search
@@ -560,7 +560,7 @@ def design_results(draw):
                         for _ in range(2))
     transform = unpack_parameters(encoder, decoder, structure, n)
     variances = np.asarray(draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n)))
-    rates = clamp_rates(allocate_rates(variances, draw(st.floats(0.0, 10.0))), 0.0)
+    rates = allocate_rates(variances, draw(st.floats(0.0, 10.0)), 0.0)
     lqg = draw(st.none() | finite)
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     inputs = np.asarray(draw(st.lists(positive, min_size=n, max_size=n)))

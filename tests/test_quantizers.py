@@ -10,7 +10,7 @@ from scipy.special import ndtr, ndtri
 import rctc.quantizers as quantizers
 from rctc.quantizers import (MAX_LEVELS, RESIDUAL_TOL, InfeasibleRateError,
                              QuantizerBank, RateAllocation, ScalarCodebook,
-                             allocate_rates, clamp_rates, lloyd_max_gaussian)
+                             allocate_rates, lloyd_max_gaussian)
 
 from lloyd_reference import centroid_residual, distortion_mp, fixed_point_levels
 
@@ -72,34 +72,32 @@ class TestRateAllocation:
         assert "finite" in str(info.value) and "\n" not in str(info.value)
 
 
-class TestClampRates:
-    def test_unchanged_when_feasible(self):
-        alloc = allocate_rates([1.0, 2.0], 5.0)
-        assert clamp_rates(alloc, 0.0) is alloc
+class TestRateFloor:
+    def test_closed_form_when_feasible(self):
+        alloc = allocate_rates([1.0, 2.0], 5.0, min_rate=0.0)
+        assert np.array_equal(alloc.rates, allocate_rates([1.0, 2.0], 5.0).rates)
+        assert not alloc.clamped
 
     def test_hand_case(self):
         # variances chosen so the unclamped rates come out at (-0.5, 4.5)
-        alloc = allocate_rates([2.0 ** -5, 2.0 ** 5], 2.0)
-        assert_allclose(alloc.rates, [-0.5, 4.5])
-        clamped = clamp_rates(alloc, 0.0)
+        variances = [2.0 ** -5, 2.0 ** 5]
+        assert_allclose(allocate_rates(variances, 2.0).rates, [-0.5, 4.5])
+        clamped = allocate_rates(variances, 2.0, min_rate=0.0)
         assert_allclose(clamped.rates, [0.0, 4.0])
         assert clamped.clamped
 
     def test_infeasible(self):
-        alloc = RateAllocation(np.array([1.0, 1.0]), np.ones(2), 1.0)
         with pytest.raises(InfeasibleRateError):
-            clamp_rates(alloc, 2.0)
+            allocate_rates(np.ones(2), 1.0, min_rate=2.0)
 
-    def test_idempotent_and_mean_preserving(self):
+    def test_floor_and_mean_preserving(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             var = rng.uniform(1e-6, 10.0, size=rng.integers(2, 10))
             r = rng.uniform(0.5, 4.0)
-            once = clamp_rates(allocate_rates(var, r), 0.0)
-            twice = clamp_rates(once, 0.0)
-            assert np.array_equal(once.rates, twice.rates)
-            assert np.all(once.rates >= 0.0)
-            assert np.mean(once.rates) == pytest.approx(r, abs=1e-12)
+            alloc = allocate_rates(var, r, 0.0)
+            assert np.all(alloc.rates >= 0.0)
+            assert np.mean(alloc.rates) == pytest.approx(r, abs=1e-12)
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
     def test_kkt_conditions(self, r):
@@ -109,14 +107,13 @@ class TestClampRates:
         held_counts = set()
         for _ in range(50):
             var = np.exp(rng.uniform(-6.0, 3.0, size=rng.integers(2, 10)))
-            once = clamp_rates(allocate_rates(var, r), 0.0)
-            held = once.rates == 0.0
+            alloc = allocate_rates(var, r, 0.0)
+            held = alloc.rates == 0.0
             held_counts.add(int(held.sum()))
-            distortion = var[~held] * 2.0 ** (-2.0 * once.rates[~held])
+            distortion = var[~held] * 2.0 ** (-2.0 * alloc.rates[~held])
             assert_allclose(distortion, distortion[0], rtol=1e-12)
             assert np.all(var[held] <= distortion[0] * (1 + 1e-12))
-            assert np.mean(once.rates) == pytest.approx(r, abs=1e-12)
-            assert np.array_equal(clamp_rates(once, 0.0).rates, once.rates)
+            assert np.mean(alloc.rates) == pytest.approx(r, abs=1e-12)
         assert max(held_counts) >= 2  # some instances hold more than one quantizer
 
 
