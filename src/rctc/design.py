@@ -329,10 +329,11 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
     K_q is the uniform-rate noise of the encoder A, kept as its diagonal q.
     For a fixed A the objective is quadratic in the decoder Ahat and couples
     only decoder entries of one row.  With S = inv(A)(K_x + K_q)inv(A)',
-    Y = inv(A) K_x, the pair moments M of `pair_moments` and p_u = P[r_u, c_u]
-    for the entry u at row r_u and column c_u, the optimal decoder solves
-    G a = h over the free entries: G_uv = [r_u = r_v] M_{r_u}[c_u, c_v] S[c_u, c_v] and
-    h_u = p_u (Y[c_u, r_u] - P[r_u, r_u] S[c_u, r_u]), summed per decoder
+    Y = inv(A) K_x, the pair moments M of `pair_moments` and
+    p_u = P[r_u, c_u] for the entry u at row r_u and column c_u, the
+    optimal decoder solves G a = h over the free entries:
+    G_uv = [r_u = r_v] M_{r_u}[c_u, c_v] S[c_u, c_v] and
+    h_u = p_u Y[c_u, r_u] - M_{r_u}[c_u, r_u] S[c_u, r_u], summed per decoder
     parameter: the map lists each parameter's entries together, so that a
     parameter is one `np.add.reduceat` segment (of one entry for "full",
     of a lag band for "toeplitz").  E[H] and W = E[H'H] are
@@ -362,13 +363,14 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
     diagonal = np.arange(n) * (n + 1)
     K_x = np.stack([problem.K_x for problem in problems])
     P = np.stack([np.asarray(problem.marginals, dtype=float) for problem in problems])
-    p, p_own = P.reshape(-1, n * n)[:, entries], P.reshape(-1, n * n)[:, rows * (n + 1)]
-    # G's coupling of the terms, M_{r_u}[c_u, c_v], at (r_u, c_u, c_v) of M
-    coupling = pair_moments(P).reshape(-1, n ** 3)[:, rows[u] * n * n + terms]
+    p = P.reshape(-1, n * n)[:, entries]
+    # the pair moments G and h read: M_{r_u}[c_u, c_v] and M_{r_u}[c_u, r_u]
+    M = pair_moments(P).reshape(-1, n ** 3)
+    coupling, own_moment = M[:, rows[u] * n * n + terms], M[:, rows * n * n + own]
     noise_scale = np.array([problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
                             for problem in problems])[:, None, None]
     # each problem's arrays, and those of the rows last evaluated
-    per_problem = (K_x, P, coupling, p, p_own, noise_scale)
+    per_problem = (K_x, P, coupling, p, own_moment, noise_scale)
     taken = {}
     eye, unit = np.eye(n), np.eye(n).reshape(1, n * n)
 
@@ -379,7 +381,7 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
             taken.clear()
             Kx, Pb, *rest = (array[index] for array in per_problem)
             taken[key] = (Kx, channel_moments(Pb), *rest)
-        Kx, moments, coupled, pb, pb_own, scale = taken[key]
+        Kx, moments, coupled, pb, pb_own_moment, scale = taken[key]
         A = unit.repeat(B, axis=0)
         A[:, entries] = params[:, src]
         Ainv = np.linalg.inv(A.reshape(B, n, n))
@@ -391,7 +393,7 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
         S = (K_d + (Ainv * q) @ AinvT).reshape(B, -1)
         G = np.zeros((B, m * m))
         G[:, cells] = np.add.reduceat(coupled * S[:, terms], segments, axis=1)
-        h = np.add.reduceat(pb * (Y.reshape(B, -1)[:, own] - pb_own * S[:, own]),
+        h = np.add.reduceat(pb * Y.reshape(B, -1)[:, own] - pb_own_moment * S[:, own],
                             first_entries, axis=1)
         decoder = np.linalg.solve(G.reshape(B, m, m), h[:, :, None])[:, :, 0]
         Ahat = unit.repeat(B, axis=0)

@@ -291,17 +291,6 @@ class TestExactMoments:
             stderr = values.std(axis=0, ddof=1) / math.sqrt(batches)
             assert np.all(np.abs(mean - exact) <= 4 * stderr + 1e-12)
 
-    def test_stack_equals_its_slices(self):
-        rng = np.random.default_rng(8)
-        P = np.stack([availability_marginals(ChannelModel.from_violation_probability(
-            p, 0.05, 0.0125, 5)) for p in (0.05, 0.3, 0.7)])
-        Ahat = np.stack([random_ladder(rng, 5) for _ in range(3)])
-        Ainv = np.linalg.inv(np.stack([random_ladder(rng, 5) for _ in range(3)]))
-        stacked = channel_moments(P)(Ahat, Ainv)
-        for b in range(3):
-            for got, ref in zip(stacked, channel_moments(P[b])(Ahat[b], Ainv[b])):
-                assert np.array_equal(got[b], ref)
-
     def test_zero_one_pattern_is_one_certain_realization(self):
         rng = np.random.default_rng(5)
         cm = model(n=3)
