@@ -103,7 +103,8 @@ def solve_riccati(plant: PlantModel, weights: LqgWeights, *, rel_tol: float = 1e
 
     Starts from P = R and iterates the Riccati map until the relative update
     falls below rel_tol.  Raises RiccatiConvergenceError (with the last
-    residual) if the budget runs out.
+    residual) if the budget runs out, or at the first iterate whose update
+    overflows, its norm not finite.
     """
     F, R = plant.F, weights.R
     # (F, R^(1/2)) observability guarantees the stabilizing solution is reached
@@ -113,13 +114,18 @@ def solve_riccati(plant: PlantModel, weights: LqgWeights, *, rel_tol: float = 1e
         raise ValueError("(F, R^(1/2)) must be observable")
     P = R.copy()
     residual = math.inf
-    for _ in range(max_iterations):
-        P_next, _ = _riccati_map(P, plant, weights)
-        P_next = 0.5 * (P_next + P_next.T)
-        residual = float(np.linalg.norm(P_next - P))
-        P = P_next
-        if residual <= rel_tol * max(float(np.linalg.norm(P)), 1e-300):
-            return P
+    # an overflow shows as a non-finite residual, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, max_iterations + 1):
+            P_next, _ = _riccati_map(P, plant, weights)
+            P_next = 0.5 * (P_next + P_next.T)
+            residual = float(np.linalg.norm(P_next - P))
+            if not math.isfinite(residual):
+                raise RiccatiConvergenceError(
+                    f"Riccati iteration overflowed at iterate {iteration}", residual)
+            P = P_next
+            if residual <= rel_tol * max(float(np.linalg.norm(P)), 1e-300):
+                return P
     raise RiccatiConvergenceError(
         f"no convergence within {max_iterations} iterations", residual)
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 import sys
 from dataclasses import dataclass
 
@@ -24,8 +23,22 @@ NEWTON_STEPS = 50
 MAX_LEVELS = 2 ** 16
 # Gauss-Legendre rule for the distortion of each finite Lloyd-Max cell; the
 # integrand (x - y)^2 phi(x) is entire, and 16 nodes resolve it to rounding
-# on the widest finite cell (about 1.2 wide, at 3 levels)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# on the widest finite cell (about 1.2 wide, at 3 levels).  The rule is
+# numpy.polynomial.legendre.leggauss(16) to the bit, tabulated so that no
+# import loads numpy.polynomial: leggauss symmetrizes its rule, so the
+# (node, weight) pairs of its 8 positive nodes, mirrored, are the whole rule.
+_GL_HALF_RULE = np.array([
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+]).T
+_GL_NODES = np.concatenate((-_GL_HALF_RULE[0, ::-1], _GL_HALF_RULE[0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_RULE[1, ::-1], _GL_HALF_RULE[1]))
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -48,6 +61,10 @@ def _norm_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _quantile_levels(n_levels: int) -> np.ndarray:
     """The standard normal quantiles at (k + 1/2) / n_levels, k = 0 .. n_levels - 1."""
+    # imported here, by codebook training alone: statistics loads decimal and
+    # fractions, which no other run needs
+    import statistics
+
     probabilities = ((np.arange(n_levels) + 0.5) / n_levels).tolist()
     return np.fromiter(map(statistics.NormalDist().inv_cdf, probabilities), float, n_levels)
 

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,21 @@ class TestRiccatiCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: K_w entries must be finite, got nan\n"
+
+    @pytest.mark.parametrize("F", ["1e154", "1e200"])
+    def test_overflowing_iteration_fails_in_one_line(self, tmp_path, capsys, F):
+        # the first iterate's norm overflows at F = 1e154 and the iterate itself
+        # at 1e200: the iteration stops there, with no numpy warning, where it
+        # accepted an infinite P or ran out its budget on NaNs
+        cfg = write(tmp_path, "plant.cfg", RICCATI_ZERO_F.replace("F = 0", f"F = {F}"))
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["riccati", "--config", cfg]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Riccati iteration overflowed at iterate 1\n"
 
 
 class TestSweepCommand:
@@ -360,27 +377,43 @@ class TestErrors:
         assert not out.exists()
 
 
-def test_import_leaves_out_scipy_signal():
-    # numpy.random is loaded with the package so that the first draw of a
-    # sweep pays nothing
+def run_fresh(code: str) -> list[str]:
+    """The stdout lines of `python -c code` in a fresh process that imports this checkout's rctc."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_import_leaves_out_scipy_signal():
+    # numpy.random is loaded with the package so that the first draw of a
+    # sweep pays nothing
     code = ("import sys, rctc.cli; "
             "print('scipy.signal' in sys.modules); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print('numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["False", "[]", "True"]
+    assert run_fresh(code) == ["False", "[]", "True"]
+
+
+def test_import_leaves_out_numpy_polynomial_and_statistics():
+    # the Gauss-Legendre rule is tabulated, and statistics (which loads
+    # decimal and fractions) is imported by the first codebook training
+    code = ("import sys, rctc.cli; "
+            "from rctc.quantizers import lloyd_max_gaussian; "
+            "heavy = lambda: sorted(m for m in sys.modules "
+            "if m.lstrip('_') in ('statistics', 'decimal', 'fractions') "
+            "or m.startswith('numpy.polynomial')); "
+            "print(heavy()); "
+            "lloyd_max_gaussian(8); "
+            "print('statistics' in sys.modules)")
+    assert run_fresh(code) == ["[]", "True"]
 
 
 def test_no_scipy_module_is_loaded_by_a_path_and_a_sweep():
     # numpy is the one runtime dependency: scipy is a test oracle only
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
     code = ("import sys, rctc.cli; "
             "from rctc.harness import ExperimentConfig, run_experiment; "
             "from rctc.sources import GaussMarkovModel, sample_path; "
@@ -388,7 +421,4 @@ def test_no_scipy_module_is_loaded_by_a_path_and_a_sweep():
             "run_experiment(ExperimentConfig.from_text("
             "'kind = source\\nn = 3\\np_grid = 0.1\\nsim_frames = 200\\n')); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(code) == ["[]"]

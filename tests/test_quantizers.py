@@ -257,6 +257,22 @@ class TestLloydMax:
         levels, mse = lloyd_max_gaussian(n_levels)
         assert mse == pytest.approx(distortion_mp(levels), rel=3e-14, abs=0)
 
+    def test_tabulated_rule_is_leggauss_16(self):
+        # only this test loads numpy.polynomial
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(quantizers._GL_NODES, nodes)
+        assert np.array_equal(quantizers._GL_WEIGHTS, weights)
+
+    @pytest.mark.parametrize("n_levels", [64, 128])  # the realized bench workload's
+    def test_codebook_equals_the_one_trained_on_leggauss_16(self, monkeypatch, n_levels):
+        levels, mse = lloyd_max_gaussian(n_levels)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        monkeypatch.setattr(quantizers, "_GL_NODES", nodes)
+        monkeypatch.setattr(quantizers, "_GL_WEIGHTS", weights)
+        reference_levels, reference_mse = lloyd_max_gaussian(n_levels)
+        assert np.array_equal(levels, reference_levels)
+        assert mse == reference_mse
+
     def test_residual_bound_within_30_steps_up_to_the_cap(self, monkeypatch):
         # Newton converges quadratically; a wrong Jacobian entry makes it linear
         # and runs out of these steps

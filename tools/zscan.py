@@ -1,11 +1,13 @@
 """Calibration of the simulated column over many seeds, in one process.
 
-Usage: python3 tools/zscan.py [--src SRC] [--seeds K] [--first-seed S] [WORKLOAD ...]
+Usage: python3 tools/zscan.py [--src SRC] [--seeds K] [--first-seed S]
+                              [--config PATH ...] [WORKLOAD ...]
 
-Runs each named workload of bench/workloads.py (default: all of them) with the
-`rctc` package under SRC (default: this checkout's `src`), at the seeds S, S + 1,
-..., S + K - 1 (defaults: S = 1, K = 40), with one BLAS thread, and prints for
-each workload:
+Runs each named workload of bench/workloads.py and each config file PATH
+(default, when neither is given: every workload) with the `rctc` package under
+SRC (default: this checkout's `src`), at the seeds S, S + 1, ..., S + K - 1
+(defaults: S = 1, K = 40), with one BLAS thread. Each seed replaces any
+`seed =` line of a config file. For each workload or file it prints:
 
 - z = (simulated - analytic) / stderr over every row of every seed: its mean
   and sd, which are about 0 and 1 when the simulation is unbiased and its
@@ -33,6 +35,7 @@ import statistics
 import sys
 from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS_FILE = ROOT / "bench" / "workloads.py"
@@ -49,6 +52,19 @@ def load_bench_module(name: str, path: Path):
 
 def load_workloads() -> dict:
     return load_bench_module("bench_workloads", WORKLOADS_FILE).WORKLOADS
+
+
+class ConfigFile(NamedTuple):
+    """A config file scanned as a workload is: named by its path, its seed set per run."""
+
+    name: str
+    text: str
+
+    def render(self, seed: int) -> str:
+        """The file's text with any `seed =` line replaced by `seed = {seed}`, at the end."""
+        lines = [line for line in self.text.splitlines()
+                 if line.split("#", 1)[0].partition("=")[0].strip() != "seed"]
+        return "".join(f"{line}\n" for line in lines) + f"seed = {seed}\n"
 
 
 def scan(harness, workload, seeds) -> list[str]:
@@ -100,20 +116,28 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--seeds", type=int, default=40)
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--config", type=Path, action="append", default=[],
+                        help="a config file to scan (repeatable)")
     parser.add_argument("workloads", nargs="*")
     args = parser.parse_args(argv)
     workloads = load_workloads()
     unknown = [w for w in args.workloads if w not in workloads]
     if unknown or args.seeds < 2:
         parser.error(f"unknown workload {unknown[0]!r}" if unknown else "--seeds must be >= 2")
+    try:
+        configs = [ConfigFile(str(path), path.read_text(encoding="utf-8"))
+                   for path in args.config]
+    except OSError as exc:
+        parser.error(f"cannot read {exc.filename}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # read when numpy first loads, below
     sys.path.insert(0, str(args.src.resolve()))
     from rctc import harness
 
     seeds = list(range(args.first_seed, args.first_seed + args.seeds))
-    for name in args.workloads or workloads:
-        print("\n".join(scan(harness, workloads[name], seeds)), flush=True)
+    chosen = [workloads[name] for name in args.workloads] + configs
+    for workload in chosen or workloads.values():
+        print("\n".join(scan(harness, workload, seeds)), flush=True)
     return 0
 
 
