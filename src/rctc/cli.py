@@ -10,7 +10,7 @@ from .channel import ChannelModel, availability_marginals
 from .design import save_design
 from .harness import (ConfigError, ExperimentConfig, _lqg_context, derive_seed, design_schemes,
                       run_experiment, write_csv)
-from .lqg import simulate_closed_loop
+from .lqg import LqgWeights, PlantModel, controller_solution, simulate_closed_loop
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -32,8 +32,6 @@ def _format_matrix(M: np.ndarray) -> str:
 
 def cmd_riccati(args) -> int:
     config = _load_config(args)
-    from .lqg import LqgWeights, PlantModel, controller_solution
-
     plant = PlantModel(config.F, config.G, config.K_w)
     solution = controller_solution(plant, LqgWeights(config.R, config.S))
     print("P")
@@ -45,10 +43,10 @@ def cmd_riccati(args) -> int:
     return 0
 
 
-def _design(config: ExperimentConfig):
+def _design(config: ExperimentConfig, context=None):
     """(channel, design) of the configured scheme at the configured p, as a sweep makes it."""
     cm = ChannelModel.from_violation_probability(config.p, config.delta, config.ts, config.n)
-    designs, = design_schemes(config, [availability_marginals(cm)], [config.scheme])
+    designs, = design_schemes(config, [availability_marginals(cm)], [config.scheme], context)
     result = designs[config.scheme]
     if isinstance(result, Exception):
         raise result
@@ -70,8 +68,9 @@ def cmd_simulate(args) -> int:
     out = _require_out(config)
     if config.kind != "lqg":
         raise ConfigError("simulate needs kind = lqg")
-    plant, weights, solution, _ = _lqg_context(config)
-    cm, result = _design(config)
+    plant, weights, solution, K_x = _lqg_context(config)
+    # design_schemes reads only K_x and the loop: one Riccati solve per run
+    cm, result = _design(config, (K_x, None, (solution, plant)))
     # the sweep's point seed: p's position in p_grid, or 0 when p_grid leaves p out
     pi = config.p_grid.index(config.p) if config.p in config.p_grid else 0
     sim, = simulate_closed_loop(plant, weights, solution, [result.transform], [result.bank], cm,

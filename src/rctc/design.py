@@ -426,30 +426,28 @@ def _evaluate_rows(evaluate, index: np.ndarray, points: np.ndarray) -> list:
     return list(zip(J.tolist(), gradients, decoders))
 
 
-def _design_search(starts: list[np.ndarray]):
-    """One problem's search as a state machine: yields the points it needs evaluated.
+def _design_search(start: np.ndarray):
+    """One problem's search as a state machine: yields each point it needs evaluated.
 
-    It is sent their (J, gradient, decoder) rows.  The best of the starts
-    begins an `_lbfgs_search` on J divided by its value there; returns
-    (encoder, decoder, history, evaluations, cap_reached), where the encoder
-    is the best evaluated, with the decoder that evaluation solved for, and
-    history the strictly falling values of the best so far.
+    It is sent that point's (J, gradient, decoder) row.  An `_lbfgs_search`
+    from `start` runs on J divided by its value there, the search's first
+    evaluation, so no point is evaluated twice; returns (encoder, decoder,
+    history, evaluations, cap_reached), where the encoder is the best
+    evaluated, with the decoder that evaluation solved for, and history the
+    strictly falling values of the best so far.
     """
-    evaluated = yield starts
-    best = int(np.argmin([value for value, _, _ in evaluated]))
-    best_x, history, decoder = starts[best], [evaluated[best][0]], evaluated[best][2]
-    search = _lbfgs_search(best_x)
-    x, spent = next(search), 0
+    search = _lbfgs_search(start)
+    x, history, evaluations = next(search), [], 0
     while True:
-        (value, gradient, x_decoder), = yield [x]
-        spent += 1
-        if value < history[-1]:
+        value, gradient, x_decoder = yield x
+        evaluations += 1
+        if not history or value < history[-1]:
             best_x, decoder = x.copy(), x_decoder
             history.append(value)
         try:
             x = search.send((value / history[0], gradient / history[0]))
         except StopIteration as stop:
-            return best_x, decoder, history, spent + len(starts), stop.value[2]
+            return best_x, decoder, history, evaluations, stop.value[2]
 
 
 class DesignResults(tuple):
@@ -470,16 +468,15 @@ class DesignResults(tuple):
 
 
 def design_code(problems: Sequence[DesignProblem],
-                initial_points: Sequence[Sequence[np.ndarray] | None] | None = None
-                ) -> DesignResults:
+                initial_points: Sequence[np.ndarray | None] | None = None) -> DesignResults:
     """Design a transform and its rate allocation for each problem's channel.
 
-    initial_points, parallel to problems (None for none at all), lists each
-    problem's warm starts or None.  The SEARCHED structures ("full", "toeplitz")
+    initial_points, parallel to problems (None for none at all), holds each
+    problem's warm start or None.  The SEARCHED structures ("full", "toeplitz")
     minimize the uniform-rate AM-MSE over the encoder alone by L-BFGS on
     `_reduced_objective`, whose decoder is the closed-form optimum, starting
-    at the prediction-based transform's encoder (or the best of the supplied
-    warm starts).  The result is the best encoder evaluated, so never worse
+    at the warm start, or at the prediction-based transform's encoder when
+    there is none.  The result is the best encoder evaluated, so never worse
     than its start, with the decoder that evaluation solved for.  "identity"
     keeps uniform rates and "plt" allocates over its prediction error
     variances: neither searches or looks through the channel.  A search
@@ -488,7 +485,7 @@ def design_code(problems: Sequence[DesignProblem],
 
     The searched problems of a call, which share their structure and frame
     length, run in lockstep: each keeps its own search state machine, and
-    each round evaluates the points of all those still searching in one
+    each round evaluates one point of every search still running in one
     stacked objective call, so a problem's result is bit for bit that of a
     call with it alone.  A problem whose design raises a ValueError or
     ArithmeticError gets that exception in its slot; the others go on.  Each
@@ -502,40 +499,34 @@ def design_code(problems: Sequence[DesignProblem],
             if problem.structure in SEARCHED}) > 1:
         raise ValueError("the searched problems of one call must share structure and frame length")
     results = [None] * len(problems)
-    searches, plt_starts = {}, {}
+    searches = {}
     for k, problem in enumerate(problems):
         if problem.structure not in SEARCHED:
             continue
         try:
-            key = problem.K_x.tobytes()
-            if key not in plt_starts:
-                plt_starts[key] = pack_parameters(plt_design(problem.K_x)[0], problem.structure)
-            starts = [plt_starts[key], *(np.asarray(x, dtype=float) for x in warm[k] or ())]
-            if any(x.shape != (problem.parameter_count,) for x in starts):
+            start = (pack_parameters(plt_design(problem.K_x)[0], problem.structure)
+                     if warm[k] is None else np.asarray(warm[k], dtype=float))
+            if start.shape != (problem.parameter_count,):
                 raise ValueError(f"a warm start must hold {problem.parameter_count} parameters")
         except (ValueError, ArithmeticError) as exc:
             results[k] = exc
             continue
-        searches[k] = _design_search(starts)
+        searches[k] = _design_search(start)
     found = {}
     if searches:
         evaluate = _reduced_objective([problems[k] for k in searches])
         row_of = {k: row for row, k in enumerate(searches)}
         pending = {k: next(search) for k, search in searches.items()}
         while pending:
-            index = np.array([row_of[k] for k, points in pending.items() for _ in points])
-            stacked = np.array([x for points in pending.values() for x in points])
-            evaluated = _evaluate_rows(evaluate, index, stacked)
-            at = 0
-            for k, points in list(pending.items()):
-                rows, at = evaluated[at:at + len(points)], at + len(points)
-                failed = [row for row in rows if isinstance(row, Exception)]
-                if failed:
-                    results[k] = failed[0]
+            index = np.array([row_of[k] for k in pending])
+            evaluated = _evaluate_rows(evaluate, index, np.array(list(pending.values())))
+            for k, row in zip(list(pending), evaluated):
+                if isinstance(row, Exception):
+                    results[k] = row
                     del pending[k]
                     continue
                 try:
-                    pending[k] = searches[k].send(rows)
+                    pending[k] = searches[k].send(row)
                 except StopIteration as stop:
                     found[k] = stop.value
                     del pending[k]

@@ -389,7 +389,7 @@ def design_schemes(config: ExperimentConfig, marginals: Sequence[np.ndarray], sc
     also carries predicted_lqg_cost, the analytic column under modeled
     quantizer noise, weighted from its predicted_am_wmse, which its row
     simulates.
-    context is the config's `_experiment_context`, made here when not given.
+    context, the config's `_experiment_context` (made here when not given), gives K_x and loop.
     """
     K_x, _, loop = context or _experiment_context(config)
     designs = {}
@@ -398,7 +398,7 @@ def design_schemes(config: ExperimentConfig, marginals: Sequence[np.ndarray], sc
                                   config.noise_constant, config.min_rate) for P in marginals]
         warm = designs.get("rtc_tc") if scheme == "rc_tc" else None
         starts = None if warm is None else [
-            [pack_parameters(result.transform, "full")] if isinstance(result, DesignResult)
+            pack_parameters(result.transform, "full") if isinstance(result, DesignResult)
             else None for result in warm]
         designs[scheme] = results = design_code(problems, starts)
         for result in results:

@@ -97,16 +97,25 @@ def _riccati_map(P: np.ndarray, plant: PlantModel, weights: LqgWeights):
     return F.T @ P @ F - K.T @ GPG @ K + weights.R, K
 
 
-def solve_riccati(plant: PlantModel, weights: LqgWeights, *, rel_tol: float = 1e-12,
-                  max_iterations: int = 1_000_000) -> np.ndarray:
+RICCATI_TOL = 1e-12
+RICCATI_MAX_ITERATIONS = 1_000_000
+
+
+def solve_riccati(plant: PlantModel, weights: LqgWeights) -> np.ndarray:
     """Stabilizing solution of the discrete Riccati equation by fixed-point iteration.
 
     Starts from P = R and iterates the Riccati map until the relative update
-    falls below rel_tol.  Raises RiccatiConvergenceError (with the last
-    residual) if the budget runs out, or at the first iterate whose update
-    overflows, its norm not finite.
+    falls below RICCATI_TOL.  Raises ValueError unless R is d x d and S is
+    m x m for a plant of d states and m inputs, and RiccatiConvergenceError
+    (with the last residual) if RICCATI_MAX_ITERATIONS run out, or at the
+    first iterate whose update overflows, its norm not finite.
     """
     F, R = plant.F, weights.R
+    for name, M, size, what in (("R", R, plant.state_dim, "state"),
+                                ("S", weights.S, plant.input_dim, "input")):
+        if M.shape != (size, size):
+            raise ValueError(f"{name} must be {size}x{size}, the plant's {what} dimension, "
+                             f"got {M.shape[0]}x{M.shape[1]}")
     # (F, R^(1/2)) observability guarantees the stabilizing solution is reached
     sqrt_R = np.linalg.cholesky(R).T
     obs = np.vstack([sqrt_R @ np.linalg.matrix_power(F, k) for k in range(plant.state_dim)])
@@ -116,7 +125,7 @@ def solve_riccati(plant: PlantModel, weights: LqgWeights, *, rel_tol: float = 1e
     residual = math.inf
     # an overflow shows as a non-finite residual, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(1, max_iterations + 1):
+        for iteration in range(1, RICCATI_MAX_ITERATIONS + 1):
             P_next, _ = _riccati_map(P, plant, weights)
             P_next = 0.5 * (P_next + P_next.T)
             residual = float(np.linalg.norm(P_next - P))
@@ -124,10 +133,10 @@ def solve_riccati(plant: PlantModel, weights: LqgWeights, *, rel_tol: float = 1e
                 raise RiccatiConvergenceError(
                     f"Riccati iteration overflowed at iterate {iteration}", residual)
             P = P_next
-            if residual <= rel_tol * max(float(np.linalg.norm(P)), 1e-300):
+            if residual <= RICCATI_TOL * max(float(np.linalg.norm(P)), 1e-300):
                 return P
     raise RiccatiConvergenceError(
-        f"no convergence within {max_iterations} iterations", residual)
+        f"no convergence within {RICCATI_MAX_ITERATIONS} iterations", residual)
 
 
 def riccati_residual(P: np.ndarray, plant: PlantModel, weights: LqgWeights) -> float:

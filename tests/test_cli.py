@@ -22,6 +22,13 @@ R = 1
 S = 1
 """
 
+TWO_STATE_PLANT = """
+kind = lqg
+F = 0.9, 0.1; 0.0, 0.8
+G = 1, 0; 0, 1
+K_w = 0.01, 0; 0, 0.01
+"""
+
 SWEEP_CFG = """
 kind = source
 n = 3
@@ -130,6 +137,18 @@ class TestRiccatiCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: Riccati iteration overflowed at iterate 1\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("R = 1, 0; 0, 1\nS = 0.5", "S must be 2x2, the plant's input dimension, got 1x1"),
+        ("S = 1, 0; 0, 1\nR = 1", "R must be 2x2, the plant's state dimension, got 1x1"),
+    ], ids=["S", "R"])
+    def test_weights_must_match_the_plant(self, tmp_path, capsys, line, message):
+        # a two-input plant: a 1x1 S would broadcast across G'PG
+        cfg = write(tmp_path, "plant.cfg", TWO_STATE_PLANT + line + "\n")
+        assert main(["riccati", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSweepCommand:
@@ -240,6 +259,22 @@ class TestSimulateCommand:
             # every numeric cell parses back as a plain float
             for cell in fields[:4] + fields[5:]:
                 float(cell)
+
+    def test_riccati_equation_solved_once(self, tmp_path, monkeypatch):
+        # the design reads the controller solution the simulation runs with
+        import rctc.harness as harness
+
+        solved = []
+        real_solution = harness.controller_solution
+
+        def solution(*args):
+            solved.append(args)
+            return real_solution(*args)
+
+        monkeypatch.setattr(harness, "controller_solution", solution)
+        cfg = write(tmp_path, "sim.cfg", LQG_SIM_CFG.replace("no_coding", "rc_tc"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "trace.csv")]) == 0
+        assert len(solved) == 1
 
     def test_horizon_flag(self, tmp_path):
         cfg = write(tmp_path, "sim.cfg", LQG_SIM_CFG)

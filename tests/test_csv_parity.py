@@ -108,3 +108,25 @@ def test_relative_difference_of_flags_and_nans():
     assert csv_parity.relative_difference("nan", "1.0") == math.inf
     assert csv_parity.relative_difference("0.0", "1e-300") == math.inf
     assert csv_parity.relative_difference("2.0", "2.5") == 0.25
+
+
+TINY_CONFIG = """kind = source
+n = 3
+rate = 2
+p_grid = 0.1, 0.3
+schemes = plt, rtc_tc, rc_tc
+sim_frames = 200
+seed = 5
+"""
+
+
+def test_a_config_file_is_compared_in_place_of_the_workloads(tmp_path, capsys):
+    # one tree on both sides: one `identical` line, for the file alone
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG)
+    src = Path(__file__).resolve().parents[1] / "src"
+    scratch = tmp_path / "scratch"
+    assert csv_parity.main([str(src), str(src), str(scratch), "--config", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: identical\n"
+    assert sorted(p.name for p in scratch.iterdir()) == [
+        "config0-tiny-new.csv", "config0-tiny-old.csv", "config0-tiny.cfg"]

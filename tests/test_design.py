@@ -310,7 +310,7 @@ def test_design_objectives_nest(rho, p):
     P = availability_marginals(ChannelModel.from_violation_probability(p, 0.05, 0.0125, n))
     toeplitz = design_code([DesignProblem(K, P, 5.0, "toeplitz")])[0]
     full = design_code([DesignProblem(K, P, 5.0, "full")],
-                       [[pack_parameters(toeplitz.transform, "full")]])[0]
+                       [pack_parameters(toeplitz.transform, "full")])[0]
     plt = design_code([DesignProblem(K, P, 5.0, "plt")])[0]
     # equal in exact arithmetic only at a tie; the slack absorbs rounding
     assert full.objective_history[-1] <= toeplitz.objective_history[-1] * (1 + 1e-12)
@@ -323,6 +323,24 @@ def first_value_becomes(value: str):
         key, _, rest = line.split(" ", 2)
         return f"{key} {value} {rest}"
     return edit
+
+
+def record_evaluated_rows(monkeypatch) -> list:
+    """The points every objective `design_code` builds from now on is asked to evaluate."""
+    rows = []
+    real_build = design._reduced_objective
+
+    def build(problems):
+        evaluate = real_build(problems)
+
+        def recorded(index, params):
+            rows.extend(params.copy())
+            return evaluate(index, params)
+
+        return recorded
+
+    monkeypatch.setattr(design, "_reduced_objective", build)
+    return rows
 
 
 class TestDesignCode:
@@ -418,8 +436,32 @@ class TestDesignCode:
         res_t = design_code([prob_t])[0]
         warm = pack_parameters(res_t.transform, "full")
         prob_f = make_problem(0.25, "full")
-        res_f = design_code([prob_f], [[warm]])[0]
+        res_f = design_code([prob_f], [warm])[0]
         assert res_f.predicted_am_wmse <= res_t.predicted_am_wmse * (1 + 1e-9)
+
+    def test_warm_start_is_the_only_start(self, monkeypatch):
+        # with a warm start the objective is never evaluated at the plt encoder
+        warm = pack_parameters(design_code([make_problem(0.25, "toeplitz")])[0].transform, "full")
+        prob = make_problem(0.25, "full")
+        plt_start = pack_parameters(plt_design(prob.K_x)[0], "full")
+        rows = record_evaluated_rows(monkeypatch)
+        design_code([prob], [warm])
+        assert np.array_equal(rows[0], warm)
+        assert not any(np.array_equal(row, plt_start) for row in rows)
+
+    @pytest.mark.parametrize("structure, warm", [("toeplitz", False), ("full", False),
+                                                 ("full", True)])
+    def test_evaluations_count_the_rows_evaluated(self, monkeypatch, structure, warm):
+        # each point the search sends is evaluated once, its start included
+        prob = make_problem(0.2, structure, n=5)
+        start = (pack_parameters(design_code([make_problem(0.2, "toeplitz", n=5)])[0].transform,
+                                 "full") if warm else None)
+        rows = record_evaluated_rows(monkeypatch)
+        result = design_code([prob], [start])[0]
+        assert result.evaluations == len(rows) > 1
+        first = start if warm else pack_parameters(plt_design(prob.K_x)[0], structure)
+        assert sum(np.array_equal(row, first) for row in rows) == 1
+        assert np.array_equal(rows[0], first)
 
     def test_rates_satisfy_mean_constraint(self):
         result = design_code([make_problem(0.2, "toeplitz")])[0]
@@ -490,14 +532,14 @@ def assert_same_design(a: DesignResult, b: DesignResult):
 class TestLockstepDesign:
     @pytest.mark.parametrize("structure", ["toeplitz", "full"])
     def test_equals_one_problem_calls(self, structure):
-        # four channel points, the second and fourth with a second (warm)
-        # start, and a plt problem that searches nothing: every design is the
-        # one a call with its problem alone makes, and the searches stop at
-        # different rounds, so some go on after others have stopped
+        # four channel points, the second and fourth with a warm start, and
+        # a plt problem that searches nothing: every design is the one a call
+        # with its problem alone makes, and the searches stop at different
+        # rounds, so some go on after others have stopped
         problems = [make_problem(p, structure, n=5) for p in POINTS]
         rng = np.random.default_rng(11)
-        warm = [None, [rng.normal(scale=0.3, size=problems[1].parameter_count)],
-                None, [pack_parameters(plt_design(problems[3].K_x)[0], structure) + 0.05]]
+        warm = [None, rng.normal(scale=0.3, size=problems[1].parameter_count),
+                None, pack_parameters(plt_design(problems[3].K_x)[0], structure) + 0.05]
         problems.append(make_problem(0.2, "plt", n=5))
         warm.append(None)
         many = design_code(problems, warm)
@@ -515,7 +557,7 @@ class TestLockstepDesign:
         lost = problems[1].marginals.copy()
         lost[3, 0] = 0.0
         problems[1] = DesignProblem(problems[1].K_x, lost, 5.0, "full")
-        warm = [None, None, [np.zeros(3)], None]
+        warm = [None, None, np.zeros(3), None]
         results = design_code(problems, warm)
         assert isinstance(results[1], np.linalg.LinAlgError)
         assert isinstance(results[2], ValueError)

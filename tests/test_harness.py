@@ -405,7 +405,7 @@ class TestSweepDesign:
         _, _, rtc_tc = calls[2]
         _, starts, _ = calls[3]
         assert [calls[k][1] for k in range(3)] == [None] * 3
-        for (start,), result in zip(starts, rtc_tc):
+        for start, result in zip(starts, rtc_tc):
             assert np.array_equal(start, pack_parameters(result.transform, "full"))
 
     def test_modeled_rows_code_with_the_bank_their_design_priced(self, monkeypatch):

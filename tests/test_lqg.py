@@ -76,11 +76,24 @@ class TestSolveRiccati:
             P = solve_riccati(plant, weights)
             assert riccati_residual(P, plant, weights) < 1e-10 * np.linalg.norm(P)
 
-    def test_budget_exhaustion_raises_with_residual(self):
+    def test_budget_exhaustion_raises_with_residual(self, monkeypatch):
         plant, weights = scalar_setup()
+        monkeypatch.setattr(lqg, "RICCATI_MAX_ITERATIONS", 3)
         with pytest.raises(RiccatiConvergenceError) as err:
-            solve_riccati(plant, weights, max_iterations=3)
+            solve_riccati(plant, weights)
         assert err.value.residual > 0
+
+    @pytest.mark.parametrize("R, S, message", [
+        (np.eye(2), [[0.5]], "S must be 2x2, the plant's input dimension, got 1x1"),
+        ([[1.0]], np.eye(2), "R must be 2x2, the plant's state dimension, got 1x1"),
+        (np.eye(3), np.eye(2), "R must be 2x2, the plant's state dimension, got 3x3"),
+    ], ids=["scalar_S", "scalar_R", "large_R"])
+    def test_weights_must_match_the_plant(self, R, S, message):
+        # a 1x1 S would broadcast across G'PG and solve for another cost
+        plant = PlantModel([[0.9, 0.1], [0.0, 0.8]], np.eye(2), 0.01 * np.eye(2))
+        with pytest.raises(ValueError) as err:
+            solve_riccati(plant, LqgWeights(R, S))
+        assert str(err.value) == message
 
 
 class TestGainAndWeighting:

@@ -1,11 +1,13 @@
 """Byte-compare the sweep CSVs of two rctc source trees on the benchmark's workloads.
 
-Usage: python3 tools/csv_parity.py OLD_SRC NEW_SRC [SCRATCH_DIR]
+Usage: python3 tools/csv_parity.py OLD_SRC NEW_SRC [SCRATCH_DIR] [--config PATH ...]
 
 OLD_SRC and NEW_SRC are directories holding an `rctc` package (a checkout's
 `src`). For every workload in bench/workloads.py, at its parity and its
-held-out seed, `rctc sweep` runs once against each tree, in a fresh process
-with one BLAS thread. One line is printed per pair of CSVs: `identical` when
+held-out seed, or for each config file PATH instead when one is given (at
+the seed it sets), `rctc sweep` runs once against each tree, in a fresh
+process with one BLAS thread. One line is printed per pair of CSVs, after
+the workload and seed or the file's path: `identical` when
 the whole files match. Otherwise the data rows and the `# config:` line are
 reported apart. The rows read `rows identical`, or `same rows, other order`
 when only their order differs, or else the first other line that differs on
@@ -24,6 +26,7 @@ removed afterwards).
 """
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import math
 import os
@@ -153,31 +156,47 @@ def matched_differences(old: bytes, new: bytes) -> str:
     return text
 
 
-def compare(old_src: Path, new_src: Path, scratch: Path) -> bool:
+def cases(configs: list[Path]) -> list[tuple[str, str, str]]:
+    """(label, file stem, config text) of each config file, or else of each workload and seed."""
+    if configs:
+        return [(str(path), f"config{k}-{path.stem}", path.read_text(encoding="utf-8"))
+                for k, path in enumerate(configs)]
+    return [(f"{workload.name} seed {seed}", f"{workload.name}-seed{seed}", workload.render(seed))
+            for workload in load_workloads().values()
+            for seed in (workload.parity_seed, workload.held_out_seed)]
+
+
+def compare(old_src: Path, new_src: Path, scratch: Path, cases) -> bool:
     same = True
-    for workload in load_workloads().values():
-        for seed in (workload.parity_seed, workload.held_out_seed):
-            stem = f"{workload.name}-seed{seed}"
-            config = scratch / f"{stem}.cfg"
-            config.write_text(workload.render(seed))
-            old = sweep(old_src, config, scratch / f"{stem}-old.csv")
-            new = sweep(new_src, config, scratch / f"{stem}-new.csv")
-            same &= old == new
-            print(f"{workload.name} seed {seed}: {verdict(old, new)}", flush=True)
+    for label, stem, text in cases:
+        config = scratch / f"{stem}.cfg"
+        config.write_text(text)
+        old = sweep(old_src, config, scratch / f"{stem}-old.csv")
+        new = sweep(new_src, config, scratch / f"{stem}-new.csv")
+        same &= old == new
+        print(f"{label}: {verdict(old, new)}", flush=True)
     return same
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (2, 3):
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    old_src, new_src = (Path(arg).resolve() for arg in argv[:2])
-    if len(argv) == 3:
-        scratch = Path(argv[2])
-        scratch.mkdir(parents=True, exist_ok=True)
-        return 0 if compare(old_src, new_src, scratch) else 1
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("scratch", type=Path, nargs="?")
+    parser.add_argument("--config", type=Path, action="append", default=[],
+                        help="a config file to compare on, in place of the workloads "
+                             "(repeatable)")
+    args = parser.parse_args(argv)
+    try:
+        chosen = cases(args.config)
+    except OSError as exc:
+        parser.error(f"cannot read {exc.filename}")
+    old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
+    if args.scratch is not None:
+        args.scratch.mkdir(parents=True, exist_ok=True)
+        return 0 if compare(old_src, new_src, args.scratch, chosen) else 1
     with tempfile.TemporaryDirectory() as tmp:
-        return 0 if compare(old_src, new_src, Path(tmp)) else 1
+        return 0 if compare(old_src, new_src, Path(tmp), chosen) else 1
 
 
 if __name__ == "__main__":
