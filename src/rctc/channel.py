@@ -60,9 +60,7 @@ def availability_marginals(model: ChannelModel) -> np.ndarray:
 
     Above the diagonal the index has not been transmitted yet, so E[b_ij] = 0.
     """
-    i, j = np.indices((model.frame_length,) * 2)
-    thr = model.deadline + np.maximum(i - j, 0) * model.sample_period
-    return np.tril(1.0 - np.exp(-model.delay_rate * thr))
+    return np.tril(1.0 - np.exp(-model.delay_rate * model.thresholds()))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,12 @@ class PlantModel:
         d = F.shape[0]
         if F.shape != (d, d):
             raise ValueError("F must be square")
-        G = np.asarray(self.G, dtype=float).reshape(d, -1)
+        G = np.atleast_2d(np.asarray(self.G, dtype=float))
+        if G.shape == (1, d):
+            G = G.T  # a row of d gains: a one-input plant
+        if G.ndim != 2 or G.shape[0] != d:
+            raise ValueError(f"G must have {d} rows, one per state, or be a 1x{d} row "
+                             f"for one input, got shape {'x'.join(map(str, G.shape))}")
         K_w = validate_covariance(np.atleast_2d(np.asarray(self.K_w, dtype=float)), "K_w")
         if K_w.shape != (d, d):
             raise ValueError("K_w must match the state dimension")

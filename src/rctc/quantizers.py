@@ -70,48 +70,25 @@ def _quantile_levels(n_levels: int) -> np.ndarray:
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve the tridiagonal system T x = rhs by cyclic reduction.
+    """Solve the tridiagonal system T x = rhs by the Thomas recursion, in O(L) work.
 
     diag holds T[k, k], lower[k] = T[k, k - 1] and upper[k] = T[k, k + 1], all
-    of length L (lower[0] and upper[L - 1] are ignored).  Each level folds the
-    odd rows into the even ones with whole-array operations and halves the
-    system, so a solve takes about log2(L) levels.  No pivoting: T must be
-    diagonally dominant or positive definite.
+    of length L (lower[0] and upper[L - 1] are ignored).  No pivoting: T must
+    be diagonally dominant or positive definite.
     """
-    n = len(diag)
-    rows = _odd_rows(n)
-    rows[:, :n] = lower, diag, upper, rhs
-    rows[0, 0] = rows[2, n - 1] = 0.0
-    return _cyclic_reduction(rows)[:n]
-
-
-def _odd_rows(n: int) -> np.ndarray:
-    """Zero (lower, diag, upper, rhs) rows for n unknowns, with one identity
-    row for an extra unknown 0 when n is even, so the system has odd length."""
-    rows = np.zeros((4, n + 1 - n % 2))
-    rows[1, n:] = 1.0
-    return rows
-
-
-def _cyclic_reduction(rows: np.ndarray) -> np.ndarray:
-    """Solution of the odd-length system held as in _odd_rows."""
-    n = rows.shape[1]
-    if n == 1:
-        return rows[3] / rows[1]
-    even, odd = rows[:, ::2], rows[:, 1::2]
-    m = odd.shape[1]
-    # row 2i+1 takes left * row 2i and right * row 2i+2, which clear its lower
-    # and upper entries and couple it to rows 2i-1 and 2i+3
-    left = (-odd[0] / even[1, :-1]) * even[:, :-1]
-    right = (-odd[2] / even[1, 1:]) * even[:, 1:]
-    reduced = _odd_rows(m)
-    reduced[0, :m], reduced[2, :m] = left[0], right[2]
-    reduced[1::2, :m] = odd[1::2] + left[2:] + right[::3]  # diagonal and rhs
-    # x[1 + k] is unknown k; x[0] and x[-1] stand for the absent outer neighbours
-    x = np.zeros(n + 2)
-    x[2:-2:2] = _cyclic_reduction(reduced)[:m]
-    x[1:-1:2] = (even[3] - even[0] * x[:-2:2] - even[2] * x[2::2]) / even[1]
-    return x[1:-1]
+    lower, diag, upper, rhs = (np.asarray(v, float).tolist() for v in (lower, diag, upper, rhs))
+    lower[0] = 0.0
+    ratios, x = [], []
+    ratio = value = 0.0
+    for a, b, c, d in zip(lower, diag, upper, rhs):
+        pivot = b - a * ratio
+        ratio = c / pivot  # eliminated row k reads x_k + ratio x_{k+1} = value
+        value = (d - a * value) / pivot
+        ratios.append(ratio)
+        x.append(value)
+    for k in range(len(x) - 2, -1, -1):
+        x[k] -= ratios[k] * x[k + 1]
+    return np.array(x)
 
 
 def lloyd_max_gaussian(n_levels: int):
@@ -121,7 +98,7 @@ def lloyd_max_gaussian(n_levels: int):
     conditional mean of its cell.  Newton's method solves these centroid
     conditions F_k = y_k mass_k - (phi(e_{k-1}) - phi(e_k)) = 0, whose
     Jacobian is symmetric tridiagonal, from the normal quantile start.  Each
-    step solves the Jacobian by cyclic reduction in O(L) work.  Raises
+    step solves the Jacobian by the Thomas recursion in O(L) work.  Raises
     ArithmeticError if max_k |F_k| stays above RESIDUAL_TOL after
     NEWTON_STEPS steps.  Returns (levels, mse) where mse is the design
     distortion, summed over cells as E[(X - y_k)^2; X in cell k] about each

@@ -150,6 +150,15 @@ class TestRiccatiCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_G_must_have_a_row_per_state(self, tmp_path, capsys):
+        cfg = write(tmp_path, "plant.cfg", TWO_STATE_PLANT.replace("G = 1, 0; 0, 1",
+                                                                   "G = 1, 2; 3, 4; 5, 6"))
+        assert main(["riccati", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: G must have 2 rows, one per state, or be a 1x2 row "
+                                "for one input, got shape 3x2\n")
+
 
 class TestSweepCommand:
     def test_row_count_and_determinism(self, tmp_path, capsys):

@@ -36,6 +36,18 @@ class TestPlantModel:
         with pytest.raises(ValueError):
             PlantModel([[1.0]], [[1.0]], np.eye(2))
 
+    @pytest.mark.parametrize("G, shape", [([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], "3x2"),
+                                          ([[1.0, 2.0, 3.0, 4.0]], "1x4")])
+    def test_G_without_a_row_per_state_rejected(self, G, shape):
+        with pytest.raises(ValueError, match=f"G must have 2 rows.*got shape {shape}$") as err:
+            PlantModel([[0.9, 0.1], [0.0, 0.8]], G, np.eye(2))
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("G", [[[1.0, 2.0]], [1.0, 2.0], [[1.0], [2.0]]])
+    def test_G_row_or_column_is_a_one_input_plant(self, G):
+        plant = PlantModel([[0.9, 0.1], [0.0, 0.8]], G, np.eye(2))
+        assert np.array_equal(plant.G, [[1.0], [2.0]])
+
     def test_weights_positive_definite(self):
         with pytest.raises(ValueError):
             LqgWeights([[0.0]], [[1.0]])

@@ -245,7 +245,7 @@ class TestLloydMax:
         assert np.all(np.abs(levels - expected) <= np.concatenate((units[::-1], units)))
         assert got == pytest.approx(mse, abs=mse_unit)
 
-    @pytest.mark.parametrize("n_levels", [2, 3, 4, 5, 7, 8, 16, 32, 64])
+    @pytest.mark.parametrize("n_levels", [2, 3, 4, 5, 7, 8, 16, 32, 64, 128])
     def test_matches_fixed_point_reference(self, n_levels):
         levels, _ = lloyd_max_gaussian(n_levels)
         assert_allclose(levels, fixed_point_levels(n_levels), rtol=0, atol=1e-9)
