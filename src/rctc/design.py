@@ -151,10 +151,7 @@ class DesignProblem:
     @property
     def parameter_count(self) -> int:
         """Number of free encoder parameters the design search runs over."""
-        if self.structure not in SEARCHED:
-            return 0
-        # distinct parameter indices; np.unique would import numpy.ma
-        return len(set(_parameter_map(self.structure, self.frame_length)[2].tolist()))
+        return len(_pattern(self.structure, self.frame_length)) if self.structure in SEARCHED else 0
 
 
 @dataclass
@@ -175,21 +172,23 @@ class DesignResult:
 SEARCHED = ("full", "toeplitz")
 
 
-def _parameter_map(structure: str, frame_length: int):
-    """(row, column, parameter index) of each free entry.
+def _pattern(structure: str, frame_length: int) -> np.ndarray:
+    """The pattern matrix E of the free parameters, one row per parameter and N^2 columns.
 
-    Parameters are ordered lag band by lag band for "toeplitz" (every entry of
-    a band shares one parameter, and the entries come band by band, each in
-    row order) and row by row for "full".  Encoder and decoder use the same
-    map.
+    Row k of E, read as an N x N matrix E_k, is 1 at the entries parameter k
+    sets and 0 elsewhere, so the encoder with parameters a is
+    A = I + sum_k a_k E_k, vec(A - I) = a E, and the decoder likewise.
+    "full" has one parameter per entry below the diagonal, row by row;
+    "toeplitz" one per lag band, lag 1 first.
     """
     if structure not in SEARCHED:
         raise ValueError(f"structure {structure!r} has no free parameters")
-    rows, cols = np.tril_indices(frame_length, -1)
-    if structure == "full":
-        return rows, cols, np.arange(rows.size)
-    order = np.argsort(rows - cols, kind="stable")
-    return rows[order], cols[order], (rows - cols - 1)[order]
+    n = frame_length
+    rows, cols = np.tril_indices(n, -1)
+    full = structure == "full"
+    E = np.zeros((rows.size if full else n - 1, n * n))
+    E[np.arange(rows.size) if full else rows - cols - 1, rows * n + cols] = 1.0
+    return E
 
 
 def pack_parameters(transform: CausalTransform, structure: str) -> np.ndarray:
@@ -198,20 +197,16 @@ def pack_parameters(transform: CausalTransform, structure: str) -> np.ndarray:
     For the toeplitz structure a non-toeplitz transform is projected by
     averaging each lag band, which leaves toeplitz transforms unchanged.
     """
-    rows, cols, src = _parameter_map(structure, transform.frame_length)
-    return (np.bincount(src, weights=transform.encoder_coeffs[rows, cols])
-            / np.bincount(src))
+    E = _pattern(structure, transform.frame_length)
+    return E @ transform.encoder_coeffs.reshape(-1) / E.sum(axis=1)
 
 
 def unpack_parameters(encoder_params: np.ndarray, decoder_params: np.ndarray,
                       structure: str, frame_length: int) -> CausalTransform:
     """The transform whose encoder and decoder have the given free parameters."""
     n = frame_length
-    rows, cols, src = _parameter_map(structure, n)
-    coeffs = np.zeros((2, n, n))
-    coeffs[0, rows, cols] = np.asarray(encoder_params, dtype=float)[src]
-    coeffs[1, rows, cols] = np.asarray(decoder_params, dtype=float)[src]
-    return CausalTransform(structure, n, coeffs[0], coeffs[1])
+    coeffs = np.asarray([encoder_params, decoder_params], dtype=float) @ _pattern(structure, n)
+    return CausalTransform(structure, n, coeffs[0].reshape(n, n), coeffs[1].reshape(n, n))
 
 
 def effective_variances(transform: CausalTransform, marginals: np.ndarray,
@@ -323,56 +318,37 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
 
     Row b evaluates problems[index[b]] at its free encoder parameters
     params[b]; the problems share their structure and frame length.  Every
-    row goes through the same stacked numpy calls, so its numbers do not
-    depend on the rows next to it.
+    row goes through the same stacked numpy calls, its matrix products
+    batched over the rows, so its numbers do not depend on the rows next to it.
 
-    K_q is the uniform-rate noise of the encoder A, kept as its diagonal q.
-    For a fixed A the objective is quadratic in the decoder Ahat and couples
-    only decoder entries of one row.  With S = inv(A)(K_x + K_q)inv(A)',
-    Y = inv(A) K_x, the pair moments M of `pair_moments` and
-    p_u = P[r_u, c_u] for the entry u at row r_u and column c_u, the
-    optimal decoder solves G a = h over the free entries:
-    G_uv = [r_u = r_v] M_{r_u}[c_u, c_v] S[c_u, c_v] and
-    h_u = p_u Y[c_u, r_u] - M_{r_u}[c_u, r_u] S[c_u, r_u], summed per decoder
-    parameter: the map lists each parameter's entries together, so that a
-    parameter is one `np.add.reduceat` segment (of one entry for "full",
-    of a lag band for "toeplitz").  E[H] and W = E[H'H] are
-    those of `channel_moments`.  By the envelope theorem the gradient of J is
-    the partial gradient in A at the optimal decoder,
+    With E the `_pattern`, the encoder is A = I + sum_k a_k E_k and K_q its
+    uniform-rate noise, kept as its diagonal q.  For a fixed A the objective
+    is quadratic in the decoder Ahat = I + sum_k ahat_k E_k.  With
+    S = inv(A)(K_x + K_q)inv(A)', Y = inv(A) K_x, the marginals P and the
+    pair moments M_i of row i (`pair_moments`), the optimal decoder solves
+    G ahat = h: G = sum_i E_i (M_i o S) E_i', E_i the (parameters, N) columns
+    of E that hold row i, and h = E vec(P o Y' - X o S'), X[i, c] = M_i[c, i].
+    E[H] and W = E[H'H] are those of `channel_moments`.  By the envelope
+    theorem the gradient of J is E vec(D), D the partial gradient in A at
+    the optimal decoder,
     -(2/N) ((W K - E[H]' K_x) inv(A)' + s inv(A)' diag(W) inv(A) K_x inv(A)')
-    with K = K_x + K_q and s = c 2^(-2r), read at the free entries and summed
-    per parameter.
+    with K = K_x + K_q and s = c 2^(-2r).
     """
     n = problems[0].frame_length
-    rows, cols, src = _parameter_map(problems[0].structure, n)
-    m = problems[0].parameter_count
-    # where each parameter's entries start in the map
-    first_entries = np.flatnonzero(np.diff(src, prepend=-1))
-    # G's terms, the pairs (u, v) of entries of one row (G_uv vanishes across
-    # rows), ordered by their pair of parameters, so that a pair of
-    # parameters is one segment too, at cell src[u] m + src[v] of G
-    u, v = np.nonzero(rows[:, None] == rows[None, :])
-    order = np.lexsort((src[v], src[u]))
-    u, v = u[order], v[order]
-    pair_cells = src[u] * m + src[v]
-    segments = np.flatnonzero(np.diff(pair_cells, prepend=-1))
-    cells = pair_cells[segments]
-    # flat (row, column) positions in an N x N matrix: the free entries, the
-    # (c_u, r_u) and (c_u, c_v) that h and G read, and the diagonal
-    entries, own, terms = rows * n + cols, cols * n + rows, cols[u] * n + cols[v]
-    diagonal = np.arange(n) * (n + 1)
+    E = _pattern(problems[0].structure, n)
+    m = len(E)
+    # the E_i' stacked over the rows i, (N, N, parameters)
+    E_rows = E.reshape(m, n, n).transpose(1, 2, 0).copy()
     K_x = np.stack([problem.K_x for problem in problems])
     P = np.stack([np.asarray(problem.marginals, dtype=float) for problem in problems])
-    p = P.reshape(-1, n * n)[:, entries]
-    # the pair moments G and h read: M_{r_u}[c_u, c_v] and M_{r_u}[c_u, r_u]
-    M = pair_moments(P).reshape(-1, n ** 3)
-    coupling, own_moment = M[:, rows[u] * n * n + terms], M[:, rows * n * n + own]
+    M = pair_moments(P)
+    X = np.einsum("bici->bic", M)  # X[b, i, c] = M[b, i, c, i]
     noise_scale = np.array([problem.noise_constant * np.exp2(-2.0 * problem.average_rate)
                             for problem in problems])[:, None, None]
     # each problem's arrays, and those of the rows last evaluated
-    per_problem = (K_x, P, coupling, p, own_moment, noise_scale)
+    per_problem = (K_x, P, M, X, noise_scale)
     taken = {}
-    eye, unit = np.eye(n), np.eye(n).reshape(1, n * n)
+    eye = np.eye(n)
 
     def evaluate(index: np.ndarray, params: np.ndarray):
         B = index.size
@@ -380,32 +356,25 @@ def _reduced_objective(problems: Sequence[DesignProblem]):
         if key not in taken:
             taken.clear()
             Kx, Pb, *rest = (array[index] for array in per_problem)
-            taken[key] = (Kx, channel_moments(Pb), *rest)
-        Kx, moments, coupled, pb, pb_own_moment, scale = taken[key]
-        A = unit.repeat(B, axis=0)
-        A[:, entries] = params[:, src]
-        Ainv = np.linalg.inv(A.reshape(B, n, n))
+            taken[key] = (Kx, Pb, channel_moments(Pb), *rest)
+        Kx, Pb, moments, Mb, Xb, scale = taken[key]
+        Ainv = np.linalg.inv(eye + (params[:, None] @ E).reshape(B, n, n))
         AinvT = Ainv.transpose(0, 2, 1)
         Y = Ainv @ Kx
         K_d = Y @ AinvT
-        q = scale * K_d.reshape(B, 1, -1)[:, :, diagonal]  # (B, 1, N)
+        q = scale * K_d.diagonal(axis1=1, axis2=2)[:, None]  # (B, 1, N)
         K = Kx + eye * q  # K_x + K_q
-        S = (K_d + (Ainv * q) @ AinvT).reshape(B, -1)
-        G = np.zeros((B, m * m))
-        G[:, cells] = np.add.reduceat(coupled * S[:, terms], segments, axis=1)
-        h = np.add.reduceat(pb * Y.reshape(B, -1)[:, own] - pb_own_moment * S[:, own],
-                            first_entries, axis=1)
-        decoder = np.linalg.solve(G.reshape(B, m, m), h[:, :, None])[:, :, 0]
-        Ahat = unit.repeat(B, axis=0)
-        Ahat[:, entries] = decoder[:, src]
-        Ahat = Ahat.reshape(B, n, n)
+        S = K_d + (Ainv * q) @ AinvT
+        G = E @ ((Mb * S[:, None]) @ E_rows).reshape(B, n * n, m)
+        h = E @ (Pb * Y.transpose(0, 2, 1) - Xb * S.transpose(0, 2, 1)).reshape(B, -1, 1)
+        decoder = np.linalg.solve(G, h)[:, :, 0]
+        Ahat = eye + (decoder[:, None] @ E).reshape(B, n, n)
         mean_H, W = moments(Ahat, Ainv)
         J = frame_mse(mean_H, W, Kx, K)
         # diag(W) K_d = diag(W) Y inv(A)'
-        w = W.reshape(B, -1, 1)[:, diagonal]
+        w = W.diagonal(axis1=1, axis2=2)[:, :, None]
         grad = (W @ K - mean_H.transpose(0, 2, 1) @ Kx + scale * (AinvT @ (w * Y))) @ AinvT
-        gradient = np.add.reduceat(grad.reshape(B, -1)[:, entries], first_entries, axis=1)
-        return J, (-2.0 / n) * gradient, decoder
+        return J, (-2.0 / n) * (E @ grad.reshape(B, -1, 1))[:, :, 0], decoder
 
     return evaluate
 
@@ -609,33 +578,41 @@ def load_design(path) -> tuple[DesignResult, str]:
             raise ValueError(f"design file {path} repeats the {key!r} field")
         meta[key] = value.strip()
 
-    def parse(key: str, convert=float):
+    def parse(key: str, convert=float, valid=None):
         if key not in meta:
             raise ValueError(f"design file {path} has no {key!r} field")
         try:
-            return convert(meta[key])
+            value = convert(meta[key])
         except ValueError:
             raise ValueError(f"design file {path}: field {key!r} has the malformed "
                              f"value {meta[key]!r}") from None
+        if valid is not None and not valid(value):
+            raise ValueError(f"design file {path}: field {key!r} has the out-of-range "
+                             f"value {meta[key]!r}")
+        return value
 
-    def vec(key: str) -> np.ndarray:
-        values = parse(key, lambda text: np.asarray([float(v) for v in text.split()]))
+    def vec(key: str, valid=None) -> np.ndarray:
+        values = parse(key, lambda text: np.asarray([float(v) for v in text.split()]), valid)
         if values.size != transform.frame_length:
             raise ValueError(f"design file {path}: field {key!r} has {values.size} values "
                              f"for a transform of frame_length {transform.frame_length}")
         return values
 
+    def flag(key: str) -> bool:
+        return bool(parse(key, int, lambda value: value in (0, 1)))
+
+    def cost(value) -> bool:
+        return 0.0 <= value < math.inf
+
     transform = transform_from_text("# causal transform v1" + tail)
     rates = RateAllocation(vec("rates"), vec("effective_variances"), parse("average_rate"),
-                           clamped=bool(parse("clamped", int)))
-    input_variances = vec("input_variances")
-    if not np.all((input_variances > 0.0) & (input_variances < math.inf)):
-        raise ValueError(f"design file {path}: field 'input_variances' must hold finite, "
-                         f"positive values, got {meta['input_variances']!r}")
+                           clamped=flag("clamped"))
     result = DesignResult(
-        transform, rates, parse("predicted_am_wmse"),
-        parse("predicted_lqg_cost", lambda text: None if text == "None" else float(text)),
-        parse("evaluations", int), [], bool(parse("budget_exhausted", int)),
-        input_variances=input_variances,
+        transform, rates, parse("predicted_am_wmse", valid=cost),
+        parse("predicted_lqg_cost", lambda text: None if text == "None" else float(text),
+              lambda value: value is None or cost(value)),
+        parse("evaluations", int, lambda value: value >= 0), [], flag("budget_exhausted"),
+        input_variances=vec("input_variances",
+                            lambda values: np.all((values > 0.0) & (values < math.inf))),
     )
     return result, meta.get("scheme", "")

@@ -265,8 +265,8 @@ class _FrameLanes:
 
     x holds the frames as (N, frames) lanes and noise, in a modeled sweep,
     each lane's standard-normal quantizer noise: both are drawn once per
-    sweep.  bits holds the availability bits of channel point
-    `channel` in the layout `sample_availability_bits` returns.  None of the
+    sweep.  bits holds the availability bits of the channel point being
+    evaluated, in the layout `sample_availability_bits` returns.  None of the
     three is written by a row.  Each row overwrites every element it reads of
     codevalues, its (N, frames) codevalue lanes (decoded and then turned into
     errors in place), and per_frame, each frame's error.
@@ -274,7 +274,6 @@ class _FrameLanes:
 
     def __init__(self, frames: int, chol: np.ndarray, seed: int, modeled: bool):
         n = chol.shape[0]
-        self.seed = seed
         self.codevalues = np.empty((n, frames))
         # the (frames, N) draws z go to the codevalue lanes, which no row has
         # read yet at this point
@@ -286,7 +285,6 @@ class _FrameLanes:
         self.noise = (np.random.default_rng(derive_seed(seed, "noise")).standard_normal(
             (n, frames)) if modeled else None)
         self.bits = np.empty((n, n, frames), dtype=bool).transpose(2, 0, 1)
-        self.channel = None
         self.per_frame = np.empty(frames)
 
 
@@ -310,8 +308,9 @@ def _experiment_context(config: ExperimentConfig):
     column reads.  evaluate(results, cm, seed) returns the (analytic,
     simulated, stderr) of each of a channel point's designs, all read on
     the same draws from `seed`.  For kind = source it is the sweep's draw
-    seed, from which the frames (and, modeled, the quantizer noise) are
-    drawn once and the bits once per point; a modeled row codes with its
+    seed, the same at every call: the frames (and, modeled, the quantizer
+    noise) are drawn from it at the first call and the bits at every call,
+    which is made once per point; a modeled row codes with its
     design's bank and reads its predicted_am_wmse, a realized row prices
     the Lloyd-Max bank it codes with, and loop is None.  For kind = lqg
     it is the point's: its designs run in one lockstep simulation, each with
@@ -330,22 +329,20 @@ def _experiment_context(config: ExperimentConfig):
         def evaluate(results, cm, seed):
             """AM-MSE of i.i.d. N(0, K_x) frames coded through the sampled channel."""
             nonlocal lanes
-            if lanes is None or lanes.seed != seed:
+            if lanes is None:
                 lanes = _FrameLanes(frames, chol, seed, not realized)
-            if lanes.channel != cm:
-                # one stream of delays at every point: the delays scale with
-                # the mean delay, so the bits of a larger p are a subset
-                sample_availability_bits(cm, frames, derive_seed(seed, "channel"),
-                                         out=lanes.bits)
-                lanes.channel = cm
+            # one stream of delays at every point: the delays scale with the
+            # mean delay, so the bits of a larger p are a subset
+            sample_availability_bits(cm, frames, derive_seed(seed, "channel"), out=lanes.bits)
             x, codevalues = lanes.x, lanes.codevalues
             noise = None if realized else lanes.noise.T
+            marginals = availability_marginals(cm) if realized else None
             columns = []
             for result in results:
                 if realized:
                     bank = QuantizerBank.lloyd_max(result.rates.rates, result.input_variances,
                                                    config.noise_constant)
-                    analytic = am_wmse(result.transform, availability_marginals(cm), K_x,
+                    analytic = am_wmse(result.transform, marginals, K_x,
                                        np.diag(bank.noise_variances))
                 else:
                     bank, analytic = result.bank, result.predicted_am_wmse

@@ -457,12 +457,14 @@ def test_import_leaves_out_numpy_polynomial_and_statistics():
 
 
 def test_no_scipy_module_is_loaded_by_a_path_and_a_sweep():
-    # numpy is the one runtime dependency: scipy is a test oracle only
+    # numpy is the one runtime dependency: scipy is a test oracle only.  Nor
+    # does a sweep load numpy.ma, which such calls as np.unique import
     code = ("import sys, rctc.cli; "
             "from rctc.harness import ExperimentConfig, run_experiment; "
             "from rctc.sources import GaussMarkovModel, sample_path; "
             "sample_path(GaussMarkovModel((0.5, -0.3), 1.0), 100, seed=1); "
             "run_experiment(ExperimentConfig.from_text("
             "'kind = source\\nn = 3\\np_grid = 0.1\\nsim_frames = 200\\n')); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert run_fresh(code) == ["[]"]
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.ma' in sys.modules)")
+    assert run_fresh(code) == ["[]", "False"]

@@ -499,8 +499,16 @@ class TestDesignCode:
         ("input_variances", first_value_becomes("inf")),
         ("input_variances", first_value_becomes("0.0")),
         ("input_variances", first_value_becomes("-1.5")),
+        ("budget_exhausted", lambda line: "budget_exhausted 7\n"),
+        ("clamped", lambda line: "clamped -3\n"),
+        ("evaluations", lambda line: "evaluations -8\n"),
+        ("predicted_am_wmse", lambda line: "predicted_am_wmse nan\n"),
+        ("predicted_am_wmse", lambda line: "predicted_am_wmse -1\n"),
+        ("predicted_lqg_cost", lambda line: "predicted_lqg_cost inf\n"),
     ], ids=["not_a_number", "not_an_integer", "repeated", "short_vector", "long_vector",
-            "nan_variance", "infinite_variance", "zero_variance", "negative_variance"])
+            "nan_variance", "infinite_variance", "zero_variance", "negative_variance",
+            "budget_flag_not_0_or_1", "clamped_flag_not_0_or_1", "negative_evaluations",
+            "nan_prediction", "negative_prediction", "infinite_lqg_prediction"])
     def test_load_names_bad_field(self, tmp_path, field, edit):
         result = design_code([make_problem(0.2, "plt", n=4)])[0]
         path = tmp_path / "design.txt"
@@ -530,17 +538,19 @@ def assert_same_design(a: DesignResult, b: DesignResult):
 
 
 class TestLockstepDesign:
-    @pytest.mark.parametrize("structure", ["toeplitz", "full"])
-    def test_equals_one_problem_calls(self, structure):
+    @pytest.mark.parametrize("structure, n", [("toeplitz", 5), ("full", 5), ("toeplitz", 8),
+                                              ("full", 8)],
+                             ids=["toeplitz", "full", "toeplitz-8", "full-8"])
+    def test_equals_one_problem_calls(self, structure, n):
         # four channel points, the second and fourth with a warm start, and
         # a plt problem that searches nothing: every design is the one a call
         # with its problem alone makes, and the searches stop at different
         # rounds, so some go on after others have stopped
-        problems = [make_problem(p, structure, n=5) for p in POINTS]
+        problems = [make_problem(p, structure, n=n) for p in POINTS]
         rng = np.random.default_rng(11)
         warm = [None, rng.normal(scale=0.3, size=problems[1].parameter_count),
                 None, pack_parameters(plt_design(problems[3].K_x)[0], structure) + 0.05]
-        problems.append(make_problem(0.2, "plt", n=5))
+        problems.append(make_problem(0.2, "plt", n=n))
         warm.append(None)
         many = design_code(problems, warm)
         assert isinstance(many, DesignResults) and len(many) == len(problems)
@@ -603,10 +613,11 @@ def design_results(draw):
     transform = unpack_parameters(encoder, decoder, structure, n)
     variances = np.asarray(draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n)))
     rates = allocate_rates(variances, draw(st.floats(0.0, 10.0)), 0.0)
-    lqg = draw(st.none() | finite)
+    cost = st.floats(min_value=0.0, allow_infinity=False)
+    lqg = draw(st.none() | cost)
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     inputs = np.asarray(draw(st.lists(positive, min_size=n, max_size=n)))
-    return DesignResult(transform, rates, draw(finite), lqg, draw(st.integers(0, 10 ** 6)),
+    return DesignResult(transform, rates, draw(cost), lqg, draw(st.integers(0, 10 ** 6)),
                         [], draw(st.booleans()), input_variances=inputs)
 
 

@@ -408,6 +408,26 @@ class TestSweepDesign:
         for start, result in zip(starts, rtc_tc):
             assert np.array_equal(start, pack_parameters(result.transform, "full"))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["source", "realized", "lqg"])
+    def test_short_frames_design_every_scheme(self, kind, n):
+        # at N = 1 no structure has a free parameter, so every scheme codes
+        # with the identity and uniform rates; at N = 2 "toeplitz" and "full"
+        # share their one parameter, and rc_tc starts at the rtc_tc encoder
+        text = {"source": SOURCE_CFG, "realized": SOURCE_CFG + "quantizer_mode = realized\n",
+                "lqg": LQG_CFG}[kind]
+        text = re.sub("schemes = .*", "", re.sub("(?m)^n = .*", f"n = {n}", text))
+        config = ExperimentConfig.from_text(re.sub("p_grid = .*", "p_grid = 0.05, 0.3", text))
+        rows = run_experiment(config)
+        assert len(rows) == 8 and all(isinstance(row.simulated, float) for row in rows)
+        columns = {(row.scheme, row.p): (row.analytic, row.simulated, row.stderr)
+                   for row in rows}
+        for p in config.p_grid:
+            if n == 1:
+                assert len({columns[scheme, p] for scheme in SCHEMES}) == 1
+            else:
+                assert columns["rc_tc", p][0] <= columns["rtc_tc", p][0]
+
     def test_modeled_rows_code_with_the_bank_their_design_priced(self, monkeypatch):
         # one modeled bank per design: the one it was priced with, not a copy
         banks, designs = [], []
